@@ -5,19 +5,23 @@ non-informative prior, and scores the held-out session's evidence under
 that trained prior. Summing the per-fold out-of-sample quantities gives the
 cross-validated log model evidence and its accuracy/complexity split.
 
-Two shortcuts keep this O(S) rather than O(S^2): per-session sufficient
-statistics are additive, so each fold's training statistics are the totals
-minus the held-out session's; and the fully-updated posterior (train block
-then test block) is the same all-data posterior for every fold, so it is
-computed once.
+Every term comes from per-session sufficient statistics, which keeps this
+O(S) rather than O(S^2) and each fold's work O(p^2 V): the statistics are
+additive, so each fold's training statistics are the totals minus the
+held-out session's; both the training and the all-data posterior are one
+:func:`~evidencer.glm.posterior_update` of summed statistics; and the
+fully-updated posterior (train block then test block) is the same all-data
+posterior for every fold, so it is computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .distributions import NgParams
 from .errors import DomainError, EstimationError, LayoutError
 from .glm import (
     GlmSpec,
@@ -25,6 +29,7 @@ from .glm import (
     accuracy,
     complexity,
     log_model_evidence,
+    posterior_update,
 )
 
 __all__ = [
@@ -178,8 +183,10 @@ def _check_sessions(specs, layout: SessionLayout) -> None:
             )
 
 
-@dataclass
-class _Totals:
+class _Totals(NamedTuple):
+    """Sufficient statistics summed over sessions; a valid input to
+    :func:`~evidencer.glm.posterior_update`."""
+
     xtpx: np.ndarray
     xtpy: np.ndarray
     ytpy: np.ndarray
@@ -187,51 +194,36 @@ class _Totals:
 
 
 def _totals(specs) -> _Totals:
-    return _Totals(
-        xtpx=sum(s.xtpx for s in specs),
-        xtpy=sum(s.xtpy for s in specs),
-        ytpy=sum(s.ytpy for s in specs),
-        n=sum(s.n for s in specs),
-    )
+    return _Totals(*(sum(getattr(s, f) for s in specs) for f in _Totals._fields))
 
 
-def _posterior_from_stats(
-    xtpx: np.ndarray, xtpy: np.ndarray, ytpy: np.ndarray, n: int, label: str
-) -> VoxelWisePosterior:
-    """Normal-gamma posterior from non-informative-prior sufficient stats."""
+def _posterior(stats: _Totals, label: str) -> VoxelWisePosterior:
+    """Posterior of summed statistics under the non-informative prior."""
     try:
-        chol = np.linalg.cholesky(xtpx)
-    except np.linalg.LinAlgError:
-        raise EstimationError(
-            f"{label} design block is rank-deficient; its coefficient "
-            "precision cannot be inverted"
-        ) from None
-    mu = np.linalg.solve(chol.T, np.linalg.solve(chol, xtpy))
-    b = 0.5 * (ytpy - np.einsum("pv,pv->v", mu, xtpx @ mu))
-    if np.any(b <= 0):
-        raise EstimationError(
-            f"{label} block yields a non-positive posterior rate; the design "
-            "is numerically ill-conditioned"
-        )
-    return VoxelWisePosterior(
-        mu_n=mu, lambda_n=xtpx, a_n=n / 2.0, b_n=b, _chol=chol
-    )
+        return posterior_update(stats, NgParams.noninformative(stats.xtpy.shape[0]))
+    except EstimationError as exc:
+        raise EstimationError(f"{label} block: {exc}") from None
 
 
 def _oos_fold(specs, fold: int, totals: _Totals, post_all: VoxelWisePosterior):
     held = specs[fold]
-    train_post = _posterior_from_stats(
-        totals.xtpx - held.xtpx,
-        totals.xtpy - held.xtpy,
-        totals.ytpy - held.ytpy,
-        totals.n - held.n,
-        f"fold {fold} training",
-    )
-    train_prior = train_post.as_prior()
+    train = _Totals(*(t - getattr(held, f) for t, f in zip(totals, _Totals._fields)))
+    train_prior = _posterior(train, f"fold {fold} training").as_prior()
     lme = log_model_evidence(held, train_prior, post_all)
     acc = accuracy(held, post_all)
     com = complexity(train_prior, post_all)
     return lme, acc, com
+
+
+def _model_folds(specs, layout: SessionLayout) -> np.ndarray:
+    """One model's out-of-sample (lme, acc, com): a (3, folds, voxels) array."""
+    _check_sessions(specs, layout)
+    totals = _totals(specs)
+    post_all = _posterior(totals, "all-data")
+    return np.stack(
+        [_oos_fold(specs, i, totals, post_all) for i in range(layout.n_folds)],
+        axis=1,
+    )
 
 
 def oos_lme(specs, layout: SessionLayout, fold: int):
@@ -244,10 +236,7 @@ def oos_lme(specs, layout: SessionLayout, fold: int):
     if not (0 <= fold < layout.n_folds):
         raise DomainError(f"fold {fold} out of range for {layout.n_folds} folds")
     totals = _totals(specs)
-    post_all = _posterior_from_stats(
-        totals.xtpx, totals.xtpy, totals.ytpy, totals.n, "all-data"
-    )
-    return _oos_fold(specs, fold, totals, post_all)
+    return _oos_fold(specs, fold, totals, _posterior(totals, "all-data"))
 
 
 def cv_lme(specs, layout: SessionLayout, name: str = "model") -> CvResult:
@@ -257,44 +246,16 @@ def cv_lme(specs, layout: SessionLayout, name: str = "model") -> CvResult:
     the column count; that the columns mean the same regressors in every
     session is the caller's responsibility.
     """
-    _check_sessions(specs, layout)
-    totals = _totals(specs)
-    post_all = _posterior_from_stats(
-        totals.xtpx, totals.xtpy, totals.ytpy, totals.n, "all-data"
-    )
-    folds = [
-        _oos_fold(specs, i, totals, post_all) for i in range(layout.n_folds)
-    ]
-    oos_lme_arr = np.stack([f[0] for f in folds])[:, None, :]
-    oos_acc_arr = np.stack([f[1] for f in folds])[:, None, :]
-    oos_com_arr = np.stack([f[2] for f in folds])[:, None, :]
-    result = CvResult(
-        model_names=(name,),
-        cv_lme=oos_lme_arr.sum(axis=0),
-        cv_acc=oos_acc_arr.sum(axis=0),
-        cv_com=oos_com_arr.sum(axis=0),
-        oos_lme=oos_lme_arr,
-        oos_acc=oos_acc_arr,
-        oos_com=oos_com_arr,
-    )
-    result.validate()
-    return result
+    return cv_lme_models({name: specs}, layout)
 
 
 def cv_lme_models(models, layout: SessionLayout) -> CvResult:
-    """Stack :func:`cv_lme` over a name -> per-session-specs mapping."""
+    """Cross-validated evidences for a name -> per-session-specs mapping."""
     if not models:
         raise DomainError("cv_lme_models needs at least one model")
-    parts = {name: cv_lme(specs, layout, name) for name, specs in models.items()}
-    names = tuple(parts)
-    result = CvResult(
-        model_names=names,
-        cv_lme=np.concatenate([parts[n].cv_lme for n in names], axis=0),
-        cv_acc=np.concatenate([parts[n].cv_acc for n in names], axis=0),
-        cv_com=np.concatenate([parts[n].cv_com for n in names], axis=0),
-        oos_lme=np.concatenate([parts[n].oos_lme for n in names], axis=1),
-        oos_acc=np.concatenate([parts[n].oos_acc for n in names], axis=1),
-        oos_com=np.concatenate([parts[n].oos_com for n in names], axis=1),
-    )
+    names = tuple(models)
+    # (3, folds, models, voxels); fold sums add the folds in order
+    oos = np.stack([_model_folds(models[n], layout) for n in names], axis=2)
+    result = CvResult(names, *oos.sum(axis=1), *oos)
     result.validate()
     return result

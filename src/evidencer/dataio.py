@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -222,6 +223,32 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _positive(raw: dict, key: str, default, kind=float):
+    """``raw[key]`` (or ``default``) as a finite positive ``kind``; any
+    other value raises :class:`ConfigError` naming the key."""
+    value = raw.get(key, default)
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+        if not (math.isfinite(number) and number > 0):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"{key} must be a finite positive number, got {value!r}"
+        ) from None
+    return number
+
+
+def _file_list(value, what: str) -> tuple:
+    """A JSON list of file names as a tuple; anything else is a ConfigError."""
+    _require(
+        isinstance(value, list) and all(isinstance(v, str) for v in value),
+        f"{what} must be a JSON list of file names, got {value!r}",
+    )
+    return tuple(value)
+
+
 def load_config(path) -> ModelSpaceConfig:
     """Load and structurally validate an analysis configuration."""
     path = Path(path)
@@ -234,7 +261,7 @@ def load_config(path) -> ModelSpaceConfig:
     _require(isinstance(raw, dict), "config root must be a JSON object")
 
     models = tuple(raw.get("models", ()))
-    data = tuple(raw.get("data", ()))
+    data = _file_list(raw.get("data", []), "data")
     subjects = tuple(raw.get("subjects", ()))
     _require(
         models or subjects,
@@ -252,6 +279,7 @@ def load_config(path) -> ModelSpaceConfig:
                 isinstance(m, dict) and "name" in m and "design" in m,
                 "each model needs 'name' and 'design' entries",
             )
+            _file_list(m["design"], f"model {m['name']!r} design")
             names.append(m["name"])
         _require(len(set(names)) == len(names), "model names must be unique")
         _require(len(data) >= 1, "first-level analyses need response files in 'data'")
@@ -270,11 +298,11 @@ def load_config(path) -> ModelSpaceConfig:
 
     precision = raw.get("precision", "identity")
     if precision != "identity":
+        precision = _file_list(precision, "precision")
         _require(
-            isinstance(precision, (list, tuple)) and len(precision) == len(data),
+            len(precision) == len(data),
             "precision must be 'identity' or one file per session",
         )
-        precision = tuple(precision)
 
     families = raw.get("families")
     if families is not None:
@@ -332,15 +360,6 @@ def load_config(path) -> ModelSpaceConfig:
             "subject names must be unique",
         )
 
-    alpha0 = float(raw.get("alpha0", 1.0))
-    _require(alpha0 > 0, "alpha0 must be positive")
-    vb_tol = float(raw.get("vb_tol", 1e-4))
-    _require(vb_tol > 0, "vb_tol must be positive")
-    vb_max_iter = int(raw.get("vb_max_iter", 200))
-    _require(vb_max_iter >= 1, "vb_max_iter must be at least 1")
-    chunk_voxels = int(raw.get("chunk_voxels", 4096))
-    _require(chunk_voxels >= 1, "chunk_voxels must be at least 1")
-
     return ModelSpaceConfig(
         models=models,
         data=data,
@@ -351,10 +370,10 @@ def load_config(path) -> ModelSpaceConfig:
         model_prior=model_prior,
         betas=betas,
         subjects=subjects,
-        alpha0=alpha0,
-        vb_tol=vb_tol,
-        vb_max_iter=vb_max_iter,
-        chunk_voxels=chunk_voxels,
+        alpha0=_positive(raw, "alpha0", 1.0),
+        vb_tol=_positive(raw, "vb_tol", 1e-4),
+        vb_max_iter=_positive(raw, "vb_max_iter", 200, int),
+        chunk_voxels=_positive(raw, "chunk_voxels", 4096, int),
         base_dir=path.parent,
         raw=raw,
     )

@@ -8,6 +8,11 @@ Gamma shape are computed once per session while coefficient means and Gamma
 rates are per-voxel columns; this is what makes the mass-univariate setting
 cheap.
 
+The conjugate update and every evidence term read a session only through
+its sufficient statistics ``xtpx = X'PX``, ``xtpy = X'PY``, the per-voxel
+``ytpy = y'Py``, the scan count ``n`` and ``logdet_precision``, so once
+those are formed the per-voxel work is O(p^2) whatever the scan count.
+
 The three evidence quantities exposed here satisfy, per voxel and exactly
 in the algebra, ``log_model_evidence = accuracy - complexity``: accuracy is
 the posterior expected log-likelihood, complexity the KL divergence of the
@@ -210,16 +215,18 @@ def _prior_b_vector(prior: NgParams, n_voxels: int) -> np.ndarray:
 def posterior_update(spec: GlmSpec, prior: NgParams) -> VoxelWisePosterior:
     """Conjugate normal-gamma update for all voxels in one pass.
 
-    The prior may be the non-informative instance (all zeros), any proper
-    parameter set, or a per-voxel set produced by a previous update; chained
-    updates on disjoint data blocks commute with a single update on the
-    concatenated data.
+    Reads only ``xtpx``, ``xtpy``, ``ytpy`` and ``n`` from ``spec``, so
+    statistics summed over several sessions are as valid an input as one
+    :class:`GlmSpec`. The prior may be the non-informative instance (all
+    zeros), any proper parameter set, or a per-voxel set produced by a
+    previous update; chained updates on disjoint data blocks commute with a
+    single update on the concatenated data.
     """
-    if prior.dim != spec.p:
+    p, V = spec.xtpy.shape
+    if prior.dim != p:
         raise DomainError(
-            f"prior dimension {prior.dim} does not match design columns {spec.p}"
+            f"prior dimension {prior.dim} does not match design columns {p}"
         )
-    V = spec.n_voxels
     if spec.n == 0:
         # no-op update: the posterior is the prior, broadcast per voxel
         return VoxelWisePosterior(
@@ -239,7 +246,7 @@ def posterior_update(spec: GlmSpec, prior: NgParams) -> VoxelWisePosterior:
     except DecompositionError:
         if prior.is_noninformative:
             raise EstimationError(
-                "training data leave the coefficient precision singular under "
+                "the data leave the coefficient precision singular under "
                 "the non-informative prior; the design is effectively "
                 "rank-deficient"
             ) from None
@@ -299,13 +306,22 @@ def log_model_evidence(
 
 
 def accuracy(spec: GlmSpec, post: VoxelWisePosterior) -> np.ndarray:
-    """Per-voxel posterior expected log-likelihood of the data."""
+    """Per-voxel posterior expected log-likelihood of the data.
+
+    The residual quadratic form ``(y - X mu)' P (y - X mu)`` is expanded
+    over the sufficient statistics, which costs O(p^2) per voxel instead of
+    O(n p) and accepts the same cancellation at high SNR as ``b_n``.
+    """
     if post.p != spec.p or post.n_voxels != spec.n_voxels:
         raise DomainError("posterior shape does not match the data spec")
     if post.a_n <= 0 or np.any(post.b_n <= 0):
         raise DomainError("accuracy requires a proper posterior")
-    resid = spec.Y - spec.X @ post.mu_n
-    quad = np.einsum("nv,nv->v", resid, spec.apply_precision(resid))
+    mu = post.mu_n
+    quad = (
+        spec.ytpy
+        - 2.0 * np.einsum("pv,pv->v", mu, spec.xtpy)
+        + np.einsum("pv,pv->v", mu, spec.xtpx @ mu)
+    )
     chol = post.chol_lambda()
     w = np.linalg.solve(chol, spec.xtpx)
     trace = float(np.trace(np.linalg.solve(chol.T, w)))

@@ -420,7 +420,6 @@ def _stage_ep(config, options, ctx) -> list:
     ep = np.concatenate(parts, axis=1)
     if options.ep_method == "integration":
         ctx.diagnostics["ep_max_sum_deviation"] = float(max(deviations))
-    ctx.dirichlet.ep = ep
     model_rows = ctx.tables["alpha.csv"]["rows"]
     return [_write_table(ctx, options, "EP.csv", "EP", model_rows, ep)]
 

@@ -15,7 +15,7 @@ that one model is the most frequent) come in three flavors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class DirichletPosterior:
     ``alpha`` is (models x voxels); per voxel the concentrations sum to
     ``models * alpha0 + n_subjects`` (the variational fixed point conserves
     the subject count). ``converged`` and ``iterations`` record per-voxel
-    fixed-point behavior; ``ep`` is filled by an exceedance-probability
-    pass.
+    fixed-point behavior.
     """
 
     alpha: np.ndarray
@@ -95,7 +94,6 @@ class DirichletPosterior:
     n_subjects: int | None = None
     converged: np.ndarray | None = None
     iterations: np.ndarray | None = None
-    ep: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         self.alpha = np.atleast_2d(np.asarray(self.alpha, dtype=float))
@@ -281,20 +279,6 @@ def ep_integration(
     )
 
 
-def _unique_columns(alpha: np.ndarray):
-    """Indices of distinct columns and the inverse map, by exact bytes."""
-    seen: dict = {}
-    inverse = np.empty(alpha.shape[1], dtype=np.int64)
-    uniques = []
-    for v in range(alpha.shape[1]):
-        key = alpha[:, v].tobytes()
-        if key not in seen:
-            seen[key] = len(uniques)
-            uniques.append(v)
-        inverse[v] = seen[key]
-    return np.asarray(uniques, dtype=np.int64), inverse
-
-
 def ep_integration_stack(
     alpha: np.ndarray,
     rel_tail: float = 1e-12,
@@ -308,18 +292,21 @@ def ep_integration_stack(
     back.
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    uniques, inverse = _unique_columns(alpha)
-    table = np.empty((alpha.shape[0], uniques.size))
+    # concentrations are finite and positive, so equal values are equal
+    # bytes; the inverse is flattened because its shape under ``axis`` has
+    # changed across numpy 2.x releases
+    distinct, inverse = np.unique(alpha, axis=1, return_inverse=True)
+    table = np.empty_like(distinct)
     worst = 0.0
-    for u, v in enumerate(uniques):
+    for u in range(distinct.shape[1]):
         phi, info = ep_integration(
-            alpha[:, v], rel_tail=rel_tail, tol=tol, return_diagnostics=True
+            distinct[:, u], rel_tail=rel_tail, tol=tol, return_diagnostics=True
         )
         table[:, u] = phi
         worst = max(worst, abs(info["sum_deviation"]))
-    ep = table[:, inverse]
+    ep = table[:, inverse.ravel()]
     if return_diagnostics:
-        return ep, {"max_sum_deviation": worst, "distinct_columns": int(uniques.size)}
+        return ep, {"max_sum_deviation": worst, "distinct_columns": distinct.shape[1]}
     return ep
 
 

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 from scipy import integrate
+from scipy.special import digamma as _oracle_digamma
 from scipy.special import gammaln as _oracle_lgamma
 
 from evidencer.distributions import NgParams
@@ -61,6 +62,25 @@ def random_proper_instance(rng, n=None, p=None, v=None, precision_kind=None):
         b=float(rng.uniform(0.5, 5.0)),
     )
     return spec, prior
+
+
+def accuracy_by_residual(spec: GlmSpec, post) -> np.ndarray:
+    """Reference accuracy from the full n x V residual matrix.
+
+    The package expands the residual quadratic form over sufficient
+    statistics; this keeps the direct ``(y - X mu)' P (y - X mu)`` form,
+    which loses nothing to cancellation when the fit is near perfect.
+    """
+    resid = spec.Y - spec.X @ post.mu_n
+    quad = np.einsum("nv,nv->v", resid, spec.apply_precision(resid))
+    trace = float(np.trace(np.linalg.solve(post.lambda_n, spec.xtpx)))
+    return (
+        -0.5 * (post.a_n / post.b_n) * quad
+        - 0.5 * trace
+        + 0.5 * spec.logdet_precision
+        - 0.5 * spec.n * np.log(2.0 * np.pi)
+        + 0.5 * spec.n * (_oracle_digamma(post.a_n) - np.log(post.b_n))
+    )
 
 
 def _loglik_terms(y: np.ndarray, x: np.ndarray, precision):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from helpers import (
+    accuracy_by_residual,
     improper_evidence_by_quadrature,
     random_design,
     random_precision,
@@ -18,7 +19,7 @@ from evidencer.crossval import (
 )
 from evidencer.distributions import NgParams
 from evidencer.errors import DomainError, LayoutError
-from evidencer.glm import GlmSpec, log_model_evidence, posterior_update
+from evidencer.glm import GlmSpec, accuracy, log_model_evidence, posterior_update
 
 
 def make_sessions(rng, s=3, n=20, p=2, v=4, precision_kind="identity"):
@@ -245,3 +246,36 @@ class TestCvLme:
         bad = [specs[0], GlmSpec(Y=rng.normal(size=(20, 4)), X=random_design(rng, 20, 3))]
         with pytest.raises(DomainError):
             cv_lme(bad, layout)
+
+
+class TestHighSnrAccuracy:
+    @pytest.mark.parametrize("noise_sd", [1.0, 1e-1, 1e-2, 1e-3])
+    def test_cancellation_stays_bounded(self, noise_sd):
+        # As R^2 -> 1 the sufficient-statistics form ytpy - 2 mu'xtpy +
+        # mu'xtpx mu cancels terms of size ytpy down to the residual sum.
+        # Each of its n-term reductions errs by at most about n * eps/2 *
+        # ytpy, so the held-out accuracy, which scales the form by
+        # a_n / (2 b_n), may differ from the direct residual form by at most
+        # about n * eps * (a_n / b_n) * ytpy.
+        rng = np.random.default_rng(30)
+        sessions, n = 4, 50
+        specs = []
+        for _ in range(sessions):
+            x = np.hstack([rng.normal(size=(n, 1)), np.ones((n, 1))])
+            y = x @ np.array([[2.0], [10.0]]) + rng.normal(scale=noise_sd, size=(n, 3))
+            specs.append(GlmSpec(Y=y, X=x))
+        everything = GlmSpec(
+            Y=np.vstack([s.Y for s in specs]), X=np.vstack([s.X for s in specs])
+        )
+        post = posterior_update(everything, NgParams.noninformative(2))
+        resid = everything.Y - everything.X @ post.mu_n
+        centered = everything.Y - everything.Y.mean(axis=0)
+        r2 = 1.0 - (resid**2).sum(axis=0) / (centered**2).sum(axis=0)
+        if noise_sd <= 1e-3:
+            assert np.all(r2 > 1.0 - 1e-6)
+
+        eps = np.finfo(float).eps
+        for held in specs:
+            gap = np.abs(accuracy(held, post) - accuracy_by_residual(held, post))
+            bound = n * eps * (post.a_n / post.b_n) * held.ytpy
+            assert np.all(gap <= bound), (gap, bound)

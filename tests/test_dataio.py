@@ -214,3 +214,44 @@ class TestLoadConfig:
                     },
                 )
             )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("chunk_voxels", "abc"),
+            ("vb_max_iter", [200]),
+            ("alpha0", "one"),
+            ("vb_tol", True),
+            ("alpha0", "nan"),
+            ("chunk_voxels", 1e999),
+            ("chunk_voxels", 0),
+        ],
+    )
+    def test_bad_numeric_field_names_the_key(self, tmp_path, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "models": [{"name": "m", "design": ["x.csv"]}],
+                    "data": ["y.csv"],
+                    key: value,
+                }
+            ).replace("Infinity", "1e999")
+        )
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "patch, what",
+        [
+            ({"models": [{"name": "m", "design": "x.csv"}]}, "design"),
+            ({"data": "y.csv"}, "data"),
+            ({"precision": "p.csv"}, "precision"),
+            ({"data": ["y.csv", 2]}, "data"),
+        ],
+    )
+    def test_file_lists_must_be_lists(self, tmp_path, patch, what):
+        payload = {"models": [{"name": "m", "design": ["x.csv"]}], "data": ["y.csv"]}
+        payload.update(patch)
+        with pytest.raises(ConfigError, match=f"{what} must be a JSON list"):
+            load_config(self._write(tmp_path, payload))

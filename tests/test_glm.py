@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from helpers import lme_by_quadrature, random_proper_instance, random_spd
+from helpers import (
+    accuracy_by_residual,
+    lme_by_quadrature,
+    random_proper_instance,
+    random_spd,
+)
 
 from evidencer.distributions import NgParams, gamma_moments, kl_gamma, kl_mvn
 from evidencer.errors import DomainError, EstimationError
@@ -145,6 +150,21 @@ class TestEvidenceQuantities:
             lme = float(log_model_evidence(spec, prior, post)[0])
             oracle = lme_by_quadrature(y, x, prior)
             assert abs(lme - oracle) < 1e-4
+
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_accuracy_matches_residual_form(self, precision_kind):
+        # the sufficient-statistics expansion against the direct residual
+        # form, both under the same posterior
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            spec, prior = random_proper_instance(rng, precision_kind=precision_kind)
+            post = posterior_update(spec, prior)
+            np.testing.assert_allclose(
+                accuracy(spec, post),
+                accuracy_by_residual(spec, post),
+                rtol=1e-10,
+                atol=1e-10,
+            )
 
     def test_improper_prior_rejected(self):
         spec = GlmSpec(Y=np.arange(4.0), X=np.ones((4, 1)))

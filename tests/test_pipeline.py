@@ -291,6 +291,23 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "patch, named",
+        [
+            ({"chunk_voxels": "abc"}, "chunk_voxels"),
+            ({"data": "Y_s1.csv"}, "data"),
+        ],
+    )
+    def test_malformed_config_field_exit_code(self, tmp_path, capsys, patch, named):
+        config_path = build_toy_workspace(tmp_path / "ws", extra_config=patch)
+        code = main(
+            ["pipeline", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_partial_failure_exit_code(self, tmp_path, capsys):
         config_path = build_toy_workspace(
             tmp_path / "ws", with_families=False, with_group=False
