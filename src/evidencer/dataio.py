@@ -249,6 +249,13 @@ def _file_list(value, what: str) -> tuple:
     return tuple(value)
 
 
+def _json_list(raw: dict, key: str) -> tuple:
+    """``raw[key]`` (default empty) as a tuple; a non-list is a ConfigError."""
+    value = raw.get(key, [])
+    _require(isinstance(value, list), f"{key} must be a JSON list, got {value!r}")
+    return tuple(value)
+
+
 def load_config(path) -> ModelSpaceConfig:
     """Load and structurally validate an analysis configuration."""
     path = Path(path)
@@ -260,15 +267,19 @@ def load_config(path) -> ModelSpaceConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config root must be a JSON object")
 
-    models = tuple(raw.get("models", ()))
+    models = _json_list(raw, "models")
     data = _file_list(raw.get("data", []), "data")
-    subjects = tuple(raw.get("subjects", ()))
+    subjects = _json_list(raw, "subjects")
     _require(
         models or subjects,
         "config must declare first-level 'models' or a group 'subjects' list",
     )
 
-    sessions = dict(raw.get("sessions", {"kind": "multi"}))
+    sessions = raw.get("sessions", {"kind": "multi"})
+    _require(
+        isinstance(sessions, dict), f"sessions must be a JSON object, got {sessions!r}"
+    )
+    sessions = dict(sessions)
     kind = sessions.get("kind")
     _require(kind in ("multi", "single"), "sessions.kind must be 'multi' or 'single'")
 
@@ -326,10 +337,15 @@ def load_config(path) -> ModelSpaceConfig:
     model_prior = raw.get("model_prior")
     if model_prior is not None:
         _require(
-            len(model_prior) == len(models),
+            isinstance(model_prior, list) and len(model_prior) == len(models),
             "model_prior needs one weight per model",
         )
-        model_prior = tuple(float(w) for w in model_prior)
+        try:
+            model_prior = tuple(float(w) for w in model_prior)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"model_prior weights must be numbers, got {model_prior!r}"
+            ) from None
 
     betas = raw.get("betas")
     if betas is not None:
@@ -352,6 +368,11 @@ def load_config(path) -> ModelSpaceConfig:
         _require(
             isinstance(s, dict) and "name" in s and "cvlme" in s,
             "each subject needs 'name' and 'cvlme' entries",
+        )
+        _require(
+            isinstance(s["cvlme"], str),
+            f"subject {s['name']!r} cvlme must be a file name or '@self', "
+            f"got {s['cvlme']!r}",
         )
     if subjects:
         subject_names = [s["name"] for s in subjects]

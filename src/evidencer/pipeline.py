@@ -35,7 +35,7 @@ from .crossval import (
     split_single_session,
 )
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .family import FamilyPartition, log_family_evidence
 from .glm import GlmSpec
 from .rfx import (
@@ -377,21 +377,12 @@ def _stage_bms(config, options, ctx) -> list:
 
 def _stage_ep(config, options, ctx) -> list:
     alpha = ctx.dirichlet.alpha
-    k, n_voxels = alpha.shape
-    slices = _chunk_slices(n_voxels, config.chunk_voxels)
+    slices = _chunk_slices(alpha.shape[1], config.chunk_voxels)
 
     if options.ep_method == "closed-form":
-        if k != 2:
-            raise DomainError(
-                f"the closed-form method handles exactly 2 models, got {k}"
-            )
 
         def run_chunk(sl):
-            block = alpha[:, sl]
-            return np.stack(
-                [ep_beta_closed_form(block[:, v]) for v in range(block.shape[1])],
-                axis=1,
-            )
+            return ep_beta_closed_form(alpha[:, sl])
 
     elif options.ep_method == "sampling":
 
@@ -404,7 +395,7 @@ def _stage_ep(config, options, ctx) -> list:
             )
 
     else:
-        deviations = []
+        infos = []
 
         def run_chunk(sl):
             ep, info = ep_integration_stack(
@@ -413,13 +404,19 @@ def _stage_ep(config, options, ctx) -> list:
                 tol=options.ep_tol,
                 return_diagnostics=True,
             )
-            deviations.append(info["max_sum_deviation"])
+            infos.append(info)
             return ep
 
     parts = _map_chunks(run_chunk, slices, options.threads)
     ep = np.concatenate(parts, axis=1)
     if options.ep_method == "integration":
-        ctx.diagnostics["ep_max_sum_deviation"] = float(max(deviations))
+        ctx.diagnostics["ep_max_sum_deviation"] = max(
+            i["max_sum_deviation"] for i in infos
+        )
+        ctx.diagnostics["ep_distinct_columns"] = sum(
+            i["distinct_columns"] for i in infos
+        )
+        ctx.diagnostics["ep_max_panels"] = max(i["max_panels"] for i in infos)
     model_rows = ctx.tables["alpha.csv"]["rows"]
     return [_write_table(ctx, options, "EP.csv", "EP", model_rows, ep)]
 

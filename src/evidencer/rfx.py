@@ -11,6 +11,13 @@ that one model is the most frequent) come in three flavors:
 * numerical integration of the product of Gamma CDFs against a Gamma
   density, which is deterministic and considerably cheaper than sampling
   at comparable accuracy.
+
+The closed form and the integration work on whole (models x voxels)
+matrices. Integration runs once per distinct concentration column, in
+array calls over blocks of (column, model) rows, and doubles the panel
+count (8, 16, ..., 2048) only for the columns whose last two passes still
+disagree. A column's result never depends on which other columns share
+its block, so chunking and thread count leave the output bytes unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .special import (
     digamma,
-    gamma_quadrature,
+    gamma_quadrature_grid,
     log_gamma,
     reg_incomplete_beta,
     reg_lower_incomplete_gamma,
@@ -40,6 +47,12 @@ __all__ = [
 ]
 
 _SAMPLING_BATCH = 262_144
+# integration panel schedule: 8, 16, ..., 2048 panels
+_BASE_PANELS = 8
+_MAX_PANELS = 2048
+# Gamma-CDF values per block of rows: large enough that ufunc calls dominate
+# the Python overhead, small enough that a pass's temporaries stay near 1 MB
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -169,8 +182,9 @@ def estimate_rfx(
 
 
 def _validated_alpha(alpha, min_k: int = 2) -> np.ndarray:
-    arr = np.asarray(alpha, dtype=float).ravel()
-    if arr.size < min_k:
+    """Concentrations as a float array whose first axis indexes models."""
+    arr = np.asarray(alpha, dtype=float)
+    if arr.ndim == 0 or arr.shape[0] < min_k:
         raise DomainError(f"need at least {min_k} concentration parameters")
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise DomainError("concentrations must be finite and positive")
@@ -182,15 +196,16 @@ def ep_beta_closed_form(alpha) -> np.ndarray:
 
     The two-model Dirichlet marginal is a Beta distribution, so the first
     model exceeds the second with probability one minus the Beta CDF at
-    one half.
+    one half. ``alpha`` is one voxel's pair or a (2 x voxels) matrix, and
+    the result has the same shape.
     """
     arr = _validated_alpha(alpha)
-    if arr.size != 2:
+    if arr.shape[0] != 2:
         raise DomainError(
-            f"closed form requires exactly 2 models, got {arr.size}"
+            f"closed form requires exactly 2 models, got {arr.shape[0]}"
         )
     phi1 = 1.0 - reg_incomplete_beta(0.5, arr[0], arr[1])
-    return np.array([phi1, 1.0 - phi1])
+    return np.stack([phi1, 1.0 - phi1])
 
 
 def ep_sampling(alpha, samples: int = 1_000_000, seed: int = 0) -> np.ndarray:
@@ -202,7 +217,7 @@ def ep_sampling(alpha, samples: int = 1_000_000, seed: int = 0) -> np.ndarray:
     normalization to Dirichlet variates, so the division by the sample sum
     is skipped. Deterministic for a fixed seed.
     """
-    arr = _validated_alpha(alpha)
+    arr = _validated_alpha(np.ravel(alpha))
     samples = int(samples)
     if samples < 10_000:
         raise DomainError("need at least 1e4 samples for a stable estimate")
@@ -218,38 +233,51 @@ def ep_sampling(alpha, samples: int = 1_000_000, seed: int = 0) -> np.ndarray:
     return counts / samples
 
 
-def _ep_quadrature_pass(alpha: np.ndarray, rel_tail: float, panels: int) -> np.ndarray:
-    k = alpha.size
-    phi = np.empty(k)
-    for j in range(k):
-        rule = gamma_quadrature(alpha[j], rel_tail=rel_tail, panels=panels)
-        nodes = rule.nodes
-        others = np.delete(alpha, j)
-        with np.errstate(divide="ignore"):
+def _quadrature_pass(alpha: np.ndarray, rel_tail: float, panels: int) -> np.ndarray:
+    """One quadrature pass at ``panels`` for every column of ``alpha``.
+
+    Each (column, model j) pair is a row: the Gamma(alpha_j) rule's nodes,
+    the other models' CDFs at those nodes, and the weighted sum. Rows run
+    in blocks of about ``_BLOCK_ELEMENTS`` CDF values; every operation is
+    elementwise or reduces within a row, so a column's result does not
+    depend on which other columns share its block.
+    """
+    k, n = alpha.shape
+    shapes = alpha.T.ravel()
+    others = np.array([[i for i in range(k) if i != j] for j in range(k)])
+    rest = alpha.T[:, others].reshape(k * n, k - 1)
+    phi = np.empty(k * n)
+    # every gamma_quadrature_grid row has 16 * (2 * panels + 31) nodes
+    rows = max(1, _BLOCK_ELEMENTS // ((k - 1) * 16 * (2 * panels + 31)))
+    for lo in range(0, k * n, rows):
+        shape = shapes[lo:lo + rows]
+        nodes, weights = gamma_quadrature_grid(shape, rel_tail=rel_tail, panels=panels)
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_cdfs = np.log(
-                reg_lower_incomplete_gamma(others[:, None], nodes[None, :])
+                reg_lower_incomplete_gamma(rest[lo:lo + rows].T[:, :, None], nodes)
             )
             log_integrand = (
                 log_cdfs.sum(axis=0)
-                + (alpha[j] - 1.0) * np.log(nodes)
+                + (shape[:, None] - 1.0) * np.log(nodes)
                 - nodes
-                - log_gamma(alpha[j])
+                - log_gamma(shape)[:, None]
             )
-        phi[j] = rule.integrate(np.exp(log_integrand))
+            # zero-width panels may put nodes at the origin, where the
+            # integrand is undefined but the weight is zero
+            terms = np.where(weights > 0, np.exp(log_integrand) * weights, 0.0)
+        phi[lo:lo + rows] = terms.sum(axis=1)
     if not np.all(np.isfinite(phi)):
         raise NumericalError(
             "exceedance integrand overflowed; concentration parameters are "
             "too extreme for numerical integration"
         )
-    return phi
+    return phi.reshape(n, k).T
 
 
 def ep_integration(
     alpha,
     rel_tail: float = 1e-12,
     tol: float = 1e-8,
-    base_panels: int = 32,
-    max_doublings: int = 6,
     return_diagnostics: bool = False,
 ):
     """Exceedance probabilities by Gamma-CDF-product integration.
@@ -257,26 +285,21 @@ def ep_integration(
     For each model ``j`` integrates, over a truncated ``[0, Q_j]`` domain
     carrying all but ``rel_tail`` of the Gamma(alpha_j, 1) mass, the
     product of the other models' Gamma CDFs against the Gamma(alpha_j, 1)
-    density. The panel count doubles until successive estimates agree to
-    ``tol``. Raw values are returned without renormalization; how far they
-    sum from one is a quality diagnostic, available via
-    ``return_diagnostics``.
+    density. This is the one-voxel call of :func:`ep_integration_stack`,
+    whose panel schedule it follows. Raw values are returned without
+    renormalization; how far they sum from one is a quality diagnostic,
+    available via ``return_diagnostics``.
     """
-    arr = _validated_alpha(alpha)
-    panels = base_panels
-    previous = None
-    for _ in range(max_doublings + 1):
-        phi = _ep_quadrature_pass(arr, rel_tail, panels)
-        if previous is not None and np.max(np.abs(phi - previous)) < tol:
-            if return_diagnostics:
-                return phi, {"sum_deviation": float(phi.sum() - 1.0), "panels": panels}
-            return phi
-        previous = phi
-        panels *= 2
-    raise NumericalError(
-        f"exceedance integration did not stabilize to {tol} within "
-        f"{max_doublings} panel doublings"
+    ep, info = ep_integration_stack(
+        np.ravel(alpha)[:, None], rel_tail=rel_tail, tol=tol, return_diagnostics=True
     )
+    phi = ep[:, 0]
+    if return_diagnostics:
+        return phi, {
+            "sum_deviation": float(phi.sum() - 1.0),
+            "panels": info["max_panels"],
+        }
+    return phi
 
 
 def ep_integration_stack(
@@ -289,24 +312,42 @@ def ep_integration_stack(
 
     Mass-univariate concentration patterns repeat heavily, so the
     quadrature runs once per distinct column and the results are scattered
-    back.
+    back. All distinct columns start at ``_BASE_PANELS`` panels; the panel
+    count doubles for the columns whose last two passes still differ by
+    ``tol`` or more, up to ``_MAX_PANELS``. A non-finite result or a
+    column still moving at ``_MAX_PANELS`` raises :class:`NumericalError`.
     """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
+    alpha = _validated_alpha(np.atleast_2d(alpha))
     # concentrations are finite and positive, so equal values are equal
     # bytes; the inverse is flattened because its shape under ``axis`` has
     # changed across numpy 2.x releases
     distinct, inverse = np.unique(alpha, axis=1, return_inverse=True)
     table = np.empty_like(distinct)
-    worst = 0.0
-    for u in range(distinct.shape[1]):
-        phi, info = ep_integration(
-            distinct[:, u], rel_tail=rel_tail, tol=tol, return_diagnostics=True
-        )
-        table[:, u] = phi
-        worst = max(worst, abs(info["sum_deviation"]))
+    used = np.zeros(distinct.shape[1], dtype=np.int64)
+    panels = _BASE_PANELS
+    active = np.arange(distinct.shape[1])
+    previous = _quadrature_pass(distinct, rel_tail, panels)
+    while active.size:
+        if panels == _MAX_PANELS:
+            raise NumericalError(
+                f"exceedance integration did not stabilize to {tol} within "
+                f"{_MAX_PANELS} panels for concentrations "
+                f"{distinct[:, active[0]].tolist()}"
+            )
+        panels *= 2
+        phi = _quadrature_pass(distinct[:, active], rel_tail, panels)
+        done = np.max(np.abs(phi - previous), axis=0) < tol
+        table[:, active[done]] = phi[:, done]
+        used[active[done]] = panels
+        active, previous = active[~done], phi[:, ~done]
     ep = table[:, inverse.ravel()]
     if return_diagnostics:
-        return ep, {"max_sum_deviation": worst, "distinct_columns": distinct.shape[1]}
+        deviation = np.abs(table.sum(axis=0) - 1.0)
+        return ep, {
+            "max_sum_deviation": float(deviation.max(initial=0.0)),
+            "distinct_columns": distinct.shape[1],
+            "max_panels": int(used.max(initial=0)),
+        }
     return ep
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "reg_incomplete_beta",
     "log_sum_exp",
     "gamma_quadrature",
+    "gamma_quadrature_grid",
 ]
 
 
@@ -155,23 +156,30 @@ class QuadratureRule:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def gamma_quadrature(shape, rel_tail: float = 1e-12, panels: int = 32) -> QuadratureRule:
-    """Composite Gauss-Legendre rule for Gamma(shape, 1)-weighted integrands.
+def gamma_quadrature_grid(
+    shapes, rel_tail: float = 1e-12, panels: int = 32
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rules for many Gamma(shape, 1) densities.
 
-    The domain is ``[0, Q]`` where ``Q`` is the Gamma(shape, 1) quantile at
-    ``1 - rel_tail``, so the truncated tail carries at most ``rel_tail``
-    probability mass. Panel boundaries merge three ladders: equal
-    probability mass (resolves the density's concentration), equal width
-    (bounds the polynomial degree any single panel must absorb in the
-    stretched tail), and a geometric refinement toward zero (the density is
-    not analytic at the origin for non-integer shape, and is singular there
-    for shape < 1). Each panel carries a 16-point Gauss-Legendre rule.
+    Row ``i`` of the returned ``(nodes, weights)`` arrays is the rule for
+    ``shapes[i]``. The domain is ``[0, Q]`` where ``Q`` is the
+    Gamma(shape, 1) quantile at ``1 - rel_tail``, so the truncated tail
+    carries at most ``rel_tail`` probability mass. Panel boundaries merge
+    three ladders: equal probability mass (resolves the density's
+    concentration), equal width (bounds the polynomial degree any single
+    panel must absorb in the stretched tail), and a geometric refinement
+    toward zero (the density is not analytic at the origin for non-integer
+    shape, and is singular there for shape < 1). Each panel carries a
+    16-point Gauss-Legendre rule.
 
-    ``panels`` controls the equal-mass and equal-width ladder sizes;
-    callers needing tighter accuracy (see the exceedance-probability
-    integration) should double it and compare successive results.
+    ``panels`` sets the equal-mass and equal-width ladder sizes, so every
+    row has ``16 * (2 * panels + 31)`` nodes. Boundaries are sorted, not
+    deduplicated, to keep the rows congruent: a boundary shared by two
+    ladders leaves a zero-width panel whose nodes carry zero weight.
     """
-    shape_f = float(_validated(shape, "shape", positive=True))
+    shapes = _validated(shapes, "shape", positive=True)
+    if shapes.ndim != 1:
+        raise DomainError("shapes must be a 1-D array")
     if not (0.0 < rel_tail < 1e-6):
         raise DomainError(f"rel_tail must lie in (0, 1e-6), got {rel_tail!r}")
     if panels < 1:
@@ -180,17 +188,38 @@ def gamma_quadrature(shape, rel_tail: float = 1e-12, panels: int = 32) -> Quadra
     mass = 1.0 - rel_tail
     # the far-tail quantile via the complementary inverse: rel_tail is
     # representable where 1 - rel_tail is not
-    upper = float(_sp.gammainccinv(shape_f, rel_tail))
-    mass_grid = _sp.gammaincinv(shape_f, mass * np.arange(1, panels) / panels)
+    upper = _sp.gammainccinv(shapes, rel_tail)[:, None]
+    mass_grid = _sp.gammaincinv(shapes[:, None], mass * np.arange(1, panels) / panels)
     width_grid = upper * np.arange(1, panels) / panels
-    inner = float(min(mass_grid[0], width_grid[0])) if panels > 1 else upper
+    inner = np.minimum(mass_grid[:, :1], width_grid[:, :1]) if panels > 1 else upper
     origin_grid = inner * 4.0 ** (-np.arange(1, 33, dtype=float))
-    boundaries = np.unique(
-        np.concatenate([[0.0], origin_grid, mass_grid, width_grid, [upper]])
+    boundaries = np.sort(
+        np.concatenate(
+            [np.zeros_like(upper), origin_grid, mass_grid, width_grid, upper], axis=1
+        ),
+        axis=1,
     )
 
-    half = 0.5 * np.diff(boundaries)
-    mid = 0.5 * (boundaries[:-1] + boundaries[1:])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return QuadratureRule(nodes=nodes, weights=weights, domain=(0.0, upper))
+    half = 0.5 * np.diff(boundaries, axis=1)
+    mid = 0.5 * (boundaries[:, :-1] + boundaries[:, 1:])
+    nodes = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(shapes.size, -1)
+    weights = (half[:, :, None] * _GL_WEIGHTS).reshape(shapes.size, -1)
+    return nodes, weights
+
+
+def gamma_quadrature(shape, rel_tail: float = 1e-12, panels: int = 32) -> QuadratureRule:
+    """The :func:`gamma_quadrature_grid` rule for one shape, as a
+    :class:`QuadratureRule` on ``[0, Q]``.
+
+    Zero-width panels are dropped, so the nodes are strictly increasing.
+    Whether ``panels`` resolves a given integrand is for the caller to
+    check; :func:`evidencer.rfx.ep_integration_stack` doubles it until
+    successive results agree.
+    """
+    shape_f = float(_validated(shape, "shape", positive=True))
+    nodes, weights = gamma_quadrature_grid([shape_f], rel_tail=rel_tail, panels=panels)
+    keep = weights[0] > 0
+    upper = float(_sp.gammainccinv(shape_f, rel_tail))
+    return QuadratureRule(
+        nodes=nodes[0, keep], weights=weights[0, keep], domain=(0.0, upper)
+    )

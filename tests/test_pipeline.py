@@ -9,7 +9,7 @@ from helpers import build_toy_workspace
 from evidencer.cli import main
 from evidencer.dataio import load_config, load_matrix
 from evidencer.pipeline import RunOptions, run_pipeline
-from evidencer.rfx import ep_beta_closed_form
+from evidencer.rfx import ep_beta_closed_form, ep_integration
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,22 @@ class TestStageOutputs:
         assert "config_sha256" in on_disk
         assert on_disk["versions"]["evidencer"]
         assert on_disk == manifest
+
+    def test_ep_integration_counters_in_manifest(self, tmp_path):
+        config_path = build_toy_workspace(
+            tmp_path / "ws", extra_config={"chunk_voxels": 5}
+        )
+        manifest = run(config_path, tmp_path / "out", ["ep"])
+        alpha = load_matrix(tmp_path / "out" / "alpha.csv").values
+        chunks = [alpha[:, i:i + 5] for i in range(0, alpha.shape[1], 5)]
+        diagnostics = manifest["diagnostics"]
+        assert diagnostics["ep_distinct_columns"] == sum(
+            np.unique(c, axis=1).shape[1] for c in chunks
+        )
+        assert diagnostics["ep_max_panels"] == max(
+            ep_integration(alpha[:, v], return_diagnostics=True)[1]["panels"]
+            for v in range(alpha.shape[1])
+        )
 
     def test_timings_written(self, workspace, tmp_path):
         run(workspace, tmp_path / "out", ["cvlme"])
@@ -296,6 +312,10 @@ class TestCli:
         [
             ({"chunk_voxels": "abc"}, "chunk_voxels"),
             ({"data": "Y_s1.csv"}, "data"),
+            ({"model_prior": ["a", 1.0]}, "model_prior"),
+            ({"sessions": "multi"}, "sessions"),
+            ({"models": 5}, "models"),
+            ({"subjects": [{"name": "s1", "cvlme": ["x.csv"]}]}, "cvlme"),
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, patch, named):

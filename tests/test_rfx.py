@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 import evidencer.rfx as rfx
-from evidencer.errors import DomainError
+from evidencer.errors import DomainError, NumericalError
 from evidencer.rfx import (
     DirichletPosterior,
     GroupLmeStack,
@@ -124,6 +125,16 @@ class TestEpBetaClosedForm:
         with pytest.raises(DomainError):
             ep_beta_closed_form([1.0, 2.0, 3.0])
 
+    def test_matrix_call_equals_column_calls(self):
+        rng = np.random.default_rng(17)
+        alpha = rng.uniform(0.3, 40.0, size=(2, 257))
+        ep = ep_beta_closed_form(alpha)
+        assert ep.shape == alpha.shape
+        columns = np.stack(
+            [ep_beta_closed_form(alpha[:, v]) for v in range(alpha.shape[1])], axis=1
+        )
+        np.testing.assert_array_equal(ep, columns)
+
 
 class TestEpSampling:
     def test_symmetric_three_way(self):
@@ -187,6 +198,14 @@ class TestEpIntegration:
         values = [ep_integration([g, 3.0, 2.0])[0] for g in grid]
         assert np.all(np.diff(values) > 0)
 
+    def test_tiny_concentration_with_zero_width_panels(self):
+        # the rules for shape 0.001 carry zero-weight nodes at the origin,
+        # where the integrand is undefined
+        alpha = np.array([0.001, 1.0])
+        np.testing.assert_allclose(
+            ep_integration(alpha), ep_beta_closed_form(alpha), atol=1e-6
+        )
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(DomainError):
             ep_integration([1.0])
@@ -205,6 +224,69 @@ class TestEpStacks:
             np.testing.assert_array_equal(
                 ep[:, v], ep_integration(alpha[:, v])
             )
+
+    @pytest.mark.parametrize("k, small", [(2, 0.1), (3, 0.1), (12, 0.03)])
+    def test_integration_stack_is_split_invariant(self, k, small):
+        # columns that converge at the first comparison share blocks with
+        # columns of small concentrations, which need more doublings
+        rng = np.random.default_rng(100 + k)
+        alpha = np.exp(rng.uniform(np.log(0.1), np.log(60.0), size=(k, 40)))
+        alpha[:, ::7] = rng.uniform(small, 2 * small, size=(k, 6))
+        full, info = ep_integration_stack(alpha, return_diagnostics=True)
+        assert info["max_panels"] > 16
+        cuts = np.sort(rng.choice(np.arange(1, 40), size=6, replace=False))
+        parts = [
+            ep_integration_stack(piece) for piece in np.split(alpha, cuts, axis=1)
+        ]
+        np.testing.assert_array_equal(full, np.hstack(parts))
+        np.testing.assert_array_equal(
+            full[:, 3], ep_integration_stack(alpha[:, 3:4])[:, 0]
+        )
+
+    def test_escalating_column_inside_a_mixed_block(self):
+        slow = np.array([0.15, 0.18, 0.1])
+        phi, info = ep_integration(slow, return_diagnostics=True)
+        assert info["panels"] > 16
+        rng = np.random.default_rng(23)
+        alpha = rng.uniform(1.0, 20.0, size=(3, 30))
+        alpha[:, 11] = slow
+        ep, stack_info = ep_integration_stack(alpha, return_diagnostics=True)
+        np.testing.assert_array_equal(ep[:, 11], phi)
+        assert stack_info["max_panels"] == info["panels"]
+        assert stack_info["distinct_columns"] == 30
+
+    def test_unstable_column_raises(self):
+        alpha = np.array([[2.0, 0.05, 3.0], [1.0, 0.05, 4.0]])
+        with pytest.raises(NumericalError, match="2048 panels"):
+            ep_integration_stack(alpha)
+        with pytest.raises(NumericalError, match="2048 panels"):
+            ep_integration(alpha[:, 1])
+
+    def test_integration_matches_adaptive_quadrature(self):
+        # tolerance fixed before the first run: an order of magnitude
+        # inside the 1e-8 convergence tolerance of the panel doubling
+        rng = np.random.default_rng(31)
+        for k in range(2, 13):
+            # concentrations within a factor e^0.3 of a centre, all in [0.5, 2000]
+            centre = np.exp(rng.uniform(np.log(0.7), np.log(1400.0)))
+            alpha = centre * np.exp(rng.uniform(-0.3, 0.3, size=k))
+            phi = ep_integration(alpha)
+            for j in range(k):
+                others = np.delete(alpha, j)
+
+                def integrand(x):
+                    density = np.exp(
+                        (alpha[j] - 1.0) * np.log(x) - x - special.gammaln(alpha[j])
+                    )
+                    return density * np.prod(special.gammainc(others, x))
+
+                upper = special.gammainccinv(alpha[j], 1e-16)
+                points = special.gammaincinv(alpha[j], [1e-6, 0.1, 0.5, 0.9, 1 - 1e-6])
+                exact, _ = integrate.quad(
+                    integrand, 0.0, upper, points=points,
+                    epsabs=1e-13, epsrel=1e-12, limit=400,
+                )
+                assert abs(phi[j] - exact) < 1e-9, (k, j, phi[j], exact)
 
     def test_large_stack_never_touches_sampling(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -16,6 +16,7 @@ from evidencer.special import (
     QuadratureRule,
     digamma,
     gamma_quadrature,
+    gamma_quadrature_grid,
     log_gamma,
     log_sum_exp,
     reg_incomplete_beta,
@@ -243,6 +244,23 @@ class TestGammaQuadrature:
         assert np.all(rule.weights > 0)
         assert rule.nodes[0] > 0.0
         assert rule.nodes[-1] < rule.domain[1]
+
+    def test_grid_rows_are_the_single_shape_rules(self):
+        shapes = np.array([0.001, 0.3, 1.0, 7.0, 300.0])
+        nodes, weights = gamma_quadrature_grid(shapes, panels=8)
+        assert nodes.shape == weights.shape == (5, 16 * (2 * 8 + 31))
+        assert np.all(weights >= 0)
+        # at shape 0.001 the origin ladder underflows to repeated zero
+        # boundaries, which become zero-weight nodes
+        assert np.any(weights[0] == 0)
+        for i, shape in enumerate(shapes):
+            row_nodes, row_weights = gamma_quadrature_grid([shape], panels=8)
+            np.testing.assert_array_equal(row_nodes[0], nodes[i])
+            np.testing.assert_array_equal(row_weights[0], weights[i])
+            rule = gamma_quadrature(shape, panels=8)
+            keep = weights[i] > 0
+            np.testing.assert_array_equal(rule.nodes, nodes[i, keep])
+            np.testing.assert_array_equal(rule.weights, weights[i, keep])
 
     def test_invalid_construction(self):
         with pytest.raises(DomainError):
