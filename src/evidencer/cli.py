@@ -128,6 +128,8 @@ def main(argv=None) -> int:
     failures = [s for s in states if not s.startswith("ok")]
     for stage, entry in manifest["stages"].items():
         print(f"{stage}: {entry['status']}")
+        if entry["status"].startswith("failed"):
+            print(f"evidencer: stage {stage} {entry['status']}", file=sys.stderr)
     if not failures:
         return EXIT_OK
     if len(failures) == len(states):

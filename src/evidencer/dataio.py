@@ -4,15 +4,34 @@ All matrices travel as plain UTF-8 comma-separated files with an optional
 single header row of column labels; values are written in scientific
 notation with 17 significant digits so a write/read round trip reproduces
 every double bit-for-bit. Analysis configurations are JSON documents.
+
+Reading splits lines where :mod:`csv` does (``\n``, ``\r\n`` or a lone
+``\r``, never ``\x0b``, ``\x0c`` or ``\u2028``). The numbers of all data
+rows come from one :func:`numpy.loadtxt` call, numpy's C reader, which
+rounds through ``PyOS_string_to_double`` as ``float()`` does, so every
+value is bit-identical to ``float(cell)``. Its acceptance rule for a cell,
+stripped of whitespace: non-empty ASCII in ``float()`` syntax without
+underscores. ``float()`` alone also reads digit-group underscores
+(``1_000``) and non-ASCII digits; both are rejected. A per-line pass in
+front of the C reader rejects blank and ragged rows, which the C reader
+would skip or not see against the header; when either rejects a file, one
+more pass names the first bad line and cell. Lines are numbered by CSV
+record, so a quoted cell spanning lines counts once.
+
+Writing sends the header row through :mod:`csv` and formats each data row
+with one ``%.16e`` format, byte-identical to ``f"{v:.16e}"`` per cell.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,76 +81,157 @@ class LabeledMatrix:
         return self.values.shape
 
 
-def _parse_cell(cell: str, line_no: int):
-    text = cell.strip()
-    if not text:
-        raise ParseError(f"line {line_no}: empty cell")
+class _Record(NamedTuple):
+    """One CSV record: ``lines[start:stop]`` as :mod:`csv` splits them."""
+
+    start: int
+    stop: int
+    width: int
+    blank: bool
+    cells: list | None  # kept only for records holding a quote character
+
+
+# a character that makes a record non-blank; ``\s`` is the set str.strip() drops
+_NOT_BLANK = re.compile(r"[^\s,]")
+
+
+def _records(path: Path, lines: list) -> list:
+    """Group physical lines into CSV records the way :mod:`csv` reads them.
+
+    A quote-free line is a record of its own; its width and blankness come
+    from counting commas and searching for any other non-space character,
+    without splitting it into cells. A line holding a quote goes to
+    :mod:`csv`, which pulls further lines while a quoted cell stays open.
+    """
+    records = []
+    pending = iter(lines)
+    start = 0
+    for line in pending:
+        if '"' not in line:
+            blank = _NOT_BLANK.search(line) is None
+            records.append(_Record(start, start + 1, line.count(",") + 1, blank, None))
+            start += 1
+            continue
+        reader = csv.reader(itertools.chain([line], pending))
+        try:
+            cells = next(reader)
+        except csv.Error as exc:
+            raise ParseError(f"{path}, line {len(records) + 1}: {exc}") from None
+        blank = all(not c.strip() for c in cells)
+        stop = start + reader.line_num
+        records.append(_Record(start, stop, len(cells), blank, cells))
+        start = stop
+    return records
+
+
+def _cells(lines: list, record: _Record) -> list:
+    if record.cells is not None:
+        return record.cells
+    text = lines[record.start].rstrip("\r\n")
+    return text.split(",") if text else []
+
+
+def _is_number(text: str) -> bool:
+    """Whether numpy's C reader reads the stripped cell ``text`` as a
+    double: ``float()``'s syntax, in ASCII and without underscores."""
+    if not text.isascii() or "_" in text:
+        return False
     try:
-        return float(text)
+        float(text)
     except ValueError:
-        raise ParseError(f"line {line_no}: non-numeric cell {cell!r}") from None
+        return False
+    return True
+
+
+def _first_fault(path, lines, data, first_line, width, cause=None) -> ParseError:
+    """The error for the first data record that breaks the acceptance rule.
+
+    Records are checked in file order, each for blankness, then cell by
+    cell, then for its width. This pass only names the fault; the values
+    always come from :func:`numpy.loadtxt`.
+    """
+    for line_no, record in enumerate(data, start=first_line):
+        where = f"{path}, line {line_no}"
+        if record.blank:
+            return ParseError(f"{where}: blank row inside the file")
+        for column, cell in enumerate(_cells(lines, record), start=1):
+            text = cell.strip()
+            if not text:
+                return ParseError(f"{where}, column {column}: empty cell")
+            if not _is_number(text):
+                return ParseError(
+                    f"{where}, column {column}: non-numeric cell {cell!r}"
+                )
+        if record.width != width:
+            return ParseError(
+                f"{where}: ragged row with {record.width} cells, expected {width}"
+            )
+    return ParseError(f"{path}: {cause}")
 
 
 def load_matrix(path) -> LabeledMatrix:
     """Read a rectangular numeric CSV, capturing a header row if present.
 
     The first row is treated as a header exactly when at least one of its
-    cells is not parseable as a number. Ragged rows, non-numeric data
-    cells, and empty files raise :class:`ParseError` naming the offending
-    line.
+    cells is not parseable by ``float()``. Trailing blank rows are ignored.
+    Blank or ragged rows, empty or non-numeric data cells, and files
+    without data rows raise :class:`ParseError` naming the file, the line
+    and, for a bad cell, its column.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as handle:
-            raw_rows = list(enumerate(csv.reader(handle), start=1))
-    except OSError as exc:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    while raw_rows and all(not c.strip() for c in raw_rows[-1][1]):
-        raw_rows.pop()
-    if not raw_rows:
+    records = _records(path, lines)
+    while records and records[-1].blank:
+        records.pop()
+    if not records:
         raise ParseError(f"{path}: no data rows")
 
     columns = None
-    first_line, first_cells = raw_rows[0]
-    header = False
+    first_cells = _cells(lines, records[0])
     for cell in first_cells:
         try:
             float(cell.strip() or "x")
         except ValueError:
-            header = True
+            columns = tuple(c.strip() for c in first_cells)
             break
-    if header:
-        columns = tuple(c.strip() for c in first_cells)
-        raw_rows = raw_rows[1:]
-
-    rows = []
-    for line_no, cells in raw_rows:
-        if all(not c.strip() for c in cells):
-            raise ParseError(f"line {line_no}: blank row inside {path}")
-        rows.append([_parse_cell(c, line_no) for c in cells])
-        width = len(columns) if columns is not None else len(rows[0])
-        if len(rows[-1]) != width:
-            raise ParseError(
-                f"line {line_no}: ragged row with {len(rows[-1])} cells, "
-                f"expected {width}"
-            )
-    if not rows:
+    first_line = 1 if columns is None else 2
+    data = records[first_line - 1 :]
+    if not data:
         raise ParseError(f"{path}: no data rows")
-    return LabeledMatrix(values=np.array(rows, dtype=float), columns=columns)
+
+    width = data[0].width if columns is None else len(columns)
+    if any(r.blank or r.width != width for r in data):
+        raise _first_fault(path, lines, data, first_line, width)
+    try:
+        values = np.loadtxt(
+            lines[data[0].start : data[-1].stop],
+            dtype=float,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=2,
+        )
+    except ValueError as exc:
+        raise _first_fault(path, lines, data, first_line, width, exc) from None
+    return LabeledMatrix(values=values, columns=columns)
 
 
 def save_matrix(path, values: np.ndarray, columns=None) -> None:
     """Write a matrix as CSV: optional header, 17-significant-digit values."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     path = Path(path)
+    row_format = ",".join(["%.16e"] * values.shape[1]) + "\n"
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
         if columns is not None:
             if len(columns) != values.shape[1]:
                 raise ParseError("one column label per column required")
-            writer.writerow(list(columns))
+            csv.writer(handle, lineterminator="\n").writerow(list(columns))
         for row in values:
-            writer.writerow([f"{v:.16e}" for v in row])
+            handle.write(row_format % tuple(row))
 
 
 @dataclass(frozen=True)

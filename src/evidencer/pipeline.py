@@ -35,7 +35,7 @@ from .crossval import (
     split_single_session,
 )
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .family import FamilyPartition, log_family_evidence
 from .glm import GlmSpec
 from .rfx import (
@@ -184,8 +184,23 @@ def _preflight(config: ModelSpaceConfig, stages) -> None:
         )
 
 
+def _load_finite(config: ModelSpaceConfig, relative) -> np.ndarray:
+    """The values of an input matrix whose every cell must be finite."""
+    path = config.resolve(relative)
+    matrix = load_matrix(path)
+    finite = np.isfinite(matrix.values)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0]
+        line = row + (1 if matrix.columns is None else 2)
+        raise ParseError(
+            f"{path}, line {line}, column {column + 1}: non-finite value "
+            f"{float(matrix.values[row, column])}"
+        )
+    return matrix.values
+
+
 def _load_session_matrices(config: ModelSpaceConfig):
-    data = [load_matrix(config.resolve(p)).values for p in config.data]
+    data = [_load_finite(config, p) for p in config.data]
     voxels = {m.shape[1] for m in data}
     if len(voxels) != 1:
         raise ConfigError(
@@ -196,7 +211,7 @@ def _load_session_matrices(config: ModelSpaceConfig):
     else:
         precisions = []
         for p, y in zip(config.precision, data):
-            mat = load_matrix(config.resolve(p)).values
+            mat = _load_finite(config, p)
             if mat.shape == (1, y.shape[0]):
                 mat = mat.ravel()  # stored as a single row: diagonal precision
             precisions.append(mat)
@@ -220,7 +235,7 @@ def _build_model_space(config: ModelSpaceConfig, ctx: _Context) -> None:
             )
         layout = split_single_session(scans)
         for model in config.models:
-            x = load_matrix(config.resolve(model["design"][0])).values
+            x = _load_finite(config, model["design"][0])
             if x.shape[0] != scans:
                 raise ConfigError(
                     f"design for model {model['name']!r} has {x.shape[0]} "
@@ -236,7 +251,7 @@ def _build_model_space(config: ModelSpaceConfig, ctx: _Context) -> None:
     for model in config.models:
         specs = []
         for s, y in enumerate(data):
-            x = load_matrix(config.resolve(model["design"][s])).values
+            x = _load_finite(config, model["design"][s])
             if x.shape[0] != y.shape[0]:
                 raise ConfigError(
                     f"design for model {model['name']!r}, session {s + 1} has "

@@ -211,15 +211,23 @@ def gamma_quadrature(shape, rel_tail: float = 1e-12, panels: int = 32) -> Quadra
     """The :func:`gamma_quadrature_grid` rule for one shape, as a
     :class:`QuadratureRule` on ``[0, Q]``.
 
-    Zero-width panels are dropped, so the nodes are strictly increasing.
-    Whether ``panels`` resolves a given integrand is for the caller to
-    check; :func:`evidencer.rfx.ep_integration_stack` doubles it until
-    successive results agree.
+    Zero-width panels are dropped. Near the origin of a small shape the
+    panels can be narrower than the spacing of subnormal doubles, so
+    neighbouring nodes round to one value, or one step out of order. The
+    nodes are sorted and coincident ones merged with their weights summed,
+    which is exact because the integrand takes one value there; the nodes
+    are then strictly increasing. Whether ``panels``
+    resolves a given integrand is for the caller to check;
+    :func:`evidencer.rfx.ep_integration_stack` doubles it until successive
+    results agree.
     """
     shape_f = float(_validated(shape, "shape", positive=True))
     nodes, weights = gamma_quadrature_grid([shape_f], rel_tail=rel_tail, panels=panels)
     keep = weights[0] > 0
+    merged, owner = np.unique(nodes[0, keep], return_inverse=True)
     upper = float(_sp.gammainccinv(shape_f, rel_tail))
     return QuadratureRule(
-        nodes=nodes[0, keep], weights=weights[0, keep], domain=(0.0, upper)
+        nodes=merged,
+        weights=np.bincount(owner, weights=weights[0, keep]),
+        domain=(0.0, upper),
     )

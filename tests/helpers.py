@@ -10,14 +10,18 @@ the data enter only through three scalar reductions.
 
 from __future__ import annotations
 
+import csv
 import warnings
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 from scipy.special import digamma as _oracle_digamma
 from scipy.special import gammaln as _oracle_lgamma
 
+from evidencer.dataio import LabeledMatrix
 from evidencer.distributions import NgParams
+from evidencer.errors import ParseError
 from evidencer.glm import GlmSpec
 
 
@@ -81,6 +85,74 @@ def accuracy_by_residual(spec: GlmSpec, post) -> np.ndarray:
         - 0.5 * spec.n * np.log(2.0 * np.pi)
         + 0.5 * spec.n * (_oracle_digamma(post.a_n) - np.log(post.b_n))
     )
+
+
+def _parse_cell_by_float(cell: str, line_no: int):
+    text = cell.strip()
+    if not text:
+        raise ParseError(f"line {line_no}: empty cell")
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"line {line_no}: non-numeric cell {cell!r}") from None
+
+
+def load_matrix_by_cells(path) -> LabeledMatrix:
+    """Reference CSV reader: :mod:`csv` records, one ``float()`` per cell.
+
+    The package reads the numbers with numpy's C reader; this keeps the
+    per-cell reader it replaced, which differs only in accepting what
+    ``float()`` alone accepts (digit-group underscores, non-ASCII digits).
+    """
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            raw_rows = list(enumerate(csv.reader(handle), start=1))
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    while raw_rows and all(not c.strip() for c in raw_rows[-1][1]):
+        raw_rows.pop()
+    if not raw_rows:
+        raise ParseError(f"{path}: no data rows")
+
+    columns = None
+    first_line, first_cells = raw_rows[0]
+    header = False
+    for cell in first_cells:
+        try:
+            float(cell.strip() or "x")
+        except ValueError:
+            header = True
+            break
+    if header:
+        columns = tuple(c.strip() for c in first_cells)
+        raw_rows = raw_rows[1:]
+
+    rows = []
+    for line_no, cells in raw_rows:
+        if all(not c.strip() for c in cells):
+            raise ParseError(f"line {line_no}: blank row inside {path}")
+        rows.append([_parse_cell_by_float(c, line_no) for c in cells])
+        width = len(columns) if columns is not None else len(rows[0])
+        if len(rows[-1]) != width:
+            raise ParseError(
+                f"line {line_no}: ragged row with {len(rows[-1])} cells, "
+                f"expected {width}"
+            )
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return LabeledMatrix(values=np.array(rows, dtype=float), columns=columns)
+
+
+def save_matrix_by_cells(path, values, columns=None) -> None:
+    """Reference CSV writer: :mod:`csv` rows of ``f"{v:.16e}"`` cells."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        if columns is not None:
+            writer.writerow(list(columns))
+        for row in values:
+            writer.writerow([f"{v:.16e}" for v in row])
 
 
 def _loglik_terms(y: np.ndarray, x: np.ndarray, precision):

@@ -172,6 +172,7 @@ def test_criterion_05_ep_closed_form_agreement():
     report(5, f"integration vs closed form, 200 pairs: worst gap {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_06_ep_monte_carlo_agreement():
     rng = np.random.default_rng(606)
     started = time.perf_counter()

@@ -1,12 +1,17 @@
 """CSV round trips, parse errors, and configuration validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evidencer.dataio import ResultTable, load_config, load_matrix, save_matrix
 from evidencer.errors import ConfigError, ParseError
+
+from helpers import load_matrix_by_cells, save_matrix_by_cells
 
 
 class TestLoadMatrix:
@@ -67,15 +72,116 @@ class TestLoadMatrix:
             load_matrix(path)
 
 
+class TestCReader:
+    """The C reader against the per-cell reference reader."""
+
+    @staticmethod
+    def _write(tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @staticmethod
+    def _outcome(reader, path):
+        try:
+            return "accept", reader(path)
+        except ParseError as exc:
+            named = re.search(r"\bline (\d+)", str(exc))
+            return "reject", named and int(named.group(1))
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(
+            st.sampled_from(
+                list("0123456789.eE+-,\" #ax") + ["\n", "\r\n", "nan", "inf"]
+            ),
+            max_size=40,
+        ).map("".join)
+    )
+    def test_agrees_with_reference_reader(self, tmp_path, text):
+        path = self._write(tmp_path, text)
+        verdict, new = self._outcome(load_matrix, path)
+        ref_verdict, ref = self._outcome(load_matrix_by_cells, path)
+        assert verdict == ref_verdict
+        if verdict == "reject":
+            assert new == ref  # the same line, or none for "no data rows"
+        else:
+            assert new.values.shape == ref.values.shape
+            assert new.values.tobytes() == ref.values.tobytes()
+            assert new.columns == ref.columns
+
+    def test_hash_in_cell_rejected(self, tmp_path):
+        path = self._write(tmp_path, "1,2\n3,#4\n")
+        with pytest.raises(ParseError, match="m.csv, line 2, column 2"):
+            load_matrix(path)
+
+    def test_quoted_numeric_cell(self, tmp_path):
+        mat = load_matrix(self._write(tmp_path, '1,"2.5"\n" 3 ",4\n'))
+        np.testing.assert_array_equal(mat.values, [[1.0, 2.5], [3.0, 4.0]])
+
+    def test_quoted_header_label_with_comma(self, tmp_path):
+        mat = load_matrix(self._write(tmp_path, '"a,b",c\n1,2\n'))
+        assert mat.columns == ("a,b", "c")
+        np.testing.assert_array_equal(mat.values, [[1.0, 2.0]])
+
+    def test_crlf_line_endings(self, tmp_path):
+        mat = load_matrix(self._write(tmp_path, "v1,v2\r\n1,2\r\n3,4\r\n"))
+        assert mat.columns == ("v1", "v2")
+        np.testing.assert_array_equal(mat.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_trailing_comma_rows_tolerated(self, tmp_path):
+        mat = load_matrix(self._write(tmp_path, "1,2,3\n4,5,6\n,,\n , ,\n"))
+        np.testing.assert_array_equal(mat.values, [[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0663", "1\u0660"])
+    def test_underscore_and_non_ascii_digits_rejected(self, tmp_path, cell):
+        # float() reads these; the C reader does not, and neither does load_matrix
+        path = self._write(tmp_path, f"1,2\n3,{cell}\n")
+        assert load_matrix_by_cells(path).shape == (2, 2)
+        with pytest.raises(ParseError, match="line 2, column 2: non-numeric"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("1,2\n3,\n", "line 2, column 2: empty cell"),
+            ("1,2\n3,x\n", "line 2, column 2: non-numeric cell 'x'"),
+            ("1,2\n3,4,5\n", "line 2: ragged row with 3 cells"),
+            ("a,b,c\n1,2\n", "line 2: ragged row with 2 cells, expected 3"),
+            ("1,2\n \n3,4\n", "line 2: blank row"),
+            ("1,2\n3,x\n5,6,7\n", "line 2, column 2"),
+        ],
+    )
+    def test_errors_name_file_line_and_column(self, tmp_path, text, named):
+        path = self._write(tmp_path, text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}, {named}")):
+            load_matrix(path)
+
+    def test_writer_matches_reference_bytes(self, tmp_path):
+        values = TestRoundTrip.values()
+        columns = [f"v{i}" for i in range(values.shape[1])]
+        save_matrix(tmp_path / "new.csv", values, columns=columns)
+        save_matrix_by_cells(tmp_path / "ref.csv", values, columns=columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestRoundTrip:
-    def test_exact_double_round_trip(self, tmp_path):
+    @staticmethod
+    def values():
         rng = np.random.default_rng(0)
-        values = np.concatenate(
+        return np.concatenate(
             [
                 rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40),
                 [0.0, 1.0, -1.0, np.pi, 1e-308, -1e308],
             ]
         ).reshape(2, 23)
+
+    def test_exact_double_round_trip(self, tmp_path):
+        values = self.values()
         path = tmp_path / "rt.csv"
         save_matrix(path, values, columns=[f"v{i}" for i in range(23)])
         back = load_matrix(path)
@@ -122,6 +228,12 @@ class TestResultTable:
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             load_matrix(tmp_path / "does-not-exist.csv")
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("1,2\n3,\xb5\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="cannot read"):
+            load_matrix(path)
 
 
 class TestLoadConfig:

@@ -7,7 +7,7 @@ import pytest
 from helpers import build_toy_workspace
 
 from evidencer.cli import main
-from evidencer.dataio import load_config, load_matrix
+from evidencer.dataio import load_config, load_matrix, save_matrix
 from evidencer.pipeline import RunOptions, run_pipeline
 from evidencer.rfx import ep_beta_closed_form, ep_integration
 
@@ -327,6 +327,39 @@ class TestCli:
         assert code == 2
         assert named in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "target, row, column, line, value",
+        [
+            ("Y_s1.csv", 2, 1, 3, np.nan),
+            ("X2_s2.csv", 5, 0, 6, np.inf),
+            ("P_s2.csv", 0, 4, 1, -np.inf),
+        ],
+    )
+    def test_nonfinite_input_cell_names_file(
+        self, tmp_path, capsys, target, row, column, line, value
+    ):
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(
+            root, extra_config={"precision": ["P_s1.csv", "P_s2.csv"]}
+        )
+        for s in (1, 2):
+            save_matrix(root / f"P_s{s}.csv", np.ones((1, 24)))
+        path = root / target
+        values = load_matrix(path).values
+        values[row, column] = value
+        save_matrix(path, values)
+        code = main(
+            ["pipeline", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        )
+        captured = capsys.readouterr()
+        named = f"{path.resolve()}, line {line}, column {column + 1}: non-finite"
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        status = manifest["stages"]["cvlme"]["status"]
+        assert status.startswith("failed: ParseError") and named in status
+        assert named in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert code == 4
 
     def test_partial_failure_exit_code(self, tmp_path, capsys):
         config_path = build_toy_workspace(

@@ -262,6 +262,17 @@ class TestGammaQuadrature:
             np.testing.assert_array_equal(rule.nodes, nodes[i, keep])
             np.testing.assert_array_equal(rule.weights, weights[i, keep])
 
+    @pytest.mark.parametrize("shape", [1e-3, 3e-3])
+    def test_coincident_subnormal_nodes_merge(self, shape):
+        # at 2048 panels neighbouring nodes near the origin round to one
+        # subnormal double; merging them keeps the rule's mass
+        fine = gamma_quadrature(shape, panels=2048)
+        coarse = gamma_quadrature(shape, panels=1024)
+        assert np.all(np.diff(fine.nodes) > 0)
+        np.testing.assert_allclose(
+            fine.weights.sum(), coarse.weights.sum(), rtol=0, atol=1e-12
+        )
+
     def test_invalid_construction(self):
         with pytest.raises(DomainError):
             gamma_quadrature(0.0)
