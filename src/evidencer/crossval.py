@@ -44,6 +44,8 @@ __all__ = [
 
 _MIN_SINGLE_SESSION_SCANS = 40
 _DISCARD_RANGE = range(10, 20)
+# smallest tolerance on |acc - com - lme|, for data whose round-off bound is tiny
+_ACC_COM_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,9 @@ class CvResult:
 
     ``cv_*`` are (models x voxels); ``oos_*`` are (folds x models x voxels).
     The cross-validated arrays are the exact fold sums of the out-of-sample
-    arrays, and accuracy minus complexity reproduces the evidence.
+    arrays, and accuracy minus complexity reproduces the evidence to within
+    ``acc_com_tol``, a per-voxel bound on the sufficient-statistics
+    round-off (see :func:`cv_lme_models`).
     """
 
     model_names: tuple
@@ -150,11 +154,12 @@ class CvResult:
     oos_lme: np.ndarray
     oos_acc: np.ndarray
     oos_com: np.ndarray
+    acc_com_tol: np.ndarray | float = _ACC_COM_FLOOR
 
-    def validate(self, atol: float = 1e-8) -> None:
+    def validate(self) -> None:
         if not np.array_equal(self.cv_lme, self.oos_lme.sum(axis=0)):
             raise DomainError("cv_lme must be the exact fold sum of oos_lme")
-        if np.max(np.abs(self.cv_acc - self.cv_com - self.cv_lme)) > atol:
+        if np.any(np.abs(self.cv_acc - self.cv_com - self.cv_lme) > self.acc_com_tol):
             raise DomainError(
                 "accuracy minus complexity does not reproduce the evidence"
             )
@@ -215,15 +220,19 @@ def _oos_fold(specs, fold: int, totals: _Totals, post_all: VoxelWisePosterior):
     return lme, acc, com
 
 
-def _model_folds(specs, layout: SessionLayout) -> np.ndarray:
-    """One model's out-of-sample (lme, acc, com): a (3, folds, voxels) array."""
+def _model_folds(specs, layout: SessionLayout):
+    """One model's out-of-sample (lme, acc, com) as a (3, folds, voxels)
+    array, and the per-voxel round-off bound on their fold sums' acc - com
+    - lme gap."""
     _check_sessions(specs, layout)
     totals = _totals(specs)
     post_all = _posterior(totals, "all-data")
-    return np.stack(
+    folds = np.stack(
         [_oos_fold(specs, i, totals, post_all) for i in range(layout.n_folds)],
         axis=1,
     )
+    scale = np.finfo(float).eps * post_all.a_n / post_all.b_n
+    return folds, scale * sum(s.n * s.ytpy for s in specs)
 
 
 def oos_lme(specs, layout: SessionLayout, fold: int):
@@ -250,12 +259,22 @@ def cv_lme(specs, layout: SessionLayout, name: str = "model") -> CvResult:
 
 
 def cv_lme_models(models, layout: SessionLayout) -> CvResult:
-    """Cross-validated evidences for a name -> per-session-specs mapping."""
+    """Cross-validated evidences for a name -> per-session-specs mapping.
+
+    Each held-out accuracy expands a residual quadratic form over
+    sufficient statistics, whose n-term reductions err by up to about
+    ``n * eps/2 * ytpy`` each; scaled by ``a_n / (2 b_n)`` of the all-data
+    posterior, the fold sums' acc - com - lme gap stays within
+    ``sum over folds of n_held * eps * (a_n / b_n) * ytpy_held``. That
+    bound, floored at 1e-8, is the result's ``acc_com_tol``.
+    """
     if not models:
         raise DomainError("cv_lme_models needs at least one model")
     names = tuple(models)
+    folds, bounds = zip(*(_model_folds(models[n], layout) for n in names))
     # (3, folds, models, voxels); fold sums add the folds in order
-    oos = np.stack([_model_folds(models[n], layout) for n in names], axis=2)
-    result = CvResult(names, *oos.sum(axis=1), *oos)
+    oos = np.stack(folds, axis=2)
+    tol = np.maximum(_ACC_COM_FLOOR, np.stack(bounds))
+    result = CvResult(names, *oos.sum(axis=1), *oos, acc_com_tol=tol)
     result.validate()
     return result

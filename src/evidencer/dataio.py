@@ -1,9 +1,11 @@
 """Matrix and configuration I/O.
 
 All matrices travel as plain UTF-8 comma-separated files with an optional
-single header row of column labels; values are written in scientific
-notation with 17 significant digits so a write/read round trip reproduces
-every double bit-for-bit. Analysis configurations are JSON documents.
+single header row of column labels, recognised as a first row none of
+whose cells reads as a number by ``float()``; values are written in
+scientific notation with 17 significant digits so a write/read round trip
+reproduces every double bit-for-bit. Analysis configurations are JSON
+documents.
 
 Reading splits lines where :mod:`csv` does (``\n``, ``\r\n`` or a lone
 ``\r``, never ``\x0b``, ``\x0c`` or ``\u2028``). The numbers of all data
@@ -172,8 +174,9 @@ def _first_fault(path, lines, data, first_line, width, cause=None) -> ParseError
 def load_matrix(path) -> LabeledMatrix:
     """Read a rectangular numeric CSV, capturing a header row if present.
 
-    The first row is treated as a header exactly when at least one of its
-    cells is not parseable by ``float()``. Trailing blank rows are ignored.
+    The first row is treated as a header exactly when none of its cells
+    parses by ``float()``, so a malformed first data row is an error, not
+    a header. Trailing blank rows are ignored.
     Blank or ragged rows, empty or non-numeric data cells, and files
     without data rows raise :class:`ParseError` naming the file, the line
     and, for a bad cell, its column.
@@ -190,14 +193,15 @@ def load_matrix(path) -> LabeledMatrix:
     if not records:
         raise ParseError(f"{path}: no data rows")
 
-    columns = None
     first_cells = _cells(lines, records[0])
+    columns = tuple(c.strip() for c in first_cells)
     for cell in first_cells:
         try:
-            float(cell.strip() or "x")
+            float(cell)
         except ValueError:
-            columns = tuple(c.strip() for c in first_cells)
-            break
+            continue
+        columns = None  # a cell that reads as a number makes the row data
+        break
     first_line = 1 if columns is None else 2
     data = records[first_line - 1 :]
     if not data:

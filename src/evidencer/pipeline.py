@@ -5,6 +5,14 @@ evidence, and averaging build on the cross-validated evidences; exceedance
 probabilities build on the group Dirichlet estimate). A failing stage
 aborts only its dependents; the manifest always records per-stage status.
 
+A stage is pure compute: its inputs come in as arguments, and it returns
+its result tables by file name, the diagnostics it adds to the manifest,
+and the product its dependents read (the cvlme stage's :class:`CvResult`,
+the bms stage's alpha table). Only :func:`run_pipeline` does I/O: per
+stage it loads the input files or dependency products, calls the stage,
+saves the tables, and records status, outputs, diagnostics and the
+seconds of each phase (load, compute, write) in ``timings.csv``.
+
 Reruns with the same configuration, seed, and chunk size write
 byte-identical result files and manifest regardless of the worker-thread
 count: voxel chunk boundaries are fixed by ``chunk_voxels`` alone, chunk
@@ -15,7 +23,6 @@ separate ``timings.csv`` that is excluded from that guarantee.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import sys
@@ -29,6 +36,7 @@ import numpy as np
 from . import __version__
 from .bma import BetaStack, cv_bma, posterior_probabilities
 from .crossval import (
+    CvResult,
     SessionLayout,
     cv_lme_models,
     split_glm_spec,
@@ -39,6 +47,8 @@ from .errors import ConfigError, ParseError
 from .family import FamilyPartition, log_family_evidence
 from .glm import GlmSpec
 from .rfx import (
+    EP_REL_TAIL,
+    EP_TOL,
     DirichletPosterior,
     GroupLmeStack,
     ep_beta_closed_form,
@@ -59,6 +69,7 @@ _STATIC_DEPS = {
     "bma": ("cvlme",),
 }
 EP_METHODS = ("closed-form", "sampling", "integration")
+_PHASES = ("load", "compute", "write")
 
 
 @dataclass
@@ -70,8 +81,6 @@ class RunOptions:
     threads: int = 1
     ep_method: str = "integration"
     samples: int = 1_000_000
-    rel_tail: float = 1e-12
-    ep_tol: float = 1e-8
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
@@ -134,24 +143,15 @@ def _map_chunks(fn, slices, threads: int) -> list:
         return list(pool.map(fn, slices))
 
 
-@dataclass
-class _Context:
-    """Products shared between stages within one run."""
+@dataclass(frozen=True)
+class _StageResult:
+    """What a stage returns: its result tables by file name, in write order;
+    the diagnostics it adds to the manifest; and the product its dependent
+    stages read."""
 
-    layout: SessionLayout | None = None
-    model_specs: dict = field(default_factory=dict)
-    cv_result: object = None
-    group: GroupLmeStack | None = None
-    dirichlet: DirichletPosterior | None = None
+    tables: dict
     diagnostics: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)
-
-
-def _write_table(ctx, options, name, kind, row_labels, values) -> str:
-    table = ResultTable(kind=kind, row_labels=tuple(row_labels), values=values)
-    table.save(options.out_dir / name)
-    ctx.tables[name] = {"kind": kind, "rows": list(table.row_labels)}
-    return name
+    product: object = None
 
 
 def _required_files(config: ModelSpaceConfig, stages) -> list:
@@ -218,36 +218,27 @@ def _load_session_matrices(config: ModelSpaceConfig):
     return data, precisions
 
 
-def _build_model_space(config: ModelSpaceConfig, ctx: _Context) -> None:
-    if ctx.model_specs:
-        return
+def _load_model_space(config: ModelSpaceConfig) -> tuple:
+    """The cvlme stage's inputs: per-model session specs and their layout.
+
+    A single session is built as one session, then split into halves.
+    """
     if not config.models:
         raise ConfigError("this stage needs first-level 'models' and 'data'")
     data, precisions = _load_session_matrices(config)
-
-    if config.sessions.get("kind") == "single":
+    single = config.sessions.get("kind") == "single"
+    if single:
         scans = config.sessions["scans"]
-        y = data[0]
-        if y.shape[0] != scans:
+        if data[0].shape[0] != scans:
             raise ConfigError(
                 f"config declares {scans} scans but the response file has "
-                f"{y.shape[0]} rows"
+                f"{data[0].shape[0]} rows"
             )
         layout = split_single_session(scans)
-        for model in config.models:
-            x = _load_finite(config, model["design"][0])
-            if x.shape[0] != scans:
-                raise ConfigError(
-                    f"design for model {model['name']!r} has {x.shape[0]} "
-                    f"rows, expected {scans}"
-                )
-            spec = GlmSpec(Y=y, X=x, precision=precisions[0])
-            ctx.model_specs[model["name"]] = split_glm_spec(spec, layout)
-        ctx.layout = layout
-        return
+    else:
+        layout = SessionLayout.from_counts([y.shape[0] for y in data])
 
-    counts = [y.shape[0] for y in data]
-    layout = SessionLayout.from_counts(counts)
+    model_specs = {}
     for model in config.models:
         specs = []
         for s, y in enumerate(data):
@@ -258,47 +249,79 @@ def _build_model_space(config: ModelSpaceConfig, ctx: _Context) -> None:
                     f"{x.shape[0]} rows but the response has {y.shape[0]}"
                 )
             specs.append(GlmSpec(Y=y, X=x, precision=precisions[s]))
-        ctx.model_specs[model["name"]] = specs
-    ctx.layout = layout
+        if single:
+            specs = split_glm_spec(specs[0], layout)
+        model_specs[model["name"]] = specs
+    return model_specs, layout
 
 
-def _stage_cvlme(config, options, ctx) -> list:
-    _build_model_space(config, ctx)
-    ctx.cv_result = cv_lme_models(ctx.model_specs, ctx.layout)
-    result = ctx.cv_result
-    names = result.model_names
-    outputs = [_write_table(ctx, options, "cvLME.csv", "cvLME", names, result.cv_lme)]
-    for i in range(result.oos_lme.shape[0]):
-        outputs.append(
-            _write_table(
-                ctx, options, f"oosLME_fold{i + 1}.csv", "oosLME",
-                names, result.oos_lme[i],
-            )
-        )
-    return outputs
-
-
-def _stage_anc(config, options, ctx) -> list:
-    result = ctx.cv_result
-    names = result.model_names
-    outputs = [
-        _write_table(ctx, options, "cvAcc.csv", "cvAcc", names, result.cv_acc),
-        _write_table(ctx, options, "cvCom.csv", "cvCom", names, result.cv_com),
+def _load_group(config: ModelSpaceConfig, cv_result) -> GroupLmeStack:
+    """The bms stage's input: every subject's evidences, taking a
+    ``'@self'`` subject's from this run's cvlme product."""
+    if not config.subjects:
+        raise ConfigError("the bms stage needs a group 'subjects' list")
+    slabs = [
+        cv_result.cv_lme
+        if subject["cvlme"] == "@self"
+        else load_matrix(config.resolve(subject["cvlme"])).values
+        for subject in config.subjects
     ]
-    for i in range(result.oos_acc.shape[0]):
-        outputs.append(
-            _write_table(
-                ctx, options, f"oosAcc_fold{i + 1}.csv", "oosAcc",
-                names, result.oos_acc[i],
-            )
+    shapes = {s.shape for s in slabs}
+    if len(shapes) != 1:
+        raise ConfigError(
+            f"subjects' evidence files disagree on shape: {sorted(shapes)}"
         )
-        outputs.append(
-            _write_table(
-                ctx, options, f"oosCom_fold{i + 1}.csv", "oosCom",
-                names, result.oos_com[i],
-            )
-        )
-    return outputs
+    return GroupLmeStack(
+        lme=np.stack(slabs), subject_ids=tuple(s["name"] for s in config.subjects)
+    )
+
+
+def _load_estimates(config: ModelSpaceConfig, n_voxels: int) -> BetaStack:
+    """The bma stage's input: the (models x sessions x voxels) estimates."""
+    if not config.betas:
+        raise ConfigError("the bma stage needs a 'betas' block")
+    stacks = []
+    for row in config.betas["files"]:
+        per_session = []
+        for path in row:
+            mat = load_matrix(config.resolve(path)).values
+            if mat.shape[0] != 1:
+                mat = mat.T  # stored one voxel per row
+            if mat.shape != (1, n_voxels):
+                raise ConfigError(
+                    f"estimate file {path!r} does not hold one value per "
+                    f"voxel ({n_voxels} expected)"
+                )
+            per_session.append(mat[0])
+        stacks.append(per_session)
+    return BetaStack(
+        beta=np.asarray(stacks),
+        regressor_name=str(config.betas.get("regressor", "effect")),
+    )
+
+
+def _cv_tables(result: CvResult, *terms) -> dict:
+    """``cv<term>.csv`` per term, then fold by fold ``oos<term>_fold<i>.csv``
+    per term, for terms ``"LME"``, ``"Acc"`` or ``"Com"`` of ``result``."""
+    names = result.model_names
+    tables = {}
+    for t in terms:
+        values = getattr(result, f"cv_{t.lower()}")
+        tables[f"cv{t}.csv"] = ResultTable(f"cv{t}", names, values)
+    for i in range(result.oos_lme.shape[0]):
+        for t in terms:
+            values = getattr(result, f"oos_{t.lower()}")[i]
+            tables[f"oos{t}_fold{i + 1}.csv"] = ResultTable(f"oos{t}", names, values)
+    return tables
+
+
+def _stage_cvlme(config, options, model_specs, layout) -> _StageResult:
+    result = cv_lme_models(model_specs, layout)
+    return _StageResult(_cv_tables(result, "LME"), product=result)
+
+
+def _stage_anc(config, options, cv_result) -> _StageResult:
+    return _StageResult(_cv_tables(cv_result, "Acc", "Com"))
 
 
 def _family_partition(config: ModelSpaceConfig) -> FamilyPartition:
@@ -320,38 +343,13 @@ def _family_partition(config: ModelSpaceConfig) -> FamilyPartition:
     )
 
 
-def _stage_lfe(config, options, ctx) -> list:
+def _stage_lfe(config, options, cv_result) -> _StageResult:
     partition = _family_partition(config)
-    lfe = log_family_evidence(ctx.cv_result.cv_lme, partition)
-    return [_write_table(ctx, options, "LFE.csv", "LFE", partition.names, lfe)]
+    lfe = log_family_evidence(cv_result.cv_lme, partition)
+    return _StageResult({"LFE.csv": ResultTable("LFE", partition.names, lfe)})
 
 
-def _load_group(config: ModelSpaceConfig, ctx: _Context) -> GroupLmeStack:
-    if not config.subjects:
-        raise ConfigError("the bms stage needs a group 'subjects' list")
-    slabs = []
-    names = []
-    for subject in config.subjects:
-        names.append(subject["name"])
-        if subject["cvlme"] == "@self":
-            if ctx.cv_result is None:
-                raise ConfigError(
-                    "subject references '@self' but no cvlme result exists"
-                )
-            slabs.append(ctx.cv_result.cv_lme)
-        else:
-            slabs.append(load_matrix(config.resolve(subject["cvlme"])).values)
-    shapes = {s.shape for s in slabs}
-    if len(shapes) != 1:
-        raise ConfigError(
-            f"subjects' evidence files disagree on shape: {sorted(shapes)}"
-        )
-    return GroupLmeStack(lme=np.stack(slabs), subject_ids=tuple(names))
-
-
-def _stage_bms(config, options, ctx) -> list:
-    ctx.group = _load_group(config, ctx)
-    group = ctx.group
+def _stage_bms(config, options, group) -> _StageResult:
     slices = _chunk_slices(group.n_voxels, config.chunk_voxels)
 
     def run_chunk(sl):
@@ -366,32 +364,32 @@ def _stage_bms(config, options, ctx) -> list:
         )
 
     parts = _map_chunks(run_chunk, slices, options.threads)
-    ctx.dirichlet = DirichletPosterior(
+    dirichlet = DirichletPosterior(
         alpha=np.concatenate([p.alpha for p in parts], axis=1),
         alpha0=config.alpha0,
         n_subjects=group.n_subjects,
         converged=np.concatenate([p.converged for p in parts]),
         iterations=np.concatenate([p.iterations for p in parts]),
     )
-    model_rows = config.model_names
-    if len(model_rows) != group.n_models:
-        model_rows = tuple(f"model{i + 1}" for i in range(group.n_models))
-    outputs = [
-        _write_table(ctx, options, "alpha.csv", "alpha", model_rows, ctx.dirichlet.alpha),
-        _write_table(
-            ctx, options, "expected_freq.csv", "alpha",
-            model_rows, ctx.dirichlet.expected_freq,
-        ),
-    ]
-    ctx.diagnostics["bms_unconverged_voxels"] = int(
-        np.sum(~ctx.dirichlet.converged)
+    rows = config.model_names
+    if len(rows) != group.n_models:
+        rows = tuple(f"model{i + 1}" for i in range(group.n_models))
+    alpha = ResultTable("alpha", rows, dirichlet.alpha)
+    return _StageResult(
+        {
+            "alpha.csv": alpha,
+            "expected_freq.csv": ResultTable("alpha", rows, dirichlet.expected_freq),
+        },
+        diagnostics={
+            "bms_unconverged_voxels": int(np.sum(~dirichlet.converged)),
+            "bms_max_iterations": int(dirichlet.iterations.max()),
+        },
+        product=alpha,
     )
-    ctx.diagnostics["bms_max_iterations"] = int(ctx.dirichlet.iterations.max())
-    return outputs
 
 
-def _stage_ep(config, options, ctx) -> list:
-    alpha = ctx.dirichlet.alpha
+def _stage_ep(config, options, alpha_table) -> _StageResult:
+    alpha = alpha_table.values
     slices = _chunk_slices(alpha.shape[1], config.chunk_voxels)
 
     if options.ep_method == "closed-form":
@@ -410,66 +408,50 @@ def _stage_ep(config, options, ctx) -> list:
             )
 
     else:
-        infos = []
 
         def run_chunk(sl):
-            ep, info = ep_integration_stack(
-                alpha[:, sl],
-                rel_tail=options.rel_tail,
-                tol=options.ep_tol,
-                return_diagnostics=True,
-            )
-            infos.append(info)
-            return ep
+            return ep_integration_stack(alpha[:, sl], return_diagnostics=True)
 
     parts = _map_chunks(run_chunk, slices, options.threads)
-    ep = np.concatenate(parts, axis=1)
+    diagnostics = {}
     if options.ep_method == "integration":
-        ctx.diagnostics["ep_max_sum_deviation"] = max(
-            i["max_sum_deviation"] for i in infos
-        )
-        ctx.diagnostics["ep_distinct_columns"] = sum(
-            i["distinct_columns"] for i in infos
-        )
-        ctx.diagnostics["ep_max_panels"] = max(i["max_panels"] for i in infos)
-    model_rows = ctx.tables["alpha.csv"]["rows"]
-    return [_write_table(ctx, options, "EP.csv", "EP", model_rows, ep)]
-
-
-def _stage_bma(config, options, ctx) -> list:
-    if not config.betas:
-        raise ConfigError("the bma stage needs a 'betas' block")
-    probs = posterior_probabilities(ctx.cv_result.cv_lme, config.model_prior)
-    n_voxels = probs.n_voxels
-
-    stacks = []
-    for row in config.betas["files"]:
-        per_session = []
-        for path in row:
-            mat = load_matrix(config.resolve(path)).values
-            if mat.shape[0] != 1:
-                mat = mat.T  # stored one voxel per row
-            if mat.shape != (1, n_voxels):
-                raise ConfigError(
-                    f"estimate file {path!r} does not hold one value per "
-                    f"voxel ({n_voxels} expected)"
-                )
-            per_session.append(mat[0])
-        stacks.append(per_session)
-    betas = BetaStack(
-        beta=np.asarray(stacks),
-        regressor_name=str(config.betas.get("regressor", "effect")),
+        parts, infos = zip(*parts)
+        diagnostics = {
+            "ep_max_sum_deviation": max(i["max_sum_deviation"] for i in infos),
+            "ep_distinct_columns": sum(i["distinct_columns"] for i in infos),
+            "ep_max_panels": max(i["max_panels"] for i in infos),
+        }
+    ep = np.concatenate(parts, axis=1)
+    return _StageResult(
+        {"EP.csv": ResultTable("EP", alpha_table.row_labels, ep)}, diagnostics
     )
+
+
+def _stage_bma(config, options, cv_result, betas) -> _StageResult:
+    probs = posterior_probabilities(cv_result.cv_lme, config.model_prior)
     averaged = cv_bma(betas, probs)
+    name = betas.regressor_name
+    return _StageResult(
+        {
+            "PP.csv": ResultTable("PP", config.model_names, probs.pp),
+            f"BMA_{name}.csv": ResultTable("BMA", (name,), averaged[None, :]),
+        }
+    )
 
-    name = f"BMA_{betas.regressor_name}.csv"
-    return [
-        _write_table(ctx, options, "PP.csv", "PP", config.model_names, probs.pp),
-        _write_table(
-            ctx, options, name, "BMA", (betas.regressor_name,), averaged[None, :]
-        ),
-    ]
 
+# Each stage's arguments after (config, options): what the runner loads from
+# its input files, or the products of the stages it depends on.
+_STAGE_INPUTS = {
+    "cvlme": lambda config, products: _load_model_space(config),
+    "anc": lambda config, products: (products["cvlme"],),
+    "lfe": lambda config, products: (products["cvlme"],),
+    "bms": lambda config, products: (_load_group(config, products.get("cvlme")),),
+    "ep": lambda config, products: (products["bms"],),
+    "bma": lambda config, products: (
+        products["cvlme"],
+        _load_estimates(config, products["cvlme"].cv_lme.shape[1]),
+    ),
+}
 
 _STAGE_FUNCTIONS = {
     "cvlme": _stage_cvlme,
@@ -498,29 +480,45 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
     _preflight(config, ordered)
     options.out_dir.mkdir(parents=True, exist_ok=True)
 
-    ctx = _Context()
+    products: dict = {}
     statuses: dict = {}
+    tables: dict = {}
+    diagnostics: dict = {}
     timings: list = []
     for stage in ordered:
-        blocked = [
-            d for d in deps[stage] if statuses.get(d, {}).get("status") != "ok"
-        ]
+        blocked = [d for d in deps[stage] if d not in products]
         if blocked:
             statuses[stage] = {
                 "status": f"skipped: dependency {blocked[0]!r} did not succeed",
                 "outputs": [],
             }
+            timings.append((stage, "skipped", 0.0))
             continue
-        started = time.perf_counter()
+        marks = [time.perf_counter()]  # each phase's start, then the end
         try:
-            outputs = _STAGE_FUNCTIONS[stage](config, options, ctx)
-            statuses[stage] = {"status": "ok", "outputs": outputs}
+            inputs = _STAGE_INPUTS[stage](config, products)
+            marks.append(time.perf_counter())
+            result = _STAGE_FUNCTIONS[stage](config, options, *inputs)
+            marks.append(time.perf_counter())
+            for name, table in result.tables.items():
+                table.save(options.out_dir / name)
         except Exception as exc:  # noqa: BLE001 - per-stage isolation
             statuses[stage] = {
                 "status": f"failed: {type(exc).__name__}: {exc}",
                 "outputs": [],
             }
-        timings.append((stage, time.perf_counter() - started))
+            continue
+        finally:
+            marks.append(time.perf_counter())
+            timings.extend(
+                (stage, phase, end - start)
+                for phase, start, end in zip(_PHASES, marks, marks[1:])
+            )
+        products[stage] = result.product
+        statuses[stage] = {"status": "ok", "outputs": list(result.tables)}
+        for name, table in result.tables.items():
+            tables[name] = {"kind": table.kind, "rows": list(table.row_labels)}
+        diagnostics.update(result.diagnostics)
 
     manifest = {
         "config_sha256": _config_hash(config),
@@ -528,8 +526,8 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
         "options": {
             "ep_method": options.ep_method,
             "samples": options.samples,
-            "rel_tail": options.rel_tail,
-            "ep_tol": options.ep_tol,
+            "rel_tail": EP_REL_TAIL,
+            "ep_tol": EP_TOL,
             "alpha0": config.alpha0,
             "vb_tol": config.vb_tol,
             "vb_max_iter": config.vb_max_iter,
@@ -544,18 +542,13 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
         "model_names": list(config.model_names),
         "subject_names": [s["name"] for s in config.subjects],
         "stages": statuses,
-        "tables": ctx.tables,
-        "diagnostics": ctx.diagnostics,
+        "tables": tables,
+        "diagnostics": diagnostics,
     }
-    manifest_path = options.out_dir / "manifest.json"
-    manifest_path.write_text(
+    (options.out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    with (options.out_dir / "timings.csv").open(
-        "w", newline="", encoding="utf-8"
-    ) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["stage", "seconds"])
-        for stage, seconds in timings:
-            writer.writerow([stage, f"{seconds:.6f}"])
+    rows = ["stage,phase,seconds\n"]
+    rows += [f"{stage},{phase},{seconds:.6f}\n" for stage, phase, seconds in timings]
+    (options.out_dir / "timings.csv").write_text("".join(rows), encoding="utf-8")
     return manifest

@@ -46,6 +46,10 @@ __all__ = [
     "ep_sampling_stack",
 ]
 
+# integration defaults: Gamma mass left outside each model's quadrature
+# domain, and the change between panel passes below which a column is done
+EP_REL_TAIL = 1e-12
+EP_TOL = 1e-8
 _SAMPLING_BATCH = 262_144
 # integration panel schedule: 8, 16, ..., 2048 panels
 _BASE_PANELS = 8
@@ -276,8 +280,8 @@ def _quadrature_pass(alpha: np.ndarray, rel_tail: float, panels: int) -> np.ndar
 
 def ep_integration(
     alpha,
-    rel_tail: float = 1e-12,
-    tol: float = 1e-8,
+    rel_tail: float = EP_REL_TAIL,
+    tol: float = EP_TOL,
     return_diagnostics: bool = False,
 ):
     """Exceedance probabilities by Gamma-CDF-product integration.
@@ -304,8 +308,8 @@ def ep_integration(
 
 def ep_integration_stack(
     alpha: np.ndarray,
-    rel_tail: float = 1e-12,
-    tol: float = 1e-8,
+    rel_tail: float = EP_REL_TAIL,
+    tol: float = EP_TOL,
     return_diagnostics: bool = False,
 ):
     """Integration EPs for a (models x voxels) concentration matrix.

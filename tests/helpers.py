@@ -117,13 +117,14 @@ def load_matrix_by_cells(path) -> LabeledMatrix:
 
     columns = None
     first_line, first_cells = raw_rows[0]
-    header = False
+    header = True  # unless some cell reads as a number
     for cell in first_cells:
         try:
-            float(cell.strip() or "x")
+            float(cell)
         except ValueError:
-            header = True
-            break
+            continue
+        header = False
+        break
     if header:
         columns = tuple(c.strip() for c in first_cells)
         raw_rows = raw_rows[1:]

@@ -279,3 +279,32 @@ class TestHighSnrAccuracy:
             gap = np.abs(accuracy(held, post) - accuracy_by_residual(held, post))
             bound = n * eps * (post.a_n / post.b_n) * held.ytpy
             assert np.all(gap <= bound), (gap, bound)
+
+    @pytest.mark.parametrize("baseline, noise_sd", [(1000.0, 10.0), (10.0, 0.01)])
+    def test_validate_accepts_fmri_like_scale(self, baseline, noise_sd):
+        # Raw-fMRI-like data: 4 x 200 scans on a large baseline. acc - com
+        # misses lme by more than 1e-8 here through round-off alone, so
+        # validate's tolerance is the per-voxel cancellation bound above,
+        # summed over folds, rather than an absolute 1e-8.
+        rng = np.random.default_rng(40)
+        specs = []
+        for _ in range(4):
+            x = np.hstack([rng.normal(size=(200, 1)), np.ones((200, 1))])
+            y = x @ np.array([[2.0], [baseline]])
+            specs.append(GlmSpec(Y=y + rng.normal(scale=noise_sd, size=(200, 50)), X=x))
+        layout = SessionLayout.from_counts([200] * 4)
+        result = cv_lme(specs, layout)
+        gap = np.abs(result.cv_acc - result.cv_com - result.cv_lme)
+        assert gap.max() > 1e-8
+        everything = GlmSpec(
+            Y=np.vstack([s.Y for s in specs]), X=np.vstack([s.X for s in specs])
+        )
+        post = posterior_update(everything, NgParams.noninformative(2))
+        eps = np.finfo(float).eps
+        bound = sum(s.n * eps * (post.a_n / post.b_n) * s.ytpy for s in specs)
+        np.testing.assert_allclose(result.acc_com_tol[0], np.maximum(1e-8, bound))
+        assert np.all(gap <= 0.5 * result.acc_com_tol)
+
+        result.cv_acc = result.cv_acc + 2.0 * result.acc_com_tol
+        with pytest.raises(DomainError, match="does not reproduce"):
+            result.validate()

@@ -161,6 +161,22 @@ class TestCReader:
         with pytest.raises(ParseError, match=re.escape(f"{path}, {named}")):
             load_matrix(path)
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("1.5,2x\n3,4\n", "line 1, column 2: non-numeric cell '2x'"),
+            ("1,2\x00\n3,4\n", "line 1, column 2: non-numeric cell '2\\x00'"),
+            (" ,7\n3,4\n", "line 1, column 1: empty cell"),
+        ],
+    )
+    def test_malformed_first_row_is_not_a_header(self, tmp_path, text, named):
+        # a first row is a header only when none of its cells is a number
+        path = self._write(tmp_path, text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}, {named}")):
+            load_matrix(path)
+        with pytest.raises(ParseError, match="line 1"):
+            load_matrix_by_cells(path)
+
     def test_writer_matches_reference_bytes(self, tmp_path):
         values = TestRoundTrip.values()
         columns = [f"v{i}" for i in range(values.shape[1])]

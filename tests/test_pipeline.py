@@ -11,6 +11,8 @@ from evidencer.dataio import load_config, load_matrix, save_matrix
 from evidencer.pipeline import RunOptions, run_pipeline
 from evidencer.rfx import ep_beta_closed_form, ep_integration
 
+STAGES = ("cvlme", "anc", "lfe", "bms", "ep", "bma")
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -111,8 +113,59 @@ class TestStageOutputs:
     def test_timings_written(self, workspace, tmp_path):
         run(workspace, tmp_path / "out", ["cvlme"])
         lines = (tmp_path / "out" / "timings.csv").read_text().strip().splitlines()
-        assert lines[0] == "stage,seconds"
-        assert lines[1].startswith("cvlme,")
+        assert lines[0] == "stage,phase,seconds"
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            "cvlme,load",
+            "cvlme,compute",
+            "cvlme,write",
+        ]
+
+    def test_timings_stop_at_failure_and_mark_skips(self, tmp_path):
+        config_path = build_toy_workspace(tmp_path / "ws")
+        (tmp_path / "ws" / "sub0_cvLME.csv").write_text("1,2\nbad,4\n")
+        run(config_path, tmp_path / "out", ["lfe", "ep"])
+        lines = (tmp_path / "out" / "timings.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[:2] for r in rows] == [
+            ["cvlme", "load"],
+            ["cvlme", "compute"],
+            ["cvlme", "write"],
+            ["lfe", "load"],
+            ["lfe", "compute"],
+            ["lfe", "write"],
+            ["bms", "load"],
+            ["ep", "skipped"],
+        ]
+        assert rows[-1][2] == "0.000000"
+        assert all(float(r[2]) >= 0.0 for r in rows)
+
+    def test_manifest_output_order(self, workspace, tmp_path):
+        manifest = run(workspace, tmp_path / "out", STAGES, ep_method="closed-form")
+        folds = ("fold1", "fold2")
+        assert {k: v["outputs"] for k, v in manifest["stages"].items()} == {
+            "cvlme": ["cvLME.csv"] + [f"oosLME_{f}.csv" for f in folds],
+            "anc": ["cvAcc.csv", "cvCom.csv"]
+            + [f"oos{t}_{f}.csv" for f in folds for t in ("Acc", "Com")],
+            "lfe": ["LFE.csv"],
+            "bms": ["alpha.csv", "expected_freq.csv"],
+            "ep": ["EP.csv"],
+            "bma": ["PP.csv", "BMA_task.csv"],
+        }
+        assert list(manifest["stages"]) == list(STAGES)
+
+    def test_group_only_rows_follow_alpha_fallback(self, workspace, tmp_path):
+        # no first-level models, so alpha's rows fall back to model<i>
+        subjects = [
+            {"name": f"s{i}", "cvlme": str(workspace.parent / f"sub{i}_cvLME.csv")}
+            for i in range(3)
+        ]
+        config_path = tmp_path / "group.json"
+        config_path.write_text(json.dumps({"subjects": subjects}))
+        manifest = run(config_path, tmp_path / "out", ["ep"])
+        assert manifest["stages"]["ep"]["status"] == "ok"
+        rows = ["model1", "model2"]
+        assert manifest["tables"]["alpha.csv"] == {"kind": "alpha", "rows": rows}
+        assert manifest["tables"]["EP.csv"] == {"kind": "EP", "rows": rows}
 
 
 class TestSingleSession:
