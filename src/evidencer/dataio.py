@@ -344,6 +344,17 @@ def _positive(raw: dict, key: str, default, kind=float):
     return number
 
 
+def _is_real(value) -> bool:
+    """Whether a JSON value is a number that is a finite double (booleans
+    are not numbers here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
 def _file_list(value, what: str) -> tuple:
     """A JSON list of file names as a tuple; anything else is a ConfigError."""
     _require(
@@ -351,6 +362,13 @@ def _file_list(value, what: str) -> tuple:
         f"{what} must be a JSON list of file names, got {value!r}",
     )
     return tuple(value)
+
+
+def _name(entry: dict, what: str) -> str:
+    """``entry["name"]`` if it is a string; anything else is a ConfigError."""
+    name = entry["name"]
+    _require(isinstance(name, str), f"{what} name must be a string, got {name!r}")
+    return name
 
 
 def _json_list(raw: dict, key: str) -> tuple:
@@ -394,8 +412,8 @@ def load_config(path) -> ModelSpaceConfig:
                 isinstance(m, dict) and "name" in m and "design" in m,
                 "each model needs 'name' and 'design' entries",
             )
+            names.append(_name(m, "model"))
             _file_list(m["design"], f"model {m['name']!r} design")
-            names.append(m["name"])
         _require(len(set(names)) == len(names), "model names must be unique")
         _require(len(data) >= 1, "first-level analyses need response files in 'data'")
         if kind == "single":
@@ -425,6 +443,13 @@ def load_config(path) -> ModelSpaceConfig:
             isinstance(families, dict) and families,
             "families must be a non-empty {name: [model names]} object",
         )
+        for fam, members in families.items():
+            _require(
+                isinstance(members, list)
+                and all(isinstance(m, str) for m in members),
+                f"families entry {fam!r} must be a JSON list of model names, "
+                f"got {members!r}",
+            )
         known = set(tuple(m["name"] for m in models))
         mentioned = [name for members in families.values() for name in members]
         _require(
@@ -435,8 +460,20 @@ def load_config(path) -> ModelSpaceConfig:
     family_weights = raw.get("family_weights")
     if family_weights is not None:
         _require(families is not None, "family_weights requires families")
-        for fam in family_weights:
+        _require(
+            isinstance(family_weights, dict),
+            f"family_weights must be a {{family: [weights]}} object, got "
+            f"{family_weights!r}",
+        )
+        for fam, weights in family_weights.items():
             _require(fam in families, f"family_weights names unknown family {fam!r}")
+            _require(
+                isinstance(weights, list)
+                and len(weights) == len(families[fam])
+                and all(_is_real(w) for w in weights),
+                f"family_weights entry {fam!r} needs one number per member "
+                f"({len(families[fam])}), got {weights!r}",
+            )
 
     model_prior = raw.get("model_prior")
     if model_prior is not None:
@@ -458,13 +495,18 @@ def load_config(path) -> ModelSpaceConfig:
             "betas needs a 'files' matrix of per-model, per-session estimates",
         )
         _require(
-            len(betas["files"]) == len(models),
+            isinstance(betas["files"], list) and len(betas["files"]) == len(models),
             "betas.files needs one row per model",
+        )
+        regressor = betas.get("regressor", "effect")
+        _require(
+            isinstance(regressor, str),
+            f"betas.regressor must be a string, got {regressor!r}",
         )
         n_sessions = 1 if kind == "single" else len(data)
         for row in betas["files"]:
             _require(
-                len(row) == n_sessions,
+                len(_file_list(row, "betas.files row")) == n_sessions,
                 f"betas.files rows need one file per session ({n_sessions})",
             )
 
@@ -473,6 +515,7 @@ def load_config(path) -> ModelSpaceConfig:
             isinstance(s, dict) and "name" in s and "cvlme" in s,
             "each subject needs 'name' and 'cvlme' entries",
         )
+        _name(s, "subject")
         _require(
             isinstance(s["cvlme"], str),
             f"subject {s['name']!r} cvlme must be a file name or '@self', "

@@ -263,7 +263,7 @@ def _load_group(config: ModelSpaceConfig, cv_result) -> GroupLmeStack:
     slabs = [
         cv_result.cv_lme
         if subject["cvlme"] == "@self"
-        else load_matrix(config.resolve(subject["cvlme"])).values
+        else _load_finite(config, subject["cvlme"])
         for subject in config.subjects
     ]
     shapes = {s.shape for s in slabs}
@@ -284,7 +284,7 @@ def _load_estimates(config: ModelSpaceConfig, n_voxels: int) -> BetaStack:
     for row in config.betas["files"]:
         per_session = []
         for path in row:
-            mat = load_matrix(config.resolve(path)).values
+            mat = _load_finite(config, path)
             if mat.shape[0] != 1:
                 mat = mat.T  # stored one voxel per row
             if mat.shape != (1, n_voxels):
@@ -383,6 +383,7 @@ def _stage_bms(config, options, group) -> _StageResult:
         diagnostics={
             "bms_unconverged_voxels": int(np.sum(~dirichlet.converged)),
             "bms_max_iterations": int(dirichlet.iterations.max()),
+            "bms_voxel_iterations": int(dirichlet.iterations.sum()),
         },
         product=alpha,
     )

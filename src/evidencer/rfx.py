@@ -2,7 +2,12 @@
 
 Subjects' log model evidences feed a hierarchical population-proportion
 model whose variational inversion yields, per voxel, a Dirichlet posterior
-over model frequencies. Exceedance probabilities (the posterior probability
+over model frequencies. The fixed point's responsibilities factorise into
+``exp(lme - max_k lme)``, formed once as a voxel-major array, times
+per-voxel model weights ``exp(psi(alpha) - psi(sum alpha))`` scaled to a
+maximum of one; an iteration is then two batched matrix-vector products,
+and a voxel whose normalizer underflows takes the log-space step instead.
+Exceedance probabilities (the posterior probability
 that one model is the most frequent) come in three flavors:
 
 * a closed form through the incomplete beta function when exactly two
@@ -57,6 +62,8 @@ _MAX_PANELS = 2048
 # Gamma-CDF values per block of rows: large enough that ufunc calls dominate
 # the Python overhead, small enough that a pass's temporaries stay near 1 MB
 _BLOCK_ELEMENTS = 1 << 14
+# smallest normal double, the scale of the VB step's underflow guard
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -132,6 +139,47 @@ class DirichletPosterior:
         return self.alpha / self.alpha.sum(axis=0, keepdims=True)
 
 
+def _log_space_step(lme: np.ndarray, alpha: np.ndarray, alpha0: float) -> np.ndarray:
+    """One fixed-point update in log space: (subjects x models x B) evidences
+    and (models x B) concentrations to the next concentrations.
+
+    Responsibilities are the row-softmax of ``lme + psi(alpha) -
+    psi(sum alpha)``, max-shifted per subject, so no exponential overflows
+    and each subject's best model keeps a weight of one before normalizing.
+    """
+    bias = digamma(alpha) - digamma(alpha.sum(axis=0, keepdims=True))
+    logu = lme + bias[None, :, :]
+    logu -= logu.max(axis=1, keepdims=True)
+    u = np.exp(logu)
+    return alpha0 + (u / u.sum(axis=1, keepdims=True)).sum(axis=0)
+
+
+def _vb_step(alpha, e, lme, voxels, alpha0: float) -> np.ndarray:
+    """One fixed-point update of the (models x A) concentrations ``alpha``.
+
+    ``e`` is the (A x subjects x models) array ``exp(lme - max_k lme)`` of
+    the voxels ``voxels``, whose evidences are ``lme[:, :, voxels]``. With
+    ``w = exp(psi(alpha) - psi(sum alpha))`` scaled to a per-voxel maximum
+    of one, subject n's responsibilities are ``e[n] * w / d_n`` with
+    ``d = e @ w``, so the update is ``alpha0 + w * (e' (1 / d))``. A voxel
+    where some ``d_n`` is below the subject count times the smallest normal
+    double takes :func:`_log_space_step` instead: there a subject's terms
+    have underflowed to zero or to digit-losing subnormals, or the sum of
+    ``1 / d`` over subjects could overflow.
+    """
+    bias = digamma(alpha) - digamma(alpha.sum(axis=0, keepdims=True))
+    w = np.exp(bias - bias.max(axis=0, keepdims=True))
+    d = np.matmul(e, w.T[:, :, None])[:, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.matmul((1.0 / d)[:, None, :], e)[:, 0, :]
+        new_alpha = alpha0 + w * s.T
+    floor = _TINY * e.shape[1]
+    if d.min() < floor:
+        bad = np.flatnonzero((d < floor).any(axis=1))
+        new_alpha[:, bad] = _log_space_step(lme[:, :, voxels[bad]], alpha[:, bad], alpha0)
+    return new_alpha
+
+
 def estimate_rfx(
     group: GroupLmeStack,
     alpha0: float = 1.0,
@@ -142,9 +190,14 @@ def estimate_rfx(
 
     Iterates the fixed point: subject-wise responsibilities are the
     row-softmax of ``lme + psi(alpha) - psi(sum alpha)``, and each model's
-    concentration is ``alpha0`` plus its summed responsibilities. Stops per
-    voxel once the largest concentration change falls below ``tol``;
-    voxels still moving at ``max_iter`` are flagged, not fatal.
+    concentration is ``alpha0`` plus its summed responsibilities. The
+    softmax factorises into ``exp(lme - max_k lme)``, formed once, times
+    per-voxel model weights, so an iteration takes digamma and exp of the
+    (models x voxels) concentrations and two batched matrix-vector
+    products (see :func:`_vb_step`). Stops per voxel once the largest
+    concentration change falls below ``tol``; voxels still moving at
+    ``max_iter`` are flagged, not fatal. Every voxel's arithmetic is
+    independent of the others, so chunking leaves results unchanged.
     """
     if alpha0 <= 0:
         raise DomainError("alpha0 must be positive")
@@ -152,29 +205,31 @@ def estimate_rfx(
         raise DomainError("tol must be positive")
     lme = group.lme
     n, k, v = lme.shape
+    # voxel-major, so each voxel's (subjects x models) block is contiguous
+    e = np.empty((v, n, k))
+    np.subtract(lme.transpose(2, 0, 1), lme.max(axis=1).T[:, :, None], out=e)
+    np.exp(e, out=e)
     alpha = np.full((k, v), alpha0)
     converged = np.zeros(v, dtype=bool)
     iterations = np.zeros(v, dtype=np.int64)
     active = np.arange(v)
+    current = alpha.copy()
 
     for step in range(1, max_iter + 1):
-        sub = lme[:, :, active]
-        bias = digamma(alpha[:, active]) - digamma(
-            alpha[:, active].sum(axis=0, keepdims=True)
-        )
-        logu = sub + bias[None, :, :]
-        logu -= logu.max(axis=1, keepdims=True)
-        u = np.exp(logu)
-        g = u / u.sum(axis=1, keepdims=True)
-        new_alpha = alpha0 + g.sum(axis=0)
-        delta = np.max(np.abs(new_alpha - alpha[:, active]), axis=0)
+        new_alpha = _vb_step(current, e, lme, active, alpha0)
+        delta = np.max(np.abs(new_alpha - current), axis=0)
         alpha[:, active] = new_alpha
         iterations[active] = step
         done = delta < tol
-        converged[active[done]] = True
-        active = active[~done]
-        if active.size == 0:
-            break
+        current = new_alpha
+        if done.any():
+            converged[active[done]] = True
+            moving = ~done
+            active = active[moving]
+            if active.size == 0:
+                break
+            e = e[moving]
+            current = current[:, moving]
 
     return DirichletPosterior(
         alpha=alpha,

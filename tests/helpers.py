@@ -23,6 +23,7 @@ from evidencer.dataio import LabeledMatrix
 from evidencer.distributions import NgParams
 from evidencer.errors import ParseError
 from evidencer.glm import GlmSpec
+from evidencer.rfx import DirichletPosterior
 
 
 def random_design(rng, n: int, p: int) -> np.ndarray:
@@ -263,6 +264,52 @@ def improper_evidence_by_quadrature(y, x, precision=None) -> float:
 
     log_joint, center, width = _log_joint_factory(y, x, precision, log_prior)
     return _log_integral_2d(log_joint, center, width)
+
+
+def vb_step_log_space(lme, alpha, alpha0: float) -> np.ndarray:
+    """Reference VB fixed-point update for (subjects x models x voxels)
+    evidences: the row-softmax of ``lme + psi(alpha) - psi(sum alpha)``,
+    max-shifted per subject, summed over subjects."""
+    bias = _oracle_digamma(alpha) - _oracle_digamma(alpha.sum(axis=0, keepdims=True))
+    logu = lme + bias[None, :, :]
+    logu -= logu.max(axis=1, keepdims=True)
+    u = np.exp(logu)
+    g = u / u.sum(axis=1, keepdims=True)
+    return alpha0 + g.sum(axis=0)
+
+
+def estimate_rfx_log_space(group, alpha0=1.0, tol=1e-4, max_iter=200):
+    """Reference VB Dirichlet loop that works in log space throughout.
+
+    Every iteration gathers the active voxels' evidences and exponentiates
+    all subjects x models x voxels shifted log-responsibilities. The
+    package forms ``exp(lme - max_k lme)`` once and iterates on per-voxel
+    model weights; this keeps the loop it replaced, with the same stopping
+    rule.
+    """
+    lme = group.lme
+    n, k, v = lme.shape
+    alpha = np.full((k, v), float(alpha0))
+    converged = np.zeros(v, dtype=bool)
+    iterations = np.zeros(v, dtype=np.int64)
+    active = np.arange(v)
+    for step in range(1, max_iter + 1):
+        new_alpha = vb_step_log_space(lme[:, :, active], alpha[:, active], alpha0)
+        delta = np.max(np.abs(new_alpha - alpha[:, active]), axis=0)
+        alpha[:, active] = new_alpha
+        iterations[active] = step
+        done = delta < tol
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+    return DirichletPosterior(
+        alpha=alpha,
+        alpha0=alpha0,
+        n_subjects=n,
+        converged=converged,
+        iterations=iterations,
+    )
 
 
 def build_toy_workspace(

@@ -9,7 +9,12 @@ from helpers import build_toy_workspace
 from evidencer.cli import main
 from evidencer.dataio import load_config, load_matrix, save_matrix
 from evidencer.pipeline import RunOptions, run_pipeline
-from evidencer.rfx import ep_beta_closed_form, ep_integration
+from evidencer.rfx import (
+    GroupLmeStack,
+    ep_beta_closed_form,
+    ep_integration,
+    estimate_rfx,
+)
 
 STAGES = ("cvlme", "anc", "lfe", "bms", "ep", "bma")
 
@@ -109,6 +114,18 @@ class TestStageOutputs:
             ep_integration(alpha[:, v], return_diagnostics=True)[1]["panels"]
             for v in range(alpha.shape[1])
         )
+
+    def test_bms_counters_in_manifest(self, workspace, tmp_path):
+        manifest = run(workspace, tmp_path / "out", ["bms"])
+        config = load_config(workspace)
+        lme = np.stack(
+            [load_matrix(config.resolve(s["cvlme"])).values for s in config.subjects]
+        )
+        names = tuple(s["name"] for s in config.subjects)
+        iterations = estimate_rfx(GroupLmeStack(lme=lme, subject_ids=names)).iterations
+        diagnostics = manifest["diagnostics"]
+        assert diagnostics["bms_voxel_iterations"] == int(iterations.sum())
+        assert diagnostics["bms_max_iterations"] == int(iterations.max())
 
     def test_timings_written(self, workspace, tmp_path):
         run(workspace, tmp_path / "out", ["cvlme"])
@@ -310,6 +327,21 @@ class TestDeterminism:
             assert (outputs[1] / name).read_bytes() == reference
             assert (outputs[2] / name).read_bytes() == reference
 
+    def test_bms_outputs_chunk_and_thread_invariant(self, tmp_path):
+        outputs = []
+        for chunk in (1, 7, 12):
+            config_path = build_toy_workspace(
+                tmp_path / f"ws{chunk}", extra_config={"chunk_voxels": chunk}
+            )
+            for threads in (1, 2):
+                out = tmp_path / f"out{chunk}_{threads}"
+                run(config_path, out, ["bms"], threads=threads)
+                outputs.append(out)
+        for name in ("alpha.csv", "expected_freq.csv"):
+            reference = (outputs[0] / name).read_bytes()
+            for out in outputs[1:]:
+                assert (out / name).read_bytes() == reference
+
     def test_chunked_equals_unchunked(self, tmp_path):
         config_path = build_toy_workspace(
             tmp_path / "ws", extra_config={"chunk_voxels": 5}
@@ -369,6 +401,19 @@ class TestCli:
             ({"sessions": "multi"}, "sessions"),
             ({"models": 5}, "models"),
             ({"subjects": [{"name": "s1", "cvlme": ["x.csv"]}]}, "cvlme"),
+            ({"families": {"f": 5}}, "families"),
+            ({"betas": {"files": [1, 2]}}, "betas.files"),
+            (
+                {
+                    "models": [
+                        {"name": ["a"], "design": ["X1_s1.csv", "X1_s2.csv"]},
+                        {"name": "m2", "design": ["X2_s1.csv", "X2_s2.csv"]},
+                    ]
+                },
+                "model name",
+            ),
+            ({"subjects": [{"name": {"a": 1}, "cvlme": "x.csv"}]}, "subject name"),
+            ({"family_weights": {"simple": "abc"}}, "family_weights"),
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, patch, named):
@@ -387,6 +432,8 @@ class TestCli:
             ("Y_s1.csv", 2, 1, 3, np.nan),
             ("X2_s2.csv", 5, 0, 6, np.inf),
             ("P_s2.csv", 0, 4, 1, -np.inf),
+            ("sub3_cvLME.csv", 1, 7, 2, np.nan),
+            ("beta_m2_s1.csv", 0, 5, 1, np.inf),
         ],
     )
     def test_nonfinite_input_cell_names_file(
@@ -408,7 +455,8 @@ class TestCli:
         captured = capsys.readouterr()
         named = f"{path.resolve()}, line {line}, column {column + 1}: non-finite"
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        status = manifest["stages"]["cvlme"]["status"]
+        stage = {"sub": "bms", "bet": "bma"}.get(target[:3], "cvlme")
+        status = manifest["stages"][stage]["status"]
         assert status.startswith("failed: ParseError") and named in status
         assert named in captured.err
         assert "Traceback" not in captured.out + captured.err

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import estimate_rfx_log_space, vb_step_log_space
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 import evidencer.rfx as rfx
@@ -86,6 +89,39 @@ class TestEstimateRfx:
         assert post.converged.shape == (2,)
         assert not post.converged.any()
         assert post.iterations.max() == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 8),
+        n=st.integers(2, 30),
+        sd=st.floats(1.0, 5000.0),
+        alpha0=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_log_space_loop(self, k, n, sd, alpha0, seed):
+        lme = np.random.default_rng(seed).normal(scale=sd, size=(n, k, 6))
+        post = estimate_rfx(stack(lme), alpha0=alpha0)
+        reference = estimate_rfx_log_space(stack(lme), alpha0=alpha0)
+        np.testing.assert_array_equal(post.iterations, reference.iterations)
+        np.testing.assert_array_equal(post.converged, reference.converged)
+        np.testing.assert_allclose(post.alpha, reference.alpha, rtol=1e-10, atol=0)
+
+    def test_underflowed_normalizer_takes_log_space_step(self):
+        # voxel 0: psi(1e-4) - psi(50) is about -1e4, so w_1 underflows,
+        # and subject 0's model-2 evidence is 1000 nats down, so its
+        # e[0, 1] does too: d_0 = 0. Voxel 1 keeps the factorised step.
+        lme = np.zeros((3, 2, 2))
+        lme[0, 1, 0] = -1000.0
+        lme[:, :, 1] = [[0.0, -1.0], [-2.0, 0.5], [1.0, 0.0]]
+        alpha = np.array([[1e-4, 2.0], [50.0, 3.0]])
+        e = np.exp(lme - lme.max(axis=1, keepdims=True)).transpose(2, 0, 1).copy()
+        w = np.exp(special.digamma(alpha[:, 0]) - special.digamma(alpha[:, 0]).max())
+        assert e[0, 0] @ w == 0.0
+        step = rfx._vb_step(alpha, e, lme, np.arange(2), alpha0=1e-4)
+        assert np.all(np.isfinite(step))
+        np.testing.assert_allclose(
+            step, vb_step_log_space(lme, alpha, 1e-4), rtol=1e-14, atol=0
+        )
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
