@@ -41,7 +41,6 @@ from .errors import (
 from .family import FamilyPartition, log_family_evidence
 from .glm import (
     GlmSpec,
-    VoxelWisePosterior,
     accuracy,
     complexity,
     log_model_evidence,
@@ -58,9 +57,7 @@ from .rfx import (
     estimate_rfx,
 )
 from .special import (
-    QuadratureRule,
     digamma,
-    gamma_quadrature,
     log_gamma,
     log_sum_exp,
     reg_incomplete_beta,
@@ -70,13 +67,11 @@ from .special import (
 __all__ = [
     "__version__",
     # special functions
-    "QuadratureRule",
     "log_gamma",
     "digamma",
     "reg_lower_incomplete_gamma",
     "reg_incomplete_beta",
     "log_sum_exp",
-    "gamma_quadrature",
     # distributions
     "NgParams",
     "kl_mvn",
@@ -84,7 +79,6 @@ __all__ = [
     "gamma_moments",
     # glm
     "GlmSpec",
-    "VoxelWisePosterior",
     "posterior_update",
     "log_model_evidence",
     "accuracy",

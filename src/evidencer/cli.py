@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration or input error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .dataio import load_config
@@ -39,9 +38,9 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument(
         "--threads",
-        default=None,
-        help="worker threads for voxel chunks: a count or 'auto' "
-        "(default: EVIDENCER_THREADS env var, else 1)",
+        type=int,
+        default=1,
+        help="worker threads for voxel chunks (default 1)",
     )
     parser.add_argument(
         "--ep-method",
@@ -78,20 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = os.environ.get("EVIDENCER_THREADS", "1")
-    if str(value).lower() == "auto":
-        return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError:
-        raise ConfigError(f"--threads must be an integer or 'auto', got {value!r}")
-    if threads < 1:
-        raise ConfigError("--threads must be at least 1")
-    return threads
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -112,7 +97,7 @@ def main(argv=None) -> int:
         options = RunOptions(
             out_dir=args.out,
             seed=args.seed,
-            threads=_resolve_threads(args.threads),
+            threads=args.threads,
             ep_method=args.ep_method,
             samples=args.samples,
         )

@@ -2,7 +2,9 @@
 
 Each fold trains a posterior on all sessions but one, starting from the
 non-informative prior, and scores the held-out session's evidence under
-that trained prior. Summing the per-fold out-of-sample quantities gives the
+that trained posterior: by conjugacy it is a normal-gamma parameter set
+(:class:`~evidencer.distributions.NgParams`), so it serves as the prior
+unchanged. Summing the per-fold out-of-sample quantities gives the
 cross-validated log model evidence and its accuracy/complexity split.
 
 Every term comes from per-session sufficient statistics, which keeps this
@@ -23,14 +25,7 @@ import numpy as np
 
 from .distributions import NgParams
 from .errors import DomainError, EstimationError, LayoutError
-from .glm import (
-    GlmSpec,
-    VoxelWisePosterior,
-    accuracy,
-    complexity,
-    log_model_evidence,
-    posterior_update,
-)
+from .glm import GlmSpec, accuracy, complexity, log_model_evidence, posterior_update
 
 __all__ = [
     "SessionLayout",
@@ -202,7 +197,7 @@ def _totals(specs) -> _Totals:
     return _Totals(*(sum(getattr(s, f) for s in specs) for f in _Totals._fields))
 
 
-def _posterior(stats: _Totals, label: str) -> VoxelWisePosterior:
+def _posterior(stats: _Totals, label: str) -> NgParams:
     """Posterior of summed statistics under the non-informative prior."""
     try:
         return posterior_update(stats, NgParams.noninformative(stats.xtpy.shape[0]))
@@ -210,10 +205,11 @@ def _posterior(stats: _Totals, label: str) -> VoxelWisePosterior:
         raise EstimationError(f"{label} block: {exc}") from None
 
 
-def _oos_fold(specs, fold: int, totals: _Totals, post_all: VoxelWisePosterior):
+def _oos_fold(specs, fold: int, totals: _Totals, post_all: NgParams):
     held = specs[fold]
     train = _Totals(*(t - getattr(held, f) for t, f in zip(totals, _Totals._fields)))
-    train_prior = _posterior(train, f"fold {fold} training").as_prior()
+    # conjugacy: the training posterior is the held-out session's prior
+    train_prior = _posterior(train, f"fold {fold} training")
     lme = log_model_evidence(held, train_prior, post_all)
     acc = accuracy(held, post_all)
     com = complexity(train_prior, post_all)
@@ -231,7 +227,7 @@ def _model_folds(specs, layout: SessionLayout):
         [_oos_fold(specs, i, totals, post_all) for i in range(layout.n_folds)],
         axis=1,
     )
-    scale = np.finfo(float).eps * post_all.a_n / post_all.b_n
+    scale = np.finfo(float).eps * post_all.a / post_all.b
     return folds, scale * sum(s.n * s.ytpy for s in specs)
 
 
@@ -263,9 +259,9 @@ def cv_lme_models(models, layout: SessionLayout) -> CvResult:
 
     Each held-out accuracy expands a residual quadratic form over
     sufficient statistics, whose n-term reductions err by up to about
-    ``n * eps/2 * ytpy`` each; scaled by ``a_n / (2 b_n)`` of the all-data
+    ``n * eps/2 * ytpy`` each; scaled by ``a / (2 b)`` of the all-data
     posterior, the fold sums' acc - com - lme gap stays within
-    ``sum over folds of n_held * eps * (a_n / b_n) * ytpy_held``. That
+    ``sum over folds of n_held * eps * (a / b) * ytpy_held``. That
     bound, floored at 1e-8, is the result's ``acc_com_tol``.
     """
     if not models:

@@ -243,14 +243,12 @@ class ResultTable:
     """One persisted analysis result: a labeled matrix plus its kind.
 
     ``row_labels`` name the leading axis (models, families, or a single
-    aggregate row); columns are voxels. Values must be finite unless the
-    table is explicitly flagged.
+    aggregate row); columns are voxels. Values must be finite.
     """
 
     kind: str
     row_labels: tuple
     values: np.ndarray
-    allow_nonfinite: bool = False
 
     def __post_init__(self):
         if self.kind not in RESULT_KINDS:
@@ -264,8 +262,8 @@ class ResultTable:
                 f"{self.kind}: {values.shape[0]} rows but "
                 f"{len(self.row_labels)} row labels"
             )
-        if not self.allow_nonfinite and not np.all(np.isfinite(values)):
-            raise ParseError(f"{self.kind}: non-finite values are not flagged")
+        if not np.all(np.isfinite(values)):
+            raise ParseError(f"{self.kind}: values must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(
             self, "row_labels", tuple(str(r) for r in self.row_labels)
@@ -311,12 +309,6 @@ class ModelSpaceConfig:
     @property
     def model_names(self) -> tuple:
         return tuple(m["name"] for m in self.models)
-
-    @property
-    def n_sessions(self) -> int:
-        if self.sessions.get("kind") == "single":
-            return 1
-        return len(self.data)
 
     def resolve(self, relative) -> Path:
         return (self.base_dir / relative).resolve()

@@ -8,6 +8,12 @@ precision ``tau``, coefficients are Gaussian with mean ``mu`` and precision
 the non-informative prior (flat coefficients, Jeffreys precision); it is a
 legal *input* to the conjugate update but is rejected by every operation
 that would need its log-determinant or density.
+
+The family is conjugate: the posterior of a normal-gamma prior under GLM
+data is again a normal-gamma set, so :func:`evidencer.glm.posterior_update`
+returns an :class:`NgParams` that carries one ``mu`` column and one ``b``
+rate per voxel, and that posterior is directly the prior of a further
+update (the held-out session of a cross-validation fold).
 """
 
 from __future__ import annotations
@@ -48,7 +54,10 @@ class NgParams:
     """Normal-gamma hyperparameters, optionally carrying per-voxel columns.
 
     ``mu`` is ``(p,)`` or ``(p, V)``; ``lam`` is a shared ``(p, p)``
-    symmetric matrix; ``a`` is a shared scalar; ``b`` is scalar or ``(V,)``.
+    symmetric matrix; ``a`` is a shared scalar; ``b`` is scalar or ``(V,)``,
+    and a per-voxel ``b`` next to a ``(p, V)`` mean has one entry per
+    column. ``_chol`` may carry an already computed Cholesky factor of
+    ``lam``.
     """
 
     mu: np.ndarray
@@ -70,6 +79,11 @@ class NgParams:
         if self.lam.shape != (p, p):
             raise DomainError(f"lam must be ({p}, {p}), got {self.lam.shape}")
         _check_symmetric(self.lam, "lam")
+        if self.mu.ndim == 2 and np.ndim(self.b) and self.b.shape != self.mu.shape[1:]:
+            raise DomainError(
+                f"b has shape {self.b.shape} but mu has {self.mu.shape[1]} "
+                "voxel columns"
+            )
         if self.a < 0 or np.any(np.asarray(self.b) < 0):
             raise DomainError("a and b must be non-negative")
 
@@ -81,6 +95,11 @@ class NgParams:
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
+
+    @property
+    def n_voxels(self) -> int:
+        """Voxel columns carried by ``mu`` or ``b``; 1 when both are shared."""
+        return self.mu.shape[1] if self.mu.ndim == 2 else np.size(self.b)
 
     @property
     def is_noninformative(self) -> bool:

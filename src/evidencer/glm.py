@@ -6,7 +6,9 @@ its design matrix, and the observation precision. Because the design and
 precision are shared across voxels, the posterior coefficient precision and
 Gamma shape are computed once per session while coefficient means and Gamma
 rates are per-voxel columns; this is what makes the mass-univariate setting
-cheap.
+cheap. The posterior is conjugate, an :class:`~evidencer.distributions.NgParams`
+with ``(p, V)`` means and ``(V,)`` rates, so it is also a valid prior for a
+further update.
 
 The conjugate update and every evidence term read a session only through
 its sufficient statistics ``xtpx = X'PX``, ``xtpy = X'PY``, the per-voxel
@@ -32,7 +34,6 @@ from .special import digamma, log_gamma
 
 __all__ = [
     "GlmSpec",
-    "VoxelWisePosterior",
     "posterior_update",
     "log_model_evidence",
     "accuracy",
@@ -57,6 +58,9 @@ class GlmSpec:
     Y: np.ndarray
     X: np.ndarray
     precision: np.ndarray | None = None
+    _chol: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=float)
@@ -100,7 +104,7 @@ class GlmSpec:
                 if self.precision.shape != (n, n):
                     raise DomainError("precision matrix must be (n, n)")
                 _check_symmetric(self.precision, "precision")
-                _cholesky(self.precision, "precision")
+                self._chol = _cholesky(self.precision, "precision")
             else:
                 raise DomainError("precision must be a vector or a matrix")
 
@@ -130,66 +134,24 @@ class GlmSpec:
             return 0.0
         if self.precision.ndim == 1:
             return float(np.sum(np.log(self.precision)))
-        return _logdet_from_chol(_cholesky(self.precision, "precision"))
+        return _logdet_from_chol(self._chol)
 
     @cached_property
     def xtpx(self) -> np.ndarray:
         return self.X.T @ self.apply_precision(self.X)
 
     @cached_property
+    def _y_stats(self) -> tuple:
+        py = self.apply_precision(self.Y)
+        return self.X.T @ py, np.einsum("nv,nv->v", self.Y, py)
+
+    @property
     def xtpy(self) -> np.ndarray:
-        return self.X.T @ self.apply_precision(self.Y)
+        return self._y_stats[0]
 
-    @cached_property
+    @property
     def ytpy(self) -> np.ndarray:
-        return np.einsum("nv,nv->v", self.Y, self.apply_precision(self.Y))
-
-
-@dataclass
-class VoxelWisePosterior:
-    """Voxel-wise normal-gamma posterior: per-voxel ``mu_n`` columns and
-    ``b_n`` rates over a shared coefficient precision ``lambda_n`` and
-    shared shape ``a_n``."""
-
-    mu_n: np.ndarray
-    lambda_n: np.ndarray
-    a_n: float
-    b_n: np.ndarray
-    _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.mu_n = np.asarray(self.mu_n, dtype=float)
-        self.lambda_n = np.asarray(self.lambda_n, dtype=float)
-        self.b_n = np.atleast_1d(np.asarray(self.b_n, dtype=float))
-        self.a_n = float(self.a_n)
-        if self.mu_n.ndim == 1:
-            self.mu_n = self.mu_n[:, None]
-        p = self.mu_n.shape[0]
-        if self.lambda_n.shape != (p, p):
-            raise DomainError("lambda_n must be (p, p)")
-        if self.b_n.shape != (self.mu_n.shape[1],):
-            raise DomainError("b_n must have one entry per voxel")
-        _check_symmetric(self.lambda_n, "lambda_n")
-
-    @property
-    def p(self) -> int:
-        return self.mu_n.shape[0]
-
-    @property
-    def n_voxels(self) -> int:
-        return self.mu_n.shape[1]
-
-    def chol_lambda(self) -> np.ndarray:
-        if self._chol is None:
-            self._chol = _cholesky(self.lambda_n, "lambda_n")
-        return self._chol
-
-    def logdet_lambda(self) -> float:
-        return _logdet_from_chol(self.chol_lambda())
-
-    def as_prior(self) -> NgParams:
-        """Repackage as a (per-voxel) prior for a subsequent update."""
-        return NgParams(mu=self.mu_n, lam=self.lambda_n, a=self.a_n, b=self.b_n)
+        return self._y_stats[1]
 
 
 def _prior_mu_matrix(prior: NgParams, n_voxels: int) -> np.ndarray:
@@ -212,15 +174,16 @@ def _prior_b_vector(prior: NgParams, n_voxels: int) -> np.ndarray:
     return b
 
 
-def posterior_update(spec: GlmSpec, prior: NgParams) -> VoxelWisePosterior:
+def posterior_update(spec: GlmSpec, prior: NgParams) -> NgParams:
     """Conjugate normal-gamma update for all voxels in one pass.
 
     Reads only ``xtpx``, ``xtpy``, ``ytpy`` and ``n`` from ``spec``, so
     statistics summed over several sessions are as valid an input as one
     :class:`GlmSpec`. The prior may be the non-informative instance (all
-    zeros), any proper parameter set, or a per-voxel set produced by a
-    previous update; chained updates on disjoint data blocks commute with a
-    single update on the concatenated data.
+    zeros), any proper parameter set, or the posterior of a previous update;
+    chained updates on disjoint data blocks commute with a single update on
+    the concatenated data. The posterior carries the Cholesky factor of its
+    ``lam``.
     """
     p, V = spec.xtpy.shape
     if prior.dim != p:
@@ -229,11 +192,11 @@ def posterior_update(spec: GlmSpec, prior: NgParams) -> VoxelWisePosterior:
         )
     if spec.n == 0:
         # no-op update: the posterior is the prior, broadcast per voxel
-        return VoxelWisePosterior(
-            mu_n=_prior_mu_matrix(prior, V).copy(),
-            lambda_n=prior.lam.copy(),
-            a_n=prior.a,
-            b_n=_prior_b_vector(prior, V).copy(),
+        return NgParams(
+            mu=_prior_mu_matrix(prior, V).copy(),
+            lam=prior.lam.copy(),
+            a=prior.a,
+            b=_prior_b_vector(prior, V).copy(),
         )
 
     mu0 = _prior_mu_matrix(prior, V)
@@ -264,27 +227,25 @@ def posterior_update(spec: GlmSpec, prior: NgParams) -> VoxelWisePosterior:
             "catastrophic cancellation, typically from an ill-conditioned "
             "design matrix"
         )
-    return VoxelWisePosterior(
-        mu_n=mu_n, lambda_n=lambda_n, a_n=a_n, b_n=b_n, _chol=chol
-    )
+    return NgParams(mu=mu_n, lam=lambda_n, a=a_n, b=b_n, _chol=chol)
 
 
-def _check_consistency(
-    spec: GlmSpec, prior: NgParams, post: VoxelWisePosterior
-) -> None:
-    if post.p != spec.p or post.n_voxels != spec.n_voxels:
+def _check_shape(spec: GlmSpec, post: NgParams) -> None:
+    if post.mu.shape != (spec.p, spec.n_voxels):
         raise DomainError("posterior shape does not match the data spec")
+
+
+def _check_consistency(spec: GlmSpec, prior: NgParams, post: NgParams) -> None:
+    _check_shape(spec, post)
     expected_a = prior.a + spec.n / 2.0
-    if abs(post.a_n - expected_a) > 1e-9 * max(1.0, expected_a):
+    if abs(post.a - expected_a) > 1e-9 * max(1.0, expected_a):
         raise DomainError(
-            f"posterior shape a_n={post.a_n} is inconsistent with prior and "
+            f"posterior shape a={post.a} is inconsistent with prior and "
             f"scan count (expected {expected_a})"
         )
 
 
-def log_model_evidence(
-    spec: GlmSpec, prior: NgParams, post: VoxelWisePosterior
-) -> np.ndarray:
+def log_model_evidence(spec: GlmSpec, prior: NgParams, post: NgParams) -> np.ndarray:
     """Per-voxel log marginal likelihood of the data under the model.
 
     Requires a strictly proper prior (the non-informative instance has an
@@ -297,44 +258,44 @@ def log_model_evidence(
         0.5 * spec.logdet_precision
         - 0.5 * spec.n * _LOG_2PI
         + 0.5 * prior.logdet_lam()
-        - 0.5 * post.logdet_lambda()
-        + log_gamma(post.a_n)
+        - 0.5 * post.logdet_lam()
+        + log_gamma(post.a)
         - log_gamma(prior.a)
         + prior.a * np.log(b0)
-        - post.a_n * np.log(post.b_n)
+        - post.a * np.log(post.b)
     )
 
 
-def accuracy(spec: GlmSpec, post: VoxelWisePosterior) -> np.ndarray:
+def accuracy(spec: GlmSpec, post: NgParams) -> np.ndarray:
     """Per-voxel posterior expected log-likelihood of the data.
 
     The residual quadratic form ``(y - X mu)' P (y - X mu)`` is expanded
     over the sufficient statistics, which costs O(p^2) per voxel instead of
-    O(n p) and accepts the same cancellation at high SNR as ``b_n``.
+    O(n p) and accepts the same cancellation at high SNR as the posterior
+    rate ``b``.
     """
-    if post.p != spec.p or post.n_voxels != spec.n_voxels:
-        raise DomainError("posterior shape does not match the data spec")
-    if post.a_n <= 0 or np.any(post.b_n <= 0):
+    _check_shape(spec, post)
+    if post.a <= 0 or np.any(post.b <= 0):
         raise DomainError("accuracy requires a proper posterior")
-    mu = post.mu_n
+    mu = post.mu
     quad = (
         spec.ytpy
         - 2.0 * np.einsum("pv,pv->v", mu, spec.xtpy)
         + np.einsum("pv,pv->v", mu, spec.xtpx @ mu)
     )
-    chol = post.chol_lambda()
+    chol = post.chol_lam()
     w = np.linalg.solve(chol, spec.xtpx)
     trace = float(np.trace(np.linalg.solve(chol.T, w)))
     return (
-        -0.5 * (post.a_n / post.b_n) * quad
+        -0.5 * (post.a / post.b) * quad
         - 0.5 * trace
         + 0.5 * spec.logdet_precision
         - 0.5 * spec.n * _LOG_2PI
-        + 0.5 * spec.n * (digamma(post.a_n) - np.log(post.b_n))
+        + 0.5 * spec.n * (digamma(post.a) - np.log(post.b))
     )
 
 
-def complexity(prior: NgParams, post: VoxelWisePosterior) -> np.ndarray:
+def complexity(prior: NgParams, post: NgParams) -> np.ndarray:
     """Per-voxel KL divergence of the posterior from the prior.
 
     Collected-terms form of the expected coefficient KL (over the posterior
@@ -345,15 +306,15 @@ def complexity(prior: NgParams, post: VoxelWisePosterior) -> np.ndarray:
     V = post.n_voxels
     mu0 = _prior_mu_matrix(prior, V)
     b0 = _prior_b_vector(prior, V)
-    diff = mu0 - post.mu_n
+    diff = mu0 - post.mu
     quad = np.einsum("pv,pv->v", diff, prior.lam @ diff)
-    trace = float(np.trace(np.linalg.solve(post.lambda_n, prior.lam)))
+    trace = float(np.trace(np.linalg.solve(post.lam, prior.lam)))
     return (
-        0.5 * (post.a_n / post.b_n) * (quad - 2.0 * (post.b_n - b0))
+        0.5 * (post.a / post.b) * (quad - 2.0 * (post.b - b0))
         + 0.5 * trace
-        - 0.5 * (prior.logdet_lam() - post.logdet_lambda())
-        - 0.5 * post.p
-        + prior.a * np.log(post.b_n / b0)
-        - (log_gamma(post.a_n) - log_gamma(prior.a))
-        + (post.a_n - prior.a) * digamma(post.a_n)
+        - 0.5 * (prior.logdet_lam() - post.logdet_lam())
+        - 0.5 * post.dim
+        + prior.a * np.log(post.b / b0)
+        - (log_gamma(post.a) - log_gamma(prior.a))
+        + (post.a - prior.a) * digamma(post.a)
     )

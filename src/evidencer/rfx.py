@@ -19,10 +19,12 @@ that one model is the most frequent) come in three flavors:
 
 The closed form and the integration work on whole (models x voxels)
 matrices. Integration runs once per distinct concentration column, in
-array calls over blocks of (column, model) rows, and doubles the panel
-count (8, 16, ..., 2048) only for the columns whose last two passes still
-disagree. A column's result never depends on which other columns share
-its block, so chunking and thread count leave the output bytes unchanged.
+array calls over blocks of (column, model) rows. Each row's Gamma rule is
+a row of :func:`~evidencer.special.gamma_quadrature_grid`, contracted over
+its positive-weight nodes. The panel count doubles (8, 16, ..., 2048) only
+for the columns whose last two passes still disagree. A column's result
+never depends on which other columns share its block, so chunking and
+thread count leave the output bytes unchanged.
 """
 
 from __future__ import annotations

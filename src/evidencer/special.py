@@ -3,9 +3,10 @@
 Everything downstream (evidences, family aggregation, exceedance
 probabilities) reduces to a handful of primitives collected here: the log
 gamma function, the digamma function, regularized incomplete gamma and beta
-integrals, a max-shifted log-sum-exp, and a composite Gauss-Legendre rule
-tuned for integrals of smooth functions against a Gamma density on
-``[0, inf)``.
+integrals, a max-shifted log-sum-exp, and composite Gauss-Legendre rules
+tuned for integrals of smooth functions against Gamma densities on
+``[0, inf)``, built for many shapes at once as congruent rows of one
+array (:func:`gamma_quadrature_grid`, the only rule builder).
 
 The scalar special functions are evaluated through scipy's cephes-backed
 ufuncs (13+ significant digits over the ranges used here); this module owns
@@ -14,21 +15,17 @@ argument validation, error semantics, and the quadrature construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError
 
 __all__ = [
-    "QuadratureRule",
     "log_gamma",
     "digamma",
     "reg_lower_incomplete_gamma",
     "reg_incomplete_beta",
     "log_sum_exp",
-    "gamma_quadrature",
     "gamma_quadrature_grid",
 ]
 
@@ -123,36 +120,6 @@ def log_sum_exp(values, axis: int | None = None) -> np.ndarray | float:
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for integration on the half-open interval [lo, hi).
-
-    Invariants: nodes strictly increasing inside the domain, weights
-    strictly positive.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    domain: tuple[float, float]
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise DomainError("nodes and weights must be 1-D and congruent")
-        if np.any(np.diff(nodes) <= 0):
-            raise DomainError("quadrature nodes must be strictly increasing")
-        if np.any(weights <= 0):
-            raise DomainError("quadrature weights must be strictly positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def integrate(self, values: np.ndarray) -> np.ndarray | float:
-        """Contract integrand values on the final axis against the weights."""
-        values = np.asarray(values, dtype=float)
-        return values @ self.weights
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -175,7 +142,9 @@ def gamma_quadrature_grid(
     ``panels`` sets the equal-mass and equal-width ladder sizes, so every
     row has ``16 * (2 * panels + 31)`` nodes. Boundaries are sorted, not
     deduplicated, to keep the rows congruent: a boundary shared by two
-    ladders leaves a zero-width panel whose nodes carry zero weight.
+    ladders leaves a zero-width panel whose nodes carry zero weight, and
+    may sit at the origin where the density is infinite for shape < 1, so
+    integrands are contracted over the positive-weight nodes only.
     """
     shapes = _validated(shapes, "shape", positive=True)
     if shapes.ndim != 1:
@@ -206,28 +175,3 @@ def gamma_quadrature_grid(
     weights = (half[:, :, None] * _GL_WEIGHTS).reshape(shapes.size, -1)
     return nodes, weights
 
-
-def gamma_quadrature(shape, rel_tail: float = 1e-12, panels: int = 32) -> QuadratureRule:
-    """The :func:`gamma_quadrature_grid` rule for one shape, as a
-    :class:`QuadratureRule` on ``[0, Q]``.
-
-    Zero-width panels are dropped. Near the origin of a small shape the
-    panels can be narrower than the spacing of subnormal doubles, so
-    neighbouring nodes round to one value, or one step out of order. The
-    nodes are sorted and coincident ones merged with their weights summed,
-    which is exact because the integrand takes one value there; the nodes
-    are then strictly increasing. Whether ``panels``
-    resolves a given integrand is for the caller to check;
-    :func:`evidencer.rfx.ep_integration_stack` doubles it until successive
-    results agree.
-    """
-    shape_f = float(_validated(shape, "shape", positive=True))
-    nodes, weights = gamma_quadrature_grid([shape_f], rel_tail=rel_tail, panels=panels)
-    keep = weights[0] > 0
-    merged, owner = np.unique(nodes[0, keep], return_inverse=True)
-    upper = float(_sp.gammainccinv(shape_f, rel_tail))
-    return QuadratureRule(
-        nodes=merged,
-        weights=np.bincount(owner, weights=weights[0, keep]),
-        domain=(0.0, upper),
-    )

@@ -76,15 +76,15 @@ def accuracy_by_residual(spec: GlmSpec, post) -> np.ndarray:
     statistics; this keeps the direct ``(y - X mu)' P (y - X mu)`` form,
     which loses nothing to cancellation when the fit is near perfect.
     """
-    resid = spec.Y - spec.X @ post.mu_n
+    resid = spec.Y - spec.X @ post.mu
     quad = np.einsum("nv,nv->v", resid, spec.apply_precision(resid))
-    trace = float(np.trace(np.linalg.solve(post.lambda_n, spec.xtpx)))
+    trace = float(np.trace(np.linalg.solve(post.lam, spec.xtpx)))
     return (
-        -0.5 * (post.a_n / post.b_n) * quad
+        -0.5 * (post.a / post.b) * quad
         - 0.5 * trace
         + 0.5 * spec.logdet_precision
         - 0.5 * spec.n * np.log(2.0 * np.pi)
-        + 0.5 * spec.n * (_oracle_digamma(post.a_n) - np.log(post.b_n))
+        + 0.5 * spec.n * (_oracle_digamma(post.a) - np.log(post.b))
     )
 
 

@@ -86,12 +86,12 @@ def test_criterion_02_posterior_chaining():
             prior = NgParams.noninformative(p)
         cut = int(rng.integers(p + 1, n - p))
         spec, first, second = split_spec(spec, cut)
-        chained = posterior_update(second, posterior_update(first, prior).as_prior())
+        chained = posterior_update(second, posterior_update(first, prior))
         joint = posterior_update(spec, prior)
-        np.testing.assert_allclose(chained.mu_n, joint.mu_n, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(chained.lambda_n, joint.lambda_n, rtol=1e-10)
-        np.testing.assert_allclose(chained.b_n, joint.b_n, rtol=1e-10)
-        assert chained.a_n == pytest.approx(joint.a_n, rel=1e-12)
+        np.testing.assert_allclose(chained.mu, joint.mu, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(chained.lam, joint.lam, rtol=1e-10)
+        np.testing.assert_allclose(chained.b, joint.b, rtol=1e-10)
+        assert chained.a == pytest.approx(joint.a, rel=1e-12)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     report(2, f"train-then-test chaining, 500 instances incl. flat prior, "
@@ -125,9 +125,7 @@ def test_criterion_03_brute_force_evidence_oracle():
         specs = [GlmSpec(Y=y1, X=x1), GlmSpec(Y=y2, X=x2)]
         layout = SessionLayout.from_counts([n, n])
         lme, _, _ = oos_lme(specs, layout, 1)
-        train_prior = posterior_update(
-            specs[0], NgParams.noninformative(1)
-        ).as_prior()
+        train_prior = posterior_update(specs[0], NgParams.noninformative(1))
         oracle = lme_by_quadrature(y2, x2, train_prior)
         worst_oos = max(worst_oos, abs(float(lme[0]) - oracle))
     elapsed = time.perf_counter() - started
@@ -147,14 +145,14 @@ def test_criterion_04_complexity_decomposition():
         spec, prior = random_proper_instance(rng, v=1)
         post = posterior_update(spec, prior)
         com = float(complexity(prior, post)[0])
-        tau_bar, _ = gamma_moments(post.a_n, float(post.b_n[0]))
+        tau_bar, _ = gamma_moments(post.a, float(post.b[0]))
         beta_part = kl_mvn(
-            post.mu_n[:, 0],
-            np.linalg.inv(tau_bar * post.lambda_n),
+            post.mu[:, 0],
+            np.linalg.inv(tau_bar * post.lam),
             prior.mu,
             np.linalg.inv(tau_bar * prior.lam),
         )
-        tau_part = kl_gamma(post.a_n, float(post.b_n[0]), prior.a, float(prior.b))
+        tau_part = kl_gamma(post.a, float(post.b[0]), prior.a, float(prior.b))
         worst = max(worst, abs(com - (beta_part + tau_part)))
     assert worst < 1e-8
     report(4, f"complexity = expected-KL + precision-KL, 500 instances: "

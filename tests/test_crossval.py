@@ -132,7 +132,7 @@ class TestOosLme:
             from helpers import lme_by_quadrature
 
             oracle = lme_by_quadrature(
-                specs[1].Y[:, 0], specs[1].X, train_post.as_prior()
+                specs[1].Y[:, 0], specs[1].X, train_post
             )
             assert abs(float(lme[0]) - oracle) < 1e-4
 
@@ -182,7 +182,7 @@ class TestCvLme:
             post = None
             for block in train:
                 post = posterior_update(block, prior)
-                prior = post.as_prior()
+                prior = post
             test_post = posterior_update(specs[fold], prior)
             naive = log_model_evidence(specs[fold], prior, test_post)
             np.testing.assert_allclose(
@@ -255,8 +255,8 @@ class TestHighSnrAccuracy:
         # mu'xtpx mu cancels terms of size ytpy down to the residual sum.
         # Each of its n-term reductions errs by at most about n * eps/2 *
         # ytpy, so the held-out accuracy, which scales the form by
-        # a_n / (2 b_n), may differ from the direct residual form by at most
-        # about n * eps * (a_n / b_n) * ytpy.
+        # a / (2 b), may differ from the direct residual form by at most
+        # about n * eps * (a / b) * ytpy.
         rng = np.random.default_rng(30)
         sessions, n = 4, 50
         specs = []
@@ -268,7 +268,7 @@ class TestHighSnrAccuracy:
             Y=np.vstack([s.Y for s in specs]), X=np.vstack([s.X for s in specs])
         )
         post = posterior_update(everything, NgParams.noninformative(2))
-        resid = everything.Y - everything.X @ post.mu_n
+        resid = everything.Y - everything.X @ post.mu
         centered = everything.Y - everything.Y.mean(axis=0)
         r2 = 1.0 - (resid**2).sum(axis=0) / (centered**2).sum(axis=0)
         if noise_sd <= 1e-3:
@@ -277,7 +277,7 @@ class TestHighSnrAccuracy:
         eps = np.finfo(float).eps
         for held in specs:
             gap = np.abs(accuracy(held, post) - accuracy_by_residual(held, post))
-            bound = n * eps * (post.a_n / post.b_n) * held.ytpy
+            bound = n * eps * (post.a / post.b) * held.ytpy
             assert np.all(gap <= bound), (gap, bound)
 
     @pytest.mark.parametrize("baseline, noise_sd", [(1000.0, 10.0), (10.0, 0.01)])
@@ -301,7 +301,7 @@ class TestHighSnrAccuracy:
         )
         post = posterior_update(everything, NgParams.noninformative(2))
         eps = np.finfo(float).eps
-        bound = sum(s.n * eps * (post.a_n / post.b_n) * s.ytpy for s in specs)
+        bound = sum(s.n * eps * (post.a / post.b) * s.ytpy for s in specs)
         np.testing.assert_allclose(result.acc_com_tol[0], np.maximum(1e-8, bound))
         assert np.all(gap <= 0.5 * result.acc_com_tol)
 

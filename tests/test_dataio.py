@@ -236,10 +236,6 @@ class TestResultTable:
         bad = np.array([[np.nan]])
         with pytest.raises(ParseError):
             ResultTable(kind="BMA", row_labels=("x",), values=bad)
-        flagged = ResultTable(
-            kind="BMA", row_labels=("x",), values=bad, allow_nonfinite=True
-        )
-        assert np.isnan(flagged.values[0, 0])
 
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):

@@ -207,3 +207,15 @@ class TestNgParams:
     def test_logdet(self):
         params = NgParams(mu=np.zeros(2), lam=np.diag([2.0, 8.0]), a=1.0, b=1.0)
         assert params.logdet_lam() == pytest.approx(np.log(16.0))
+
+    def test_per_voxel_b_needs_one_entry_per_column(self):
+        with pytest.raises(DomainError, match="3 voxel columns"):
+            NgParams(mu=np.zeros((2, 3)), lam=np.eye(2), a=1.0, b=np.ones(4))
+
+    def test_n_voxels(self):
+        shared = NgParams(mu=np.zeros(2), lam=np.eye(2), a=1.0, b=1.0)
+        assert shared.n_voxels == 1
+        per_voxel = NgParams(mu=np.zeros((2, 3)), lam=np.eye(2), a=1.0, b=np.ones(3))
+        assert per_voxel.n_voxels == 3
+        # a scalar rate is shared by every column
+        assert NgParams(mu=np.zeros((2, 3)), lam=np.eye(2), a=1.0, b=1.0).n_voxels == 3

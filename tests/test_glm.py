@@ -55,10 +55,10 @@ class TestPosteriorUpdate:
         # sample mean, rate is half the squared residual sum
         spec = GlmSpec(Y=np.array([1.0, 3.0]), X=np.array([[1.0], [1.0]]))
         post = posterior_update(spec, NgParams.noninformative(1))
-        assert post.mu_n[0, 0] == pytest.approx(2.0)
-        assert post.lambda_n[0, 0] == pytest.approx(2.0)
-        assert post.a_n == pytest.approx(1.0)
-        assert post.b_n[0] == pytest.approx(1.0)
+        assert post.mu[0, 0] == pytest.approx(2.0)
+        assert post.lam[0, 0] == pytest.approx(2.0)
+        assert post.a == pytest.approx(1.0)
+        assert post.b[0] == pytest.approx(1.0)
 
     def test_empty_block_is_identity(self):
         rng = np.random.default_rng(1)
@@ -67,10 +67,10 @@ class TestPosteriorUpdate:
         )
         empty = GlmSpec(Y=np.zeros((0, 5)), X=np.zeros((0, 2)))
         post = posterior_update(empty, prior)
-        np.testing.assert_array_equal(post.mu_n, np.tile(prior.mu[:, None], 5))
-        np.testing.assert_array_equal(post.lambda_n, prior.lam)
-        assert post.a_n == prior.a
-        np.testing.assert_array_equal(post.b_n, np.full(5, prior.b))
+        np.testing.assert_array_equal(post.mu, np.tile(prior.mu[:, None], 5))
+        np.testing.assert_array_equal(post.lam, prior.lam)
+        assert post.a == prior.a
+        np.testing.assert_array_equal(post.b, np.full(5, prior.b))
 
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
     def test_chaining_equals_joint_update(self, precision_kind):
@@ -103,12 +103,12 @@ class TestPosteriorUpdate:
                 joint_precision[cut:, cut:] = p2
                 spec = GlmSpec(Y=spec.Y, X=spec.X, precision=joint_precision)
 
-            chained = posterior_update(second, posterior_update(first, prior).as_prior())
+            chained = posterior_update(second, posterior_update(first, prior))
             joint = posterior_update(spec, prior)
-            np.testing.assert_allclose(chained.mu_n, joint.mu_n, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(chained.lambda_n, joint.lambda_n, rtol=1e-10)
-            np.testing.assert_allclose(chained.b_n, joint.b_n, rtol=1e-10)
-            assert chained.a_n == pytest.approx(joint.a_n, rel=1e-12)
+            np.testing.assert_allclose(chained.mu, joint.mu, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(chained.lam, joint.lam, rtol=1e-10)
+            np.testing.assert_allclose(chained.b, joint.b, rtol=1e-10)
+            assert chained.a == pytest.approx(joint.a, rel=1e-12)
 
     def test_voxel_permutation_equivariance(self):
         # equivariant up to BLAS column-blocking round-off
@@ -118,8 +118,8 @@ class TestPosteriorUpdate:
         permuted_spec = GlmSpec(Y=spec.Y[:, perm], X=spec.X, precision=spec.precision)
         post = posterior_update(spec, prior)
         post_perm = posterior_update(permuted_spec, prior)
-        np.testing.assert_allclose(post_perm.mu_n, post.mu_n[:, perm], atol=1e-12)
-        np.testing.assert_allclose(post_perm.b_n, post.b_n[perm], rtol=1e-12)
+        np.testing.assert_allclose(post_perm.mu, post.mu[:, perm], atol=1e-12)
+        np.testing.assert_allclose(post_perm.b, post.b[perm], rtol=1e-12)
 
 
 class TestEvidenceQuantities:
@@ -199,10 +199,10 @@ class TestEvidenceQuantities:
         acc = float(accuracy(spec, post)[0])
 
         draws = 100_000
-        tau = rng.gamma(post.a_n, 1.0 / post.b_n[0], size=draws)
-        chol = np.linalg.cholesky(post.lambda_n)
+        tau = rng.gamma(post.a, 1.0 / post.b[0], size=draws)
+        chol = np.linalg.cholesky(post.lam)
         z = rng.normal(size=(spec.p, draws))
-        betas = post.mu_n[:, [0]] + np.linalg.solve(chol.T, z) / np.sqrt(tau)
+        betas = post.mu[:, [0]] + np.linalg.solve(chol.T, z) / np.sqrt(tau)
 
         resid = spec.Y[:, [0]] - spec.X @ betas
         quad = np.einsum("nd,nd->d", resid, spec.precision[:, None] * resid)
@@ -224,15 +224,15 @@ class TestEvidenceQuantities:
             post = posterior_update(spec, prior)
             com = float(complexity(prior, post)[0])
 
-            tau_bar, _ = gamma_moments(post.a_n, float(post.b_n[0]))
+            tau_bar, _ = gamma_moments(post.a, float(post.b[0]))
             expected_beta_kl = kl_mvn(
-                post.mu_n[:, 0],
-                np.linalg.inv(tau_bar * post.lambda_n),
+                post.mu[:, 0],
+                np.linalg.inv(tau_bar * post.lam),
                 prior.mu,
                 np.linalg.inv(tau_bar * prior.lam),
             )
             tau_kl = kl_gamma(
-                post.a_n, float(post.b_n[0]), prior.a, float(prior.b)
+                post.a, float(post.b[0]), prior.a, float(prior.b)
             )
             np.testing.assert_allclose(com, expected_beta_kl + tau_kl, atol=1e-8)
 

@@ -496,12 +496,14 @@ class TestCli:
         )
         assert code in (3, 4)
 
-    def test_threads_env_fallback(self, workspace, tmp_path, monkeypatch):
-        monkeypatch.setenv("EVIDENCER_THREADS", "2")
-        code = main(
-            ["cvlme", "--config", str(workspace), "--out", str(tmp_path / "o")]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("value", ["0", "-1", "auto", "1.5"])
+    def test_threads_must_be_positive_integer(self, workspace, tmp_path, value):
+        argv = ["cvlme", "--config", str(workspace), "--out", str(tmp_path / "o")]
+        try:
+            code = main(argv + ["--threads", value])
+        except SystemExit as exc:  # argparse rejects a non-integer
+            code = exc.code
+        assert code == 2
 
     def test_group_subcommand(self, workspace, tmp_path):
         code = main(

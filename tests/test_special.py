@@ -13,9 +13,7 @@ from scipy import integrate
 
 from evidencer.errors import DomainError
 from evidencer.special import (
-    QuadratureRule,
     digamma,
-    gamma_quadrature,
     gamma_quadrature_grid,
     log_gamma,
     log_sum_exp,
@@ -219,31 +217,37 @@ class TestLogSumExp:
         assert abs(logs.mean() - (digamma(a) - np.log(b))) < 3 * log_se
 
 
+def gamma_rule(shape, **kwargs):
+    """The positive-weight nodes and weights of one grid row, masked as the
+    exceedance integration masks them."""
+    nodes, weights = gamma_quadrature_grid([shape], **kwargs)
+    keep = weights[0] > 0
+    return nodes[0, keep], weights[0, keep]
+
+
 class TestGammaQuadrature:
     def test_domain_matches_exponential_quantile(self):
-        rule = gamma_quadrature(1.0, rel_tail=1e-12)
-        np.testing.assert_allclose(
-            rule.domain[1], -np.log(1e-12), rtol=1e-9
-        )
+        _, weights = gamma_rule(1.0, rel_tail=1e-12)
+        np.testing.assert_allclose(weights.sum(), -np.log(1e-12), rtol=1e-9)
 
     @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 7.0, 40.0, 300.0])
     def test_density_normalization(self, shape):
-        rule = gamma_quadrature(shape)
-        total = rule.integrate(gamma_pdf(rule.nodes, shape))
+        nodes, weights = gamma_rule(shape)
+        total = gamma_pdf(nodes, shape) @ weights
         np.testing.assert_allclose(total, 1.0, atol=1e-10)
 
-    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 7.0, 40.0])
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 7.0, 40.0, 300.0])
     def test_mean_recovery(self, shape):
-        rule = gamma_quadrature(shape)
-        mean = rule.integrate(rule.nodes * gamma_pdf(rule.nodes, shape))
+        nodes, weights = gamma_rule(shape)
+        mean = (nodes * gamma_pdf(nodes, shape)) @ weights
         np.testing.assert_allclose(mean, shape, atol=1e-8)
 
     def test_rule_invariants(self):
-        rule = gamma_quadrature(3.0)
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.all(rule.weights > 0)
-        assert rule.nodes[0] > 0.0
-        assert rule.nodes[-1] < rule.domain[1]
+        nodes, weights = gamma_rule(3.0)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.all(weights > 0)
+        assert nodes[0] > 0.0
+        assert nodes[-1] < weights.sum()
 
     def test_grid_rows_are_the_single_shape_rules(self):
         shapes = np.array([0.001, 0.3, 1.0, 7.0, 300.0])
@@ -257,36 +261,13 @@ class TestGammaQuadrature:
             row_nodes, row_weights = gamma_quadrature_grid([shape], panels=8)
             np.testing.assert_array_equal(row_nodes[0], nodes[i])
             np.testing.assert_array_equal(row_weights[0], weights[i])
-            rule = gamma_quadrature(shape, panels=8)
-            keep = weights[i] > 0
-            np.testing.assert_array_equal(rule.nodes, nodes[i, keep])
-            np.testing.assert_array_equal(rule.weights, weights[i, keep])
-
-    @pytest.mark.parametrize("shape", [1e-3, 3e-3])
-    def test_coincident_subnormal_nodes_merge(self, shape):
-        # at 2048 panels neighbouring nodes near the origin round to one
-        # subnormal double; merging them keeps the rule's mass
-        fine = gamma_quadrature(shape, panels=2048)
-        coarse = gamma_quadrature(shape, panels=1024)
-        assert np.all(np.diff(fine.nodes) > 0)
-        np.testing.assert_allclose(
-            fine.weights.sum(), coarse.weights.sum(), rtol=0, atol=1e-12
-        )
 
     def test_invalid_construction(self):
         with pytest.raises(DomainError):
-            gamma_quadrature(0.0)
+            gamma_quadrature_grid([0.0])
         with pytest.raises(DomainError):
-            gamma_quadrature(1.0, rel_tail=0.5)
+            gamma_quadrature_grid([1.0], rel_tail=0.5)
         with pytest.raises(DomainError):
-            QuadratureRule(
-                nodes=np.array([1.0, 0.5]),
-                weights=np.array([1.0, 1.0]),
-                domain=(0.0, 2.0),
-            )
+            gamma_quadrature_grid([1.0], panels=0)
         with pytest.raises(DomainError):
-            QuadratureRule(
-                nodes=np.array([0.5, 1.0]),
-                weights=np.array([1.0, -1.0]),
-                domain=(0.0, 2.0),
-            )
+            gamma_quadrature_grid([[1.0, 2.0]])
