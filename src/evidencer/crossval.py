@@ -14,6 +14,12 @@ held-out session's; both the training and the all-data posterior are one
 :func:`~evidencer.glm.posterior_update` of summed statistics; and the
 fully-updated posterior (train block then test block) is the same all-data
 posterior for every fold, so it is computed once.
+
+Models are compared on the same data, so :func:`cv_lme_models` reads each
+session's response once: per session it groups the specs whose response
+and precision view the same memory (same data pointer, shape and strides,
+as specs built from one array are) and forms the group's statistics with
+one :func:`~evidencer.glm.response_stats` pass.
 """
 
 from __future__ import annotations
@@ -25,7 +31,14 @@ import numpy as np
 
 from .distributions import NgParams
 from .errors import DomainError, EstimationError, LayoutError
-from .glm import GlmSpec, accuracy, complexity, log_model_evidence, posterior_update
+from .glm import (
+    GlmSpec,
+    accuracy,
+    complexity,
+    log_model_evidence,
+    posterior_update,
+    response_stats,
+)
 
 __all__ = [
     "SessionLayout",
@@ -205,26 +218,53 @@ def _posterior(stats: _Totals, label: str) -> NgParams:
         raise EstimationError(f"{label} block: {exc}") from None
 
 
-def _oos_fold(specs, fold: int, totals: _Totals, post_all: NgParams):
+def _memory_key(a: np.ndarray | None):
+    """Arrays with equal keys view the same memory in the same layout."""
+    if a is None:
+        return None
+    return a.__array_interface__["data"][0], a.shape, a.strides
+
+
+def _share_response_stats(models, n_folds: int) -> None:
+    """Give every session's specs their response statistics from one
+    :func:`~evidencer.glm.response_stats` pass per distinct (response,
+    precision) memory, so models built on the same arrays read each
+    session's response once. Specs whose statistics are already formed are
+    left as they are."""
+    for s in range(n_folds):
+        groups = {}
+        for specs in models.values():
+            spec = specs[s]
+            if "_y_stats" not in vars(spec):
+                key = _memory_key(spec.Y), _memory_key(spec.precision)
+                groups.setdefault(key, []).append(spec)
+        for group in groups.values():
+            y, precision = group[0].Y, group[0].precision
+            xtpys, ytpy = response_stats(y, [g.X for g in group], precision)
+            for spec, xtpy in zip(group, xtpys):
+                spec._y_stats = xtpy, ytpy
+
+
+def _oos_fold(specs, fold: int, totals: _Totals, post_all: NgParams, label: str = ""):
     held = specs[fold]
     train = _Totals(*(t - getattr(held, f) for t, f in zip(totals, _Totals._fields)))
     # conjugacy: the training posterior is the held-out session's prior
-    train_prior = _posterior(train, f"fold {fold} training")
+    train_prior = _posterior(train, f"{label}fold {fold} training")
     lme = log_model_evidence(held, train_prior, post_all)
     acc = accuracy(held, post_all)
     com = complexity(train_prior, post_all)
     return lme, acc, com
 
 
-def _model_folds(specs, layout: SessionLayout):
+def _model_folds(specs, layout: SessionLayout, name: str):
     """One model's out-of-sample (lme, acc, com) as a (3, folds, voxels)
     array, and the per-voxel round-off bound on their fold sums' acc - com
     - lme gap."""
-    _check_sessions(specs, layout)
+    label = f"model {name!r}, "
     totals = _totals(specs)
-    post_all = _posterior(totals, "all-data")
+    post_all = _posterior(totals, f"{label}all-data")
     folds = np.stack(
-        [_oos_fold(specs, i, totals, post_all) for i in range(layout.n_folds)],
+        [_oos_fold(specs, i, totals, post_all, label) for i in range(layout.n_folds)],
         axis=1,
     )
     scale = np.finfo(float).eps * post_all.a / post_all.b
@@ -263,11 +303,18 @@ def cv_lme_models(models, layout: SessionLayout) -> CvResult:
     posterior, the fold sums' acc - com - lme gap stays within
     ``sum over folds of n_held * eps * (a / b) * ytpy_held``. That
     bound, floored at 1e-8, is the result's ``acc_com_tol``.
+
+    Models whose session specs view the same response (and precision)
+    arrays share one statistics pass per session; a failed update names the
+    model and the block (``fold i training`` or ``all-data``).
     """
     if not models:
         raise DomainError("cv_lme_models needs at least one model")
     names = tuple(models)
-    folds, bounds = zip(*(_model_folds(models[n], layout) for n in names))
+    for n in names:
+        _check_sessions(models[n], layout)
+    _share_response_stats(models, layout.n_folds)
+    folds, bounds = zip(*(_model_folds(models[n], layout, n) for n in names))
     # (3, folds, models, voxels); fold sums add the folds in order
     oos = np.stack(folds, axis=2)
     tol = np.maximum(_ACC_COM_FLOOR, np.stack(bounds))

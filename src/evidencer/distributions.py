@@ -45,6 +45,20 @@ def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
         ) from None
 
 
+def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(L L') x = rhs`` for a lower Cholesky factor ``L`` and a
+    ``(p, V)`` right-hand side: forward substitution with ``L``, then back
+    substitution with ``L'``, each row step batched over the V columns."""
+    x = np.array(rhs, dtype=float)
+    for i in range(x.shape[0]):
+        x[i] -= chol[i, :i] @ x[:i]
+        x[i] /= chol[i, i]
+    for i in reversed(range(x.shape[0])):
+        x[i] -= chol[i + 1:, i] @ x[i + 1:]
+        x[i] /= chol[i, i]
+    return x
+
+
 def _logdet_from_chol(chol: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 

@@ -14,6 +14,11 @@ The conjugate update and every evidence term read a session only through
 its sufficient statistics ``xtpx = X'PX``, ``xtpy = X'PY``, the per-voxel
 ``ytpy = y'Py``, the scan count ``n`` and ``logdet_precision``, so once
 those are formed the per-voxel work is O(p^2) whatever the scan count.
+The response-side statistics come from :func:`response_stats`, one pass
+over ``Y`` that serves any number of designs on the same response and
+precision; a single spec calls it with its one design. The posterior mean
+is solved with the Cholesky factor of its precision by forward and back
+substitution.
 
 The three evidence quantities exposed here satisfy, per voxel and exactly
 in the algebra, ``log_model_evidence = accuracy - complexity``: accuracy is
@@ -28,12 +33,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import NgParams, _check_symmetric, _cholesky, _logdet_from_chol
+from .distributions import (
+    NgParams,
+    _check_symmetric,
+    _chol_solve,
+    _cholesky,
+    _logdet_from_chol,
+)
 from .errors import DecompositionError, DomainError, EstimationError
 from .special import digamma, log_gamma
 
 __all__ = [
     "GlmSpec",
+    "response_stats",
     "posterior_update",
     "log_model_evidence",
     "accuracy",
@@ -42,6 +54,8 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _RANK_RTOL = 1e-10
+# design columns per product in the response pass
+_STACK = 4
 
 
 @dataclass
@@ -122,11 +136,7 @@ class GlmSpec:
 
     def apply_precision(self, m: np.ndarray) -> np.ndarray:
         """Left-multiply an (n, .) array by the precision matrix."""
-        if self.precision is None:
-            return m
-        if self.precision.ndim == 1:
-            return self.precision[:, None] * m
-        return self.precision @ m
+        return _apply_precision(self.precision, m)
 
     @cached_property
     def logdet_precision(self) -> float:
@@ -142,8 +152,10 @@ class GlmSpec:
 
     @cached_property
     def _y_stats(self) -> tuple:
-        py = self.apply_precision(self.Y)
-        return self.X.T @ py, np.einsum("nv,nv->v", self.Y, py)
+        # (xtpy, ytpy); cv_lme_models fills it from one pass shared by the
+        # specs that view the same response and precision
+        (xtpy,), ytpy = response_stats(self.Y, [self.X], self.precision)
+        return xtpy, ytpy
 
     @property
     def xtpy(self) -> np.ndarray:
@@ -152,6 +164,41 @@ class GlmSpec:
     @property
     def ytpy(self) -> np.ndarray:
         return self._y_stats[1]
+
+
+def _apply_precision(precision: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+    if precision is None:
+        return m
+    if precision.ndim == 1:
+        return precision[:, None] * m
+    return precision @ m
+
+
+def response_stats(Y: np.ndarray, designs, precision=None) -> tuple:
+    """The response statistics of several designs from one pass over ``Y``.
+
+    Returns ``([X_1'PY, X_2'PY, ...], ytpy)`` for the ``(n, p_i)`` designs
+    in ``designs``. ``P Y`` and the per-voxel ``y'Py`` are formed once, and
+    ``X'PY`` of every design comes from one product over the designs'
+    distinct columns, then row selections. The product runs over stacks of
+    four columns, zero-padded, so BLAS always sees the same operand shapes:
+    it picks its kernels by shape, and kernels for different shapes round
+    differently. A design's rows are thus bit-identical whether it is alone
+    or shares the pass.
+    """
+    py = _apply_precision(precision, Y)
+    distinct = {}
+    rows = [
+        [distinct.setdefault(column.tobytes(), len(distinct)) for column in x.T]
+        for x in designs
+    ]
+    stacked = np.zeros((-(-len(distinct) // _STACK) * _STACK, Y.shape[0]))
+    for x, r in zip(designs, rows):
+        stacked[r] = x.T
+    xtpy = np.concatenate(
+        [stacked[i:i + _STACK] @ py for i in range(0, len(stacked), _STACK)]
+    )
+    return [xtpy[r] for r in rows], np.einsum("nv,nv->v", Y, py)
 
 
 def _prior_mu_matrix(prior: NgParams, n_voxels: int) -> np.ndarray:
@@ -214,18 +261,18 @@ def posterior_update(spec: GlmSpec, prior: NgParams) -> NgParams:
                 "rank-deficient"
             ) from None
         raise
-    rhs = spec.xtpy + lam0 @ mu0
-    mu_n = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    mu_n = _chol_solve(chol, spec.xtpy + lam0 @ mu0)
 
     quad_prior = np.einsum("pv,pv->v", mu0, lam0 @ mu0)
     quad_post = np.einsum("pv,pv->v", mu_n, lambda_n @ mu_n)
     a_n = prior.a + spec.n / 2.0
     b_n = b0 + 0.5 * (spec.ytpy + quad_prior - quad_post)
-    if np.any(b_n <= 0):
+    bad = np.flatnonzero(b_n <= 0)
+    if bad.size:
         raise EstimationError(
-            "posterior rate b_n is non-positive for some voxel; this signals "
-            "catastrophic cancellation, typically from an ill-conditioned "
-            "design matrix"
+            f"posterior rate b is non-positive at {bad.size} voxel(s), first "
+            f"at voxel index {bad[0]}; this signals catastrophic "
+            "cancellation, typically from an ill-conditioned design matrix"
         )
     return NgParams(mu=mu_n, lam=lambda_n, a=a_n, b=b_n, _chol=chol)
 

@@ -6,12 +6,13 @@ probabilities build on the group Dirichlet estimate). A failing stage
 aborts only its dependents; the manifest always records per-stage status.
 
 A stage is pure compute: its inputs come in as arguments, and it returns
-its result tables by file name, the diagnostics it adds to the manifest,
-and the product its dependents read (the cvlme stage's :class:`CvResult`,
-the bms stage's alpha table). Only :func:`run_pipeline` does I/O: per
-stage it loads the input files or dependency products, calls the stage,
-saves the tables, and records status, outputs, diagnostics and the
-seconds of each phase (load, compute, write) in ``timings.csv``.
+its result tables by file name, the problem sizes and diagnostics it adds
+to the manifest, and the product its dependents read (the cvlme stage's
+:class:`CvResult`, the bms stage's alpha table). Only :func:`run_pipeline`
+does I/O: per stage it loads the input files or dependency products, calls
+the stage, saves the tables, and records status, outputs, sizes,
+diagnostics and the seconds of each phase (load, compute, write) in
+``timings.csv``.
 
 Reruns with the same configuration, seed, and chunk size write
 byte-identical result files and manifest regardless of the worker-thread
@@ -146,12 +147,13 @@ def _map_chunks(fn, slices, threads: int) -> list:
 @dataclass(frozen=True)
 class _StageResult:
     """What a stage returns: its result tables by file name, in write order;
-    the diagnostics it adds to the manifest; and the product its dependent
-    stages read."""
+    the problem sizes and diagnostics it adds to the manifest; and the
+    product its dependent stages read."""
 
     tables: dict
     diagnostics: dict = field(default_factory=dict)
     product: object = None
+    sizes: dict = field(default_factory=dict)
 
 
 def _required_files(config: ModelSpaceConfig, stages) -> list:
@@ -317,7 +319,18 @@ def _cv_tables(result: CvResult, *terms) -> dict:
 
 def _stage_cvlme(config, options, model_specs, layout) -> _StageResult:
     result = cv_lme_models(model_specs, layout)
-    return _StageResult(_cv_tables(result, "LME"), product=result)
+    if config.sessions.get("kind") == "single":
+        scans = [layout.total_scans]
+    else:
+        scans = [stop - start for start, stop in layout.sessions]
+    sizes = {
+        "sessions": len(scans),
+        "scans_per_session": scans,
+        "folds": layout.n_folds,
+        "voxels": result.cv_lme.shape[1],
+        "models": len(result.model_names),
+    }
+    return _StageResult(_cv_tables(result, "LME"), product=result, sizes=sizes)
 
 
 def _stage_anc(config, options, cv_result) -> _StageResult:
@@ -386,6 +399,12 @@ def _stage_bms(config, options, group) -> _StageResult:
             "bms_voxel_iterations": int(dirichlet.iterations.sum()),
         },
         product=alpha,
+        sizes={
+            "subjects": group.n_subjects,
+            "group_models": group.n_models,
+            "group_voxels": group.n_voxels,
+            "chunks": len(slices),
+        },
     )
 
 
@@ -485,6 +504,7 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
     statuses: dict = {}
     tables: dict = {}
     diagnostics: dict = {}
+    sizes: dict = {}
     timings: list = []
     for stage in ordered:
         blocked = [d for d in deps[stage] if d not in products]
@@ -520,6 +540,7 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
         for name, table in result.tables.items():
             tables[name] = {"kind": table.kind, "rows": list(table.row_labels)}
         diagnostics.update(result.diagnostics)
+        sizes.update(result.sizes)
 
     manifest = {
         "config_sha256": _config_hash(config),
@@ -544,6 +565,7 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
         "subject_names": [s["name"] for s in config.subjects],
         "stages": statuses,
         "tables": tables,
+        "sizes": sizes,
         "diagnostics": diagnostics,
     }
     (options.out_dir / "manifest.json").write_text(

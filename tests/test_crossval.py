@@ -9,6 +9,8 @@ from helpers import (
     random_precision,
 )
 
+import evidencer.crossval
+import evidencer.glm
 from evidencer.crossval import (
     SessionLayout,
     cv_lme,
@@ -18,7 +20,7 @@ from evidencer.crossval import (
     split_single_session,
 )
 from evidencer.distributions import NgParams
-from evidencer.errors import DomainError, LayoutError
+from evidencer.errors import DomainError, EstimationError, LayoutError
 from evidencer.glm import GlmSpec, accuracy, log_model_evidence, posterior_update
 
 
@@ -248,6 +250,109 @@ class TestCvLme:
             cv_lme(bad, layout)
 
 
+def nested_models(rng, precision_kind, single, copies, n=40, v=300):
+    """Four nested models over per-session responses; with ``copies`` each
+    model gets its own copy of every response and precision array, otherwise
+    its own view of the same memory. ``single`` builds one session and
+    splits it into halves."""
+    sessions = 1 if single else 3
+    data = [rng.normal(size=(n, v)) + 4.0 for _ in range(sessions)]
+    full = [random_design(rng, n, 4) for _ in range(sessions)]
+    precisions = [random_precision(rng, n, precision_kind) for _ in range(sessions)]
+    if single:
+        layout = split_single_session(n)
+    else:
+        layout = SessionLayout.from_counts([n] * sessions)
+
+    def own(a):
+        if a is None:
+            return None
+        return a.copy() if copies else a.view()
+
+    models = {}
+    nested = {"m0": [3], "m1": [0, 3], "m2": [0, 1, 3], "m3": [0, 1, 2, 3]}
+    for name, cols in nested.items():
+        specs = [
+            GlmSpec(Y=own(y), X=x[:, cols], precision=own(prec))
+            for y, x, prec in zip(data, full, precisions)
+        ]
+        models[name] = split_glm_spec(specs[0], layout) if single else specs
+    return models, layout
+
+
+def count_stats_calls(monkeypatch):
+    """Count calls of the response-statistics pass, wherever they come from."""
+    calls = []
+    original = evidencer.glm.response_stats
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evidencer.glm, "response_stats", counting)
+    monkeypatch.setattr(evidencer.crossval, "response_stats", counting)
+    return calls
+
+
+class TestSharedResponsePass:
+    @pytest.mark.parametrize("single", [False, True], ids=["multi", "split"])
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_shared_arrays_match_per_model_copies(self, precision_kind, single):
+        rng = np.random.default_rng
+        shared, layout = nested_models(rng(60), precision_kind, single, copies=False)
+        copied, _ = nested_models(rng(60), precision_kind, single, copies=True)
+        assert np.shares_memory(shared["m1"][0].Y, shared["m3"][0].Y)
+        assert not np.shares_memory(copied["m1"][0].Y, copied["m3"][0].Y)
+        one = cv_lme_models(shared, layout)
+        separate = cv_lme_models(copied, layout)
+        fields = ("cv_lme", "cv_acc", "cv_com", "oos_lme", "oos_acc", "oos_com")
+        for field in fields + ("acc_com_tol",):
+            np.testing.assert_array_equal(getattr(one, field), getattr(separate, field))
+
+    @pytest.mark.parametrize("single", [False, True], ids=["multi", "split"])
+    @pytest.mark.parametrize("copies, per_session", [(False, 1), (True, 4)])
+    def test_one_statistics_call_per_session(
+        self, monkeypatch, copies, per_session, single
+    ):
+        calls = count_stats_calls(monkeypatch)
+        rng = np.random.default_rng(61)
+        models, layout = nested_models(rng, "full", single, copies)
+        cv_lme_models(models, layout)
+        assert len(calls) == per_session * layout.n_folds
+
+    def test_formed_statistics_are_kept(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        models, layout = nested_models(rng, "identity", False, copies=False)
+        formed = models["m2"][1].xtpy
+        calls = count_stats_calls(monkeypatch)
+        cv_lme_models(models, layout)
+        assert models["m2"][1].xtpy is formed
+        assert len(calls) == layout.n_folds
+
+
+class TestFailureLocation:
+    @pytest.mark.parametrize(
+        "zeroed_sessions, block",
+        [((1, 2), "fold 0 training"), ((0, 1, 2), "all-data")],
+    )
+    def test_singular_block_names_model_and_block(self, zeroed_sessions, block):
+        rng = np.random.default_rng(63)
+        n = 20
+        designs = [random_design(rng, n, 2) for _ in range(3)]
+        data = [rng.normal(size=(n, 4)) for _ in range(3)]
+        models = {
+            "full": [GlmSpec(Y=y, X=x) for y, x in zip(data, designs)],
+            "reduced": [GlmSpec(Y=y, X=x[:, 1:]) for y, x in zip(data, designs)],
+        }
+        # the regressor is non-zero only outside ``zeroed_sessions``; each
+        # spec's rank check has already passed, so only the summed blocks
+        # that lack a non-zero session are singular
+        for s in zeroed_sessions:
+            designs[s][:, 0] = 0.0
+        with pytest.raises(EstimationError, match=f"^model 'full', {block} block: "):
+            cv_lme_models(models, SessionLayout.from_counts([n] * 3))
+
+
 class TestHighSnrAccuracy:
     @pytest.mark.parametrize("noise_sd", [1.0, 1e-1, 1e-2, 1e-3])
     def test_cancellation_stays_bounded(self, noise_sd):
@@ -280,7 +385,7 @@ class TestHighSnrAccuracy:
             bound = n * eps * (post.a / post.b) * held.ytpy
             assert np.all(gap <= bound), (gap, bound)
 
-    @pytest.mark.parametrize("baseline, noise_sd", [(1000.0, 10.0), (10.0, 0.01)])
+    @pytest.mark.parametrize("baseline, noise_sd", [(3000.0, 10.0), (10.0, 0.01)])
     def test_validate_accepts_fmri_like_scale(self, baseline, noise_sd):
         # Raw-fMRI-like data: 4 x 200 scans on a large baseline. acc - com
         # misses lme by more than 1e-8 here through round-off alone, so

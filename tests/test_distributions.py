@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evidencer.distributions import NgParams, gamma_moments, kl_gamma, kl_mvn
+from evidencer.distributions import (
+    NgParams,
+    _chol_solve,
+    gamma_moments,
+    kl_gamma,
+    kl_mvn,
+)
 from evidencer.errors import DecompositionError, DomainError
 from evidencer.special import digamma
 
@@ -219,3 +227,49 @@ class TestNgParams:
         assert per_voxel.n_voxels == 3
         # a scalar rate is shared by every column
         assert NgParams(mu=np.zeros((2, 3)), lam=np.eye(2), a=1.0, b=1.0).n_voxels == 3
+
+
+# constant of the normwise backward-error bound c * p * eps * |lam| |x|
+# checked for the Cholesky substitution solve
+SOLVE_C = 4.0
+
+
+class TestCholSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.integers(1, 8),
+        v=st.integers(1, 50),
+        log_cond=st.floats(0.0, 8.0),
+        log_scale=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_residual_and_agreement_with_lu_solve(
+        self, p, v, log_cond, log_scale, seed
+    ):
+        # lam = Q diag(s) Q' with eigenvalues spread over 10^log_cond
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        s = 10.0 ** (log_scale - log_cond * np.linspace(0.0, 1.0, p))
+        lam = (q * s) @ q.T
+        lam = 0.5 * (lam + lam.T)
+        rhs = rng.normal(size=(p, v)) * 10.0 ** rng.uniform(-3, 3, size=v)
+        x = _chol_solve(np.linalg.cholesky(lam), rhs)
+
+        eps = np.finfo(float).eps
+        norm_lam = np.linalg.norm(lam, 2)
+        norm_x = np.linalg.norm(x, axis=0)
+        residual = np.linalg.norm(lam @ x - rhs, axis=0)
+        assert np.all(residual <= SOLVE_C * p * eps * norm_lam * norm_x)
+        # both solves are backward stable, so each lies within cond(lam)
+        # times that backward error of the exact solution
+        reference = np.linalg.solve(lam, rhs)
+        bound = 2 * SOLVE_C * p * eps * np.linalg.cond(lam)
+        error = np.linalg.norm(x - reference, axis=0)
+        assert np.all(error <= bound * np.linalg.norm(reference, axis=0))
+
+    def test_solves_a_triangular_system_exactly(self):
+        chol = np.array([[2.0, 0.0], [1.0, 4.0]])
+        rhs = chol @ chol.T @ np.array([[1.0, -2.0], [3.0, 0.5]])
+        np.testing.assert_array_equal(
+            _chol_solve(chol, rhs), np.array([[1.0, -2.0], [3.0, 0.5]])
+        )

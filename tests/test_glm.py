@@ -1,10 +1,14 @@
 """Conjugate GLM inference: update algebra, evidence identities, oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from helpers import (
     accuracy_by_residual,
     lme_by_quadrature,
+    random_design,
+    random_precision,
     random_proper_instance,
     random_spd,
 )
@@ -17,6 +21,7 @@ from evidencer.glm import (
     log_model_evidence,
     accuracy,
     complexity,
+    response_stats,
 )
 
 
@@ -49,7 +54,45 @@ class TestGlmSpec:
         assert full.logdet_precision == pytest.approx(np.log(64.0))
 
 
+class TestResponseStats:
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_rows_do_not_depend_on_the_other_designs(self, precision_kind):
+        # nested designs share columns, and together have more distinct
+        # columns than one product stack holds; each design's rows are still
+        # bit-identical to its own pass, and match the direct product
+        rng = np.random.default_rng(50)
+        n, v = 40, 300
+        full = random_design(rng, n, 6)
+        designs = [full[:, [0, 5]], full[:, [0, 1, 5]], full, full[:, [2]]]
+        y = rng.normal(size=(n, v)) + 5.0
+        precision = random_precision(rng, n, precision_kind)
+        xtpys, ytpy = response_stats(y, designs, precision)
+        for x, xtpy in zip(designs, xtpys):
+            spec = GlmSpec(Y=y, X=x, precision=precision)
+            np.testing.assert_array_equal(spec.xtpy, xtpy)
+            np.testing.assert_array_equal(spec.ytpy, ytpy)
+            py = spec.apply_precision(y)
+            np.testing.assert_allclose(xtpy, x.T @ py, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(ytpy, np.einsum("nv,nv->v", y, py))
+
+
 class TestPosteriorUpdate:
+    def test_nonpositive_rate_names_first_voxel_and_count(self):
+        # statistics-only input whose y'Py falls below the fitted quadratic
+        # form at voxels 3 and 5, so b = (y'Py - mu'X'Py) / 2 < 0 there
+        rng = np.random.default_rng(51)
+        spec = GlmSpec(Y=rng.normal(size=(12, 7)), X=random_design(rng, 12, 2))
+        fitted = np.einsum(
+            "pv,pv->v", spec.xtpy, np.linalg.solve(spec.xtpx, spec.xtpy)
+        )
+        ytpy = spec.ytpy.copy()
+        ytpy[[3, 5]] = 0.5 * fitted[[3, 5]]
+        stats = SimpleNamespace(xtpx=spec.xtpx, xtpy=spec.xtpy, ytpy=ytpy, n=spec.n)
+        with pytest.raises(
+            EstimationError, match=r"at 2 voxel\(s\), first at voxel index 3;"
+        ):
+            posterior_update(stats, NgParams.noninformative(2))
+
     def test_hand_worked_example(self):
         # constant-only design, two scans at 1 and 3: posterior mean is the
         # sample mean, rate is half the squared residual sum

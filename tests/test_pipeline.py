@@ -127,6 +127,23 @@ class TestStageOutputs:
         assert diagnostics["bms_voxel_iterations"] == int(iterations.sum())
         assert diagnostics["bms_max_iterations"] == int(iterations.max())
 
+    def test_problem_sizes_in_manifest(self, tmp_path):
+        config_path = build_toy_workspace(
+            tmp_path / "ws", extra_config={"chunk_voxels": 5}
+        )
+        group = {"subjects": 5, "group_models": 2, "group_voxels": 12, "chunks": 3}
+        manifest = run(config_path, tmp_path / "all", STAGES)
+        assert manifest["sizes"] == {
+            "sessions": 2,
+            "scans_per_session": [24, 24],
+            "folds": 2,
+            "voxels": 12,
+            "models": 2,
+            **group,
+        }
+        # a stage that does not run adds no sizes
+        assert run(config_path, tmp_path / "bms", ["bms"])["sizes"] == group
+
     def test_timings_written(self, workspace, tmp_path):
         run(workspace, tmp_path / "out", ["cvlme"])
         lines = (tmp_path / "out" / "timings.csv").read_text().strip().splitlines()
@@ -223,6 +240,13 @@ class TestSingleSession:
             "oosLME_fold1.csv",
             "oosLME_fold2.csv",
         ]
+        assert manifest["sizes"] == {
+            "sessions": 1,
+            "scans_per_session": [n],
+            "folds": 2,
+            "voxels": v,
+            "models": 2,
+        }
         cvlme = load_matrix(tmp_path / "out" / "cvLME.csv").values
         assert cvlme.shape == (2, v)
         # the generating model should win nearly everywhere on this toy
