@@ -21,9 +21,7 @@ from .pipeline import RunOptions, run_pipeline, supported_stages
 from .crossval import (
     CvResult,
     SessionLayout,
-    cv_lme,
     cv_lme_models,
-    oos_lme,
     split_glm_spec,
     split_single_session,
 )
@@ -50,7 +48,6 @@ from .rfx import (
     DirichletPosterior,
     GroupLmeStack,
     ep_beta_closed_form,
-    ep_integration,
     ep_integration_stack,
     ep_sampling,
     ep_sampling_stack,
@@ -88,8 +85,6 @@ __all__ = [
     "CvResult",
     "split_single_session",
     "split_glm_spec",
-    "oos_lme",
-    "cv_lme",
     "cv_lme_models",
     # families
     "FamilyPartition",
@@ -101,7 +96,6 @@ __all__ = [
     "ep_beta_closed_form",
     "ep_sampling",
     "ep_sampling_stack",
-    "ep_integration",
     "ep_integration_stack",
     # averaging
     "BetaStack",

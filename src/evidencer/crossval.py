@@ -19,7 +19,7 @@ Models are compared on the same data, so :func:`cv_lme_models` reads each
 session's response once: per session it groups the specs whose response
 and precision view the same memory (same data pointer, shape and strides,
 as specs built from one array are) and forms the group's statistics with
-one :func:`~evidencer.glm.response_stats` pass.
+one :func:`~evidencer.glm.response_stats` pass, which checks the response.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ __all__ = [
     "CvResult",
     "split_single_session",
     "split_glm_spec",
-    "oos_lme",
-    "cv_lme",
     "cv_lme_models",
 ]
 
@@ -102,20 +100,19 @@ class SessionLayout:
         return cls(sessions=sessions, discarded=(), total_scans=int(edges[-1]))
 
 
-def split_single_session(n: int, min_scans: int = _MIN_SINGLE_SESSION_SCANS) -> SessionLayout:
+def split_single_session(n: int) -> SessionLayout:
     """Split-half layout for a single session of ``n`` scans.
 
     Discards the smallest block of 10 to 19 consecutive middle scans that
     leaves an even number, yielding two equal halves; the gap breaks the
-    temporal dependence between them. ``min_scans`` guards against halves
-    too small to estimate anything.
+    temporal dependence between them. At least 40 scans are required, so
+    each half can estimate something.
     """
     n = int(n)
-    if min_scans < 22:
-        raise LayoutError("min_scans below 22 cannot fit two halves plus the gap")
-    if n < min_scans:
+    if n < _MIN_SINGLE_SESSION_SCANS:
         raise LayoutError(
-            f"single-session split needs at least {min_scans} scans, got {n}"
+            f"single-session split needs at least {_MIN_SINGLE_SESSION_SCANS} "
+            f"scans, got {n}"
         )
     discard = next(d for d in _DISCARD_RANGE if (n - d) % 2 == 0)
     half = (n - discard) // 2
@@ -182,8 +179,6 @@ def _check_sessions(specs, layout: SessionLayout) -> None:
     p = specs[0].p
     v = specs[0].n_voxels
     for i, spec in enumerate(specs):
-        if spec.n == 0:
-            raise DomainError(f"session {i} is empty")
         if spec.p != p or spec.n_voxels != v:
             raise DomainError(
                 "per-session specs must share design width and voxel count"
@@ -240,12 +235,15 @@ def _share_response_stats(models, n_folds: int) -> None:
                 groups.setdefault(key, []).append(spec)
         for group in groups.values():
             y, precision = group[0].Y, group[0].precision
-            xtpys, ytpy = response_stats(y, [g.X for g in group], precision)
+            try:
+                xtpys, ytpy = response_stats(y, [g.X for g in group], precision)
+            except DomainError as exc:
+                raise DomainError(f"session {s + 1}: {exc}") from None
             for spec, xtpy in zip(group, xtpys):
                 spec._y_stats = xtpy, ytpy
 
 
-def _oos_fold(specs, fold: int, totals: _Totals, post_all: NgParams, label: str = ""):
+def _oos_fold(specs, fold: int, totals: _Totals, post_all: NgParams, label: str):
     held = specs[fold]
     train = _Totals(*(t - getattr(held, f) for t, f in zip(totals, _Totals._fields)))
     # conjugacy: the training posterior is the held-out session's prior
@@ -271,31 +269,10 @@ def _model_folds(specs, layout: SessionLayout, name: str):
     return folds, scale * sum(s.n * s.ytpy for s in specs)
 
 
-def oos_lme(specs, layout: SessionLayout, fold: int):
-    """Out-of-sample evidence, accuracy, and complexity for one fold.
-
-    Returns per-voxel vectors ``(lme, acc, com)`` with
-    ``lme = acc - com`` up to round-off.
-    """
-    _check_sessions(specs, layout)
-    if not (0 <= fold < layout.n_folds):
-        raise DomainError(f"fold {fold} out of range for {layout.n_folds} folds")
-    totals = _totals(specs)
-    return _oos_fold(specs, fold, totals, _posterior(totals, "all-data"))
-
-
-def cv_lme(specs, layout: SessionLayout, name: str = "model") -> CvResult:
-    """Cross-validated evidence for one model given its per-session specs.
-
-    Per-session design matrices may differ across sessions but must share
-    the column count; that the columns mean the same regressors in every
-    session is the caller's responsibility.
-    """
-    return cv_lme_models({name: specs}, layout)
-
-
 def cv_lme_models(models, layout: SessionLayout) -> CvResult:
     """Cross-validated evidences for a name -> per-session-specs mapping.
+
+    A model's designs may differ across sessions in values, not in width.
 
     Each held-out accuracy expands a residual quadratic form over
     sufficient statistics, whose n-term reductions err by up to about
@@ -305,8 +282,9 @@ def cv_lme_models(models, layout: SessionLayout) -> CvResult:
     bound, floored at 1e-8, is the result's ``acc_com_tol``.
 
     Models whose session specs view the same response (and precision)
-    arrays share one statistics pass per session; a failed update names the
-    model and the block (``fold i training`` or ``all-data``).
+    arrays share one statistics pass per session; a rejected response names
+    its session (from 1), and a failed update names the model and the block
+    (``fold i training`` or ``all-data``).
     """
     if not models:
         raise DomainError("cv_lme_models needs at least one model")

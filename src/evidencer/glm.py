@@ -16,9 +16,10 @@ its sufficient statistics ``xtpx = X'PX``, ``xtpy = X'PY``, the per-voxel
 those are formed the per-voxel work is O(p^2) whatever the scan count.
 The response-side statistics come from :func:`response_stats`, one pass
 over ``Y`` that serves any number of designs on the same response and
-precision; a single spec calls it with its one design. The posterior mean
-is solved with the Cholesky factor of its precision by forward and back
-substitution.
+precision; a single spec calls it with its one design, and it checks the
+response per voxel (a spec checks only its design and precision). The
+posterior mean is solved with the Cholesky factor of its precision by
+forward and back substitution.
 
 The three evidence quantities exposed here satisfy, per voxel and exactly
 in the algebra, ``log_model_evidence = accuracy - complexity``: accuracy is
@@ -64,9 +65,9 @@ class GlmSpec:
     and observation precision ``precision``.
 
     ``precision`` may be ``None`` (identity), a length-n vector (diagonal),
-    or a full symmetric positive-definite (n x n) matrix. An ``n = 0`` spec
-    is permitted as the no-op input to the conjugate update; otherwise
-    ``n >= p + 1`` and ``X`` must have full column rank.
+    or a full symmetric positive-definite (n x n) matrix. ``n >= p + 1``,
+    and ``X`` must be finite with full column rank; :func:`response_stats`
+    checks ``Y``.
     """
 
     Y: np.ndarray
@@ -89,19 +90,18 @@ class GlmSpec:
             raise DomainError(
                 f"Y has {self.Y.shape[0]} scans but X has {self.X.shape[0]}"
             )
-        if not (np.all(np.isfinite(self.Y)) and np.all(np.isfinite(self.X))):
-            raise DomainError("Y and X must be finite")
+        if not np.all(np.isfinite(self.X)):
+            raise DomainError("X must be finite")
         n, p = self.X.shape
-        if n > 0:
-            if n < p + 1:
-                raise DomainError(f"need n >= p + 1 scans, got n={n}, p={p}")
-            sv = np.linalg.svd(self.X, compute_uv=False)
-            if sv[-1] <= _RANK_RTOL * sv[0]:
-                raise EstimationError(
-                    "design matrix is rank-deficient (smallest singular value "
-                    f"{sv[-1]:.3e} vs largest {sv[0]:.3e}); drop or merge "
-                    "collinear regressors"
-                )
+        if n < p + 1:
+            raise DomainError(f"need n >= p + 1 scans, got n={n}, p={p}")
+        sv = np.linalg.svd(self.X, compute_uv=False)
+        if sv[-1] <= _RANK_RTOL * sv[0]:
+            raise EstimationError(
+                "design matrix is rank-deficient (smallest singular value "
+                f"{sv[-1]:.3e} vs largest {sv[0]:.3e}); drop or merge "
+                "collinear regressors"
+            )
         if self.precision is not None:
             self.precision = np.asarray(self.precision, dtype=float)
             if not np.all(np.isfinite(self.precision)):
@@ -140,7 +140,7 @@ class GlmSpec:
 
     @cached_property
     def logdet_precision(self) -> float:
-        if self.precision is None or self.n == 0:
+        if self.precision is None:
             return 0.0
         if self.precision.ndim == 1:
             return float(np.sum(np.log(self.precision)))
@@ -184,9 +184,18 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> tuple:
     four columns, zero-padded, so BLAS always sees the same operand shapes:
     it picks its kernels by shape, and kernels for different shapes round
     differently. A design's rows are thus bit-identical whether it is alone
-    or shares the pass.
+    or shares the pass. A non-finite ``y'Py`` (a non-finite cell, or an
+    overflow) raises :class:`DomainError` naming the voxels.
     """
     py = _apply_precision(precision, Y)
+    ytpy = np.einsum("nv,nv->v", Y, py)
+    bad = np.flatnonzero(~np.isfinite(ytpy))
+    if bad.size:
+        raise DomainError(
+            f"y'Py is not finite at {bad.size} voxel(s), first at voxel index "
+            f"{bad[0]}; the response holds a non-finite cell there, or values "
+            "whose quadratic form overflows"
+        )
     distinct = {}
     rows = [
         [distinct.setdefault(column.tobytes(), len(distinct)) for column in x.T]
@@ -198,7 +207,7 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> tuple:
     xtpy = np.concatenate(
         [stacked[i:i + _STACK] @ py for i in range(0, len(stacked), _STACK)]
     )
-    return [xtpy[r] for r in rows], np.einsum("nv,nv->v", Y, py)
+    return [xtpy[r] for r in rows], ytpy
 
 
 def _prior_mu_matrix(prior: NgParams, n_voxels: int) -> np.ndarray:
@@ -237,15 +246,6 @@ def posterior_update(spec: GlmSpec, prior: NgParams) -> NgParams:
         raise DomainError(
             f"prior dimension {prior.dim} does not match design columns {p}"
         )
-    if spec.n == 0:
-        # no-op update: the posterior is the prior, broadcast per voxel
-        return NgParams(
-            mu=_prior_mu_matrix(prior, V).copy(),
-            lam=prior.lam.copy(),
-            a=prior.a,
-            b=_prior_b_vector(prior, V).copy(),
-        )
-
     mu0 = _prior_mu_matrix(prior, V)
     b0 = _prior_b_vector(prior, V)
     lam0 = prior.lam

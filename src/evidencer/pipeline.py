@@ -44,7 +44,7 @@ from .crossval import (
     split_single_session,
 )
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, EvidencerError, ParseError
 from .family import FamilyPartition, log_family_evidence
 from .glm import GlmSpec
 from .rfx import (
@@ -250,9 +250,16 @@ def _load_model_space(config: ModelSpaceConfig) -> tuple:
                     f"design for model {model['name']!r}, session {s + 1} has "
                     f"{x.shape[0]} rows but the response has {y.shape[0]}"
                 )
-            specs.append(GlmSpec(Y=y, X=x, precision=precisions[s]))
-        if single:
-            specs = split_glm_spec(specs[0], layout)
+            try:
+                spec = GlmSpec(Y=y, X=x, precision=precisions[s])
+                specs.extend(split_glm_spec(spec, layout) if single else [spec])
+            except EvidencerError as exc:
+                files = f"design {config.resolve(model['design'][s])}"
+                if config.precision != "identity":
+                    files += f", precision {config.resolve(config.precision[s])}"
+                raise type(exc)(
+                    f"model {model['name']!r}, session {s + 1}, {files}: {exc}"
+                ) from None
         model_specs[model["name"]] = specs
     return model_specs, layout
 
@@ -430,7 +437,7 @@ def _stage_ep(config, options, alpha_table) -> _StageResult:
     else:
 
         def run_chunk(sl):
-            return ep_integration_stack(alpha[:, sl], return_diagnostics=True)
+            return ep_integration_stack(alpha[:, sl])
 
     parts = _map_chunks(run_chunk, slices, options.threads)
     diagnostics = {}

@@ -48,13 +48,12 @@ __all__ = [
     "estimate_rfx",
     "ep_beta_closed_form",
     "ep_sampling",
-    "ep_integration",
     "ep_integration_stack",
     "ep_sampling_stack",
 ]
 
-# integration defaults: Gamma mass left outside each model's quadrature
-# domain, and the change between panel passes below which a column is done
+# integration settings, recorded in the manifest: Gamma mass left outside each
+# quadrature domain, and the change between passes below which a column is done
 EP_REL_TAIL = 1e-12
 EP_TOL = 1e-8
 _SAMPLING_BATCH = 262_144
@@ -242,11 +241,11 @@ def estimate_rfx(
     )
 
 
-def _validated_alpha(alpha, min_k: int = 2) -> np.ndarray:
+def _validated_alpha(alpha) -> np.ndarray:
     """Concentrations as a float array whose first axis indexes models."""
     arr = np.asarray(alpha, dtype=float)
-    if arr.ndim == 0 or arr.shape[0] < min_k:
-        raise DomainError(f"need at least {min_k} concentration parameters")
+    if arr.ndim == 0 or arr.shape[0] < 2:
+        raise DomainError("need at least 2 concentration parameters")
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise DomainError("concentrations must be finite and positive")
     return arr
@@ -294,7 +293,7 @@ def ep_sampling(alpha, samples: int = 1_000_000, seed: int = 0) -> np.ndarray:
     return counts / samples
 
 
-def _quadrature_pass(alpha: np.ndarray, rel_tail: float, panels: int) -> np.ndarray:
+def _quadrature_pass(alpha: np.ndarray, panels: int) -> np.ndarray:
     """One quadrature pass at ``panels`` for every column of ``alpha``.
 
     Each (column, model j) pair is a row: the Gamma(alpha_j) rule's nodes,
@@ -312,7 +311,7 @@ def _quadrature_pass(alpha: np.ndarray, rel_tail: float, panels: int) -> np.ndar
     rows = max(1, _BLOCK_ELEMENTS // ((k - 1) * 16 * (2 * panels + 31)))
     for lo in range(0, k * n, rows):
         shape = shapes[lo:lo + rows]
-        nodes, weights = gamma_quadrature_grid(shape, rel_tail=rel_tail, panels=panels)
+        nodes, weights = gamma_quadrature_grid(shape, rel_tail=EP_REL_TAIL, panels=panels)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_cdfs = np.log(
                 reg_lower_incomplete_gamma(rest[lo:lo + rows].T[:, :, None], nodes)
@@ -335,48 +334,22 @@ def _quadrature_pass(alpha: np.ndarray, rel_tail: float, panels: int) -> np.ndar
     return phi.reshape(n, k).T
 
 
-def ep_integration(
-    alpha,
-    rel_tail: float = EP_REL_TAIL,
-    tol: float = EP_TOL,
-    return_diagnostics: bool = False,
-):
-    """Exceedance probabilities by Gamma-CDF-product integration.
+def ep_integration_stack(alpha: np.ndarray) -> tuple:
+    """Exceedance probabilities by Gamma-CDF-product integration for a
+    (models x voxels) concentration matrix, and their diagnostics.
 
     For each model ``j`` integrates, over a truncated ``[0, Q_j]`` domain
-    carrying all but ``rel_tail`` of the Gamma(alpha_j, 1) mass, the
+    carrying all but ``EP_REL_TAIL`` of the Gamma(alpha_j, 1) mass, the
     product of the other models' Gamma CDFs against the Gamma(alpha_j, 1)
-    density. This is the one-voxel call of :func:`ep_integration_stack`,
-    whose panel schedule it follows. Raw values are returned without
-    renormalization; how far they sum from one is a quality diagnostic,
-    available via ``return_diagnostics``.
-    """
-    ep, info = ep_integration_stack(
-        np.ravel(alpha)[:, None], rel_tail=rel_tail, tol=tol, return_diagnostics=True
-    )
-    phi = ep[:, 0]
-    if return_diagnostics:
-        return phi, {
-            "sum_deviation": float(phi.sum() - 1.0),
-            "panels": info["max_panels"],
-        }
-    return phi
-
-
-def ep_integration_stack(
-    alpha: np.ndarray,
-    rel_tail: float = EP_REL_TAIL,
-    tol: float = EP_TOL,
-    return_diagnostics: bool = False,
-):
-    """Integration EPs for a (models x voxels) concentration matrix.
-
-    Mass-univariate concentration patterns repeat heavily, so the
+    density. Mass-univariate concentration patterns repeat heavily, so the
     quadrature runs once per distinct column and the results are scattered
     back. All distinct columns start at ``_BASE_PANELS`` panels; the panel
     count doubles for the columns whose last two passes still differ by
-    ``tol`` or more, up to ``_MAX_PANELS``. A non-finite result or a
+    ``EP_TOL`` or more, up to ``_MAX_PANELS``. A non-finite result or a
     column still moving at ``_MAX_PANELS`` raises :class:`NumericalError`.
+
+    Returns the raw (not renormalized) EPs and the diagnostics
+    ``max_sum_deviation``, ``distinct_columns`` and ``max_panels``.
     """
     alpha = _validated_alpha(np.atleast_2d(alpha))
     # concentrations are finite and positive, so equal values are equal
@@ -387,29 +360,26 @@ def ep_integration_stack(
     used = np.zeros(distinct.shape[1], dtype=np.int64)
     panels = _BASE_PANELS
     active = np.arange(distinct.shape[1])
-    previous = _quadrature_pass(distinct, rel_tail, panels)
+    previous = _quadrature_pass(distinct, panels)
     while active.size:
         if panels == _MAX_PANELS:
             raise NumericalError(
-                f"exceedance integration did not stabilize to {tol} within "
+                f"exceedance integration did not stabilize to {EP_TOL} within "
                 f"{_MAX_PANELS} panels for concentrations "
                 f"{distinct[:, active[0]].tolist()}"
             )
         panels *= 2
-        phi = _quadrature_pass(distinct[:, active], rel_tail, panels)
-        done = np.max(np.abs(phi - previous), axis=0) < tol
+        phi = _quadrature_pass(distinct[:, active], panels)
+        done = np.max(np.abs(phi - previous), axis=0) < EP_TOL
         table[:, active[done]] = phi[:, done]
         used[active[done]] = panels
         active, previous = active[~done], phi[:, ~done]
-    ep = table[:, inverse.ravel()]
-    if return_diagnostics:
-        deviation = np.abs(table.sum(axis=0) - 1.0)
-        return ep, {
-            "max_sum_deviation": float(deviation.max(initial=0.0)),
-            "distinct_columns": distinct.shape[1],
-            "max_panels": int(used.max(initial=0)),
-        }
-    return ep
+    deviation = np.abs(table.sum(axis=0) - 1.0)
+    return table[:, inverse.ravel()], {
+        "max_sum_deviation": float(deviation.max(initial=0.0)),
+        "distinct_columns": distinct.shape[1],
+        "max_panels": int(used.max(initial=0)),
+    }
 
 
 def ep_sampling_stack(

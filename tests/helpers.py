@@ -23,7 +23,7 @@ from evidencer.dataio import LabeledMatrix
 from evidencer.distributions import NgParams
 from evidencer.errors import ParseError
 from evidencer.glm import GlmSpec
-from evidencer.rfx import DirichletPosterior
+from evidencer.rfx import DirichletPosterior, ep_integration_stack
 
 
 def random_design(rng, n: int, p: int) -> np.ndarray:
@@ -385,3 +385,9 @@ def build_toy_workspace(
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config, indent=2))
     return config_path
+
+
+def ep_one_voxel(alpha) -> np.ndarray:
+    """Integration EPs of one voxel's concentrations, from a one-column
+    ``ep_integration_stack`` call."""
+    return ep_integration_stack(np.ravel(np.asarray(alpha, dtype=float))[:, None])[0][:, 0]

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from helpers import (
     build_toy_workspace,
+    ep_one_voxel,
     lme_by_quadrature,
     random_proper_instance,
 )
 
 from evidencer.bma import BetaStack, cv_bma, oos_bma, posterior_probabilities
 from evidencer.cli import main
-from evidencer.crossval import SessionLayout, cv_lme, oos_lme
+from evidencer.crossval import SessionLayout, cv_lme_models
 from evidencer.distributions import NgParams
 from evidencer.family import FamilyPartition, log_family_evidence
 from evidencer.glm import (
@@ -31,7 +32,6 @@ from evidencer.glm import (
 from evidencer.rfx import (
     GroupLmeStack,
     ep_beta_closed_form,
-    ep_integration,
     ep_sampling,
     estimate_rfx,
 )
@@ -124,7 +124,7 @@ def test_criterion_03_brute_force_evidence_oracle():
         x1, x2 = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
         specs = [GlmSpec(Y=y1, X=x1), GlmSpec(Y=y2, X=x2)]
         layout = SessionLayout.from_counts([n, n])
-        lme, _, _ = oos_lme(specs, layout, 1)
+        lme = cv_lme_models({"m": specs}, layout).oos_lme[1, 0]
         train_prior = posterior_update(specs[0], NgParams.noninformative(1))
         oracle = lme_by_quadrature(y2, x2, train_prior)
         worst_oos = max(worst_oos, abs(float(lme[0]) - oracle))
@@ -164,7 +164,7 @@ def test_criterion_05_ep_closed_form_agreement():
     worst = 0.0
     for _ in range(200):
         alpha = rng.uniform(0.5, 25.0, size=2)
-        gap = np.abs(ep_integration(alpha) - ep_beta_closed_form(alpha))
+        gap = np.abs(ep_one_voxel(alpha) - ep_beta_closed_form(alpha))
         worst = max(worst, float(gap.max()))
     assert worst < 1e-6
     report(5, f"integration vs closed form, 200 pairs: worst gap {worst:.2e}")
@@ -178,7 +178,7 @@ def test_criterion_06_ep_monte_carlo_agreement():
     for k in (3, 5, 8, 12):
         for _ in range(20):
             alpha = rng.uniform(0.7, 10.0, size=k)
-            phi_int = ep_integration(alpha)
+            phi_int = ep_one_voxel(alpha)
             phi_mc = ep_sampling(alpha, samples=1_000_000,
                                  seed=int(rng.integers(2**31)))
             worst = max(worst, float(np.max(np.abs(phi_int - phi_mc))))
@@ -194,7 +194,7 @@ def test_criterion_07_ep_symmetry():
     for k in (2, 3, 5, 8, 12):
         c = float(rng.uniform(0.8, 12.0))
         alpha = np.full(k, c)
-        np.testing.assert_allclose(ep_integration(alpha), 1.0 / k, atol=1e-6)
+        np.testing.assert_allclose(ep_one_voxel(alpha), 1.0 / k, atol=1e-6)
         if k == 2:
             np.testing.assert_allclose(
                 ep_beta_closed_form(alpha), 0.5, atol=1e-6
@@ -213,7 +213,7 @@ def test_criterion_08_ep_timing_report(tmp_path):
     for k in (2, 3, 4, 6, 8, 12):
         alpha = rng.uniform(1.0, 8.0, size=k)
         started = time.perf_counter()
-        ep_integration(alpha)
+        ep_one_voxel(alpha)
         t_int = time.perf_counter() - started
         started = time.perf_counter()
         ep_sampling(alpha, samples=1_000_000, seed=k)
@@ -329,9 +329,7 @@ def test_criterion_12_cvbma_recovery_simulation():
         betas[1, j] = np.linalg.lstsq(x2s[j], y, rcond=None)[0][0]
 
     layout = SessionLayout.from_counts([n] * s)
-    lme = np.vstack(
-        [cv_lme(specs_m1, layout).cv_lme, cv_lme(specs_m2, layout).cv_lme]
-    )
+    lme = cv_lme_models({"m1": specs_m1, "m2": specs_m2}, layout).cv_lme
     pp = posterior_probabilities(lme)
     stack = BetaStack(beta=betas, regressor_name="task")
     averaged = cv_bma(stack, pp)

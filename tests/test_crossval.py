@@ -13,9 +13,7 @@ import evidencer.crossval
 import evidencer.glm
 from evidencer.crossval import (
     SessionLayout,
-    cv_lme,
     cv_lme_models,
-    oos_lme,
     split_glm_spec,
     split_single_session,
 )
@@ -97,9 +95,10 @@ class TestOosLme:
     def test_identity_per_fold(self):
         rng = np.random.default_rng(4)
         specs, layout = make_sessions(rng, s=3)
-        for fold in range(3):
-            lme, acc, com = oos_lme(specs, layout, fold)
-            np.testing.assert_allclose(lme, acc - com, atol=1e-8)
+        result = cv_lme_models({"m": specs}, layout)
+        np.testing.assert_allclose(
+            result.oos_lme, result.oos_acc - result.oos_com, atol=1e-8
+        )
 
     def test_identical_sessions_symmetric(self):
         rng = np.random.default_rng(6)
@@ -107,15 +106,8 @@ class TestOosLme:
         x = random_design(rng, 15, 2)
         specs = [GlmSpec(Y=y, X=x), GlmSpec(Y=y.copy(), X=x.copy())]
         layout = SessionLayout.from_counts([15, 15])
-        lme0, _, _ = oos_lme(specs, layout, 0)
-        lme1, _, _ = oos_lme(specs, layout, 1)
+        lme0, lme1 = cv_lme_models({"m": specs}, layout).oos_lme[:, 0]
         np.testing.assert_allclose(lme0, lme1, rtol=1e-12)
-
-    def test_fold_out_of_range(self):
-        rng = np.random.default_rng(8)
-        specs, layout = make_sessions(rng, s=2)
-        with pytest.raises(DomainError):
-            oos_lme(specs, layout, 2)
 
     def test_matches_train_posterior_quadrature(self):
         # brute force: integrate the held-out likelihood against the
@@ -128,7 +120,7 @@ class TestOosLme:
                 for _ in range(2)
             ]
             layout = SessionLayout.from_counts([n, n])
-            lme, _, _ = oos_lme(specs, layout, 1)
+            lme = cv_lme_models({"m": specs}, layout).oos_lme[1, 0]
 
             train_post = posterior_update(specs[0], NgParams.noninformative(1))
             from helpers import lme_by_quadrature
@@ -147,7 +139,7 @@ class TestOosLme:
         x1, x2 = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
         specs = [GlmSpec(Y=y1, X=x1), GlmSpec(Y=y2, X=x2)]
         layout = SessionLayout.from_counts([n, n])
-        lme, _, _ = oos_lme(specs, layout, 1)
+        lme = cv_lme_models({"m": specs}, layout).oos_lme[1, 0]
         m_all = improper_evidence_by_quadrature(
             np.concatenate([y1, y2]), np.vstack([x1, x2])
         )
@@ -159,14 +151,14 @@ class TestCvLme:
     def test_sum_is_definitional(self):
         rng = np.random.default_rng(14)
         specs, layout = make_sessions(rng, s=4)
-        result = cv_lme(specs, layout)
+        result = cv_lme_models({"m": specs}, layout)
         np.testing.assert_array_equal(result.cv_lme, result.oos_lme.sum(axis=0))
 
     def test_session_order_invariance(self):
         rng = np.random.default_rng(16)
         specs, layout = make_sessions(rng, s=2)
-        forward = cv_lme(specs, layout)
-        backward = cv_lme(specs[::-1], layout)
+        forward = cv_lme_models({"m": specs}, layout)
+        backward = cv_lme_models({"m": specs[::-1]}, layout)
         np.testing.assert_allclose(
             forward.cv_lme, backward.cv_lme, rtol=1e-12, atol=1e-12
         )
@@ -177,7 +169,7 @@ class TestCvLme:
         # no reuse of the shared all-data posterior or totals
         rng = np.random.default_rng(18)
         specs, layout = make_sessions(rng, s=3, precision_kind=precision_kind)
-        result = cv_lme(specs, layout)
+        result = cv_lme_models({"m": specs}, layout)
         for fold in range(3):
             train = [s for i, s in enumerate(specs) if i != fold]
             prior = NgParams.noninformative(specs[0].p)
@@ -194,7 +186,7 @@ class TestCvLme:
     def test_cv_identity(self):
         rng = np.random.default_rng(20)
         specs, layout = make_sessions(rng, s=3)
-        result = cv_lme(specs, layout)
+        result = cv_lme_models({"m": specs}, layout)
         np.testing.assert_allclose(
             result.cv_acc - result.cv_com, result.cv_lme, atol=1e-8
         )
@@ -206,8 +198,8 @@ class TestCvLme:
         permuted = [
             GlmSpec(Y=s.Y[:, perm], X=s.X, precision=s.precision) for s in specs
         ]
-        base = cv_lme(specs, layout)
-        shuffled = cv_lme(permuted, layout)
+        base = cv_lme_models({"m": specs}, layout)
+        shuffled = cv_lme_models({"m": permuted}, layout)
         np.testing.assert_allclose(
             shuffled.cv_lme[:, :], base.cv_lme[:, perm], rtol=1e-10, atol=1e-10
         )
@@ -227,7 +219,7 @@ class TestCvLme:
         assert result.model_names == ("narrow", "wide")
         assert result.cv_lme.shape == (2, v)
         assert result.oos_lme.shape == (2, 2, v)
-        single = cv_lme(models["wide"], layout)
+        single = cv_lme_models({"wide": models["wide"]}, layout)
         np.testing.assert_array_equal(result.cv_lme[1], single.cv_lme[0])
 
     def test_split_half_end_to_end(self):
@@ -238,7 +230,7 @@ class TestCvLme:
         )
         layout = split_single_session(n)
         parts = split_glm_spec(spec, layout)
-        result = cv_lme(parts, layout)
+        result = cv_lme_models({"m": parts}, layout)
         result.validate()
         assert result.cv_lme.shape == (1, 2)
 
@@ -247,7 +239,7 @@ class TestCvLme:
         specs, layout = make_sessions(rng, s=2)
         bad = [specs[0], GlmSpec(Y=rng.normal(size=(20, 4)), X=random_design(rng, 20, 3))]
         with pytest.raises(DomainError):
-            cv_lme(bad, layout)
+            cv_lme_models({"m": bad}, layout)
 
 
 def nested_models(rng, precision_kind, single, copies, n=40, v=300):
@@ -353,6 +345,30 @@ class TestFailureLocation:
             cv_lme_models(models, SessionLayout.from_counts([n] * 3))
 
 
+class TestResponseCheck:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_nonfinite_cell_names_session_and_voxel(self, precision_kind, value):
+        rng = np.random.default_rng(64)
+        specs, layout = make_sessions(rng, s=3, precision_kind=precision_kind)
+        specs[1].Y[7, 2] = value
+        expected = r"^session 2: y'Py is not finite at 1 voxel\(s\), first at voxel index 2;"
+        with pytest.raises(DomainError, match=expected):
+            cv_lme_models({"m": specs}, layout)
+
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_overflowing_column_names_session_and_voxel(self, precision_kind):
+        # every cell is finite, but the column's squares overflow
+        rng = np.random.default_rng(65)
+        specs, layout = make_sessions(rng, s=2, precision_kind=precision_kind)
+        for spec in specs:
+            spec.Y[:, 3] *= 1e160
+            assert np.all(np.isfinite(spec.Y))
+        expected = r"^session 1: y'Py is not finite at 1 voxel\(s\), first at voxel index 3;"
+        with pytest.raises(DomainError, match=expected):
+            cv_lme_models({"m": specs}, layout)
+
+
 class TestHighSnrAccuracy:
     @pytest.mark.parametrize("noise_sd", [1.0, 1e-1, 1e-2, 1e-3])
     def test_cancellation_stays_bounded(self, noise_sd):
@@ -398,7 +414,7 @@ class TestHighSnrAccuracy:
             y = x @ np.array([[2.0], [baseline]])
             specs.append(GlmSpec(Y=y + rng.normal(scale=noise_sd, size=(200, 50)), X=x))
         layout = SessionLayout.from_counts([200] * 4)
-        result = cv_lme(specs, layout)
+        result = cv_lme_models({"m": specs}, layout)
         gap = np.abs(result.cv_acc - result.cv_com - result.cv_lme)
         assert gap.max() > 1e-8
         everything = GlmSpec(

@@ -12,7 +12,7 @@ from evidencer.pipeline import RunOptions, run_pipeline
 from evidencer.rfx import (
     GroupLmeStack,
     ep_beta_closed_form,
-    ep_integration,
+    ep_integration_stack,
     estimate_rfx,
 )
 
@@ -111,7 +111,7 @@ class TestStageOutputs:
             np.unique(c, axis=1).shape[1] for c in chunks
         )
         assert diagnostics["ep_max_panels"] == max(
-            ep_integration(alpha[:, v], return_diagnostics=True)[1]["panels"]
+            ep_integration_stack(alpha[:, v:v + 1])[1]["max_panels"]
             for v in range(alpha.shape[1])
         )
 
@@ -483,6 +483,54 @@ class TestCli:
         status = manifest["stages"][stage]["status"]
         assert status.startswith("failed: ParseError") and named in status
         assert named in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert code == 4
+
+    def test_overflowing_response_names_session_and_voxel(self, tmp_path, capsys):
+        # every cell is finite, so the loader accepts the file; the column's
+        # y'Py overflows in the statistics pass
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(root)
+        values = load_matrix(root / "Y_s2.csv").values
+        values[:, 3] *= 1e160
+        save_matrix(root / "Y_s2.csv", values)
+        code = main(
+            ["pipeline", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        )
+        captured = capsys.readouterr()
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        status = manifest["stages"]["cvlme"]["status"]
+        assert status.startswith(
+            "failed: DomainError: session 2: y'Py is not finite at 1 voxel(s), "
+            "first at voxel index 3;"
+        )
+        assert status in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert code == 4
+
+    @pytest.mark.parametrize("with_precision", [False, True], ids=["identity", "full"])
+    def test_rejected_design_names_model_session_and_files(
+        self, tmp_path, capsys, with_precision
+    ):
+        root = tmp_path / "ws"
+        extra = {"precision": ["P_s1.csv", "P_s2.csv"]} if with_precision else None
+        config_path = build_toy_workspace(root, extra_config=extra)
+        for s in (1, 2):
+            save_matrix(root / f"P_s{s}.csv", 2.0 * np.eye(24))
+        design = load_matrix(root / "X2_s2.csv").values
+        design[:, 1] = design[:, 0]  # a duplicated column: rank-deficient
+        save_matrix(root / "X2_s2.csv", design)
+        code = main(
+            ["pipeline", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        )
+        captured = capsys.readouterr()
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        status = manifest["stages"]["cvlme"]["status"]
+        named = f"model 'm2', session 2, design {(root / 'X2_s2.csv').resolve()}"
+        if with_precision:
+            named += f", precision {(root / 'P_s2.csv').resolve()}"
+        assert status.startswith(f"failed: EstimationError: {named}: design matrix")
+        assert status in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert code == 4
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import estimate_rfx_log_space, vb_step_log_space
+from helpers import ep_one_voxel, estimate_rfx_log_space, vb_step_log_space
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
@@ -13,7 +13,6 @@ from evidencer.rfx import (
     DirichletPosterior,
     GroupLmeStack,
     ep_beta_closed_form,
-    ep_integration,
     ep_integration_stack,
     ep_sampling,
     ep_sampling_stack,
@@ -207,31 +206,29 @@ class TestEpIntegration:
         for _ in range(25):
             alpha = rng.uniform(0.5, 25.0, size=2)
             np.testing.assert_allclose(
-                ep_integration(alpha), ep_beta_closed_form(alpha), atol=1e-6
+                ep_one_voxel(alpha), ep_beta_closed_form(alpha), atol=1e-6
             )
 
     def test_exchangeable_components(self):
         for k in (2, 3, 6, 12):
-            phi = ep_integration(np.full(k, 2.7))
+            phi = ep_one_voxel(np.full(k, 2.7))
             np.testing.assert_allclose(phi, 1.0 / k, atol=1e-6)
 
     def test_matches_sampling(self):
         rng = np.random.default_rng(9)
         alpha = rng.uniform(1.0, 8.0, size=5)
-        phi_int = ep_integration(alpha)
+        phi_int = ep_one_voxel(alpha)
         phi_mc = ep_sampling(alpha, samples=1_000_000, seed=13)
         assert np.max(np.abs(phi_int - phi_mc)) < 0.01
 
     def test_sum_deviation_diagnostic(self):
-        phi, info = ep_integration(
-            [3.0, 4.0, 5.0], return_diagnostics=True
-        )
-        assert abs(info["sum_deviation"]) < 1e-6
-        assert abs(phi.sum() - 1.0) == abs(info["sum_deviation"])
+        ep, info = ep_integration_stack(np.array([[3.0], [4.0], [5.0]]))
+        assert info["max_sum_deviation"] < 1e-6
+        assert abs(ep.sum() - 1.0) == info["max_sum_deviation"]
 
     def test_monotone_in_own_concentration(self):
         grid = np.linspace(1.0, 9.0, 9)
-        values = [ep_integration([g, 3.0, 2.0])[0] for g in grid]
+        values = [ep_one_voxel([g, 3.0, 2.0])[0] for g in grid]
         assert np.all(np.diff(values) > 0)
 
     def test_tiny_concentration_with_zero_width_panels(self):
@@ -239,14 +236,14 @@ class TestEpIntegration:
         # where the integrand is undefined
         alpha = np.array([0.001, 1.0])
         np.testing.assert_allclose(
-            ep_integration(alpha), ep_beta_closed_form(alpha), atol=1e-6
+            ep_one_voxel(alpha), ep_beta_closed_form(alpha), atol=1e-6
         )
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(DomainError):
-            ep_integration([1.0])
+            ep_one_voxel([1.0])
         with pytest.raises(DomainError):
-            ep_integration([1.0, -2.0])
+            ep_one_voxel([1.0, -2.0])
 
 
 class TestEpStacks:
@@ -254,12 +251,10 @@ class TestEpStacks:
         rng = np.random.default_rng(11)
         base = rng.uniform(1.0, 6.0, size=(4, 7))
         alpha = base[:, rng.integers(0, 7, size=300)]
-        ep, info = ep_integration_stack(alpha, return_diagnostics=True)
+        ep, info = ep_integration_stack(alpha)
         assert info["distinct_columns"] <= 7
         for v in range(0, 300, 50):
-            np.testing.assert_array_equal(
-                ep[:, v], ep_integration(alpha[:, v])
-            )
+            np.testing.assert_array_equal(ep[:, v], ep_one_voxel(alpha[:, v]))
 
     @pytest.mark.parametrize("k, small", [(2, 0.1), (3, 0.1), (12, 0.03)])
     def test_integration_stack_is_split_invariant(self, k, small):
@@ -268,27 +263,25 @@ class TestEpStacks:
         rng = np.random.default_rng(100 + k)
         alpha = np.exp(rng.uniform(np.log(0.1), np.log(60.0), size=(k, 40)))
         alpha[:, ::7] = rng.uniform(small, 2 * small, size=(k, 6))
-        full, info = ep_integration_stack(alpha, return_diagnostics=True)
+        full, info = ep_integration_stack(alpha)
         assert info["max_panels"] > 16
         cuts = np.sort(rng.choice(np.arange(1, 40), size=6, replace=False))
         parts = [
-            ep_integration_stack(piece) for piece in np.split(alpha, cuts, axis=1)
+            ep_integration_stack(piece)[0] for piece in np.split(alpha, cuts, axis=1)
         ]
         np.testing.assert_array_equal(full, np.hstack(parts))
-        np.testing.assert_array_equal(
-            full[:, 3], ep_integration_stack(alpha[:, 3:4])[:, 0]
-        )
+        np.testing.assert_array_equal(full[:, 3], ep_one_voxel(alpha[:, 3]))
 
     def test_escalating_column_inside_a_mixed_block(self):
         slow = np.array([0.15, 0.18, 0.1])
-        phi, info = ep_integration(slow, return_diagnostics=True)
-        assert info["panels"] > 16
+        phi, info = ep_integration_stack(slow[:, None])
+        assert info["max_panels"] > 16
         rng = np.random.default_rng(23)
         alpha = rng.uniform(1.0, 20.0, size=(3, 30))
         alpha[:, 11] = slow
-        ep, stack_info = ep_integration_stack(alpha, return_diagnostics=True)
-        np.testing.assert_array_equal(ep[:, 11], phi)
-        assert stack_info["max_panels"] == info["panels"]
+        ep, stack_info = ep_integration_stack(alpha)
+        np.testing.assert_array_equal(ep[:, 11], phi[:, 0])
+        assert stack_info["max_panels"] == info["max_panels"]
         assert stack_info["distinct_columns"] == 30
 
     def test_unstable_column_raises(self):
@@ -296,7 +289,7 @@ class TestEpStacks:
         with pytest.raises(NumericalError, match="2048 panels"):
             ep_integration_stack(alpha)
         with pytest.raises(NumericalError, match="2048 panels"):
-            ep_integration(alpha[:, 1])
+            ep_integration_stack(alpha[:, 1:2])
 
     def test_integration_matches_adaptive_quadrature(self):
         # tolerance fixed before the first run: an order of magnitude
@@ -306,7 +299,7 @@ class TestEpStacks:
             # concentrations within a factor e^0.3 of a centre, all in [0.5, 2000]
             centre = np.exp(rng.uniform(np.log(0.7), np.log(1400.0)))
             alpha = centre * np.exp(rng.uniform(-0.3, 0.3, size=k))
-            phi = ep_integration(alpha)
+            phi = ep_one_voxel(alpha)
             for j in range(k):
                 others = np.delete(alpha, j)
 
@@ -332,7 +325,7 @@ class TestEpStacks:
         rng = np.random.default_rng(13)
         base = rng.uniform(1.0, 9.0, size=(12, 40))
         alpha = base[:, rng.integers(0, 40, size=10_000)]
-        ep = ep_integration_stack(alpha)
+        ep, _ = ep_integration_stack(alpha)
         assert ep.shape == (12, 10_000)
         np.testing.assert_allclose(ep.sum(axis=0), 1.0, atol=1e-6)
 
