@@ -60,19 +60,14 @@ class PosteriorProbs:
     """Per-voxel posterior model probabilities (models x voxels)."""
 
     pp: np.ndarray
-    prior: np.ndarray
 
     def __post_init__(self):
         pp = np.atleast_2d(np.asarray(self.pp, dtype=float))
-        prior = np.asarray(self.prior, dtype=float).ravel()
-        if prior.shape[0] != pp.shape[0]:
-            raise DomainError("prior length must match the model count")
         if np.any(pp < 0):
             raise DomainError("posterior probabilities must be non-negative")
         if np.max(np.abs(pp.sum(axis=0) - 1.0)) > 1e-10:
             raise DomainError("posterior probabilities must sum to 1 per voxel")
         object.__setattr__(self, "pp", pp)
-        object.__setattr__(self, "prior", prior)
 
     @property
     def n_models(self) -> int:
@@ -81,6 +76,25 @@ class PosteriorProbs:
     @property
     def n_voxels(self) -> int:
         return self.pp.shape[1]
+
+
+def _prior_weights(weights, n: int, what: str) -> np.ndarray:
+    """A prior over ``n`` models as a float vector: uniform for ``None``,
+    otherwise ``n`` finite, non-negative entries summing to 1 within 1e-12.
+    Anything else raises :class:`DomainError` naming ``what``."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} weights must be numbers, got {weights!r}") from None
+    if w.shape != (n,):
+        raise DomainError(f"{what} needs {n} weights, got {w.size}")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise DomainError(f"{what} weights must be finite and >= 0")
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise DomainError(f"{what} weights must sum to 1 within 1e-12")
+    return w
 
 
 def posterior_probabilities(lme: np.ndarray, prior=None) -> PosteriorProbs:
@@ -94,15 +108,7 @@ def posterior_probabilities(lme: np.ndarray, prior=None) -> PosteriorProbs:
     m = lme.shape[0]
     if not np.all(np.isfinite(lme)):
         raise DomainError("log model evidences must be finite")
-    if prior is None:
-        prior = np.full(m, 1.0 / m)
-    prior = np.asarray(prior, dtype=float).ravel()
-    if prior.shape[0] != m:
-        raise DomainError(f"prior must have {m} entries, got {prior.shape[0]}")
-    if np.any(prior < 0) or not np.all(np.isfinite(prior)):
-        raise DomainError("model prior must be non-negative and finite")
-    if abs(float(prior.sum()) - 1.0) > 1e-12:
-        raise DomainError("model prior must sum to 1")
+    prior = _prior_weights(prior, m, "model prior")
 
     shifted = lme - lme.mean(axis=0, keepdims=True)
     # zero-prior models are masked before exponentiation so that an excluded
@@ -124,7 +130,7 @@ def posterior_probabilities(lme: np.ndarray, prior=None) -> PosteriorProbs:
             "a voxel has zero total model mass after prior masking; no "
             "posterior probabilities exist there"
         )
-    return PosteriorProbs(pp=weighted / total, prior=prior)
+    return PosteriorProbs(pp=weighted / total)
 
 
 def _check_axes(betas: BetaStack, probs: PosteriorProbs) -> None:

@@ -186,7 +186,7 @@ def _check_sessions(specs, layout: SessionLayout) -> None:
         start, stop = layout.sessions[i]
         if spec.n != stop - start:
             raise LayoutError(
-                f"session {i} has {spec.n} scans but its layout range covers "
+                f"session {i + 1} has {spec.n} scans but its layout range covers "
                 f"{stop - start}"
             )
 
@@ -247,7 +247,7 @@ def _oos_fold(specs, fold: int, totals: _Totals, post_all: NgParams, label: str)
     held = specs[fold]
     train = _Totals(*(t - getattr(held, f) for t, f in zip(totals, _Totals._fields)))
     # conjugacy: the training posterior is the held-out session's prior
-    train_prior = _posterior(train, f"{label}fold {fold} training")
+    train_prior = _posterior(train, f"{label}fold {fold + 1} training")
     lme = log_model_evidence(held, train_prior, post_all)
     acc = accuracy(held, post_all)
     com = complexity(train_prior, post_all)
@@ -282,9 +282,11 @@ def cv_lme_models(models, layout: SessionLayout) -> CvResult:
     bound, floored at 1e-8, is the result's ``acc_com_tol``.
 
     Models whose session specs view the same response (and precision)
-    arrays share one statistics pass per session; a rejected response names
-    its session (from 1), and a failed update names the model and the block
-    (``fold i training`` or ``all-data``).
+    arrays share one statistics pass per session. Messages count sessions
+    and folds from 1, like the ``oos*_fold<i>.csv`` files: a rejected
+    response or a scan count that disagrees with the layout names its
+    session, and a failed update names the model and the block (``fold i
+    training`` or ``all-data``).
     """
     if not models:
         raise DomainError("cv_lme_models needs at least one model")

@@ -470,15 +470,13 @@ def load_config(path) -> ModelSpaceConfig:
     model_prior = raw.get("model_prior")
     if model_prior is not None:
         _require(
-            isinstance(model_prior, list) and len(model_prior) == len(models),
-            "model_prior needs one weight per model",
+            isinstance(model_prior, list)
+            and len(model_prior) == len(models)
+            and all(_is_real(w) for w in model_prior),
+            f"model_prior needs one number per model ({len(models)}), got "
+            f"{model_prior!r}",
         )
-        try:
-            model_prior = tuple(float(w) for w in model_prior)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"model_prior weights must be numbers, got {model_prior!r}"
-            ) from None
+        model_prior = tuple(float(w) for w in model_prior)
 
     betas = raw.get("betas")
     if betas is not None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bma import _prior_weights
 from .errors import DomainError
 from .special import log_sum_exp
 
@@ -22,10 +23,12 @@ __all__ = ["FamilyPartition", "log_family_evidence"]
 @dataclass(frozen=True)
 class FamilyPartition:
     """Named, disjoint, non-empty model-index sets covering the model space,
-    with optional within-family prior weights (uniform when omitted).
+    with one within-family prior weight vector per family.
 
-    A weight of exactly zero excludes that model from its family's
-    evidence; weights must be non-negative and sum to one per family.
+    ``weights`` holds one entry per family, ``None`` for uniform; after
+    construction it always holds the vectors. A weight of exactly zero
+    excludes that model from its family's evidence; weights must be
+    non-negative and sum to one per family.
     """
 
     n_models: int
@@ -54,23 +57,17 @@ class FamilyPartition:
                 "exactly one family"
             )
         object.__setattr__(self, "families", tuple(normalized))
-        if self.weights is not None:
-            cleaned = []
-            for (name, idx), w in zip(self.families, self.weights):
-                w = np.asarray(w, dtype=float)
-                if w.shape != (len(idx),):
-                    raise DomainError(
-                        f"family {name!r} has {len(idx)} models but "
-                        f"{w.size} weights"
-                    )
-                if np.any(w < 0) or not np.all(np.isfinite(w)):
-                    raise DomainError(f"family {name!r} weights must be >= 0")
-                if abs(float(w.sum()) - 1.0) > 1e-12:
-                    raise DomainError(
-                        f"family {name!r} weights must sum to 1 within 1e-12"
-                    )
-                cleaned.append(w)
-            object.__setattr__(self, "weights", tuple(cleaned))
+        weights = (None,) * len(normalized) if self.weights is None else self.weights
+        if len(weights) != len(normalized):
+            raise DomainError(
+                f"partition has {len(normalized)} families but {len(weights)} "
+                "weight vectors"
+            )
+        cleaned = tuple(
+            _prior_weights(w, len(idx), f"family {name!r}")
+            for (name, idx), w in zip(normalized, weights)
+        )
+        object.__setattr__(self, "weights", cleaned)
 
     @property
     def names(self) -> tuple:
@@ -80,19 +77,16 @@ class FamilyPartition:
     def from_mapping(cls, n_models, families, weights=None) -> "FamilyPartition":
         """Build from ``{name: indices}`` and optional ``{name: weights}``."""
         fams = tuple((name, tuple(idx)) for name, idx in families.items())
-        w = None
-        if weights is not None:
-            w = tuple(np.asarray(weights.get(name, np.full(len(idx), 1.0 / len(idx))))
-                      for name, idx in fams)
+        w = tuple((weights or {}).get(name) for name, _ in fams)
         return cls(n_models=n_models, families=fams, weights=w)
 
 
 def log_family_evidence(lme: np.ndarray, partition: FamilyPartition) -> np.ndarray:
     """Per-family, per-voxel log evidence from a (models x voxels) matrix.
 
-    Uniform within-family priors use the max-shifted mean of exponentials;
-    non-uniform priors first fold ``log weight + log family size`` into each
-    member's evidence, which reduces to the same shifted sum. Zero weights
+    Each member's evidence is offset by ``log weight + log family size``
+    and the family takes the max-shifted sum of exponentials minus ``log
+    family size``; for uniform weights the offset is zero. Zero weights
     enter as ``-inf`` and drop out of the sum.
     """
     lme = np.asarray(lme, dtype=float)
@@ -107,12 +101,9 @@ def log_family_evidence(lme: np.ndarray, partition: FamilyPartition) -> np.ndarr
         raise DomainError("log model evidences must be finite")
 
     out = np.empty((len(partition.families), lme.shape[1]))
-    for f, (name, idx) in enumerate(partition.families):
-        member = lme[list(idx), :]
+    for f, ((_, idx), w) in enumerate(zip(partition.families, partition.weights)):
         size = len(idx)
-        if partition.weights is not None:
-            with np.errstate(divide="ignore"):
-                offsets = np.log(partition.weights[f]) + np.log(size)
-            member = member + offsets[:, None]
+        with np.errstate(divide="ignore"):
+            member = lme[list(idx)] + (np.log(w) + np.log(size))[:, None]
         out[f] = log_sum_exp(member, axis=0) - np.log(size)
     return out

@@ -93,6 +93,8 @@ class GlmSpec:
         if not np.all(np.isfinite(self.X)):
             raise DomainError("X must be finite")
         n, p = self.X.shape
+        if p == 0:
+            raise DomainError("design X has no columns")
         if n < p + 1:
             raise DomainError(f"need n >= p + 1 scans, got n={n}, p={p}")
         sv = np.linalg.svd(self.X, compute_uv=False)

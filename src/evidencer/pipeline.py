@@ -245,11 +245,6 @@ def _load_model_space(config: ModelSpaceConfig) -> tuple:
         specs = []
         for s, y in enumerate(data):
             x = _load_finite(config, model["design"][s])
-            if x.shape[0] != y.shape[0]:
-                raise ConfigError(
-                    f"design for model {model['name']!r}, session {s + 1} has "
-                    f"{x.shape[0]} rows but the response has {y.shape[0]}"
-                )
             try:
                 spec = GlmSpec(Y=y, X=x, precision=precisions[s])
                 specs.extend(split_glm_spec(spec, layout) if single else [spec])
@@ -352,14 +347,8 @@ def _family_partition(config: ModelSpaceConfig) -> FamilyPartition:
         fam: tuple(order[m] for m in members)
         for fam, members in config.families.items()
     }
-    weights = None
-    if config.family_weights:
-        weights = {
-            fam: np.asarray(w, dtype=float)
-            for fam, w in config.family_weights.items()
-        }
     return FamilyPartition.from_mapping(
-        len(config.model_names), families, weights
+        len(config.model_names), families, config.family_weights
     )
 
 

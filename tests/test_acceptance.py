@@ -98,6 +98,7 @@ def test_criterion_02_posterior_chaining():
               f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_03_brute_force_evidence_oracle():
     rng = np.random.default_rng(303)
     started = time.perf_counter()

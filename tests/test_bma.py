@@ -103,19 +103,19 @@ class TestPosteriorProbabilities:
 class TestCvBma:
     def test_degenerate_probability(self):
         betas = BetaStack(beta=np.array([[[3.0]], [[7.0]]]))
-        pp = PosteriorProbs(pp=np.array([[1.0], [0.0]]), prior=np.array([0.5, 0.5]))
+        pp = PosteriorProbs(pp=np.array([[1.0], [0.0]]))
         np.testing.assert_allclose(cv_bma(betas, pp), [3.0])
 
     def test_even_blend(self):
         betas = BetaStack(beta=np.array([[[2.0]], [[4.0]]]))
-        pp = PosteriorProbs(pp=np.array([[0.5], [0.5]]), prior=np.array([0.5, 0.5]))
+        pp = PosteriorProbs(pp=np.array([[0.5], [0.5]]))
         np.testing.assert_allclose(cv_bma(betas, pp), [3.0])
 
     def test_two_sessions_hand_value(self):
         # model 1 sessions (1, 3), model 2 sessions (2, 6); session means
         # (2, 4); weights (0.75, 0.25) -> 2.5
         betas = BetaStack(beta=np.array([[[1.0], [3.0]], [[2.0], [6.0]]]))
-        pp = PosteriorProbs(pp=np.array([[0.75], [0.25]]), prior=np.array([0.5, 0.5]))
+        pp = PosteriorProbs(pp=np.array([[0.75], [0.25]]))
         np.testing.assert_allclose(cv_bma(betas, pp), [2.5])
 
     def test_convex_hull(self):
@@ -131,7 +131,7 @@ class TestCvBma:
 
     def test_axis_mismatch(self):
         betas = BetaStack(beta=np.zeros((2, 2, 3)))
-        pp = PosteriorProbs(pp=np.full((3, 3), 1 / 3), prior=np.full(3, 1 / 3))
+        pp = PosteriorProbs(pp=np.full((3, 3), 1 / 3))
         with pytest.raises(DomainError):
             cv_bma(betas, pp)
 
@@ -157,7 +157,7 @@ class TestOosBma:
         # per-session blends: (0.73*1 + 0.27*2) and (0.73*3 + 0.27*6),
         # averaged: 2.54
         betas = BetaStack(beta=np.array([[[1.0], [3.0]], [[2.0], [6.0]]]))
-        pp = PosteriorProbs(pp=np.array([[0.73], [0.27]]), prior=np.array([0.5, 0.5]))
+        pp = PosteriorProbs(pp=np.array([[0.73], [0.27]]))
         out = oos_bma(betas, [pp, pp])
         hand = 0.5 * ((0.73 * 1 + 0.27 * 2) + (0.73 * 3 + 0.27 * 6))
         np.testing.assert_allclose(out, [hand])
@@ -165,6 +165,6 @@ class TestOosBma:
 
     def test_requires_one_pp_per_session(self):
         betas = BetaStack(beta=np.zeros((2, 3, 4)))
-        pp = PosteriorProbs(pp=np.full((2, 4), 0.5), prior=np.full(2, 0.5))
+        pp = PosteriorProbs(pp=np.full((2, 4), 0.5))
         with pytest.raises(DomainError):
             oos_bma(betas, [pp, pp])

@@ -241,6 +241,18 @@ class TestCvLme:
         with pytest.raises(DomainError):
             cv_lme_models({"m": bad}, layout)
 
+    def test_scan_count_mismatch_names_session_from_one(self):
+        rng = np.random.default_rng(29)
+        layout = SessionLayout.from_counts([12, 12])
+        specs = [
+            GlmSpec(Y=rng.normal(size=(n, 3)), X=random_design(rng, n, 2))
+            for n in (12, 10)
+        ]
+        with pytest.raises(
+            LayoutError, match="session 2 has 10 scans but its layout range covers 12"
+        ):
+            cv_lme_models({"m": specs}, layout)
+
 
 def nested_models(rng, precision_kind, single, copies, n=40, v=300):
     """Four nested models over per-session responses; with ``copies`` each
@@ -325,7 +337,7 @@ class TestSharedResponsePass:
 class TestFailureLocation:
     @pytest.mark.parametrize(
         "zeroed_sessions, block",
-        [((1, 2), "fold 0 training"), ((0, 1, 2), "all-data")],
+        [((1, 2), "fold 1 training"), ((0, 1, 2), "all-data")],
     )
     def test_singular_block_names_model_and_block(self, zeroed_sessions, block):
         rng = np.random.default_rng(63)

@@ -42,6 +42,21 @@ class TestFamilyPartition:
                 2, {"a": (0, 1)}, {"a": np.array([1.2, -0.2])}
             )
 
+    def test_rejects_too_few_weight_vectors(self):
+        with pytest.raises(DomainError, match="2 families but 1 weight vectors"):
+            FamilyPartition(
+                3, (("a", (0,)), ("b", (1, 2))), weights=(np.array([1.0]),)
+            )
+
+    def test_missing_weights_are_uniform(self):
+        part = FamilyPartition.from_mapping(
+            3, {"a": (0,), "b": (1, 2)}, {"b": np.array([0.25, 0.75])}
+        )
+        np.testing.assert_array_equal(part.weights[0], [1.0])
+        np.testing.assert_array_equal(part.weights[1], [0.25, 0.75])
+        uniform = uniform_partition(3, [(0,), (1, 2)])
+        np.testing.assert_array_equal(uniform.weights[1], [0.5, 0.5])
+
 
 class TestLogFamilyEvidence:
     def test_singleton_family_passthrough(self):

@@ -44,6 +44,10 @@ class TestGlmSpec:
         with pytest.raises(DomainError, match="n >= p \\+ 1"):
             GlmSpec(Y=np.zeros((0, 5)), X=np.zeros((0, 2)))
 
+    def test_rejects_zero_column_design(self):
+        with pytest.raises(DomainError, match="no columns"):
+            GlmSpec(Y=np.zeros((5, 2)), X=np.zeros((5, 0)))
+
     @NONFINITE
     def test_rejects_nonfinite_design(self, value):
         x = random_design(np.random.default_rng(3), 8, 2)

@@ -438,6 +438,9 @@ class TestCli:
             ),
             ({"subjects": [{"name": {"a": 1}, "cvlme": "x.csv"}]}, "subject name"),
             ({"family_weights": {"simple": "abc"}}, "family_weights"),
+            ({"model_prior": ["0.5", "0.5"]}, "model_prior"),
+            ({"model_prior": [True, False]}, "model_prior"),
+            ({"model_prior": ["nan", "nan"]}, "model_prior"),
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, patch, named):
@@ -533,6 +536,67 @@ class TestCli:
         assert status in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert code == 4
+
+    def test_short_design_names_model_session_and_file(self, tmp_path, capsys):
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(root)
+        design = load_matrix(root / "X2_s2.csv").values
+        save_matrix(root / "X2_s2.csv", design[:-2])
+        code = main(
+            ["pipeline", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        )
+        captured = capsys.readouterr()
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        status = manifest["stages"]["cvlme"]["status"]
+        named = f"model 'm2', session 2, design {(root / 'X2_s2.csv').resolve()}"
+        assert status.startswith(f"failed: DomainError: {named}: Y has 24 scans")
+        assert status in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert code == 4
+
+    def test_only_stage_failed_exit_code(self, tmp_path, capsys):
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(root)
+        design = load_matrix(root / "X2_s1.csv").values
+        design[:, 1] = design[:, 0]  # a duplicated column: rank-deficient
+        save_matrix(root / "X2_s1.csv", design)
+        code = main(["cvlme", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert "stage cvlme failed: EstimationError" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert code == 3
+
+    def test_family_weights_through_cli(self, tmp_path):
+        config_path = build_toy_workspace(
+            tmp_path / "ws",
+            extra_config={
+                "families": {"all": ["m1", "m2"]},
+                "family_weights": {"all": [0.25, 0.75]},
+            },
+        )
+        out = tmp_path / "o"
+        code = main(["pipeline", "--config", str(config_path), "--out", str(out)])
+        assert code == 0
+        lme = load_matrix(out / "cvLME.csv").values
+        lfe = load_matrix(out / "LFE.csv")
+        assert lfe.shape == (1, 12)
+        expected = np.logaddexp(np.log(0.25) + lme[0], np.log(0.75) + lme[1])
+        np.testing.assert_allclose(lfe.values[0], expected, rtol=0, atol=1e-12)
+
+    def test_estimates_stored_one_voxel_per_row(self, tmp_path):
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(root)
+        run(config_path, tmp_path / "rows", ["bma"])
+        for name in ("m1", "m2"):
+            for s in (1, 2):
+                path = root / f"beta_{name}_s{s}.csv"
+                save_matrix(path, load_matrix(path).values.T)
+        manifest = run(config_path, tmp_path / "columns", ["bma"])
+        assert manifest["stages"]["bma"]["status"] == "ok"
+        for table in ("PP.csv", "BMA_task.csv"):
+            assert (tmp_path / "columns" / table).read_bytes() == (
+                tmp_path / "rows" / table
+            ).read_bytes()
 
     def test_partial_failure_exit_code(self, tmp_path, capsys):
         config_path = build_toy_workspace(
