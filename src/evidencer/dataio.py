@@ -320,20 +320,16 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _positive(raw: dict, key: str, default, kind=float):
-    """``raw[key]`` (or ``default``) as a finite positive ``kind``; any
-    other value raises :class:`ConfigError` naming the key."""
+    """``raw[key]`` (or ``default``) as a positive ``kind``: a finite JSON
+    number for ``float``, a JSON integer for ``int``; anything else, booleans
+    and numeric strings included, raises :class:`ConfigError` naming the key."""
     value = raw.get(key, default)
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        number = kind(value)
-        if not (math.isfinite(number) and number > 0):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(
-            f"{key} must be a finite positive number, got {value!r}"
-        ) from None
-    return number
+    what = "integer" if kind is int else "number"
+    _require(
+        _is_real(value) and (isinstance(value, int) or kind is float) and value > 0,
+        f"{key} must be a finite positive {what}, got {value!r}",
+    )
+    return kind(value)
 
 
 def _is_real(value) -> bool:
@@ -410,10 +406,7 @@ def load_config(path) -> ModelSpaceConfig:
         _require(len(data) >= 1, "first-level analyses need response files in 'data'")
         if kind == "single":
             _require(len(data) == 1, "single-session mode takes exactly one response file")
-            _require(
-                isinstance(sessions.get("scans"), int) and sessions["scans"] > 0,
-                "single-session mode needs a positive 'scans' count",
-            )
+            _positive(sessions, "scans", None, int)
         for m in models:
             _require(
                 len(m["design"]) == len(data),

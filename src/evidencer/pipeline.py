@@ -95,18 +95,25 @@ class RunOptions:
             raise ConfigError("threads must be at least 1")
 
 
+# the config blocks each stage reads its inputs from
+_STAGE_BLOCKS = {
+    "cvlme": ("models",),
+    "anc": ("models",),
+    "lfe": ("models", "families"),
+    "bms": ("subjects",),
+    "ep": ("subjects",),
+    "bma": ("models", "betas"),
+}
+
+
+def _missing_block(config: ModelSpaceConfig, stage: str):
+    """The first config block ``stage`` needs that ``config`` lacks, or None."""
+    return next((b for b in _STAGE_BLOCKS[stage] if not getattr(config, b)), None)
+
+
 def supported_stages(config: ModelSpaceConfig) -> tuple:
     """Stages the configuration provides inputs for."""
-    stages = []
-    if config.models:
-        stages += ["cvlme", "anc"]
-        if config.families:
-            stages.append("lfe")
-        if config.betas:
-            stages.append("bma")
-    if config.subjects:
-        stages += ["bms", "ep"]
-    return tuple(stages)
+    return tuple(s for s in STAGE_NAMES if _missing_block(config, s) is None)
 
 
 def _dependencies(config: ModelSpaceConfig) -> dict:
@@ -164,7 +171,7 @@ def _required_files(config: ModelSpaceConfig, stages) -> list:
             needed.extend(model["design"])
         if config.precision != "identity":
             needed.extend(config.precision)
-    if "bma" in stages and config.betas:
+    if "bma" in stages:
         for row in config.betas["files"]:
             needed.extend(row)
     if "bms" in stages:
@@ -225,8 +232,6 @@ def _load_model_space(config: ModelSpaceConfig) -> tuple:
 
     A single session is built as one session, then split into halves.
     """
-    if not config.models:
-        raise ConfigError("this stage needs first-level 'models' and 'data'")
     data, precisions = _load_session_matrices(config)
     single = config.sessions.get("kind") == "single"
     if single:
@@ -262,8 +267,6 @@ def _load_model_space(config: ModelSpaceConfig) -> tuple:
 def _load_group(config: ModelSpaceConfig, cv_result) -> GroupLmeStack:
     """The bms stage's input: every subject's evidences, taking a
     ``'@self'`` subject's from this run's cvlme product."""
-    if not config.subjects:
-        raise ConfigError("the bms stage needs a group 'subjects' list")
     slabs = [
         cv_result.cv_lme
         if subject["cvlme"] == "@self"
@@ -282,8 +285,6 @@ def _load_group(config: ModelSpaceConfig, cv_result) -> GroupLmeStack:
 
 def _load_estimates(config: ModelSpaceConfig, n_voxels: int) -> BetaStack:
     """The bma stage's input: the (models x sessions x voxels) estimates."""
-    if not config.betas:
-        raise ConfigError("the bma stage needs a 'betas' block")
     stacks = []
     for row in config.betas["files"]:
         per_session = []
@@ -340,8 +341,6 @@ def _stage_anc(config, options, cv_result) -> _StageResult:
 
 
 def _family_partition(config: ModelSpaceConfig) -> FamilyPartition:
-    if not config.families:
-        raise ConfigError("the lfe stage needs a 'families' block")
     order = {name: i for i, name in enumerate(config.model_names)}
     families = {
         fam: tuple(order[m] for m in members)
@@ -435,7 +434,7 @@ def _stage_ep(config, options, alpha_table) -> _StageResult:
         diagnostics = {
             "ep_max_sum_deviation": max(i["max_sum_deviation"] for i in infos),
             "ep_distinct_columns": sum(i["distinct_columns"] for i in infos),
-            "ep_max_panels": max(i["max_panels"] for i in infos),
+            "ep_max_nodes": max(i["max_nodes"] for i in infos),
         }
     ep = np.concatenate(parts, axis=1)
     return _StageResult(
@@ -487,12 +486,17 @@ def _config_hash(config: ModelSpaceConfig) -> str:
 def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
     """Run the requested stages plus their dependencies; return the manifest.
 
-    Stage failures are recorded, not raised; dependents of a failed stage
-    are skipped. The manifest (and ``timings.csv``) is written even when
-    stages fail.
+    A stage whose config block is missing raises :class:`ConfigError`
+    before any file is read. Stage failures are recorded, not raised;
+    dependents of a failed stage are skipped. The manifest (and
+    ``timings.csv``) is written even when stages fail.
     """
     deps = _dependencies(config)
     ordered = _closure(stages, deps)
+    for stage in ordered:
+        block = _missing_block(config, stage)
+        if block is not None:
+            raise ConfigError(f"stage {stage!r} needs a {block!r} block in the config")
     _preflight(config, ordered)
     options.out_dir.mkdir(parents=True, exist_ok=True)
 

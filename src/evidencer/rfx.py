@@ -18,13 +18,10 @@ that one model is the most frequent) come in three flavors:
   at comparable accuracy.
 
 The closed form and the integration work on whole (models x voxels)
-matrices. Integration runs once per distinct concentration column, in
-array calls over blocks of (column, model) rows. Each row's Gamma rule is
-a row of :func:`~evidencer.special.gamma_quadrature_grid`, contracted over
-its positive-weight nodes. The panel count doubles (8, 16, ..., 2048) only
-for the columns whose last two passes still disagree. A column's result
-never depends on which other columns share its block, so chunking and
-thread count leave the output bytes unchanged.
+matrices. Integration runs once per distinct concentration column, on one
+trapezoid node set in ``log x`` for all of the column's models, and a
+column's result never depends on the other columns of its call, so
+chunking and thread count leave the output bytes unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .special import (
     digamma,
-    gamma_quadrature_grid,
+    gamma_tail_quantiles,
     log_gamma,
     reg_incomplete_beta,
     reg_lower_incomplete_gamma,
@@ -52,15 +49,15 @@ __all__ = [
     "ep_sampling_stack",
 ]
 
-# integration settings, recorded in the manifest: Gamma mass left outside each
-# quadrature domain, and the change between passes below which a column is done
+# integration settings, recorded in the manifest: the tail mass left outside
+# each column's domain, and the change between passes below which it is done
 EP_REL_TAIL = 1e-12
 EP_TOL = 1e-8
 _SAMPLING_BATCH = 262_144
-# integration panel schedule: 8, 16, ..., 2048 panels
-_BASE_PANELS = 8
-_MAX_PANELS = 2048
-# Gamma-CDF values per block of rows: large enough that ufunc calls dominate
+# trapezoid intervals of the first pass, and the count past which a column fails
+_FIRST_INTERVALS = 16
+_MAX_INTERVALS = 1 << 14
+# Gamma-CDF values per block of columns: large enough that ufunc calls dominate
 # the Python overhead, small enough that a pass's temporaries stay near 1 MB
 _BLOCK_ELEMENTS = 1 << 14
 # smallest normal double, the scale of the VB step's underflow guard
@@ -293,92 +290,107 @@ def ep_sampling(alpha, samples: int = 1_000_000, seed: int = 0) -> np.ndarray:
     return counts / samples
 
 
-def _quadrature_pass(alpha: np.ndarray, panels: int) -> np.ndarray:
-    """One quadrature pass at ``panels`` for every column of ``alpha``.
-
-    Each (column, model j) pair is a row: the Gamma(alpha_j) rule's nodes,
-    the other models' CDFs at those nodes, and the weighted sum. Rows run
-    in blocks of about ``_BLOCK_ELEMENTS`` CDF values; every operation is
-    elementwise or reduces within a row, so a column's result does not
-    depend on which other columns share its block.
+def _node_sums(alpha, t_lo, step, positions, weights) -> np.ndarray:
+    """Weighted sums of each (column, model j) row's integrand
+    ``x f_j(x) prod_{i != j} F_i(x)`` over the nodes ``t = t_lo + positions
+    * step`` of its column, at ``x = e^t``; ``alpha`` is (columns x models).
+    Columns run in blocks of about ``_BLOCK_ELEMENTS`` CDF values, and every
+    operation is elementwise or sums within a row, so a column's sums do not
+    depend on its block.
     """
-    k, n = alpha.shape
-    shapes = alpha.T.ravel()
-    others = np.array([[i for i in range(k) if i != j] for j in range(k)])
-    rest = alpha.T[:, others].reshape(k * n, k - 1)
-    phi = np.empty(k * n)
-    # every gamma_quadrature_grid row has 16 * (2 * panels + 31) nodes
-    rows = max(1, _BLOCK_ELEMENTS // ((k - 1) * 16 * (2 * panels + 31)))
-    for lo in range(0, k * n, rows):
-        shape = shapes[lo:lo + rows]
-        nodes, weights = gamma_quadrature_grid(shape, rel_tail=EP_REL_TAIL, panels=panels)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_cdfs = np.log(
-                reg_lower_incomplete_gamma(rest[lo:lo + rows].T[:, :, None], nodes)
-            )
-            log_integrand = (
-                log_cdfs.sum(axis=0)
-                + (shape[:, None] - 1.0) * np.log(nodes)
-                - nodes
-                - log_gamma(shape)[:, None]
-            )
-            # zero-width panels may put nodes at the origin, where the
-            # integrand is undefined but the weight is zero
-            terms = np.where(weights > 0, np.exp(log_integrand) * weights, 0.0)
-        phi[lo:lo + rows] = terms.sum(axis=1)
-    if not np.all(np.isfinite(phi)):
-        raise NumericalError(
-            "exceedance integrand overflowed; concentration parameters are "
-            "too extreme for numerical integration"
-        )
-    return phi.reshape(n, k).T
+    n, k = alpha.shape
+    sums = np.empty((n, k))
+    columns = max(1, _BLOCK_ELEMENTS // (k * positions.size))
+    for lo in range(0, n, columns):
+        block = slice(lo, lo + columns)
+        shape = alpha[block, :, None]
+        t = (t_lo[block, None] + positions * step[block, None])[:, None, :]
+        x = np.exp(t)
+        with np.errstate(divide="ignore"):
+            log_cdf = np.log(reg_lower_incomplete_gamma(shape, x))
+        # the other rows' log-CDFs from exclusive prefix and suffix sums, not
+        # by subtracting a row from the total: a CDF can underflow to 0
+        others = np.zeros_like(log_cdf)
+        np.cumsum(log_cdf[:, :-1], axis=1, out=others[:, 1:])
+        others[:, :-1] += np.cumsum(log_cdf[:, :0:-1], axis=1)[:, ::-1]
+        terms = np.exp(shape * t - x - log_gamma(shape) + others)
+        # an elementwise product, not a matrix product: BLAS picks its
+        # kernels by operand shape, which would tie a column to its block
+        sums[block] = (terms * weights).sum(axis=-1)
+    return sums
 
 
 def ep_integration_stack(alpha: np.ndarray) -> tuple:
     """Exceedance probabilities by Gamma-CDF-product integration for a
     (models x voxels) concentration matrix, and their diagnostics.
 
-    For each model ``j`` integrates, over a truncated ``[0, Q_j]`` domain
-    carrying all but ``EP_REL_TAIL`` of the Gamma(alpha_j, 1) mass, the
-    product of the other models' Gamma CDFs against the Gamma(alpha_j, 1)
-    density. Mass-univariate concentration patterns repeat heavily, so the
-    quadrature runs once per distinct column and the results are scattered
-    back. All distinct columns start at ``_BASE_PANELS`` panels; the panel
-    count doubles for the columns whose last two passes still differ by
-    ``EP_TOL`` or more, up to ``_MAX_PANELS``. A non-finite result or a
-    column still moving at ``_MAX_PANELS`` raises :class:`NumericalError`.
+    Model j's EP is the integral of ``f_j(x) prod_{i != j} F_i(x)``, and
+    the k integrands sum to the density of M, the maximum of the k Gamma
+    variates. The integration runs once per distinct column, by the
+    trapezoidal rule in ``t = log x`` on one domain for all the column's
+    rows: up to the log of the largest Gamma(alpha_i) quantile at
+    ``1 - EP_REL_TAIL``, and from the larger of the log of the largest
+    quantile at ``EP_REL_TAIL`` and the point where M's CDF bound
+    ``x^(sum alpha) / prod Gamma(alpha_i + 1)`` equals ``EP_REL_TAIL``.
+    From ``_FIRST_INTERVALS`` intervals the step halves until a column's
+    rows change by less than ``EP_TOL`` and sum to 1 within ``EP_TOL``,
+    which guards against a missed peak. A column not done at
+    ``_MAX_INTERVALS``, or a non-finite sum, raises :class:`NumericalError`
+    naming the concentrations and the first input column that holds them.
 
     Returns the raw (not renormalized) EPs and the diagnostics
-    ``max_sum_deviation``, ``distinct_columns`` and ``max_panels``.
+    ``max_sum_deviation``, ``distinct_columns`` and ``max_nodes``.
     """
     alpha = _validated_alpha(np.atleast_2d(alpha))
     # concentrations are finite and positive, so equal values are equal
     # bytes; the inverse is flattened because its shape under ``axis`` has
     # changed across numpy 2.x releases
     distinct, inverse = np.unique(alpha, axis=1, return_inverse=True)
+    inverse = inverse.ravel()
+    shapes = distinct.T
+    lower, upper = gamma_tail_quantiles(shapes, EP_REL_TAIL)
+    with np.errstate(divide="ignore"):
+        t_lo = np.log(lower.max(axis=1))
+    bound = np.log(EP_REL_TAIL) + log_gamma(shapes + 1.0).sum(axis=1)
+    t_lo = np.maximum(t_lo, bound / shapes.sum(axis=1))
+    width = np.log(upper.max(axis=1)) - t_lo
+
+    def fail(column, reason):
+        return NumericalError(
+            f"exceedance integration {reason} for concentrations "
+            f"{distinct[:, column].tolist()} (first at input column "
+            f"{int(np.argmax(inverse == column))})"
+        )
+
+    intervals = _FIRST_INTERVALS
+    ends = np.r_[0.5, np.ones(intervals - 1), 0.5]
+    sums = _node_sums(shapes, t_lo, width / intervals, np.arange(intervals + 1.0), ends)
+    previous = sums * (width / intervals)[:, None]
     table = np.empty_like(distinct)
-    used = np.zeros(distinct.shape[1], dtype=np.int64)
-    panels = _BASE_PANELS
+    nodes = np.zeros(distinct.shape[1], dtype=np.int64)
     active = np.arange(distinct.shape[1])
-    previous = _quadrature_pass(distinct, panels)
     while active.size:
-        if panels == _MAX_PANELS:
-            raise NumericalError(
-                f"exceedance integration did not stabilize to {EP_TOL} within "
-                f"{_MAX_PANELS} panels for concentrations "
-                f"{distinct[:, active[0]].tolist()}"
-            )
-        panels *= 2
-        phi = _quadrature_pass(distinct[:, active], panels)
-        done = np.max(np.abs(phi - previous), axis=0) < EP_TOL
-        table[:, active[done]] = phi[:, done]
-        used[active[done]] = panels
-        active, previous = active[~done], phi[:, ~done]
+        if intervals == _MAX_INTERVALS:
+            raise fail(active[0], f"did not stabilize to {EP_TOL} within "
+                                  f"{_MAX_INTERVALS + 1} nodes")
+        intervals *= 2
+        step = width[active] / intervals
+        odd = np.arange(1.0, intervals, 2.0)
+        sums = sums + _node_sums(shapes[active], t_lo[active], step, odd, 1.0)
+        phi = sums * step[:, None]
+        total = phi.sum(axis=1)
+        if not np.all(np.isfinite(total)):
+            raise fail(active[np.argmin(np.isfinite(total))], "gave a non-finite sum")
+        done = np.abs(phi - previous).max(axis=1) < EP_TOL
+        done &= np.abs(total - 1.0) < EP_TOL
+        table[:, active[done]] = phi[done].T
+        nodes[active[done]] = intervals + 1
+        active, sums, previous = active[~done], sums[~done], phi[~done]
     deviation = np.abs(table.sum(axis=0) - 1.0)
-    return table[:, inverse.ravel()], {
+    return table[:, inverse], {
         "max_sum_deviation": float(deviation.max(initial=0.0)),
         "distinct_columns": distinct.shape[1],
-        "max_panels": int(used.max(initial=0)),
+        "max_nodes": int(nodes.max(initial=0)),
     }
 
 

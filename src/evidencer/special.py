@@ -1,16 +1,14 @@
-"""Numerically robust special functions and Gamma-weighted quadrature.
+"""Numerically robust special functions.
 
 Everything downstream (evidences, family aggregation, exceedance
 probabilities) reduces to a handful of primitives collected here: the log
 gamma function, the digamma function, regularized incomplete gamma and beta
-integrals, a max-shifted log-sum-exp, and composite Gauss-Legendre rules
-tuned for integrals of smooth functions against Gamma densities on
-``[0, inf)``, built for many shapes at once as congruent rows of one
-array (:func:`gamma_quadrature_grid`, the only rule builder).
+integrals, the Gamma tail quantiles that bound an integration domain, and a
+max-shifted log-sum-exp.
 
 The scalar special functions are evaluated through scipy's cephes-backed
 ufuncs (13+ significant digits over the ranges used here); this module owns
-argument validation, error semantics, and the quadrature construction.
+argument validation and error semantics.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = [
     "reg_lower_incomplete_gamma",
     "reg_incomplete_beta",
     "log_sum_exp",
-    "gamma_quadrature_grid",
 ]
 
 
@@ -120,58 +117,14 @@ def log_sum_exp(values, axis: int | None = None) -> np.ndarray | float:
     return out
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+def gamma_tail_quantiles(shape, tail: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Gamma(shape, 1) quantiles at ``tail`` and at ``1 - tail``.
 
-
-def gamma_quadrature_grid(
-    shapes, rel_tail: float = 1e-12, panels: int = 32
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rules for many Gamma(shape, 1) densities.
-
-    Row ``i`` of the returned ``(nodes, weights)`` arrays is the rule for
-    ``shapes[i]``. The domain is ``[0, Q]`` where ``Q`` is the
-    Gamma(shape, 1) quantile at ``1 - rel_tail``, so the truncated tail
-    carries at most ``rel_tail`` probability mass. Panel boundaries merge
-    three ladders: equal probability mass (resolves the density's
-    concentration), equal width (bounds the polynomial degree any single
-    panel must absorb in the stretched tail), and a geometric refinement
-    toward zero (the density is not analytic at the origin for non-integer
-    shape, and is singular there for shape < 1). Each panel carries a
-    16-point Gauss-Legendre rule.
-
-    ``panels`` sets the equal-mass and equal-width ladder sizes, so every
-    row has ``16 * (2 * panels + 31)`` nodes. Boundaries are sorted, not
-    deduplicated, to keep the rows congruent: a boundary shared by two
-    ladders leaves a zero-width panel whose nodes carry zero weight, and
-    may sit at the origin where the density is infinite for shape < 1, so
-    integrands are contracted over the positive-weight nodes only.
+    The upper quantile comes from the complementary inverse, since ``tail``
+    is representable where ``1 - tail`` is not. The lower quantile
+    underflows to 0 for small shapes.
     """
-    shapes = _validated(shapes, "shape", positive=True)
-    if shapes.ndim != 1:
-        raise DomainError("shapes must be a 1-D array")
-    if not (0.0 < rel_tail < 1e-6):
-        raise DomainError(f"rel_tail must lie in (0, 1e-6), got {rel_tail!r}")
-    if panels < 1:
-        raise DomainError("panels must be >= 1")
-
-    mass = 1.0 - rel_tail
-    # the far-tail quantile via the complementary inverse: rel_tail is
-    # representable where 1 - rel_tail is not
-    upper = _sp.gammainccinv(shapes, rel_tail)[:, None]
-    mass_grid = _sp.gammaincinv(shapes[:, None], mass * np.arange(1, panels) / panels)
-    width_grid = upper * np.arange(1, panels) / panels
-    inner = np.minimum(mass_grid[:, :1], width_grid[:, :1]) if panels > 1 else upper
-    origin_grid = inner * 4.0 ** (-np.arange(1, 33, dtype=float))
-    boundaries = np.sort(
-        np.concatenate(
-            [np.zeros_like(upper), origin_grid, mass_grid, width_grid, upper], axis=1
-        ),
-        axis=1,
-    )
-
-    half = 0.5 * np.diff(boundaries, axis=1)
-    mid = 0.5 * (boundaries[:, :-1] + boundaries[:, 1:])
-    nodes = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(shapes.size, -1)
-    weights = (half[:, :, None] * _GL_WEIGHTS).reshape(shapes.size, -1)
-    return nodes, weights
-
+    shape = _validated(shape, "shape", positive=True)
+    if not (0.0 < tail < 0.5):
+        raise DomainError(f"tail must lie in (0, 0.5), got {tail!r}")
+    return _sp.gammaincinv(shape, tail), _sp.gammainccinv(shape, tail)

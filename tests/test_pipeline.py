@@ -110,8 +110,8 @@ class TestStageOutputs:
         assert diagnostics["ep_distinct_columns"] == sum(
             np.unique(c, axis=1).shape[1] for c in chunks
         )
-        assert diagnostics["ep_max_panels"] == max(
-            ep_integration_stack(alpha[:, v:v + 1])[1]["max_panels"]
+        assert diagnostics["ep_max_nodes"] == max(
+            ep_integration_stack(alpha[:, v:v + 1])[1]["max_nodes"]
             for v in range(alpha.shape[1])
         )
 
@@ -286,13 +286,15 @@ class TestFailureHandling:
 
         with pytest.raises(ConfigError, match="nope_1.csv"):
             run(path, tmp_path / "out", ["cvlme"])
-    def test_missing_family_block_fails_only_lfe(self, tmp_path):
+    def test_missing_family_block_fails_before_any_stage(self, tmp_path):
+        from evidencer.errors import ConfigError
+
         config_path = build_toy_workspace(
             tmp_path / "ws", with_families=False, with_group=False
         )
-        manifest = run(config_path, tmp_path / "out", ["cvlme", "lfe"])
-        assert manifest["stages"]["cvlme"]["status"] == "ok"
-        assert manifest["stages"]["lfe"]["status"].startswith("failed")
+        with pytest.raises(ConfigError, match="stage 'lfe' needs a 'families' block"):
+            run(config_path, tmp_path / "out", ["cvlme", "lfe"])
+        assert not (tmp_path / "out").exists()
 
     def test_dependents_skipped(self, tmp_path):
         config_path = build_toy_workspace(tmp_path / "ws", with_group=True)
@@ -441,6 +443,21 @@ class TestCli:
             ({"model_prior": ["0.5", "0.5"]}, "model_prior"),
             ({"model_prior": [True, False]}, "model_prior"),
             ({"model_prior": ["nan", "nan"]}, "model_prior"),
+            ({"chunk_voxels": 2.5}, "chunk_voxels"),
+            ({"vb_max_iter": 2.5}, "vb_max_iter"),
+            ({"chunk_voxels": "7"}, "chunk_voxels"),
+            ({"alpha0": "1"}, "alpha0"),
+            (
+                {
+                    "models": [
+                        {"name": "m1", "design": ["X1_s1.csv"]},
+                        {"name": "m2", "design": ["X2_s1.csv"]},
+                    ],
+                    "data": ["Y_s1.csv"],
+                    "sessions": {"kind": "single", "scans": True},
+                },
+                "scans",
+            ),
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, patch, named):
@@ -452,6 +469,31 @@ class TestCli:
         assert code == 2
         assert named in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "argv, group_only, named",
+        [
+            (["cvlme"], True, "stage 'cvlme' needs a 'models' block"),
+            (["lfe"], True, "stage 'cvlme' needs a 'models' block"),
+            (["pipeline", "--stages", "bma"], True, "stage 'cvlme' needs a 'models' block"),
+            (["lfe"], False, "stage 'lfe' needs a 'families' block"),
+        ],
+    )
+    def test_stage_without_its_config_block_exit_code(
+        self, tmp_path, capsys, argv, group_only, named
+    ):
+        config_path = build_toy_workspace(
+            tmp_path / "ws",
+            with_families=False,
+            with_betas=not group_only,
+            extra_config={"models": [], "data": []} if group_only else None,
+        )
+        out = tmp_path / "o"
+        code = main([*argv, "--config", str(config_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "target, row, column, line, value",
@@ -599,16 +641,16 @@ class TestCli:
             ).read_bytes()
 
     def test_partial_failure_exit_code(self, tmp_path, capsys):
-        config_path = build_toy_workspace(
-            tmp_path / "ws", with_families=False, with_group=False
-        )
+        config_path = build_toy_workspace(tmp_path / "ws", with_group=False)
+        # cvlme succeeds; bma fails on a broken estimate file
+        (tmp_path / "ws" / "beta_m1_s1.csv").write_text("oops\n")
         code = main(
             [
                 "pipeline",
                 "--config",
                 str(config_path),
                 "--stages",
-                "cvlme,lfe",
+                "cvlme,bma",
                 "--out",
                 str(tmp_path / "o"),
             ]

@@ -232,11 +232,17 @@ class TestEpIntegration:
         assert np.all(np.diff(values) > 0)
 
     def test_tiny_concentration_with_zero_width_panels(self):
-        # the rules for shape 0.001 carry zero-weight nodes at the origin,
-        # where the integrand is undefined
+        # at shape 0.001 the lower Gamma quantile underflows to 0, so the
+        # domain's left end comes from the bound on the maximum's CDF
         alpha = np.array([0.001, 1.0])
         np.testing.assert_allclose(
             ep_one_voxel(alpha), ep_beta_closed_form(alpha), atol=1e-6
+        )
+
+    @pytest.mark.parametrize("alpha", [[0.001, 1.0], [0.05, 0.05]])
+    def test_small_concentrations_match_closed_form(self, alpha):
+        np.testing.assert_allclose(
+            ep_one_voxel(alpha), ep_beta_closed_form(alpha), rtol=0, atol=1e-10
         )
 
     def test_rejects_bad_alpha(self):
@@ -264,7 +270,7 @@ class TestEpStacks:
         alpha = np.exp(rng.uniform(np.log(0.1), np.log(60.0), size=(k, 40)))
         alpha[:, ::7] = rng.uniform(small, 2 * small, size=(k, 6))
         full, info = ep_integration_stack(alpha)
-        assert info["max_panels"] > 16
+        assert info["max_nodes"] > 16
         cuts = np.sort(rng.choice(np.arange(1, 40), size=6, replace=False))
         parts = [
             ep_integration_stack(piece)[0] for piece in np.split(alpha, cuts, axis=1)
@@ -275,25 +281,26 @@ class TestEpStacks:
     def test_escalating_column_inside_a_mixed_block(self):
         slow = np.array([0.15, 0.18, 0.1])
         phi, info = ep_integration_stack(slow[:, None])
-        assert info["max_panels"] > 16
+        assert info["max_nodes"] > 16
         rng = np.random.default_rng(23)
         alpha = rng.uniform(1.0, 20.0, size=(3, 30))
         alpha[:, 11] = slow
         ep, stack_info = ep_integration_stack(alpha)
         np.testing.assert_array_equal(ep[:, 11], phi[:, 0])
-        assert stack_info["max_panels"] == info["max_panels"]
+        assert stack_info["max_nodes"] == info["max_nodes"]
         assert stack_info["distinct_columns"] == 30
 
     def test_unstable_column_raises(self):
-        alpha = np.array([[2.0, 0.05, 3.0], [1.0, 0.05, 4.0]])
-        with pytest.raises(NumericalError, match="2048 panels"):
+        alpha = np.array([[2.0, 0.01, 3.0, 0.01], [1.0, 0.01, 4.0, 0.01]])
+        named = r"16385 nodes for concentrations \[0.01, 0.01\] \(first at input column {}\)"
+        with pytest.raises(NumericalError, match=named.format(1)):
             ep_integration_stack(alpha)
-        with pytest.raises(NumericalError, match="2048 panels"):
+        with pytest.raises(NumericalError, match=named.format(0)):
             ep_integration_stack(alpha[:, 1:2])
 
     def test_integration_matches_adaptive_quadrature(self):
         # tolerance fixed before the first run: an order of magnitude
-        # inside the 1e-8 convergence tolerance of the panel doubling
+        # inside the 1e-8 convergence tolerance of the step halving
         rng = np.random.default_rng(31)
         for k in range(2, 13):
             # concentrations within a factor e^0.3 of a centre, all in [0.5, 2000]
@@ -316,6 +323,57 @@ class TestEpStacks:
                     epsabs=1e-13, epsrel=1e-12, limit=400,
                 )
                 assert abs(phi[j] - exact) < 1e-9, (k, j, phi[j], exact)
+
+    @pytest.mark.parametrize(
+        "k, low, high",
+        [
+            (2, 0.5, 30.0),
+            (3, 0.5, 30.0),
+            (5, 0.5, 30.0),
+            (8, 0.5, 30.0),
+            (12, 0.5, 30.0),
+            (3, 0.02, 3.0),
+            (6, 0.02, 3.0),
+            (4, 0.05, 500.0),
+            (3, 1e3, 1e5),
+            (5, 198.0, 202.0),
+        ],
+    )
+    def test_matches_adaptive_quadrature_in_log_x(self, k, low, high):
+        # concentrations log-uniform in [low, high]; each row is integrated
+        # over t = log x, from below where the maximum's CDF bound
+        # x^(sum alpha) / prod Gamma(alpha_i + 1) is 1e-16 to above every
+        # model's 1 - 1e-16 quantile, split at every model's peak t = log alpha
+        rng = np.random.default_rng(int(k * high))
+        alpha = np.exp(rng.uniform(np.log(low), np.log(high), size=(k, 3)))
+        ep, _ = ep_integration_stack(alpha)
+        for a, phi in zip(alpha.T, ep.T):
+            lo = (np.log(1e-16) + special.gammaln(a + 1.0).sum()) / a.sum() - 1.0
+            hi = np.log(special.gammainccinv(a, 1e-16).max()) + 0.1
+            for j in range(k):
+                others = np.delete(a, j)
+
+                def integrand(t):
+                    with np.errstate(divide="ignore"):
+                        log_cdfs = np.log(special.gammainc(others, np.exp(t)))
+                    return np.exp(
+                        a[j] * t - np.exp(t) - special.gammaln(a[j]) + log_cdfs.sum()
+                    )
+
+                exact, _ = integrate.quad(
+                    integrand, lo, hi, points=np.log(a), epsabs=1e-14,
+                    epsrel=1e-12, limit=1000,
+                )
+                assert abs(phi[j] - exact) < 1e-9, (a.tolist(), j, phi[j], exact)
+
+    def test_near_equal_large_concentrations_take_few_nodes(self):
+        # the peak in log x is about 1 / sqrt(alpha) wide; the left end at
+        # the largest lower quantile keeps the domain near that width, and
+        # the sum check refines a column whose nodes step over the peak
+        alpha = np.array([[1e5, 2e5], [1.0001e5, 2.0002e5], [0.9999e5, 1.9998e5]])
+        ep, info = ep_integration_stack(alpha)
+        np.testing.assert_allclose(ep.sum(axis=0), 1.0, rtol=0, atol=1e-9)
+        assert info["max_nodes"] <= 65
 
     def test_large_stack_never_touches_sampling(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -1,4 +1,4 @@
-"""Special functions: reference values, recurrences, and quadrature checks.
+"""Special functions: reference values, recurrences, and tail quantiles.
 
 Frozen expected values were computed with mpmath at 30 decimal digits;
 integral oracles use scipy's adaptive quadrature over the target density,
@@ -14,7 +14,7 @@ from scipy import integrate
 from evidencer.errors import DomainError
 from evidencer.special import (
     digamma,
-    gamma_quadrature_grid,
+    gamma_tail_quantiles,
     log_gamma,
     log_sum_exp,
     reg_incomplete_beta,
@@ -217,57 +217,55 @@ class TestLogSumExp:
         assert abs(logs.mean() - (digamma(a) - np.log(b))) < 3 * log_se
 
 
-def gamma_rule(shape, **kwargs):
-    """The positive-weight nodes and weights of one grid row, masked as the
-    exceedance integration masks them."""
-    nodes, weights = gamma_quadrature_grid([shape], **kwargs)
-    keep = weights[0] > 0
-    return nodes[0, keep], weights[0, keep]
+def domain_integral(shape, power, tail=1e-12):
+    """The integral of ``x^power`` times the Gamma(shape, 1) density between
+    the two tail quantiles, by adaptive quadrature."""
+    lower, upper = gamma_tail_quantiles(shape, tail)
+    points = [shape - 1.0] if lower < shape - 1.0 < upper else None
+    value, _ = integrate.quad(
+        lambda q: q**power * gamma_pdf(q, shape), lower, upper,
+        points=points, epsabs=1e-13, epsrel=1e-12, limit=400,
+    )
+    return value
 
 
 class TestGammaQuadrature:
+    """The Gamma tail quantiles that bound each exceedance integration."""
+
     def test_domain_matches_exponential_quantile(self):
-        _, weights = gamma_rule(1.0, rel_tail=1e-12)
-        np.testing.assert_allclose(weights.sum(), -np.log(1e-12), rtol=1e-9)
+        lower, upper = gamma_tail_quantiles(1.0, 1e-12)
+        np.testing.assert_allclose(lower, -np.log1p(-1e-12), rtol=1e-9)
+        np.testing.assert_allclose(upper, -np.log(1e-12), rtol=1e-9)
 
     @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 7.0, 40.0, 300.0])
     def test_density_normalization(self, shape):
-        nodes, weights = gamma_rule(shape)
-        total = gamma_pdf(nodes, shape) @ weights
-        np.testing.assert_allclose(total, 1.0, atol=1e-10)
+        np.testing.assert_allclose(domain_integral(shape, 0), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 7.0, 40.0, 300.0])
     def test_mean_recovery(self, shape):
-        nodes, weights = gamma_rule(shape)
-        mean = (nodes * gamma_pdf(nodes, shape)) @ weights
-        np.testing.assert_allclose(mean, shape, atol=1e-8)
+        np.testing.assert_allclose(domain_integral(shape, 1), shape, atol=1e-8)
 
     def test_rule_invariants(self):
-        nodes, weights = gamma_rule(3.0)
-        assert np.all(np.diff(nodes) > 0)
-        assert np.all(weights > 0)
-        assert nodes[0] > 0.0
-        assert nodes[-1] < weights.sum()
+        lower, upper = gamma_tail_quantiles(3.0, 1e-12)
+        assert 0.0 < lower < 2.0 < upper
+        np.testing.assert_allclose(reg_lower_incomplete_gamma(3.0, lower), 1e-12, rtol=1e-9)
 
     def test_grid_rows_are_the_single_shape_rules(self):
         shapes = np.array([0.001, 0.3, 1.0, 7.0, 300.0])
-        nodes, weights = gamma_quadrature_grid(shapes, panels=8)
-        assert nodes.shape == weights.shape == (5, 16 * (2 * 8 + 31))
-        assert np.all(weights >= 0)
-        # at shape 0.001 the origin ladder underflows to repeated zero
-        # boundaries, which become zero-weight nodes
-        assert np.any(weights[0] == 0)
+        lower, upper = gamma_tail_quantiles(shapes, 1e-12)
+        assert lower.shape == upper.shape == (5,)
+        # at shape 0.001 the lower quantile, about 1e-12000, underflows
+        assert lower[0] == 0.0 and np.all(lower[1:] > 0)
         for i, shape in enumerate(shapes):
-            row_nodes, row_weights = gamma_quadrature_grid([shape], panels=8)
-            np.testing.assert_array_equal(row_nodes[0], nodes[i])
-            np.testing.assert_array_equal(row_weights[0], weights[i])
+            row = gamma_tail_quantiles(np.array([shape]), 1e-12)
+            np.testing.assert_array_equal(row, [lower[i:i + 1], upper[i:i + 1]])
 
     def test_invalid_construction(self):
         with pytest.raises(DomainError):
-            gamma_quadrature_grid([0.0])
+            gamma_tail_quantiles([0.0], 1e-12)
         with pytest.raises(DomainError):
-            gamma_quadrature_grid([1.0], rel_tail=0.5)
+            gamma_tail_quantiles([1.0], 0.5)
         with pytest.raises(DomainError):
-            gamma_quadrature_grid([1.0], panels=0)
+            gamma_tail_quantiles([1.0], 0.0)
         with pytest.raises(DomainError):
-            gamma_quadrature_grid([[1.0, 2.0]])
+            gamma_tail_quantiles([np.inf], 1e-12)
