@@ -319,15 +319,16 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _positive(raw: dict, key: str, default, kind=float):
+def _positive(raw: dict, key: str, default, kind=float, path=None):
     """``raw[key]`` (or ``default``) as a positive ``kind``: a finite JSON
     number for ``float``, a JSON integer for ``int``; anything else, booleans
-    and numeric strings included, raises :class:`ConfigError` naming the key."""
+    and numeric strings included, raises :class:`ConfigError` naming the key
+    by ``path`` (default ``key``)."""
     value = raw.get(key, default)
     what = "integer" if kind is int else "number"
     _require(
         _is_real(value) and (isinstance(value, int) or kind is float) and value > 0,
-        f"{key} must be a finite positive {what}, got {value!r}",
+        f"{path or key} must be a finite positive {what}, got {value!r}",
     )
     return kind(value)
 
@@ -406,7 +407,7 @@ def load_config(path) -> ModelSpaceConfig:
         _require(len(data) >= 1, "first-level analyses need response files in 'data'")
         if kind == "single":
             _require(len(data) == 1, "single-session mode takes exactly one response file")
-            _positive(sessions, "scans", None, int)
+            _positive(sessions, "scans", None, int, "sessions.scans")
         for m in models:
             _require(
                 len(m["design"]) == len(data),

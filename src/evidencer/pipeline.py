@@ -499,6 +499,10 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
             raise ConfigError(f"stage {stage!r} needs a {block!r} block in the config")
     _preflight(config, ordered)
     options.out_dir.mkdir(parents=True, exist_ok=True)
+    if {"bms", "ep"} & set(ordered):
+        # the group stages' first array call would import it: do so outside
+        # the stage timings and before any chunk worker thread
+        import scipy.special  # noqa: F401
 
     products: dict = {}
     statuses: dict = {}

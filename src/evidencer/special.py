@@ -6,15 +6,21 @@ gamma function, the digamma function, regularized incomplete gamma and beta
 integrals, the Gamma tail quantiles that bound an integration domain, and a
 max-shifted log-sum-exp.
 
-The scalar special functions are evaluated through scipy's cephes-backed
-ufuncs (13+ significant digits over the ranges used here); this module owns
-argument validation and error semantics.
+A scalar argument of :func:`log_gamma` or :func:`digamma` (a Python number,
+a numpy scalar or a 0-d array) is evaluated by the standard library:
+``math.lgamma`` and a short digamma series. Array arguments, and every
+argument of the other functions, go through scipy's ufuncs, and
+``scipy.special`` is imported on the first such call. The first-level
+stages need ln G and psi only at the Gamma shapes, which are scalars, so
+they never pay for that import (about 0.35 s). This module owns argument
+validation and error semantics.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError
 
@@ -52,13 +58,40 @@ def log_gamma(x) -> np.ndarray | float:
     or non-finite input.
     """
     arr = _validated(x, "x", positive=True)
-    return _scalar_or_array(_sp.gammaln(arr), x)
+    if arr.ndim == 0:
+        return math.lgamma(float(arr))
+    from scipy import special
+
+    return special.gammaln(arr)
 
 
 def digamma(x) -> np.ndarray | float:
     """Digamma function ``psi(x) = d/dx ln G(x)`` for ``x > 0``."""
     arr = _validated(x, "x", positive=True)
-    return _scalar_or_array(_sp.psi(arr), x)
+    if arr.ndim == 0:
+        return _scalar_digamma(float(arr))
+    from scipy import special
+
+    return special.psi(arr)
+
+
+# B_2k / 2k for k = 1..6: psi(x) ~ ln x - 1/(2x) - sum_k B_2k / (2k x^2k)
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)
+
+
+def _scalar_digamma(x: float) -> float:
+    """psi(x) for a finite x > 0: the recurrence psi(x) = psi(x + 1) - 1/x
+    up to x >= 16, then the asymptotic series through x**-12, whose next
+    term is below 2e-18 there."""
+    shift = 0.0
+    while x < 16.0:
+        shift += 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    series = 0.0
+    for c in reversed(_PSI_SERIES):
+        series = r * (c + series)
+    return math.log(x) - 0.5 / x - series - shift
 
 
 def reg_lower_incomplete_gamma(a, x) -> np.ndarray | float:
@@ -69,7 +102,9 @@ def reg_lower_incomplete_gamma(a, x) -> np.ndarray | float:
     """
     a_arr = _validated(a, "a", positive=True)
     x_arr = _validated(x, "x", nonneg=True)
-    return _scalar_or_array(_sp.gammainc(a_arr, x_arr), a, x)
+    from scipy import special
+
+    return _scalar_or_array(special.gammainc(a_arr, x_arr), a, x)
 
 
 def reg_incomplete_beta(x, a, b) -> np.ndarray | float:
@@ -81,7 +116,9 @@ def reg_incomplete_beta(x, a, b) -> np.ndarray | float:
         raise DomainError(f"x must be finite, got {x!r}")
     if np.any(x_arr < 0) or np.any(x_arr > 1):
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    return _scalar_or_array(_sp.betainc(a_arr, b_arr, x_arr), x, a, b)
+    from scipy import special
+
+    return _scalar_or_array(special.betainc(a_arr, b_arr, x_arr), x, a, b)
 
 
 def log_sum_exp(values, axis: int | None = None) -> np.ndarray | float:
@@ -127,4 +164,6 @@ def gamma_tail_quantiles(shape, tail: float) -> tuple[np.ndarray, np.ndarray]:
     shape = _validated(shape, "shape", positive=True)
     if not (0.0 < tail < 0.5):
         raise DomainError(f"tail must lie in (0, 0.5), got {tail!r}")
-    return _sp.gammaincinv(shape, tail), _sp.gammainccinv(shape, tail)
+    from scipy import special
+
+    return special.gammaincinv(shape, tail), special.gammainccinv(shape, tail)

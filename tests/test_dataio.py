@@ -327,7 +327,7 @@ class TestLoadConfig:
             load_config(path)
 
     def test_single_session_requires_scans(self, tmp_path):
-        with pytest.raises(ConfigError, match="scans"):
+        with pytest.raises(ConfigError, match=r"sessions\.scans"):
             load_config(
                 self._write(
                     tmp_path,

@@ -1,10 +1,16 @@
 """Pipeline orchestration, persistence contracts, and the CLI surface."""
 
+import contextlib
+import copy
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
 from helpers import build_toy_workspace
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from evidencer.cli import main
 from evidencer.dataio import load_config, load_matrix, save_matrix
@@ -23,6 +29,43 @@ STAGES = ("cvlme", "anc", "lfe", "bms", "ep", "bma")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("toy")
     return build_toy_workspace(root)
+
+
+# values of the wrong type or shape for some config entry
+_FUZZ_VALUES = (True, "7", -1, 2.5, [], {}, None, "nan", [[1.0, 2.0], [3.0]])
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """A toy workspace and a valid config that sets every optional key."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config_path = build_toy_workspace(
+        root,
+        extra_config={
+            "family_weights": {"simple": [1.0], "rich": [1.0]},
+            "model_prior": [0.5, 0.5],
+            "alpha0": 1.0,
+            "vb_tol": 1e-4,
+            "vb_max_iter": 200,
+            "chunk_voxels": 5,
+        },
+    )
+    return root, json.loads(config_path.read_text())
+
+
+def _config_paths(node, prefix=()) -> list:
+    """The key path of every entry below the root of a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append((*prefix, key))
+        paths.extend(_config_paths(child, (*prefix, key)))
+    return paths
 
 
 def run(config_path, out, stages, **kwargs):
@@ -469,6 +512,32 @@ class TestCli:
         assert code == 2
         assert named in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @seed(20180712)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_fuzzed_config_value_never_escapes(self, fuzz_workspace, data):
+        root, base = fuzz_workspace
+        path = data.draw(st.sampled_from(_config_paths(base)), label="path")
+        value = data.draw(st.sampled_from(_FUZZ_VALUES), label="value")
+        config = copy.deepcopy(base)
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        config_path = root / "fuzzed.json"
+        config_path.write_text(json.dumps(config))
+        out = root / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["pipeline", "--config", str(config_path), "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stdout.getvalue() + err
+        if code == 2:  # the message names the key, or the file name given
+            names = (path[0], path[0].rstrip("s"), value if isinstance(value, str) else None)
+            assert any(n and n in err for n in names), err
 
     @pytest.mark.parametrize(
         "argv, group_only, named",

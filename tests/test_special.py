@@ -5,11 +5,14 @@ integral oracles use scipy's adaptive quadrature over the target density,
 which shares no code path with the functions under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy import special as sp
 
 from evidencer.errors import DomainError
 from evidencer.special import (
@@ -85,6 +88,58 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(DomainError):
             digamma(-2.5)
+
+
+class TestScalarPath:
+    """Scalar ln Gamma and psi come from the standard library, arrays from
+    scipy; the two must agree to a few ulps wherever the package evaluates
+    them (Gamma shapes are half-integers in the first level)."""
+
+    @staticmethod
+    def arguments():
+        rng = np.random.default_rng(2018)
+        return np.concatenate(
+            [
+                np.arange(1, 4001) / 2.0,  # half-integers 0.5 ... 2000
+                np.exp(rng.uniform(np.log(1e-6), np.log(1e7), 20_000)),
+                np.linspace(1.40, 1.52, 4001),  # around psi's root at 1.4616
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "scalar, reference", [(log_gamma, sp.gammaln), (digamma, sp.psi)]
+    )
+    def test_matches_scipy(self, scalar, reference):
+        x = self.arguments()
+        expected = reference(x)
+        got = np.array([scalar(float(v)) for v in x])
+        np.testing.assert_array_less(
+            np.abs(got - expected), 4e-15 * np.maximum(1.0, np.abs(expected))
+        )
+
+    @pytest.mark.parametrize("function", [log_gamma, digamma])
+    def test_scalar_kinds_share_one_path(self, function):
+        for x in (1e-6, 0.5, 1.4616321449683623, 3.75, 142.5, 1e7):
+            results = [function(v) for v in (x, np.float64(x), np.array(x))]
+            assert all(type(r) is float for r in results)
+            assert results[0] == results[1] == results[2]
+
+    def test_scalar_log_gamma_is_the_standard_library(self):
+        for x in (0.5, 12.5, 300.0, 1e6):
+            assert log_gamma(x) == math.lgamma(x)
+
+    @pytest.mark.parametrize("function", [log_gamma, digamma])
+    def test_one_element_array_stays_an_array(self, function):
+        out = function(np.array([2.5]))
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+        assert out[0] == function(np.array([2.5, 7.0]))[0]
+
+    @pytest.mark.parametrize("function", [log_gamma, digamma])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_scalar_raises(self, function, bad):
+        for kind in (float, np.float64, np.array):
+            with pytest.raises(DomainError):
+                function(kind(bad))
 
 
 class TestRegLowerIncompleteGamma:
