@@ -39,10 +39,12 @@ from .errors import (
 from .family import FamilyPartition, log_family_evidence
 from .glm import (
     GlmSpec,
+    SessionStats,
     accuracy,
     complexity,
     log_model_evidence,
     posterior_update,
+    response_stats,
 )
 from .rfx import (
     DirichletPosterior,
@@ -76,6 +78,8 @@ __all__ = [
     "gamma_moments",
     # glm
     "GlmSpec",
+    "SessionStats",
+    "response_stats",
     "posterior_update",
     "log_model_evidence",
     "accuracy",

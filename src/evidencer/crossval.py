@@ -7,13 +7,14 @@ that trained posterior: by conjugacy it is a normal-gamma parameter set
 unchanged. Summing the per-fold out-of-sample quantities gives the
 cross-validated log model evidence and its accuracy/complexity split.
 
-Every term comes from per-session sufficient statistics, which keeps this
-O(S) rather than O(S^2) and each fold's work O(p^2 V): the statistics are
-additive, so each fold's training statistics are the totals minus the
-held-out session's; both the training and the all-data posterior are one
-:func:`~evidencer.glm.posterior_update` of summed statistics; and the
-fully-updated posterior (train block then test block) is the same all-data
-posterior for every fold, so it is computed once.
+Every term comes from per-session sufficient statistics, one
+:class:`~evidencer.glm.SessionStats` per model and session, which keeps
+this O(S) rather than O(S^2) and each fold's work O(p^2 V): the statistics
+add field by field, so each fold's training statistics are the totals
+minus the held-out session's; both the training and the all-data
+posterior are one :func:`~evidencer.glm.posterior_update` of summed
+statistics; and the fully-updated posterior (train block then test block)
+is the same all-data posterior for every fold, so it is computed once.
 
 Models are compared on the same data, so :func:`cv_lme_models` reads each
 session's response once: per session it groups the specs whose response
@@ -25,7 +26,6 @@ one :func:`~evidencer.glm.response_stats` pass, which checks the response.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .distributions import NgParams
 from .errors import DomainError, EstimationError, LayoutError
 from .glm import (
     GlmSpec,
+    SessionStats,
     accuracy,
     complexity,
     log_model_evidence,
@@ -131,12 +132,9 @@ def split_glm_spec(spec: GlmSpec, layout: SessionLayout) -> list:
         )
     out = []
     for start, stop in layout.sessions:
-        if spec.precision is None:
-            precision = None
-        elif spec.precision.ndim == 1:
-            precision = spec.precision[start:stop]
-        else:
-            precision = spec.precision[start:stop, start:stop]
+        precision = spec.precision
+        if precision is not None:
+            precision = precision[(slice(start, stop),) * precision.ndim]
         out.append(GlmSpec(Y=spec.Y[start:stop], X=spec.X[start:stop], precision=precision))
     return out
 
@@ -191,24 +189,10 @@ def _check_sessions(specs, layout: SessionLayout) -> None:
             )
 
 
-class _Totals(NamedTuple):
-    """Sufficient statistics summed over sessions; a valid input to
-    :func:`~evidencer.glm.posterior_update`."""
-
-    xtpx: np.ndarray
-    xtpy: np.ndarray
-    ytpy: np.ndarray
-    n: int
-
-
-def _totals(specs) -> _Totals:
-    return _Totals(*(sum(getattr(s, f) for s in specs) for f in _Totals._fields))
-
-
-def _posterior(stats: _Totals, label: str) -> NgParams:
+def _posterior(stats: SessionStats, label: str) -> NgParams:
     """Posterior of summed statistics under the non-informative prior."""
     try:
-        return posterior_update(stats, NgParams.noninformative(stats.xtpy.shape[0]))
+        return posterior_update(stats, NgParams.noninformative(stats.p))
     except EstimationError as exc:
         raise EstimationError(f"{label} block: {exc}") from None
 
@@ -220,32 +204,32 @@ def _memory_key(a: np.ndarray | None):
     return a.__array_interface__["data"][0], a.shape, a.strides
 
 
-def _share_response_stats(models, n_folds: int) -> None:
-    """Give every session's specs their response statistics from one
-    :func:`~evidencer.glm.response_stats` pass per distinct (response,
-    precision) memory, so models built on the same arrays read each
-    session's response once. Specs whose statistics are already formed are
-    left as they are."""
+def _session_stats(models, n_folds: int) -> dict:
+    """Each model's per-session :class:`~evidencer.glm.SessionStats`, from
+    one :func:`~evidencer.glm.response_stats` pass per session and per
+    distinct (response, precision) memory, so models built on the same
+    arrays read each session's response once."""
+    stats = {name: [] for name in models}
     for s in range(n_folds):
         groups = {}
-        for specs in models.values():
-            spec = specs[s]
-            if "_y_stats" not in vars(spec):
-                key = _memory_key(spec.Y), _memory_key(spec.precision)
-                groups.setdefault(key, []).append(spec)
-        for group in groups.values():
-            y, precision = group[0].Y, group[0].precision
+        for name, specs in models.items():
+            key = _memory_key(specs[s].Y), _memory_key(specs[s].precision)
+            groups.setdefault(key, []).append(name)
+        for names in groups.values():
+            first = models[names[0]][s]
+            designs = [models[name][s].X for name in names]
             try:
-                xtpys, ytpy = response_stats(y, [g.X for g in group], precision)
+                found = response_stats(first.Y, designs, first.precision)
             except DomainError as exc:
                 raise DomainError(f"session {s + 1}: {exc}") from None
-            for spec, xtpy in zip(group, xtpys):
-                spec._y_stats = xtpy, ytpy
+            for name, session in zip(names, found):
+                stats[name].append(session)
+    return stats
 
 
-def _oos_fold(specs, fold: int, totals: _Totals, post_all: NgParams, label: str):
-    held = specs[fold]
-    train = _Totals(*(t - getattr(held, f) for t, f in zip(totals, _Totals._fields)))
+def _oos_fold(stats, fold: int, total: SessionStats, post_all: NgParams, label: str):
+    held = stats[fold]
+    train = SessionStats(*(t - h for t, h in zip(total, held)))
     # conjugacy: the training posterior is the held-out session's prior
     train_prior = _posterior(train, f"{label}fold {fold + 1} training")
     lme = log_model_evidence(held, train_prior, post_all)
@@ -254,19 +238,19 @@ def _oos_fold(specs, fold: int, totals: _Totals, post_all: NgParams, label: str)
     return lme, acc, com
 
 
-def _model_folds(specs, layout: SessionLayout, name: str):
+def _model_folds(stats, name: str):
     """One model's out-of-sample (lme, acc, com) as a (3, folds, voxels)
     array, and the per-voxel round-off bound on their fold sums' acc - com
     - lme gap."""
     label = f"model {name!r}, "
-    totals = _totals(specs)
-    post_all = _posterior(totals, f"{label}all-data")
+    total = SessionStats(*(sum(field) for field in zip(*stats)))
+    post_all = _posterior(total, f"{label}all-data")
     folds = np.stack(
-        [_oos_fold(specs, i, totals, post_all, label) for i in range(layout.n_folds)],
+        [_oos_fold(stats, i, total, post_all, label) for i in range(len(stats))],
         axis=1,
     )
     scale = np.finfo(float).eps * post_all.a / post_all.b
-    return folds, scale * sum(s.n * s.ytpy for s in specs)
+    return folds, scale * sum(s.n * s.ytpy for s in stats)
 
 
 def cv_lme_models(models, layout: SessionLayout) -> CvResult:
@@ -282,19 +266,19 @@ def cv_lme_models(models, layout: SessionLayout) -> CvResult:
     bound, floored at 1e-8, is the result's ``acc_com_tol``.
 
     Models whose session specs view the same response (and precision)
-    arrays share one statistics pass per session. Messages count sessions
-    and folds from 1, like the ``oos*_fold<i>.csv`` files: a rejected
-    response or a scan count that disagrees with the layout names its
-    session, and a failed update names the model and the block (``fold i
-    training`` or ``all-data``).
+    arrays share one statistics pass per session; the specs are left as
+    they are. Messages count sessions and folds from 1, like the
+    ``oos*_fold<i>.csv`` files: a rejected response or a scan count that
+    disagrees with the layout names its session, and a failed update names
+    the model and the block (``fold i training`` or ``all-data``).
     """
     if not models:
         raise DomainError("cv_lme_models needs at least one model")
     names = tuple(models)
     for n in names:
         _check_sessions(models[n], layout)
-    _share_response_stats(models, layout.n_folds)
-    folds, bounds = zip(*(_model_folds(models[n], layout, n) for n in names))
+    stats = _session_stats(models, layout.n_folds)
+    folds, bounds = zip(*(_model_folds(stats[n], n) for n in names))
     # (3, folds, models, voxels); fold sums add the folds in order
     oos = np.stack(folds, axis=2)
     tol = np.maximum(_ACC_COM_FLOOR, np.stack(bounds))

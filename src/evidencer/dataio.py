@@ -37,7 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .bma import _prior_weights
+from .errors import ConfigError, DomainError, ParseError
 
 __all__ = [
     "LabeledMatrix",
@@ -344,6 +345,21 @@ def _is_real(value) -> bool:
         return False
 
 
+def _weights(value, n: int, what: str, unit: str) -> tuple:
+    """``value`` as floats if it is ``n`` JSON numbers, one per ``unit``,
+    that meet the prior-weight rule of :func:`~evidencer.bma._prior_weights`;
+    anything else raises :class:`ConfigError` naming ``what``."""
+    _require(
+        isinstance(value, list) and len(value) == n and all(_is_real(w) for w in value),
+        f"{what} needs one number per {unit} ({n}), got {value!r}",
+    )
+    try:
+        _prior_weights(value, n, what)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    return tuple(float(w) for w in value)
+
+
 def _file_list(value, what: str) -> tuple:
     """A JSON list of file names as a tuple; anything else is a ConfigError."""
     _require(
@@ -453,24 +469,11 @@ def load_config(path) -> ModelSpaceConfig:
         )
         for fam, weights in family_weights.items():
             _require(fam in families, f"family_weights names unknown family {fam!r}")
-            _require(
-                isinstance(weights, list)
-                and len(weights) == len(families[fam])
-                and all(_is_real(w) for w in weights),
-                f"family_weights entry {fam!r} needs one number per member "
-                f"({len(families[fam])}), got {weights!r}",
-            )
+            _weights(weights, len(families[fam]), f"family_weights entry {fam!r}", "member")
 
     model_prior = raw.get("model_prior")
     if model_prior is not None:
-        _require(
-            isinstance(model_prior, list)
-            and len(model_prior) == len(models)
-            and all(_is_real(w) for w in model_prior),
-            f"model_prior needs one number per model ({len(models)}), got "
-            f"{model_prior!r}",
-        )
-        model_prior = tuple(float(w) for w in model_prior)
+        model_prior = _weights(model_prior, len(models), "model_prior", "model")
 
     betas = raw.get("betas")
     if betas is not None:

@@ -10,16 +10,16 @@ cheap. The posterior is conjugate, an :class:`~evidencer.distributions.NgParams`
 with ``(p, V)`` means and ``(V,)`` rates, so it is also a valid prior for a
 further update.
 
-The conjugate update and every evidence term read a session only through
-its sufficient statistics ``xtpx = X'PX``, ``xtpy = X'PY``, the per-voxel
-``ytpy = y'Py``, the scan count ``n`` and ``logdet_precision``, so once
-those are formed the per-voxel work is O(p^2) whatever the scan count.
-The response-side statistics come from :func:`response_stats`, one pass
-over ``Y`` that serves any number of designs on the same response and
-precision; a single spec calls it with its one design, and it checks the
-response per voxel (a spec checks only its design and precision). The
-posterior mean is solved with the Cholesky factor of its precision by
-forward and back substitution.
+A spec holds inputs only. The conjugate update and every evidence term
+read a session through one :class:`SessionStats`: ``xtpx = X'PX``,
+``xtpy = X'PY``, the per-voxel ``ytpy = y'Py``, the scan count ``n`` and
+``logdet_precision = log|P|``, so once those are formed the per-voxel work
+is O(p^2) whatever the scan count. They come from :func:`response_stats`,
+one pass over ``Y`` that serves any number of designs on the same response
+and precision and checks the response per voxel (a spec checks only its
+design and precision). The fields add over sessions, so summed statistics
+are as valid an input as one session's. The posterior mean is solved with
+the Cholesky factor of its precision by forward and back substitution.
 
 The three evidence quantities exposed here satisfy, per voxel and exactly
 in the algebra, ``log_model_evidence = accuracy - complexity``: accuracy is
@@ -29,8 +29,8 @@ posterior from the prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .special import digamma, log_gamma
 
 __all__ = [
     "GlmSpec",
+    "SessionStats",
     "response_stats",
     "posterior_update",
     "log_model_evidence",
@@ -73,9 +74,6 @@ class GlmSpec:
     Y: np.ndarray
     X: np.ndarray
     precision: np.ndarray | None = None
-    _chol: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=float)
@@ -120,7 +118,7 @@ class GlmSpec:
                 if self.precision.shape != (n, n):
                     raise DomainError("precision matrix must be (n, n)")
                 _check_symmetric(self.precision, "precision")
-                self._chol = _cholesky(self.precision, "precision")
+                _cholesky(self.precision, "precision")
             else:
                 raise DomainError("precision must be a vector or a matrix")
 
@@ -136,39 +134,29 @@ class GlmSpec:
     def n_voxels(self) -> int:
         return self.Y.shape[1]
 
-    def apply_precision(self, m: np.ndarray) -> np.ndarray:
-        """Left-multiply an (n, .) array by the precision matrix."""
-        return _apply_precision(self.precision, m)
 
-    @cached_property
-    def logdet_precision(self) -> float:
-        if self.precision is None:
-            return 0.0
-        if self.precision.ndim == 1:
-            return float(np.sum(np.log(self.precision)))
-        return _logdet_from_chol(self._chol)
+class SessionStats(NamedTuple):
+    """A session's sufficient statistics: ``X'PX`` (p x p), ``X'PY``
+    (p x V), the per-voxel ``y'Py`` (V,), the scan count and ``log|P|``.
+    Every field adds over sessions, so a field-by-field sum is the
+    statistics of the joined sessions, and a difference removes one."""
 
-    @cached_property
-    def xtpx(self) -> np.ndarray:
-        return self.X.T @ self.apply_precision(self.X)
-
-    @cached_property
-    def _y_stats(self) -> tuple:
-        # (xtpy, ytpy); cv_lme_models fills it from one pass shared by the
-        # specs that view the same response and precision
-        (xtpy,), ytpy = response_stats(self.Y, [self.X], self.precision)
-        return xtpy, ytpy
+    xtpx: np.ndarray
+    xtpy: np.ndarray
+    ytpy: np.ndarray
+    n: int
+    logdet_precision: float
 
     @property
-    def xtpy(self) -> np.ndarray:
-        return self._y_stats[0]
+    def p(self) -> int:
+        return self.xtpy.shape[0]
 
     @property
-    def ytpy(self) -> np.ndarray:
-        return self._y_stats[1]
+    def n_voxels(self) -> int:
+        return self.xtpy.shape[1]
 
 
-def _apply_precision(precision: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+def _precision_times(precision: np.ndarray | None, m: np.ndarray) -> np.ndarray:
     if precision is None:
         return m
     if precision.ndim == 1:
@@ -176,20 +164,21 @@ def _apply_precision(precision: np.ndarray | None, m: np.ndarray) -> np.ndarray:
     return precision @ m
 
 
-def response_stats(Y: np.ndarray, designs, precision=None) -> tuple:
-    """The response statistics of several designs from one pass over ``Y``.
+def response_stats(Y: np.ndarray, designs, precision=None) -> list:
+    """One :class:`SessionStats` per design in ``designs``, from one pass
+    over ``Y``.
 
-    Returns ``([X_1'PY, X_2'PY, ...], ytpy)`` for the ``(n, p_i)`` designs
-    in ``designs``. ``P Y`` and the per-voxel ``y'Py`` are formed once, and
+    The ``(n, p_i)`` designs share the response ``Y`` and the precision.
+    ``P Y``, the per-voxel ``y'Py`` and ``log|P|`` are formed once, and
     ``X'PY`` of every design comes from one product over the designs'
     distinct columns, then row selections. The product runs over stacks of
     four columns, zero-padded, so BLAS always sees the same operand shapes:
     it picks its kernels by shape, and kernels for different shapes round
-    differently. A design's rows are thus bit-identical whether it is alone
-    or shares the pass. A non-finite ``y'Py`` (a non-finite cell, or an
-    overflow) raises :class:`DomainError` naming the voxels.
+    differently. A design's statistics are thus bit-identical whether it is
+    alone or shares the pass. A non-finite ``y'Py`` (a non-finite cell, or
+    an overflow) raises :class:`DomainError` naming the voxels.
     """
-    py = _apply_precision(precision, Y)
+    py = _precision_times(precision, Y)
     ytpy = np.einsum("nv,nv->v", Y, py)
     bad = np.flatnonzero(~np.isfinite(ytpy))
     if bad.size:
@@ -209,7 +198,18 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> tuple:
     xtpy = np.concatenate(
         [stacked[i:i + _STACK] @ py for i in range(0, len(stacked), _STACK)]
     )
-    return [xtpy[r] for r in rows], ytpy
+    if precision is None:
+        logdet = 0.0
+    elif precision.ndim == 1:
+        logdet = float(np.sum(np.log(precision)))
+    else:
+        logdet = _logdet_from_chol(_cholesky(precision, "precision"))
+    return [
+        SessionStats(
+            x.T @ _precision_times(precision, x), xtpy[r], ytpy, Y.shape[0], logdet
+        )
+        for x, r in zip(designs, rows)
+    ]
 
 
 def _prior_mu_matrix(prior: NgParams, n_voxels: int) -> np.ndarray:
@@ -232,18 +232,16 @@ def _prior_b_vector(prior: NgParams, n_voxels: int) -> np.ndarray:
     return b
 
 
-def posterior_update(spec: GlmSpec, prior: NgParams) -> NgParams:
+def posterior_update(stats: SessionStats, prior: NgParams) -> NgParams:
     """Conjugate normal-gamma update for all voxels in one pass.
 
-    Reads only ``xtpx``, ``xtpy``, ``ytpy`` and ``n`` from ``spec``, so
-    statistics summed over several sessions are as valid an input as one
-    :class:`GlmSpec`. The prior may be the non-informative instance (all
-    zeros), any proper parameter set, or the posterior of a previous update;
-    chained updates on disjoint data blocks commute with a single update on
-    the concatenated data. The posterior carries the Cholesky factor of its
-    ``lam``.
+    ``stats`` may be one session's or several sessions' summed. The prior
+    may be the non-informative instance (all zeros), any proper parameter
+    set, or the posterior of a previous update; chained updates on disjoint
+    data blocks commute with a single update on the concatenated data. The
+    posterior carries the Cholesky factor of its ``lam``.
     """
-    p, V = spec.xtpy.shape
+    p, V = stats.p, stats.n_voxels
     if prior.dim != p:
         raise DomainError(
             f"prior dimension {prior.dim} does not match design columns {p}"
@@ -252,7 +250,7 @@ def posterior_update(spec: GlmSpec, prior: NgParams) -> NgParams:
     b0 = _prior_b_vector(prior, V)
     lam0 = prior.lam
 
-    lambda_n = spec.xtpx + lam0
+    lambda_n = stats.xtpx + lam0
     try:
         chol = _cholesky(lambda_n, "lambda_n")
     except DecompositionError:
@@ -263,12 +261,12 @@ def posterior_update(spec: GlmSpec, prior: NgParams) -> NgParams:
                 "rank-deficient"
             ) from None
         raise
-    mu_n = _chol_solve(chol, spec.xtpy + lam0 @ mu0)
+    mu_n = _chol_solve(chol, stats.xtpy + lam0 @ mu0)
 
     quad_prior = np.einsum("pv,pv->v", mu0, lam0 @ mu0)
     quad_post = np.einsum("pv,pv->v", mu_n, lambda_n @ mu_n)
-    a_n = prior.a + spec.n / 2.0
-    b_n = b0 + 0.5 * (spec.ytpy + quad_prior - quad_post)
+    a_n = prior.a + stats.n / 2.0
+    b_n = b0 + 0.5 * (stats.ytpy + quad_prior - quad_post)
     bad = np.flatnonzero(b_n <= 0)
     if bad.size:
         raise EstimationError(
@@ -279,14 +277,14 @@ def posterior_update(spec: GlmSpec, prior: NgParams) -> NgParams:
     return NgParams(mu=mu_n, lam=lambda_n, a=a_n, b=b_n, _chol=chol)
 
 
-def _check_shape(spec: GlmSpec, post: NgParams) -> None:
-    if post.mu.shape != (spec.p, spec.n_voxels):
-        raise DomainError("posterior shape does not match the data spec")
+def _check_shape(stats: SessionStats, post: NgParams) -> None:
+    if post.mu.shape != (stats.p, stats.n_voxels):
+        raise DomainError("posterior shape does not match the statistics")
 
 
-def _check_consistency(spec: GlmSpec, prior: NgParams, post: NgParams) -> None:
-    _check_shape(spec, post)
-    expected_a = prior.a + spec.n / 2.0
+def _check_consistency(stats: SessionStats, prior: NgParams, post: NgParams) -> None:
+    _check_shape(stats, post)
+    expected_a = prior.a + stats.n / 2.0
     if abs(post.a - expected_a) > 1e-9 * max(1.0, expected_a):
         raise DomainError(
             f"posterior shape a={post.a} is inconsistent with prior and "
@@ -294,18 +292,18 @@ def _check_consistency(spec: GlmSpec, prior: NgParams, post: NgParams) -> None:
         )
 
 
-def log_model_evidence(spec: GlmSpec, prior: NgParams, post: NgParams) -> np.ndarray:
+def log_model_evidence(stats: SessionStats, prior: NgParams, post: NgParams) -> np.ndarray:
     """Per-voxel log marginal likelihood of the data under the model.
 
     Requires a strictly proper prior (the non-informative instance has an
     infinite log-determinant penalty and is rejected).
     """
     prior.require_proper("log_model_evidence")
-    _check_consistency(spec, prior, post)
-    b0 = _prior_b_vector(prior, spec.n_voxels)
+    _check_consistency(stats, prior, post)
+    b0 = _prior_b_vector(prior, stats.n_voxels)
     return (
-        0.5 * spec.logdet_precision
-        - 0.5 * spec.n * _LOG_2PI
+        0.5 * stats.logdet_precision
+        - 0.5 * stats.n * _LOG_2PI
         + 0.5 * prior.logdet_lam()
         - 0.5 * post.logdet_lam()
         + log_gamma(post.a)
@@ -315,7 +313,7 @@ def log_model_evidence(spec: GlmSpec, prior: NgParams, post: NgParams) -> np.nda
     )
 
 
-def accuracy(spec: GlmSpec, post: NgParams) -> np.ndarray:
+def accuracy(stats: SessionStats, post: NgParams) -> np.ndarray:
     """Per-voxel posterior expected log-likelihood of the data.
 
     The residual quadratic form ``(y - X mu)' P (y - X mu)`` is expanded
@@ -323,24 +321,24 @@ def accuracy(spec: GlmSpec, post: NgParams) -> np.ndarray:
     O(n p) and accepts the same cancellation at high SNR as the posterior
     rate ``b``.
     """
-    _check_shape(spec, post)
+    _check_shape(stats, post)
     if post.a <= 0 or np.any(post.b <= 0):
         raise DomainError("accuracy requires a proper posterior")
     mu = post.mu
     quad = (
-        spec.ytpy
-        - 2.0 * np.einsum("pv,pv->v", mu, spec.xtpy)
-        + np.einsum("pv,pv->v", mu, spec.xtpx @ mu)
+        stats.ytpy
+        - 2.0 * np.einsum("pv,pv->v", mu, stats.xtpy)
+        + np.einsum("pv,pv->v", mu, stats.xtpx @ mu)
     )
     chol = post.chol_lam()
-    w = np.linalg.solve(chol, spec.xtpx)
+    w = np.linalg.solve(chol, stats.xtpx)
     trace = float(np.trace(np.linalg.solve(chol.T, w)))
     return (
         -0.5 * (post.a / post.b) * quad
         - 0.5 * trace
-        + 0.5 * spec.logdet_precision
-        - 0.5 * spec.n * _LOG_2PI
-        + 0.5 * spec.n * (digamma(post.a) - np.log(post.b))
+        + 0.5 * stats.logdet_precision
+        - 0.5 * stats.n * _LOG_2PI
+        + 0.5 * stats.n * (digamma(post.a) - np.log(post.b))
     )
 
 

@@ -28,6 +28,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -487,8 +488,9 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
     """Run the requested stages plus their dependencies; return the manifest.
 
     A stage whose config block is missing raises :class:`ConfigError`
-    before any file is read. Stage failures are recorded, not raised;
-    dependents of a failed stage are skipped. The manifest (and
+    before any file is read. Stage failures are recorded, not raised, an
+    exception other than :class:`EvidencerError` as an internal error with
+    its traceback; dependents of a failed stage are skipped. The manifest (and
     ``timings.csv``) is written even when stages fail.
     """
     deps = _dependencies(config)
@@ -527,10 +529,17 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
             marks.append(time.perf_counter())
             for name, table in result.tables.items():
                 table.save(options.out_dir / name)
-        except Exception as exc:  # noqa: BLE001 - per-stage isolation
+        except EvidencerError as exc:
             statuses[stage] = {
                 "status": f"failed: {type(exc).__name__}: {exc}",
                 "outputs": [],
+            }
+            continue
+        except Exception as exc:  # noqa: BLE001 - a fault of the program
+            statuses[stage] = {
+                "status": f"failed: internal error: {type(exc).__name__}: {exc}",
+                "outputs": [],
+                "traceback": traceback.format_exc().splitlines(),
             }
             continue
         finally:

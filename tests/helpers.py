@@ -22,7 +22,7 @@ from scipy.special import gammaln as _oracle_lgamma
 from evidencer.dataio import LabeledMatrix
 from evidencer.distributions import NgParams
 from evidencer.errors import ParseError
-from evidencer.glm import GlmSpec
+from evidencer.glm import GlmSpec, SessionStats, response_stats
 from evidencer.rfx import DirichletPosterior, ep_integration_stack
 
 
@@ -69,20 +69,44 @@ def random_proper_instance(rng, n=None, p=None, v=None, precision_kind=None):
     return spec, prior
 
 
+def stats_of(spec: GlmSpec) -> SessionStats:
+    """The sufficient statistics of one spec, from its own response pass."""
+    (stats,) = response_stats(spec.Y, [spec.X], spec.precision)
+    return stats
+
+
+def times_precision(precision, m: np.ndarray) -> np.ndarray:
+    if precision is None:
+        return m
+    if precision.ndim == 1:
+        return precision[:, None] * m
+    return precision @ m
+
+
 def accuracy_by_residual(spec: GlmSpec, post) -> np.ndarray:
     """Reference accuracy from the full n x V residual matrix.
 
     The package expands the residual quadratic form over sufficient
     statistics; this keeps the direct ``(y - X mu)' P (y - X mu)`` form,
-    which loses nothing to cancellation when the fit is near perfect.
+    which loses nothing to cancellation when the fit is near perfect. It
+    forms ``P resid``, ``X'PX`` and ``log|P|`` from the spec's inputs, not
+    from the package's statistics pass.
     """
+    precision = spec.precision
     resid = spec.Y - spec.X @ post.mu
-    quad = np.einsum("nv,nv->v", resid, spec.apply_precision(resid))
-    trace = float(np.trace(np.linalg.solve(post.lam, spec.xtpx)))
+    quad = np.einsum("nv,nv->v", resid, times_precision(precision, resid))
+    xtpx = spec.X.T @ times_precision(precision, spec.X)
+    if precision is None:
+        logdet_p = 0.0
+    elif precision.ndim == 1:
+        logdet_p = float(np.sum(np.log(precision)))
+    else:
+        logdet_p = float(np.linalg.slogdet(precision)[1])
+    trace = float(np.trace(np.linalg.solve(post.lam, xtpx)))
     return (
         -0.5 * (post.a / post.b) * quad
         - 0.5 * trace
-        + 0.5 * spec.logdet_precision
+        + 0.5 * logdet_p
         - 0.5 * spec.n * np.log(2.0 * np.pi)
         + 0.5 * spec.n * (_oracle_digamma(post.a) - np.log(post.b))
     )

@@ -15,6 +15,7 @@ from helpers import (
     ep_one_voxel,
     lme_by_quadrature,
     random_proper_instance,
+    stats_of,
 )
 
 from evidencer.bma import BetaStack, cv_bma, oos_bma, posterior_probabilities
@@ -64,9 +65,10 @@ def test_criterion_01_lme_identity():
     worst = 0.0
     for _ in range(1000):
         spec, prior = random_proper_instance(rng)
-        post = posterior_update(spec, prior)
-        lme = log_model_evidence(spec, prior, post)
-        gap = np.abs(lme - (accuracy(spec, post) - complexity(prior, post)))
+        stats = stats_of(spec)
+        post = posterior_update(stats, prior)
+        lme = log_model_evidence(stats, prior, post)
+        gap = np.abs(lme - (accuracy(stats, post) - complexity(prior, post)))
         worst = max(worst, float(gap.max()))
     elapsed = time.perf_counter() - started
     assert worst < 1e-8
@@ -86,8 +88,8 @@ def test_criterion_02_posterior_chaining():
             prior = NgParams.noninformative(p)
         cut = int(rng.integers(p + 1, n - p))
         spec, first, second = split_spec(spec, cut)
-        chained = posterior_update(second, posterior_update(first, prior))
-        joint = posterior_update(spec, prior)
+        chained = posterior_update(stats_of(second), posterior_update(stats_of(first), prior))
+        joint = posterior_update(stats_of(spec), prior)
         np.testing.assert_allclose(chained.mu, joint.mu, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(chained.lam, joint.lam, rtol=1e-10)
         np.testing.assert_allclose(chained.b, joint.b, rtol=1e-10)
@@ -114,8 +116,9 @@ def test_criterion_03_brute_force_evidence_oracle():
             b=float(rng.uniform(0.6, 3.0)),
         )
         spec = GlmSpec(Y=y, X=x)
-        post = posterior_update(spec, prior)
-        lme = float(log_model_evidence(spec, prior, post)[0])
+        stats = stats_of(spec)
+        post = posterior_update(stats, prior)
+        lme = float(log_model_evidence(stats, prior, post)[0])
         worst_lme = max(worst_lme, abs(lme - lme_by_quadrature(y, x, prior)))
 
     worst_oos = 0.0
@@ -126,7 +129,7 @@ def test_criterion_03_brute_force_evidence_oracle():
         specs = [GlmSpec(Y=y1, X=x1), GlmSpec(Y=y2, X=x2)]
         layout = SessionLayout.from_counts([n, n])
         lme = cv_lme_models({"m": specs}, layout).oos_lme[1, 0]
-        train_prior = posterior_update(specs[0], NgParams.noninformative(1))
+        train_prior = posterior_update(stats_of(specs[0]), NgParams.noninformative(1))
         oracle = lme_by_quadrature(y2, x2, train_prior)
         worst_oos = max(worst_oos, abs(float(lme[0]) - oracle))
     elapsed = time.perf_counter() - started
@@ -144,7 +147,7 @@ def test_criterion_04_complexity_decomposition():
     worst = 0.0
     for _ in range(500):
         spec, prior = random_proper_instance(rng, v=1)
-        post = posterior_update(spec, prior)
+        post = posterior_update(stats_of(spec), prior)
         com = float(complexity(prior, post)[0])
         tau_bar, _ = gamma_moments(post.a, float(post.b[0]))
         beta_part = kl_mvn(

@@ -7,6 +7,7 @@ from helpers import (
     improper_evidence_by_quadrature,
     random_design,
     random_precision,
+    stats_of,
 )
 
 import evidencer.crossval
@@ -122,7 +123,7 @@ class TestOosLme:
             layout = SessionLayout.from_counts([n, n])
             lme = cv_lme_models({"m": specs}, layout).oos_lme[1, 0]
 
-            train_post = posterior_update(specs[0], NgParams.noninformative(1))
+            train_post = posterior_update(stats_of(specs[0]), NgParams.noninformative(1))
             from helpers import lme_by_quadrature
 
             oracle = lme_by_quadrature(
@@ -175,10 +176,11 @@ class TestCvLme:
             prior = NgParams.noninformative(specs[0].p)
             post = None
             for block in train:
-                post = posterior_update(block, prior)
+                post = posterior_update(stats_of(block), prior)
                 prior = post
-            test_post = posterior_update(specs[fold], prior)
-            naive = log_model_evidence(specs[fold], prior, test_post)
+            held_stats = stats_of(specs[fold])
+            test_post = posterior_update(held_stats, prior)
+            naive = log_model_evidence(held_stats, prior, test_post)
             np.testing.assert_allclose(
                 result.oos_lme[fold, 0], naive, rtol=1e-10, atol=1e-10
             )
@@ -324,14 +326,19 @@ class TestSharedResponsePass:
         cv_lme_models(models, layout)
         assert len(calls) == per_session * layout.n_folds
 
-    def test_formed_statistics_are_kept(self, monkeypatch):
+    @pytest.mark.parametrize("single", [False, True], ids=["multi", "split"])
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_specs_are_left_as_they_are(self, precision_kind, single):
         rng = np.random.default_rng(62)
-        models, layout = nested_models(rng, "identity", False, copies=False)
-        formed = models["m2"][1].xtpy
-        calls = count_stats_calls(monkeypatch)
+        models, layout = nested_models(rng, precision_kind, single, copies=False)
+        before = {
+            name: [dict(vars(spec)) for spec in specs] for name, specs in models.items()
+        }
         cv_lme_models(models, layout)
-        assert models["m2"][1].xtpy is formed
-        assert len(calls) == layout.n_folds
+        for name, specs in models.items():
+            for spec, attributes in zip(specs, before[name]):
+                assert vars(spec).keys() == attributes.keys()
+                assert all(vars(spec)[k] is v for k, v in attributes.items())
 
 
 class TestFailureLocation:
@@ -400,7 +407,7 @@ class TestHighSnrAccuracy:
         everything = GlmSpec(
             Y=np.vstack([s.Y for s in specs]), X=np.vstack([s.X for s in specs])
         )
-        post = posterior_update(everything, NgParams.noninformative(2))
+        post = posterior_update(stats_of(everything), NgParams.noninformative(2))
         resid = everything.Y - everything.X @ post.mu
         centered = everything.Y - everything.Y.mean(axis=0)
         r2 = 1.0 - (resid**2).sum(axis=0) / (centered**2).sum(axis=0)
@@ -409,8 +416,9 @@ class TestHighSnrAccuracy:
 
         eps = np.finfo(float).eps
         for held in specs:
-            gap = np.abs(accuracy(held, post) - accuracy_by_residual(held, post))
-            bound = n * eps * (post.a / post.b) * held.ytpy
+            stats = stats_of(held)
+            gap = np.abs(accuracy(stats, post) - accuracy_by_residual(held, post))
+            bound = n * eps * (post.a / post.b) * stats.ytpy
             assert np.all(gap <= bound), (gap, bound)
 
     @pytest.mark.parametrize("baseline, noise_sd", [(3000.0, 10.0), (10.0, 0.01)])
@@ -432,9 +440,9 @@ class TestHighSnrAccuracy:
         everything = GlmSpec(
             Y=np.vstack([s.Y for s in specs]), X=np.vstack([s.X for s in specs])
         )
-        post = posterior_update(everything, NgParams.noninformative(2))
+        post = posterior_update(stats_of(everything), NgParams.noninformative(2))
         eps = np.finfo(float).eps
-        bound = sum(s.n * eps * (post.a / post.b) * s.ytpy for s in specs)
+        bound = sum(s.n * eps * (post.a / post.b) * stats_of(s).ytpy for s in specs)
         np.testing.assert_allclose(result.acc_com_tol[0], np.maximum(1e-8, bound))
         assert np.all(gap <= 0.5 * result.acc_com_tol)
 

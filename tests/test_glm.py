@@ -1,7 +1,5 @@
 """Conjugate GLM inference: update algebra, evidence identities, oracles."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from helpers import (
@@ -11,12 +9,15 @@ from helpers import (
     random_precision,
     random_proper_instance,
     random_spd,
+    stats_of,
+    times_precision,
 )
 
 from evidencer.distributions import NgParams, gamma_moments, kl_gamma, kl_mvn
 from evidencer.errors import DomainError, EstimationError
 from evidencer.glm import (
     GlmSpec,
+    SessionStats,
     posterior_update,
     log_model_evidence,
     accuracy,
@@ -75,34 +76,55 @@ class TestGlmSpec:
 
     def test_logdet_precision_variants(self):
         y, x = np.zeros((3, 1)), np.arange(1.0, 4.0)[:, None]
-        assert GlmSpec(Y=y, X=x).logdet_precision == 0.0
+        assert stats_of(GlmSpec(Y=y, X=x)).logdet_precision == 0.0
         diag = GlmSpec(Y=y, X=x, precision=np.array([2.0, 4.0, 8.0]))
-        assert diag.logdet_precision == pytest.approx(np.log(64.0))
+        assert stats_of(diag).logdet_precision == pytest.approx(np.log(64.0))
         full = GlmSpec(Y=y, X=x, precision=np.diag([2.0, 4.0, 8.0]))
-        assert full.logdet_precision == pytest.approx(np.log(64.0))
+        assert stats_of(full).logdet_precision == pytest.approx(np.log(64.0))
+
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_holds_inputs_only(self, precision_kind):
+        rng = np.random.default_rng(54)
+        spec = GlmSpec(
+            Y=rng.normal(size=(10, 3)), X=random_design(rng, 10, 2),
+            precision=random_precision(rng, 10, precision_kind),
+        )
+        assert set(vars(spec)) == {"Y", "X", "precision"}
 
 
 class TestResponseStats:
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
     def test_rows_do_not_depend_on_the_other_designs(self, precision_kind):
         # nested designs share columns, and together have more distinct
-        # columns than one product stack holds; each design's rows are still
-        # bit-identical to its own pass, and match the direct product
+        # columns than one product stack holds; each design's statistics,
+        # and so its evidence, are still bit-identical to its own pass, and
+        # every field matches its direct formula
         rng = np.random.default_rng(50)
         n, v = 40, 300
         full = random_design(rng, n, 6)
         designs = [full[:, [0, 5]], full[:, [0, 1, 5]], full, full[:, [2]]]
         y = rng.normal(size=(n, v)) + 5.0
         precision = random_precision(rng, n, precision_kind)
-        xtpys, ytpy = response_stats(y, designs, precision)
-        for x, xtpy in zip(designs, xtpys):
-            spec = GlmSpec(Y=y, X=x, precision=precision)
-            np.testing.assert_array_equal(spec.xtpy, xtpy)
-            np.testing.assert_array_equal(spec.ytpy, ytpy)
-            py = spec.apply_precision(y)
-            np.testing.assert_allclose(xtpy, x.T @ py, rtol=1e-12, atol=1e-12)
-            np.testing.assert_array_equal(ytpy, np.einsum("nv,nv->v", y, py))
-
+        shared = response_stats(y, designs, precision)
+        py = times_precision(precision, y)
+        dense = np.eye(n) if precision is None else times_precision(precision, np.eye(n))
+        for x, stats in zip(designs, shared):
+            (alone,) = response_stats(y, [x], precision)
+            for name in SessionStats._fields:
+                np.testing.assert_array_equal(getattr(stats, name), getattr(alone, name))
+            np.testing.assert_array_equal(stats.xtpx, x.T @ times_precision(precision, x))
+            np.testing.assert_allclose(stats.xtpy, x.T @ py, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(stats.ytpy, np.einsum("nv,nv->v", y, py))
+            assert stats.n == n
+            assert stats.logdet_precision == pytest.approx(
+                np.linalg.slogdet(dense)[1], rel=1e-12, abs=1e-12
+            )
+            assert (stats.p, stats.n_voxels) == (x.shape[1], v)
+            prior = NgParams(mu=np.zeros(stats.p), lam=np.eye(stats.p), a=1.0, b=1.0)
+            np.testing.assert_array_equal(
+                log_model_evidence(stats, prior, posterior_update(stats, prior)),
+                log_model_evidence(alone, prior, posterior_update(alone, prior)),
+            )
 
     @NONFINITE
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
@@ -117,7 +139,7 @@ class TestResponseStats:
         )
         expected = r"^y'Py is not finite at 1 voxel\(s\), first at voxel index 5;"
         with pytest.raises(DomainError, match=expected):
-            spec.ytpy
+            stats_of(spec)
 
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
     def test_overflowing_response_names_voxels(self, precision_kind):
@@ -130,7 +152,7 @@ class TestResponseStats:
         )
         expected = r"^y'Py is not finite at 2 voxel\(s\), first at voxel index 1;"
         with pytest.raises(DomainError, match=expected):
-            spec.ytpy
+            stats_of(spec)
 
 
 class TestPosteriorUpdate:
@@ -138,23 +160,22 @@ class TestPosteriorUpdate:
         # statistics-only input whose y'Py falls below the fitted quadratic
         # form at voxels 3 and 5, so b = (y'Py - mu'X'Py) / 2 < 0 there
         rng = np.random.default_rng(51)
-        spec = GlmSpec(Y=rng.normal(size=(12, 7)), X=random_design(rng, 12, 2))
+        stats = stats_of(GlmSpec(Y=rng.normal(size=(12, 7)), X=random_design(rng, 12, 2)))
         fitted = np.einsum(
-            "pv,pv->v", spec.xtpy, np.linalg.solve(spec.xtpx, spec.xtpy)
+            "pv,pv->v", stats.xtpy, np.linalg.solve(stats.xtpx, stats.xtpy)
         )
-        ytpy = spec.ytpy.copy()
+        ytpy = stats.ytpy.copy()
         ytpy[[3, 5]] = 0.5 * fitted[[3, 5]]
-        stats = SimpleNamespace(xtpx=spec.xtpx, xtpy=spec.xtpy, ytpy=ytpy, n=spec.n)
         with pytest.raises(
             EstimationError, match=r"at 2 voxel\(s\), first at voxel index 3;"
         ):
-            posterior_update(stats, NgParams.noninformative(2))
+            posterior_update(stats._replace(ytpy=ytpy), NgParams.noninformative(2))
 
     def test_hand_worked_example(self):
         # constant-only design, two scans at 1 and 3: posterior mean is the
         # sample mean, rate is half the squared residual sum
         spec = GlmSpec(Y=np.array([1.0, 3.0]), X=np.array([[1.0], [1.0]]))
-        post = posterior_update(spec, NgParams.noninformative(1))
+        post = posterior_update(stats_of(spec), NgParams.noninformative(1))
         assert post.mu[0, 0] == pytest.approx(2.0)
         assert post.lam[0, 0] == pytest.approx(2.0)
         assert post.a == pytest.approx(1.0)
@@ -191,8 +212,8 @@ class TestPosteriorUpdate:
                 joint_precision[cut:, cut:] = p2
                 spec = GlmSpec(Y=spec.Y, X=spec.X, precision=joint_precision)
 
-            chained = posterior_update(second, posterior_update(first, prior))
-            joint = posterior_update(spec, prior)
+            chained = posterior_update(stats_of(second), posterior_update(stats_of(first), prior))
+            joint = posterior_update(stats_of(spec), prior)
             np.testing.assert_allclose(chained.mu, joint.mu, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(chained.lam, joint.lam, rtol=1e-10)
             np.testing.assert_allclose(chained.b, joint.b, rtol=1e-10)
@@ -204,8 +225,8 @@ class TestPosteriorUpdate:
         spec, prior = random_proper_instance(rng, v=8)
         perm = rng.permutation(8)
         permuted_spec = GlmSpec(Y=spec.Y[:, perm], X=spec.X, precision=spec.precision)
-        post = posterior_update(spec, prior)
-        post_perm = posterior_update(permuted_spec, prior)
+        post = posterior_update(stats_of(spec), prior)
+        post_perm = posterior_update(stats_of(permuted_spec), prior)
         np.testing.assert_allclose(post_perm.mu, post.mu[:, perm], atol=1e-12)
         np.testing.assert_allclose(post_perm.b, post.b[perm], rtol=1e-12)
 
@@ -215,9 +236,10 @@ class TestEvidenceQuantities:
         rng = np.random.default_rng(77)
         for _ in range(100):
             spec, prior = random_proper_instance(rng)
-            post = posterior_update(spec, prior)
-            lme = log_model_evidence(spec, prior, post)
-            acc = accuracy(spec, post)
+            stats = stats_of(spec)
+            post = posterior_update(stats, prior)
+            lme = log_model_evidence(stats, prior, post)
+            acc = accuracy(stats, post)
             com = complexity(prior, post)
             np.testing.assert_allclose(lme, acc - com, atol=1e-8)
 
@@ -234,8 +256,9 @@ class TestEvidenceQuantities:
                 b=float(rng.uniform(0.6, 3.0)),
             )
             spec = GlmSpec(Y=y, X=x)
-            post = posterior_update(spec, prior)
-            lme = float(log_model_evidence(spec, prior, post)[0])
+            stats = stats_of(spec)
+            post = posterior_update(stats, prior)
+            lme = float(log_model_evidence(stats, prior, post)[0])
             oracle = lme_by_quadrature(y, x, prior)
             assert abs(lme - oracle) < 1e-4
 
@@ -246,9 +269,10 @@ class TestEvidenceQuantities:
         rng = np.random.default_rng(21)
         for _ in range(50):
             spec, prior = random_proper_instance(rng, precision_kind=precision_kind)
-            post = posterior_update(spec, prior)
+            stats = stats_of(spec)
+            post = posterior_update(stats, prior)
             np.testing.assert_allclose(
-                accuracy(spec, post),
+                accuracy(stats, post),
                 accuracy_by_residual(spec, post),
                 rtol=1e-10,
                 atol=1e-10,
@@ -257,9 +281,10 @@ class TestEvidenceQuantities:
     def test_improper_prior_rejected(self):
         spec = GlmSpec(Y=np.arange(4.0), X=np.ones((4, 1)))
         ni = NgParams.noninformative(1)
-        post = posterior_update(spec, ni)
+        stats = stats_of(spec)
+        post = posterior_update(stats, ni)
         with pytest.raises(DomainError):
-            log_model_evidence(spec, ni, post)
+            log_model_evidence(stats, ni, post)
         with pytest.raises(DomainError):
             complexity(ni, post)
 
@@ -268,13 +293,14 @@ class TestEvidenceQuantities:
         spec, prior = random_proper_instance(rng, v=3)
         y = np.hstack([spec.Y, spec.Y[:, [1]]])
         doubled = GlmSpec(Y=y, X=spec.X, precision=spec.precision)
-        post = posterior_update(doubled, prior)
-        lme = log_model_evidence(doubled, prior, post)
+        stats = stats_of(doubled)
+        post = posterior_update(stats, prior)
+        lme = log_model_evidence(stats, prior, post)
         assert lme[3] == lme[1]
 
     def test_identity_precision_drops_logdet_term(self):
         spec = GlmSpec(Y=np.arange(4.0), X=np.ones((4, 1)))
-        assert spec.logdet_precision == 0.0
+        assert stats_of(spec).logdet_precision == 0.0
 
     def test_accuracy_monte_carlo_oracle(self):
         # posterior-expected log-likelihood by direct simulation from the
@@ -283,8 +309,9 @@ class TestEvidenceQuantities:
         spec, prior = random_proper_instance(
             rng, n=16, p=2, v=1, precision_kind="diagonal"
         )
-        post = posterior_update(spec, prior)
-        acc = float(accuracy(spec, post)[0])
+        stats = stats_of(spec)
+        post = posterior_update(stats, prior)
+        acc = float(accuracy(stats, post)[0])
 
         draws = 100_000
         tau = rng.gamma(post.a, 1.0 / post.b[0], size=draws)
@@ -295,7 +322,7 @@ class TestEvidenceQuantities:
         resid = spec.Y[:, [0]] - spec.X @ betas
         quad = np.einsum("nd,nd->d", resid, spec.precision[:, None] * resid)
         loglik = (
-            0.5 * spec.logdet_precision
+            0.5 * float(np.sum(np.log(spec.precision)))
             + 0.5 * spec.n * np.log(tau)
             - 0.5 * spec.n * np.log(2 * np.pi)
             - 0.5 * tau * quad
@@ -309,7 +336,7 @@ class TestEvidenceQuantities:
         rng = np.random.default_rng(8)
         for _ in range(50):
             spec, prior = random_proper_instance(rng, v=1)
-            post = posterior_update(spec, prior)
+            post = posterior_update(stats_of(spec), prior)
             com = float(complexity(prior, post)[0])
 
             tau_bar, _ = gamma_moments(post.a, float(post.b[0]))
@@ -341,7 +368,7 @@ class TestEvidenceQuantities:
             spec, prior = random_proper_instance(
                 rng, n=int(rng.integers(4, 20)), p=int(rng.integers(1, 4)), v=1
             )
-            post = posterior_update(spec, prior)
+            post = posterior_update(stats_of(spec), prior)
             assert complexity(prior, post)[0] >= -1e-10
 
     def test_irrelevant_regressor_penalized_on_average(self):

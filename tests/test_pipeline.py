@@ -12,6 +12,7 @@ from helpers import build_toy_workspace
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import evidencer.pipeline
 from evidencer.cli import main
 from evidencer.dataio import load_config, load_matrix, save_matrix
 from evidencer.pipeline import RunOptions, run_pipeline
@@ -351,6 +352,40 @@ class TestFailureHandling:
         assert manifest["stages"]["ep"]["status"].startswith("skipped")
         assert (tmp_path / "out" / "manifest.json").exists()
 
+    def test_program_fault_is_an_internal_error_with_traceback(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        def broken(*args):
+            return 1 / 0
+
+        monkeypatch.setitem(evidencer.pipeline._STAGE_FUNCTIONS, "cvlme", broken)
+        manifest = run(workspace, tmp_path / "out", STAGES)
+        cvlme = manifest["stages"]["cvlme"]
+        assert cvlme["status"] == "failed: internal error: ZeroDivisionError: division by zero"
+        assert cvlme["outputs"] == []
+        assert all(isinstance(line, str) for line in cvlme["traceback"])
+        assert cvlme["traceback"][0] == "Traceback (most recent call last):"
+        assert cvlme["traceback"][-1] == "ZeroDivisionError: division by zero"
+        for stage in ("anc", "lfe", "bma"):
+            assert manifest["stages"][stage] == {
+                "status": "skipped: dependency 'cvlme' did not succeed",
+                "outputs": [],
+            }
+        assert manifest["stages"]["bms"]["status"] == "ok"
+        assert manifest["stages"]["ep"]["status"] == "ok"
+        written = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert written["stages"]["cvlme"] == cvlme
+
+    def test_input_fault_keeps_its_status_without_traceback(self, tmp_path):
+        config_path = build_toy_workspace(tmp_path / "ws", with_group=False)
+        design = load_matrix(tmp_path / "ws" / "X2_s1.csv").values
+        design[:, 1] = design[:, 0]  # a duplicated column: rank-deficient
+        save_matrix(tmp_path / "ws" / "X2_s1.csv", design)
+        manifest = run(config_path, tmp_path / "out", ["cvlme"])
+        cvlme = manifest["stages"]["cvlme"]
+        assert cvlme["status"].startswith("failed: EstimationError: model 'm2', session 1")
+        assert set(cvlme) == {"status", "outputs"}
+
     def test_self_reference_adds_dependency(self, tmp_path):
         config_path = build_toy_workspace(
             tmp_path / "ws",
@@ -676,6 +711,34 @@ class TestCli:
         assert "stage cvlme failed: EstimationError" in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "patch, named",
+        [
+            ({"model_prior": [-1, 0.5]}, "model_prior weights must be finite and >= 0"),
+            ({"model_prior": [0.25, 0.25]}, "model_prior weights must sum to 1"),
+            (
+                {"family_weights": {"simple": [2.5], "rich": [1.0]}},
+                "family_weights entry 'simple' weights must sum to 1",
+            ),
+            (
+                {
+                    "families": {"all": ["m1", "m2"]},
+                    "family_weights": {"all": [1.5, -0.5]},
+                },
+                "family_weights entry 'all' weights must be finite and >= 0",
+            ),
+        ],
+    )
+    def test_bad_prior_weights_exit_before_any_stage(self, tmp_path, capsys, patch, named):
+        config_path = build_toy_workspace(tmp_path / "ws", extra_config=patch)
+        out = tmp_path / "o"
+        code = main(["pipeline", "--config", str(config_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: {named}" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
     def test_family_weights_through_cli(self, tmp_path):
         config_path = build_toy_workspace(
