@@ -8,7 +8,15 @@ library plus a batch command line (``evidencer``).
 
 __version__ = "0.1.0"
 
-from .bma import BetaStack, PosteriorProbs, cv_bma, oos_bma, posterior_probabilities
+from .bma import (
+    BetaStack,
+    FamilyPartition,
+    PosteriorProbs,
+    cv_bma,
+    log_family_evidence,
+    oos_bma,
+    posterior_probabilities,
+)
 from .dataio import (
     LabeledMatrix,
     ModelSpaceConfig,
@@ -36,7 +44,6 @@ from .errors import (
     NumericalError,
     ParseError,
 )
-from .family import FamilyPartition, log_family_evidence
 from .glm import (
     GlmSpec,
     SessionStats,

@@ -1,12 +1,13 @@
-"""Cross-validated Bayesian model averaging of first-level parameter
-estimates.
+"""Posterior model probabilities, log family evidence, and cross-validated
+Bayesian model averaging of first-level parameter estimates.
 
-Posterior model probabilities come from log evidences through a mean-shift:
-subtracting each voxel's mean evidence before exponentiating leaves the
-normalized probabilities unchanged (only evidence differences matter) while
-keeping the exponentials representable for spreads of order a thousand
-log-units. The full probability matrix is formed once and multiplied
-against the estimate matrix; no per-voxel loop.
+Posterior model probabilities, p(m|y) ~ p(y|m) p(m), and a family's
+evidence, the sum over its members of p(m|f) p(y|m), are one
+prior-weighted sum ``sum_i w_i exp(lme_i)``, formed per voxel relative to
+the largest evidence of non-zero weight. That term is its own weight, so
+the sum is never zero and nothing overflows, whatever the spread. The
+probability matrix is formed once and multiplied against the estimate
+matrix; no per-voxel loop.
 
 Averaging comes in two orders: session-wide (average estimates across
 sessions first, then weight by whole-run probabilities) and session-wise
@@ -22,7 +23,15 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["BetaStack", "PosteriorProbs", "posterior_probabilities", "cv_bma", "oos_bma"]
+__all__ = [
+    "BetaStack",
+    "PosteriorProbs",
+    "FamilyPartition",
+    "posterior_probabilities",
+    "log_family_evidence",
+    "cv_bma",
+    "oos_bma",
+]
 
 
 @dataclass(frozen=True)
@@ -97,40 +106,107 @@ def _prior_weights(weights, n: int, what: str) -> np.ndarray:
     return w
 
 
-def posterior_probabilities(lme: np.ndarray, prior=None) -> PosteriorProbs:
-    """Underflow-safe posterior model probabilities from log evidences.
-
-    ``lme`` is (models x voxels); ``prior`` defaults to uniform. The
-    voxel-wise mean evidence is subtracted before exponentiation, then each
-    column is weighted by the prior and normalized.
-    """
-    lme = np.atleast_2d(np.asarray(lme, dtype=float))
-    m = lme.shape[0]
+def _weighted_terms(lme: np.ndarray, w: np.ndarray) -> tuple:
+    """``w_i exp(lme_i - top)`` per model and voxel of the (models x voxels)
+    ``lme``, and ``top``: each voxel's largest evidence among the models of
+    non-zero weight. Rows of zero weight are exactly zero."""
     if not np.all(np.isfinite(lme)):
         raise DomainError("log model evidences must be finite")
-    prior = _prior_weights(prior, m, "model prior")
+    live = w > 0
+    top = lme[live].max(axis=0)
+    terms = np.zeros_like(lme)
+    terms[live] = w[live, None] * np.exp(lme[live] - top)
+    return terms, top
 
-    shifted = lme - lme.mean(axis=0, keepdims=True)
-    # zero-prior models are masked before exponentiation so that an excluded
-    # model far above the rest cannot overflow into the weighting
-    mask = prior[:, None] > 0
-    with np.errstate(over="raise", under="ignore"):
-        try:
-            weighted = np.where(
-                mask, np.exp(np.where(mask, shifted, -np.inf)), 0.0
-            ) * prior[:, None]
-        except FloatingPointError:
+
+def posterior_probabilities(lme: np.ndarray, prior=None) -> PosteriorProbs:
+    """Posterior model probabilities from (models x voxels) log evidences
+    and a ``prior``, uniform by default: each column's weighted terms over
+    their sum. A model of zero prior gets zero, however far it leads."""
+    lme = np.atleast_2d(np.asarray(lme, dtype=float))
+    terms, _ = _weighted_terms(lme, _prior_weights(prior, lme.shape[0], "model prior"))
+    return PosteriorProbs(pp=terms / terms.sum(axis=0))
+
+
+@dataclass(frozen=True)
+class FamilyPartition:
+    """Named, disjoint, non-empty model-index sets covering the model space,
+    with one within-family prior weight vector per family.
+
+    ``weights`` holds one entry per family, ``None`` for uniform; after
+    construction it always holds the vectors. A weight of exactly zero
+    excludes that model from its family's evidence; weights must be
+    non-negative and sum to one per family.
+    """
+
+    n_models: int
+    families: tuple
+    weights: tuple | None = None
+
+    def __post_init__(self):
+        if self.n_models < 1:
+            raise DomainError("partition needs a positive model count")
+        names = [name for name, _ in self.families]
+        if len(set(names)) != len(names):
+            raise DomainError("family names must be unique")
+        seen = []
+        normalized = []
+        for name, indices in self.families:
+            idx = tuple(int(i) for i in indices)
+            if not idx:
+                raise DomainError(f"family {name!r} is empty")
+            if any(i < 0 or i >= self.n_models for i in idx):
+                raise DomainError(f"family {name!r} has out-of-range indices")
+            seen.extend(idx)
+            normalized.append((str(name), idx))
+        if sorted(seen) != list(range(self.n_models)):
             raise DomainError(
-                "evidence spread exceeds the safe range of the mean-shift "
-                "(about 1400 log-units); probabilities would overflow"
-            ) from None
-    total = weighted.sum(axis=0, keepdims=True)
-    if np.any(total == 0):
-        raise DomainError(
-            "a voxel has zero total model mass after prior masking; no "
-            "posterior probabilities exist there"
+                "families must partition the model space: every model in "
+                "exactly one family"
+            )
+        object.__setattr__(self, "families", tuple(normalized))
+        weights = (None,) * len(normalized) if self.weights is None else self.weights
+        if len(weights) != len(normalized):
+            raise DomainError(
+                f"partition has {len(normalized)} families but {len(weights)} "
+                "weight vectors"
+            )
+        cleaned = tuple(
+            _prior_weights(w, len(idx), f"family {name!r}")
+            for (name, idx), w in zip(normalized, weights)
         )
-    return PosteriorProbs(pp=weighted / total)
+        object.__setattr__(self, "weights", cleaned)
+
+    @property
+    def names(self) -> tuple:
+        return tuple(name for name, _ in self.families)
+
+    @classmethod
+    def from_mapping(cls, n_models, families, weights=None) -> "FamilyPartition":
+        """Build from ``{name: indices}`` and optional ``{name: weights}``."""
+        fams = tuple((name, tuple(idx)) for name, idx in families.items())
+        w = tuple((weights or {}).get(name) for name, _ in fams)
+        return cls(n_models=n_models, families=fams, weights=w)
+
+
+def log_family_evidence(lme: np.ndarray, partition: FamilyPartition) -> np.ndarray:
+    """Per-family, per-voxel log evidence from a (models x voxels) matrix:
+    the log of the weighted sum of the members' evidences, formed as the
+    shift plus the log of the sum of their terms. A member of zero weight
+    drops out of its family."""
+    lme = np.asarray(lme, dtype=float)
+    if lme.ndim == 1:
+        lme = lme[:, None]
+    if lme.shape[0] != partition.n_models:
+        raise DomainError(
+            f"evidence matrix has {lme.shape[0]} rows but the partition "
+            f"covers {partition.n_models} models"
+        )
+    out = np.empty((len(partition.families), lme.shape[1]))
+    for f, ((_, idx), w) in enumerate(zip(partition.families, partition.weights)):
+        terms, top = _weighted_terms(lme[list(idx)], w)
+        out[f] = top + np.log(terms.sum(axis=0))
+    return out
 
 
 def _check_axes(betas: BetaStack, probs: PosteriorProbs) -> None:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bma import _prior_weights
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError, EvidencerError, ParseError
 
 __all__ = [
     "LabeledMatrix",
@@ -226,17 +226,21 @@ def load_matrix(path) -> LabeledMatrix:
 
 
 def save_matrix(path, values: np.ndarray, columns=None) -> None:
-    """Write a matrix as CSV: optional header, 17-significant-digit values."""
+    """Write a matrix as CSV: optional header, 17-significant-digit values.
+    A file that cannot be written raises :class:`EvidencerError` naming it."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     path = Path(path)
     row_format = ",".join(["%.16e"] * values.shape[1]) + "\n"
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        if columns is not None:
-            if len(columns) != values.shape[1]:
-                raise ParseError("one column label per column required")
-            csv.writer(handle, lineterminator="\n").writerow(list(columns))
-        for row in values:
-            handle.write(row_format % tuple(row))
+    try:
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            if columns is not None:
+                if len(columns) != values.shape[1]:
+                    raise ParseError("one column label per column required")
+                csv.writer(handle, lineterminator="\n").writerow(list(columns))
+            for row in values:
+                handle.write(row_format % tuple(row))
+    except OSError as exc:
+        raise EvidencerError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ read a session through one :class:`SessionStats`: ``xtpx = X'PX``,
 is O(p^2) whatever the scan count. They come from :func:`response_stats`,
 one pass over ``Y`` that serves any number of designs on the same response
 and precision and checks the response per voxel (a spec checks only its
-design and precision). The fields add over sessions, so summed statistics
+design). A spec and a response pass check the precision by one rule, which
+also forms log|P|. The fields add over sessions, so summed statistics
 are as valid an input as one session's. The posterior mean is solved with
 the Cholesky factor of its precision by forward and back substitution.
 
@@ -104,23 +105,7 @@ class GlmSpec:
             )
         if self.precision is not None:
             self.precision = np.asarray(self.precision, dtype=float)
-            if not np.all(np.isfinite(self.precision)):
-                raise DomainError("precision must be finite")
-            if self.precision.ndim == 1:
-                if self.precision.shape != (n,):
-                    raise DomainError("diagonal precision must have length n")
-                if np.any(self.precision <= 0):
-                    raise DecompositionError(
-                        "precision is not positive definite: non-positive "
-                        "diagonal entry"
-                    )
-            elif self.precision.ndim == 2:
-                if self.precision.shape != (n, n):
-                    raise DomainError("precision matrix must be (n, n)")
-                _check_symmetric(self.precision, "precision")
-                _cholesky(self.precision, "precision")
-            else:
-                raise DomainError("precision must be a vector or a matrix")
+            _precision_logdet(self.precision, n)
 
     @property
     def n(self) -> int:
@@ -156,6 +141,31 @@ class SessionStats(NamedTuple):
         return self.xtpy.shape[1]
 
 
+def _precision_logdet(precision: np.ndarray | None, n: int) -> float:
+    """log|P| of a precision over ``n`` scans that is ``None`` (identity), a
+    finite length-n vector of positive entries, or a finite symmetric (n, n)
+    matrix with a Cholesky factor; else :class:`DomainError`, or
+    :class:`DecompositionError` where not positive definite."""
+    if precision is None:
+        return 0.0
+    if not np.all(np.isfinite(precision)):
+        raise DomainError("precision must be finite")
+    if precision.ndim == 1:
+        if precision.shape != (n,):
+            raise DomainError("diagonal precision must have length n")
+        if np.any(precision <= 0):
+            raise DecompositionError(
+                "precision is not positive definite: non-positive diagonal entry"
+            )
+        return float(np.sum(np.log(precision)))
+    if precision.ndim != 2:
+        raise DomainError("precision must be a vector or a matrix")
+    if precision.shape != (n, n):
+        raise DomainError("precision matrix must be (n, n)")
+    _check_symmetric(precision, "precision")
+    return _logdet_from_chol(_cholesky(precision, "precision"))
+
+
 def _precision_times(precision: np.ndarray | None, m: np.ndarray) -> np.ndarray:
     if precision is None:
         return m
@@ -176,8 +186,10 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> list:
     it picks its kernels by shape, and kernels for different shapes round
     differently. A design's statistics are thus bit-identical whether it is
     alone or shares the pass. A non-finite ``y'Py`` (a non-finite cell, or
-    an overflow) raises :class:`DomainError` naming the voxels.
+    an overflow) raises :class:`DomainError` naming the voxels; the
+    precision must meet :class:`GlmSpec`'s rule.
     """
+    logdet = _precision_logdet(precision, Y.shape[0])
     py = _precision_times(precision, Y)
     ytpy = np.einsum("nv,nv->v", Y, py)
     bad = np.flatnonzero(~np.isfinite(ytpy))
@@ -198,12 +210,6 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> list:
     xtpy = np.concatenate(
         [stacked[i:i + _STACK] @ py for i in range(0, len(stacked), _STACK)]
     )
-    if precision is None:
-        logdet = 0.0
-    elif precision.ndim == 1:
-        logdet = float(np.sum(np.log(precision)))
-    else:
-        logdet = _logdet_from_chol(_cholesky(precision, "precision"))
     return [
         SessionStats(
             x.T @ _precision_times(precision, x), xtpy[r], ytpy, Y.shape[0], logdet

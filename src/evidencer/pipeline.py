@@ -36,7 +36,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bma import BetaStack, cv_bma, posterior_probabilities
+from .bma import (
+    BetaStack,
+    FamilyPartition,
+    cv_bma,
+    log_family_evidence,
+    posterior_probabilities,
+)
 from .crossval import (
     CvResult,
     SessionLayout,
@@ -46,7 +52,6 @@ from .crossval import (
 )
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
 from .errors import ConfigError, EvidencerError, ParseError
-from .family import FamilyPartition, log_family_evidence
 from .glm import GlmSpec
 from .rfx import (
     EP_REL_TAIL,
@@ -211,11 +216,12 @@ def _load_finite(config: ModelSpaceConfig, relative) -> np.ndarray:
 
 def _load_session_matrices(config: ModelSpaceConfig):
     data = [_load_finite(config, p) for p in config.data]
-    voxels = {m.shape[1] for m in data}
-    if len(voxels) != 1:
-        raise ConfigError(
-            f"response files disagree on voxel count: {sorted(voxels)}"
-        )
+    for path, y in zip(config.data, data):
+        if y.shape[1] != data[0].shape[1]:
+            raise ConfigError(
+                f"response files disagree on voxel count: {path} has {y.shape[1]}, "
+                f"{config.data[0]} {data[0].shape[1]}"
+            )
     if config.precision == "identity":
         precisions = [None] * len(data)
     else:
@@ -239,8 +245,8 @@ def _load_model_space(config: ModelSpaceConfig) -> tuple:
         scans = config.sessions["scans"]
         if data[0].shape[0] != scans:
             raise ConfigError(
-                f"config declares {scans} scans but the response file has "
-                f"{data[0].shape[0]} rows"
+                f"config declares {scans} scans but the response file "
+                f"{config.resolve(config.data[0])} has {data[0].shape[0]} rows"
             )
         layout = split_single_session(scans)
     else:
@@ -259,7 +265,8 @@ def _load_model_space(config: ModelSpaceConfig) -> tuple:
                 if config.precision != "identity":
                     files += f", precision {config.resolve(config.precision[s])}"
                 raise type(exc)(
-                    f"model {model['name']!r}, session {s + 1}, {files}: {exc}"
+                    f"model {model['name']!r}, session {s + 1}, {files}: {exc} "
+                    f"(response {config.resolve(config.data[s])})"
                 ) from None
         model_specs[model["name"]] = specs
     return model_specs, layout
@@ -274,11 +281,12 @@ def _load_group(config: ModelSpaceConfig, cv_result) -> GroupLmeStack:
         else _load_finite(config, subject["cvlme"])
         for subject in config.subjects
     ]
-    shapes = {s.shape for s in slabs}
-    if len(shapes) != 1:
-        raise ConfigError(
-            f"subjects' evidence files disagree on shape: {sorted(shapes)}"
-        )
+    for subject, slab in zip(config.subjects, slabs):
+        if slab.shape != slabs[0].shape:
+            raise ConfigError(
+                f"subjects' evidence files disagree on shape: {subject['cvlme']} has "
+                f"{slab.shape}, {config.subjects[0]['cvlme']} {slabs[0].shape}"
+            )
     return GroupLmeStack(
         lme=np.stack(slabs), subject_ids=tuple(s["name"] for s in config.subjects)
     )
@@ -500,7 +508,12 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
         if block is not None:
             raise ConfigError(f"stage {stage!r} needs a {block!r} block in the config")
     _preflight(config, ordered)
-    options.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        options.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {options.out_dir}: {exc.strerror or exc}"
+        ) from None
     if {"bms", "ep"} & set(ordered):
         # the group stages' first array call would import it: do so outside
         # the stage timings and before any chunk worker thread

@@ -1,10 +1,10 @@
 """Numerically robust special functions.
 
-Everything downstream (evidences, family aggregation, exceedance
-probabilities) reduces to a handful of primitives collected here: the log
-gamma function, the digamma function, regularized incomplete gamma and beta
-integrals, the Gamma tail quantiles that bound an integration domain, and a
-max-shifted log-sum-exp.
+Evidences and exceedance probabilities reduce to a handful of primitives
+collected here: the log gamma function, the digamma function, regularized
+incomplete gamma and beta integrals, and the Gamma tail quantiles that bound
+an integration domain. A max-shifted log-sum-exp is exported for users; the
+library's own prior-weighted evidence sums are formed in :mod:`.bma`.
 
 A scalar argument of :func:`log_gamma` or :func:`digamma` (a Python number,
 a numpy scalar or a 0-d array) is evaluated by the standard library:

@@ -18,11 +18,17 @@ from helpers import (
     stats_of,
 )
 
-from evidencer.bma import BetaStack, cv_bma, oos_bma, posterior_probabilities
+from evidencer.bma import (
+    BetaStack,
+    FamilyPartition,
+    cv_bma,
+    log_family_evidence,
+    oos_bma,
+    posterior_probabilities,
+)
 from evidencer.cli import main
 from evidencer.crossval import SessionLayout, cv_lme_models
 from evidencer.distributions import NgParams
-from evidencer.family import FamilyPartition, log_family_evidence
 from evidencer.glm import (
     GlmSpec,
     accuracy,

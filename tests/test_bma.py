@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from evidencer.bma import (
     BetaStack,
+    FamilyPartition,
     PosteriorProbs,
     cv_bma,
+    log_family_evidence,
     oos_bma,
     posterior_probabilities,
 )
@@ -61,12 +63,12 @@ class TestPosteriorProbabilities:
         pp = posterior_probabilities(lme, prior=[1.0, 0.0])
         np.testing.assert_allclose(pp.pp[:, 0], [1.0, 0.0])
 
-    def test_all_masked_column_rejected(self):
-        # every surviving model underflows against a masked leader: the
-        # column has no mass left to normalize
-        lme = np.array([[0.0], [-3000.0]])
-        with pytest.raises(DomainError):
-            posterior_probabilities(lme, prior=[0.0, 1.0])
+    def test_masked_leader_3000_nats_above_keeps_survivor_odds(self):
+        # a zero-prior leader far above every survivor leaves their odds
+        lme = np.array([[0.0], [-3000.0], [-3001.0]])
+        pp = posterior_probabilities(lme, prior=[0.0, 0.5, 0.5])
+        expected = np.exp(1.0) / (np.exp(1.0) + 1.0)
+        np.testing.assert_allclose(pp.pp[:, 0], [0.0, expected, 1 - expected])
 
     def test_masked_leader_does_not_overflow(self):
         # an excluded model far above the rest must not poison the column
@@ -75,10 +77,34 @@ class TestPosteriorProbabilities:
         expected = np.exp(1.0) / (np.exp(1.0) + 1.0)
         np.testing.assert_allclose(pp.pp[:, 0], [0.0, expected, 1 - expected])
 
-    def test_oversized_spread_raises(self):
-        lme = np.array([[0.0], [-3000.0]])
-        with pytest.raises(DomainError, match="spread"):
-            posterior_probabilities(lme)
+    def test_oversized_spread_is_exact(self):
+        pp = posterior_probabilities(np.array([[0.0], [-3000.0]]))
+        np.testing.assert_array_equal(pp.pp[:, 0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("c", [5000.0, -5000.0])
+    def test_shift_invariance_at_5000_nats(self, c):
+        # multiples of 1/8 keep lme + c exact, so only the max-shift rule
+        # decides whether the probabilities move; one row trails by 3000
+        rng = np.random.default_rng(2)
+        lme = np.round(rng.normal(size=(4, 6)) * 80) / 8 - 300
+        lme[2, :3] -= 3000.0
+        base = posterior_probabilities(lme, prior=[0.1, 0.2, 0.3, 0.4])
+        shifted = posterior_probabilities(lme + c, prior=[0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_array_equal(shifted.pp, base.pp)
+
+    def test_agrees_with_single_family_evidence(self):
+        # with one family holding every model and weighted by the prior,
+        # p(m|y) = p(m) exp(lme_m - LFE)
+        rng = np.random.default_rng(4)
+        lme = rng.normal(size=(5, 40)) * 10 - 300
+        lme[3, :5] -= 3000.0
+        prior = rng.dirichlet(np.ones(5))
+        prior[1] = 0.0
+        prior /= prior.sum()
+        family = FamilyPartition(5, (("all", tuple(range(5))),), (prior,))
+        lfe = log_family_evidence(lme, family)
+        pp = posterior_probabilities(lme, prior)
+        np.testing.assert_allclose(prior[:, None] * np.exp(lme - lfe), pp.pp, rtol=1e-12)
 
     def test_rejects_bad_prior(self):
         lme = np.zeros((2, 1))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidencer.errors import DomainError
-from evidencer.family import FamilyPartition, log_family_evidence
+from evidencer.bma import FamilyPartition, log_family_evidence
 
 
 def uniform_partition(n_models, groups):

@@ -14,7 +14,7 @@ from helpers import (
 )
 
 from evidencer.distributions import NgParams, gamma_moments, kl_gamma, kl_mvn
-from evidencer.errors import DomainError, EstimationError
+from evidencer.errors import DecompositionError, DomainError, EstimationError
 from evidencer.glm import (
     GlmSpec,
     SessionStats,
@@ -125,6 +125,29 @@ class TestResponseStats:
                 log_model_evidence(stats, prior, posterior_update(stats, prior)),
                 log_model_evidence(alone, prior, posterior_update(alone, prior)),
             )
+
+    @pytest.mark.parametrize(
+        "precision, error, message",
+        [
+            (-np.ones(6), DecompositionError, "non-positive diagonal entry"),
+            (np.ones(5), DomainError, "diagonal precision must have length n"),
+            (np.array([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]), DomainError, "precision must be finite"),
+            (np.eye(6) + np.eye(6, k=1) * 0.5, DomainError, "precision must be symmetric"),
+            (np.eye(5), DomainError, r"precision matrix must be \(n, n\)"),
+            (np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0]), DecompositionError, "not positive definite"),
+            (np.ones((6, 6, 1)), DomainError, "precision must be a vector or a matrix"),
+        ],
+        ids=["negative-diagonal", "short-diagonal", "nan", "asymmetric", "wrong-shape",
+             "indefinite", "three-dimensional"],
+    )
+    def test_rejects_bad_precision(self, precision, error, message):
+        # the response pass checks the precision by the spec's rule
+        rng = np.random.default_rng(55)
+        y, x = rng.normal(size=(6, 3)), random_design(rng, 6, 2)
+        with pytest.raises(error, match=message):
+            response_stats(y, [x], precision)
+        with pytest.raises(error, match=message):
+            GlmSpec(Y=y, X=x, precision=precision)
 
     @NONFINITE
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])

@@ -54,6 +54,25 @@ def fuzz_workspace(tmp_path_factory):
     return root, json.loads(config_path.read_text())
 
 
+# replacements for one cell or one whole line of an input CSV: an empty
+# cell (or a blank line), non-numbers, an overflow, digit grouping, an
+# unbalanced quote and an extra comma
+_CSV_FUZZ_VALUES = ("", "x", "nan", "1e400", "1_000", '"1', "1,2")
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_workspace(tmp_path_factory):
+    """A toy workspace with precision files, and every input file's text."""
+    root = tmp_path_factory.mktemp("csvfuzz")
+    config_path = build_toy_workspace(
+        root, extra_config={"precision": ["P_s1.csv", "P_s2.csv"]}
+    )
+    for s in (1, 2):
+        save_matrix(root / f"P_s{s}.csv", np.ones((1, 24)))
+    texts = {p.name: p.read_text() for p in sorted(root.glob("*.csv"))}
+    return config_path, texts
+
+
 def _config_paths(node, prefix=()) -> list:
     """The key path of every entry below the root of a JSON value."""
     if isinstance(node, dict):
@@ -574,6 +593,38 @@ class TestCli:
             names = (path[0], path[0].rstrip("s"), value if isinstance(value, str) else None)
             assert any(n and n in err for n in names), err
 
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutated_input_csv_never_escapes(self, csv_fuzz_workspace, data):
+        config_path, texts = csv_fuzz_workspace
+        name = data.draw(st.sampled_from(sorted(texts)), label="file")
+        lines = texts[name].splitlines(keepends=True)
+        line = data.draw(st.integers(0, len(lines) - 1), label="line")
+        cells = lines[line].rstrip("\n").split(",")
+        cell = data.draw(st.none() | st.integers(0, len(cells) - 1), label="cell")
+        value = data.draw(st.sampled_from(_CSV_FUZZ_VALUES), label="value")
+        if cell is None:
+            lines[line] = value + "\n"
+        else:
+            cells[cell] = value
+            lines[line] = ",".join(cells) + "\n"
+        path = config_path.parent / name
+        out = config_path.parent / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            path.write_text("".join(lines))
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["pipeline", "--config", str(config_path), "--out", str(out)])
+        finally:
+            path.write_text(texts[name])
+        err = stderr.getvalue()
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        assert "internal error" not in stdout.getvalue() + err
+        if code != 0:
+            assert name in err, err
+
     @pytest.mark.parametrize(
         "argv, group_only, named",
         [
@@ -634,6 +685,51 @@ class TestCli:
         assert named in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert code == 4
+
+    def test_output_under_a_file_exits_before_any_stage(self, workspace, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        out = blocker / "res"
+        code = main(["cvlme", "--config", str(workspace), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: cannot create output directory {out}:" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.out == ""  # no stage reported a status
+        assert blocker.read_text() == "a file, not a directory\n"
+
+    def test_unwritable_result_names_the_file(self, workspace, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "cvLME.csv").mkdir(parents=True)
+        code = main(["cvlme", "--config", str(workspace), "--out", str(out)])
+        captured = capsys.readouterr()
+        cvlme = json.loads((out / "manifest.json").read_text())["stages"]["cvlme"]
+        assert cvlme == {
+            "status": f"failed: EvidencerError: cannot write {out / 'cvLME.csv'}: Is a directory",
+            "outputs": [],
+        }
+        assert "Traceback" not in captured.out + captured.err
+        assert code == 3
+
+    @pytest.mark.parametrize(
+        "target, keep, stage",
+        [
+            ("Y_s1.csv", np.s_[:-1], "cvlme"),  # one scan short of its designs
+            ("Y_s2.csv", np.s_[:, :-1], "cvlme"),  # one voxel short of session 1
+            ("sub0_cvLME.csv", np.s_[:-1], "bms"),  # one model short of the others
+        ],
+    )
+    def test_input_of_the_wrong_shape_names_file(self, tmp_path, capsys, target, keep, stage):
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(root)
+        save_matrix(root / target, load_matrix(root / target).values[keep])
+        assert main(
+            ["pipeline", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        ) == 4
+        captured = capsys.readouterr()
+        status = json.loads((tmp_path / "o" / "manifest.json").read_text())["stages"][stage]
+        assert status["status"].startswith("failed") and target in status["status"]
+        assert "Traceback" not in captured.out + captured.err
 
     def test_overflowing_response_names_session_and_voxel(self, tmp_path, capsys):
         # every cell is finite, so the loader accepts the file; the column's
