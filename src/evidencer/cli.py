@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands map to pipeline stage sets (dependencies are pulled in
-automatically): ``cvlme``, ``anc``, ``lfe``, ``bms-group``, ``ep``,
-``bma``, and ``pipeline`` for several stages in one run.
+Each pipeline stage is a subcommand of its own name, but bms is
+``bms-group``; dependencies are pulled in automatically. ``pipeline`` runs
+several stages in one run.
 
 Exit codes: 0 success, 2 configuration or input error, 3 numeric failure,
 4 some stages succeeded and some failed.
@@ -17,14 +17,8 @@ from .dataio import load_config
 from .errors import ConfigError, EvidencerError, ParseError
 from .pipeline import EP_METHODS, STAGE_NAMES, RunOptions, run_pipeline, supported_stages
 
-_SUBCOMMAND_STAGES = {
-    "cvlme": ("cvlme",),
-    "anc": ("anc",),
-    "lfe": ("lfe",),
-    "bms-group": ("bms",),
-    "ep": ("ep",),
-    "bma": ("bma",),
-}
+# one subcommand per stage, under the stage's name but for bms
+_SUBCOMMANDS = {"bms-group" if s == "bms" else s: s for s in STAGE_NAMES}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian model assessment for mass-univariate GLMs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_STAGES:
+    for name in _SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name} analysis")
         _common_arguments(p)
     p = sub.add_parser("pipeline", help="run several stages in one pass")
@@ -91,7 +85,7 @@ def main(argv=None) -> int:
                 if not stages:
                     raise ConfigError("--stages must name at least one stage")
         else:
-            stages = _SUBCOMMAND_STAGES[args.command]
+            stages = (_SUBCOMMANDS[args.command],)
         options = RunOptions(
             out_dir=args.out,
             seed=args.seed,

@@ -58,6 +58,7 @@ RESULT_KINDS = (
     "oosCom",
     "LFE",
     "alpha",
+    "expected_freq",
     "EP",
     "PP",
     "BMA",
@@ -104,7 +105,8 @@ def _records(path: Path, lines: list) -> list:
     A quote-free line is a record of its own; its width and blankness come
     from counting commas and searching for any other non-space character,
     without splitting it into cells. A line holding a quote goes to
-    :mod:`csv`, which pulls further lines while a quoted cell stays open.
+    :mod:`csv`, which pulls further lines while a quoted cell stays open; a
+    quoted cell still open at the end of the file is a :class:`ParseError`.
     """
     records = []
     pending = iter(lines)
@@ -115,13 +117,16 @@ def _records(path: Path, lines: list) -> list:
             records.append(_Record(start, start + 1, line.count(",") + 1, blank, None))
             start += 1
             continue
-        reader = csv.reader(itertools.chain([line], pending))
+        # a quoted cell still open at the end of the file reads the extra line
+        reader = csv.reader(itertools.chain([line], pending, ["\n"]))
         try:
             cells = next(reader)
         except csv.Error as exc:
             raise ParseError(f"{path}, line {len(records) + 1}: {exc}") from None
-        blank = all(not c.strip() for c in cells)
         stop = start + reader.line_num
+        if stop > len(lines):
+            raise ParseError(f"{path}, line {len(records) + 1}: unterminated quoted cell")
+        blank = all(not c.strip() for c in cells)
         records.append(_Record(start, stop, len(cells), blank, cells))
         start = stop
     return records

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "EvidencerError",
+    "DomainError",
+    "DecompositionError",
+    "EstimationError",
+    "LayoutError",
+    "ParseError",
+    "NumericalError",
+    "ConfigError",
+]
+
 
 class EvidencerError(Exception):
     """Base class for all errors raised by this package."""

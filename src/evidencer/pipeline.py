@@ -2,7 +2,10 @@
 
 Stages form a small dependency graph (accuracy/complexity, family
 evidence, and averaging build on the cross-validated evidences; exceedance
-probabilities build on the group Dirichlet estimate). A failing stage
+probabilities build on the group Dirichlet estimate). One row of
+``_STAGES`` per stage declares its config blocks, its dependencies, its
+input files and its loader; the bms stage's dependency on cvlme when a
+subject is ``'@self'`` is the one rule decided per run. A failing stage
 aborts only its dependents; the manifest always records per-stage status.
 
 A stage is pure compute: its inputs come in as arguments, and it returns
@@ -29,9 +32,11 @@ import json
 import sys
 import time
 import traceback
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,17 +69,8 @@ from .rfx import (
     estimate_rfx,
 )
 
-__all__ = ["RunOptions", "run_pipeline", "supported_stages", "STAGE_NAMES"]
+__all__ = ["RunOptions", "run_pipeline", "supported_stages"]
 
-STAGE_NAMES = ("cvlme", "anc", "lfe", "bms", "ep", "bma")
-_STATIC_DEPS = {
-    "cvlme": (),
-    "anc": ("cvlme",),
-    "lfe": ("cvlme",),
-    "bms": (),
-    "ep": ("bms",),
-    "bma": ("cvlme",),
-}
 EP_METHODS = ("closed-form", "sampling", "integration")
 _PHASES = ("load", "compute", "write")
 
@@ -101,20 +97,9 @@ class RunOptions:
             raise ConfigError("threads must be at least 1")
 
 
-# the config blocks each stage reads its inputs from
-_STAGE_BLOCKS = {
-    "cvlme": ("models",),
-    "anc": ("models",),
-    "lfe": ("models", "families"),
-    "bms": ("subjects",),
-    "ep": ("subjects",),
-    "bma": ("models", "betas"),
-}
-
-
 def _missing_block(config: ModelSpaceConfig, stage: str):
     """The first config block ``stage`` needs that ``config`` lacks, or None."""
-    return next((b for b in _STAGE_BLOCKS[stage] if not getattr(config, b)), None)
+    return next((b for b in _STAGES[stage].blocks if not getattr(config, b)), None)
 
 
 def supported_stages(config: ModelSpaceConfig) -> tuple:
@@ -122,28 +107,46 @@ def supported_stages(config: ModelSpaceConfig) -> tuple:
     return tuple(s for s in STAGE_NAMES if _missing_block(config, s) is None)
 
 
-def _dependencies(config: ModelSpaceConfig) -> dict:
-    deps = {k: list(v) for k, v in _STATIC_DEPS.items()}
-    if any(s.get("cvlme") == "@self" for s in config.subjects):
-        deps["bms"].append("cvlme")
+def _dependencies(config: ModelSpaceConfig, stage: str) -> tuple:
+    """The stages whose products ``stage`` reads: those ``_STAGES`` declares,
+    and for bms the cvlme stage when a subject is ``'@self'``."""
+    deps = _STAGES[stage].deps
+    if stage == "bms" and any(s["cvlme"] == "@self" for s in config.subjects):
+        deps += ("cvlme",)
     return deps
 
 
-def _closure(requested, deps) -> list:
+def _plan(config: ModelSpaceConfig, stages) -> list:
+    """The requested stages plus their dependencies, in run order.
+
+    Raises :class:`ConfigError` for an unknown stage, then for the first
+    planned stage lacking a config block, then listing every input file of
+    the planned stages that does not exist, all before any file is read.
+    """
     needed = set()
-
-    def visit(stage):
-        if stage in needed:
-            return
-        if stage not in STAGE_NAMES:
+    for stage in stages:
+        if stage not in _STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
-        for dep in deps[stage]:
-            visit(dep)
         needed.add(stage)
-
-    for stage in requested:
-        visit(stage)
-    return [s for s in STAGE_NAMES if s in needed]
+    for stage in reversed(STAGE_NAMES):  # each stage's dependencies come before it
+        if stage in needed:
+            needed.update(_dependencies(config, stage))
+    ordered = [s for s in STAGE_NAMES if s in needed]
+    for stage in ordered:
+        block = _missing_block(config, stage)
+        if block is not None:
+            raise ConfigError(f"stage {stage!r} needs a {block!r} block in the config")
+    missing = [
+        str(rel)
+        for stage in ordered
+        for rel in _STAGES[stage].files(config)
+        if not config.resolve(rel).is_file()
+    ]
+    if missing:
+        raise ConfigError(
+            "referenced input files do not exist: " + ", ".join(sorted(missing))
+        )
+    return ordered
 
 
 def _chunk_slices(n_voxels: int, chunk: int) -> list:
@@ -167,36 +170,6 @@ class _StageResult:
     diagnostics: dict = field(default_factory=dict)
     product: object = None
     sizes: dict = field(default_factory=dict)
-
-
-def _required_files(config: ModelSpaceConfig, stages) -> list:
-    needed = []
-    if {"cvlme", "anc", "lfe", "bma"} & set(stages):
-        needed.extend(config.data)
-        for model in config.models:
-            needed.extend(model["design"])
-        if config.precision != "identity":
-            needed.extend(config.precision)
-    if "bma" in stages:
-        for row in config.betas["files"]:
-            needed.extend(row)
-    if "bms" in stages:
-        needed.extend(
-            s["cvlme"] for s in config.subjects if s["cvlme"] != "@self"
-        )
-    return needed
-
-
-def _preflight(config: ModelSpaceConfig, stages) -> None:
-    missing = [
-        str(rel)
-        for rel in _required_files(config, stages)
-        if not config.resolve(rel).is_file()
-    ]
-    if missing:
-        raise ConfigError(
-            "referenced input files do not exist: " + ", ".join(sorted(missing))
-        )
 
 
 def _load_finite(config: ModelSpaceConfig, relative) -> np.ndarray:
@@ -234,8 +207,18 @@ def _load_session_matrices(config: ModelSpaceConfig):
     return data, precisions
 
 
-def _load_model_space(config: ModelSpaceConfig) -> tuple:
-    """The cvlme stage's inputs: per-model session specs and their layout.
+def _model_space_files(config: ModelSpaceConfig) -> list:
+    """The cvlme stage's input files: responses, designs and precisions."""
+    files = list(config.data)
+    for model in config.models:
+        files.extend(model["design"])
+    if config.precision != "identity":
+        files.extend(config.precision)
+    return files
+
+
+def _load_model_space(config: ModelSpaceConfig, products) -> tuple:
+    """The cvlme stage's arguments: per-model session specs and their layout.
 
     A single session is built as one session, then split into halves.
     """
@@ -272,11 +255,16 @@ def _load_model_space(config: ModelSpaceConfig) -> tuple:
     return model_specs, layout
 
 
-def _load_group(config: ModelSpaceConfig, cv_result) -> GroupLmeStack:
-    """The bms stage's input: every subject's evidences, taking a
+def _subject_files(config: ModelSpaceConfig) -> list:
+    """The bms stage's input files: every subject's but a ``'@self'`` one."""
+    return [s["cvlme"] for s in config.subjects if s["cvlme"] != "@self"]
+
+
+def _load_group(config: ModelSpaceConfig, products) -> tuple:
+    """The bms stage's argument: every subject's evidences, taking a
     ``'@self'`` subject's from this run's cvlme product."""
     slabs = [
-        cv_result.cv_lme
+        products["cvlme"].cv_lme
         if subject["cvlme"] == "@self"
         else _load_finite(config, subject["cvlme"])
         for subject in config.subjects
@@ -287,13 +275,20 @@ def _load_group(config: ModelSpaceConfig, cv_result) -> GroupLmeStack:
                 f"subjects' evidence files disagree on shape: {subject['cvlme']} has "
                 f"{slab.shape}, {config.subjects[0]['cvlme']} {slabs[0].shape}"
             )
-    return GroupLmeStack(
-        lme=np.stack(slabs), subject_ids=tuple(s["name"] for s in config.subjects)
-    )
+    names = tuple(s["name"] for s in config.subjects)
+    return (GroupLmeStack(lme=np.stack(slabs), subject_ids=names),)
 
 
-def _load_estimates(config: ModelSpaceConfig, n_voxels: int) -> BetaStack:
-    """The bma stage's input: the (models x sessions x voxels) estimates."""
+def _estimate_files(config: ModelSpaceConfig) -> list:
+    """The bma stage's input files: one estimate per model and session."""
+    return [path for row in config.betas["files"] for path in row]
+
+
+def _load_estimates(config: ModelSpaceConfig, products) -> tuple:
+    """The bma stage's arguments: the cvlme product and the (models x
+    sessions x voxels) estimates."""
+    cv_result = products["cvlme"]
+    n_voxels = cv_result.cv_lme.shape[1]
     stacks = []
     for row in config.betas["files"]:
         per_session = []
@@ -308,10 +303,8 @@ def _load_estimates(config: ModelSpaceConfig, n_voxels: int) -> BetaStack:
                 )
             per_session.append(mat[0])
         stacks.append(per_session)
-    return BetaStack(
-        beta=np.asarray(stacks),
-        regressor_name=str(config.betas.get("regressor", "effect")),
-    )
+    regressor = str(config.betas.get("regressor", "effect"))
+    return cv_result, BetaStack(beta=np.asarray(stacks), regressor_name=regressor)
 
 
 def _cv_tables(result: CvResult, *terms) -> dict:
@@ -395,7 +388,9 @@ def _stage_bms(config, options, group) -> _StageResult:
     return _StageResult(
         {
             "alpha.csv": alpha,
-            "expected_freq.csv": ResultTable("alpha", rows, dirichlet.expected_freq),
+            "expected_freq.csv": ResultTable(
+                "expected_freq", rows, dirichlet.expected_freq
+            ),
         },
         diagnostics={
             "bms_unconverged_voxels": int(np.sum(~dirichlet.converged)),
@@ -463,20 +458,35 @@ def _stage_bma(config, options, cv_result, betas) -> _StageResult:
     )
 
 
-# Each stage's arguments after (config, options): what the runner loads from
-# its input files, or the products of the stages it depends on.
-_STAGE_INPUTS = {
-    "cvlme": lambda config, products: _load_model_space(config),
-    "anc": lambda config, products: (products["cvlme"],),
-    "lfe": lambda config, products: (products["cvlme"],),
-    "bms": lambda config, products: (_load_group(config, products.get("cvlme")),),
-    "ep": lambda config, products: (products["bms"],),
-    "bma": lambda config, products: (
-        products["cvlme"],
-        _load_estimates(config, products["cvlme"].cv_lme.shape[1]),
-    ),
-}
+class _Stage(NamedTuple):
+    """What the runner needs to know of a stage before it computes."""
 
+    blocks: tuple  # the config blocks it reads its inputs from
+    deps: tuple  # the stages whose products it reads
+    files: Callable  # config -> its input files, relative to the config
+    load: Callable  # (config, products) -> its arguments after (config, options)
+
+
+def _no_files(config) -> tuple:
+    return ()
+
+
+def _product_of(stage: str) -> Callable:
+    return lambda config, products: (products[stage],)
+
+
+_STAGES = {
+    "cvlme": _Stage(("models",), (), _model_space_files, _load_model_space),
+    "anc": _Stage(("models",), ("cvlme",), _no_files, _product_of("cvlme")),
+    "lfe": _Stage(("models", "families"), ("cvlme",), _no_files, _product_of("cvlme")),
+    "bms": _Stage(("subjects",), (), _subject_files, _load_group),
+    "ep": _Stage(("subjects",), ("bms",), _no_files, _product_of("bms")),
+    "bma": _Stage(("models", "betas"), ("cvlme",), _estimate_files, _load_estimates),
+}
+STAGE_NAMES = tuple(_STAGES)
+
+# the stage functions by name: the runner calls each through this table, so a
+# tracer or a test can replace one entry
 _STAGE_FUNCTIONS = {
     "cvlme": _stage_cvlme,
     "anc": _stage_anc,
@@ -495,19 +505,15 @@ def _config_hash(config: ModelSpaceConfig) -> str:
 def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
     """Run the requested stages plus their dependencies; return the manifest.
 
-    A stage whose config block is missing raises :class:`ConfigError`
-    before any file is read. Stage failures are recorded, not raised, an
-    exception other than :class:`EvidencerError` as an internal error with
-    its traceback; dependents of a failed stage are skipped. The manifest (and
+    An unknown stage, a missing config block or input file, or an output
+    directory that cannot be created raises :class:`ConfigError` before any
+    stage runs; a manifest or timings file that cannot be written raises it
+    after. Stage failures are recorded, not raised, an exception other than
+    :class:`EvidencerError` as an internal error with its traceback;
+    dependents of a failed stage are skipped. The manifest (and
     ``timings.csv``) is written even when stages fail.
     """
-    deps = _dependencies(config)
-    ordered = _closure(stages, deps)
-    for stage in ordered:
-        block = _missing_block(config, stage)
-        if block is not None:
-            raise ConfigError(f"stage {stage!r} needs a {block!r} block in the config")
-    _preflight(config, ordered)
+    ordered = _plan(config, stages)
     try:
         options.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -526,7 +532,7 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
     sizes: dict = {}
     timings: list = []
     for stage in ordered:
-        blocked = [d for d in deps[stage] if d not in products]
+        blocked = [d for d in _dependencies(config, stage) if d not in products]
         if blocked:
             statuses[stage] = {
                 "status": f"skipped: dependency {blocked[0]!r} did not succeed",
@@ -536,7 +542,7 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
             continue
         marks = [time.perf_counter()]  # each phase's start, then the end
         try:
-            inputs = _STAGE_INPUTS[stage](config, products)
+            inputs = _STAGES[stage].load(config, products)
             marks.append(time.perf_counter())
             result = _STAGE_FUNCTIONS[stage](config, options, *inputs)
             marks.append(time.perf_counter())
@@ -594,10 +600,17 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
         "sizes": sizes,
         "diagnostics": diagnostics,
     }
-    (options.out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write(options.out_dir / "manifest.json", text)
     rows = ["stage,phase,seconds\n"]
     rows += [f"{stage},{phase},{seconds:.6f}\n" for stage, phase, seconds in timings]
-    (options.out_dir / "timings.csv").write_text("".join(rows), encoding="utf-8")
+    _write(options.out_dir / "timings.csv", "".join(rows))
     return manifest
+
+
+def _write(path: Path, text: str) -> None:
+    """Write the manifest or the timings; failing is a config error."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None

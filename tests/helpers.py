@@ -11,6 +11,7 @@ the data enter only through three scalar reductions.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from pathlib import Path
 
@@ -128,13 +129,19 @@ def load_matrix_by_cells(path) -> LabeledMatrix:
     The package reads the numbers with numpy's C reader; this keeps the
     per-cell reader it replaced, which differs only in accepting what
     ``float()`` alone accepts (digit-group underscores, non-ASCII digits).
+    Both reject a quoted cell still open at the end of the file.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as handle:
-            raw_rows = list(enumerate(csv.reader(handle), start=1))
+            # one more empty line: a record of no cells, unless a quoted cell is open
+            records = csv.reader(itertools.chain(handle, ["\n"]))
+            raw_rows = list(enumerate(records, start=1))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    line_no, cells = raw_rows.pop()
+    if cells:
+        raise ParseError(f"{path}, line {line_no}: unterminated quoted cell")
     while raw_rows and all(not c.strip() for c in raw_rows[-1][1]):
         raw_rows.pop()
     if not raw_rows:

@@ -154,6 +154,10 @@ class TestCReader:
             ("a,b,c\n1,2\n", "line 2: ragged row with 2 cells, expected 3"),
             ("1,2\n \n3,4\n", "line 2: blank row"),
             ("1,2\n3,x\n5,6,7\n", "line 2, column 2"),
+            ('1,2\n3,"4\n', "line 2: unterminated quoted cell"),
+            ('"1', "line 1: unterminated quoted cell"),
+            # lines count records: the header's quoted cell spans two
+            ('"a\nb",c\n1,2\n3,"4', "line 3: unterminated quoted cell"),
         ],
     )
     def test_errors_name_file_line_and_column(self, tmp_path, text, named):

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import shutil
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 import evidencer.pipeline
 from evidencer.cli import main
 from evidencer.dataio import load_config, load_matrix, save_matrix
-from evidencer.pipeline import RunOptions, run_pipeline
+from evidencer.errors import ConfigError
+from evidencer.pipeline import _STAGES, STAGE_NAMES, RunOptions, _plan, run_pipeline
 from evidencer.rfx import (
     GroupLmeStack,
     ep_beta_closed_form,
@@ -262,7 +264,95 @@ class TestStageOutputs:
         assert manifest["stages"]["ep"]["status"] == "ok"
         rows = ["model1", "model2"]
         assert manifest["tables"]["alpha.csv"] == {"kind": "alpha", "rows": rows}
+        assert manifest["tables"]["expected_freq.csv"] == {
+            "kind": "expected_freq",
+            "rows": rows,
+        }
         assert manifest["tables"]["EP.csv"] == {"kind": "EP", "rows": rows}
+
+
+@pytest.fixture(scope="module")
+def stage_config(tmp_path_factory):
+    """A toy config with precision files, betas, one subject read from a
+    file and one '@self' subject: every stage has inputs to declare."""
+    root = tmp_path_factory.mktemp("stages")
+    config_path = build_toy_workspace(
+        root,
+        extra_config={
+            "precision": ["P_s1.csv", "P_s2.csv"],
+            "subjects": [
+                {"name": "sub0", "cvlme": "sub0_cvLME.csv"},
+                {"name": "me", "cvlme": "@self"},
+            ],
+        },
+    )
+    for s in (1, 2):
+        save_matrix(root / f"P_s{s}.csv", np.ones((1, 24)))
+    return load_config(config_path)
+
+
+def _expected_plan(config, stage) -> list:
+    """``stage`` and the closure of the dependencies ``_STAGES`` declares,
+    plus cvlme for bms when a subject is '@self', in run order."""
+    needed, todo = set(), [stage]
+    while todo:
+        s = todo.pop()
+        needed.add(s)
+        todo.extend(_STAGES[s].deps)
+        if s == "bms" and any(sub["cvlme"] == "@self" for sub in config.subjects):
+            todo.append("cvlme")
+    return [s for s in STAGE_NAMES if s in needed]
+
+
+class TestStageTable:
+    """Each stage's row of ``_STAGES`` against what the stage does."""
+
+    def test_preflight_files_are_the_loaded_files(
+        self, stage_config, tmp_path, monkeypatch
+    ):
+        loaded, per_stage = [], {}
+        real_load = evidencer.pipeline.load_matrix
+
+        def recording_load(path):
+            loaded.append(str(path))
+            return real_load(path)
+
+        monkeypatch.setattr(evidencer.pipeline, "load_matrix", recording_load)
+        for stage, compute in list(evidencer.pipeline._STAGE_FUNCTIONS.items()):
+
+            def marked(*args, stage=stage, compute=compute):
+                per_stage[stage] = sorted(loaded)  # the files of its load phase
+                loaded.clear()
+                return compute(*args)
+
+            monkeypatch.setitem(evidencer.pipeline._STAGE_FUNCTIONS, stage, marked)
+        options = RunOptions(out_dir=tmp_path / "out")
+        manifest = run_pipeline(stage_config, STAGE_NAMES, options)
+        assert [e["status"] for e in manifest["stages"].values()] == ["ok"] * 6
+        for stage in STAGE_NAMES:
+            required = _STAGES[stage].files(stage_config)
+            assert per_stage[stage] == sorted(
+                str(stage_config.resolve(p)) for p in required
+            ), stage
+        assert per_stage["cvlme"] and per_stage["bms"] and per_stage["bma"]
+
+    @pytest.mark.parametrize("stage", STAGE_NAMES)
+    def test_each_declared_block_is_required(self, stage_config, stage):
+        for block in _STAGES[stage].blocks:
+            empty = type(getattr(stage_config, block))()
+            lacking = dataclasses.replace(stage_config, **{block: empty})
+            # the first stage of the plan that declares the block is named
+            named = next(
+                s for s in _expected_plan(lacking, stage) if block in _STAGES[s].blocks
+            )
+            with pytest.raises(
+                ConfigError, match=f"stage '{named}' needs a '{block}' block"
+            ):
+                _plan(lacking, [stage])
+
+    @pytest.mark.parametrize("stage", STAGE_NAMES)
+    def test_plan_is_the_dependency_closure(self, stage_config, stage):
+        assert _plan(stage_config, [stage]) == _expected_plan(stage_config, stage)
 
 
 class TestSingleSession:
@@ -319,7 +409,6 @@ class TestSingleSession:
         import numpy as np
 
         from evidencer.dataio import save_matrix
-        from evidencer.errors import ConfigError
 
         root = tmp_path / "ws"
         root.mkdir()
@@ -345,13 +434,9 @@ class TestFailureHandling:
         ghost["data"] = ["nope_1.csv", "nope_2.csv"]
         path = tmp_path / "ghost.json"
         path.write_text(json.dumps(ghost))
-        from evidencer.errors import ConfigError
-
         with pytest.raises(ConfigError, match="nope_1.csv"):
             run(path, tmp_path / "out", ["cvlme"])
     def test_missing_family_block_fails_before_any_stage(self, tmp_path):
-        from evidencer.errors import ConfigError
-
         config_path = build_toy_workspace(
             tmp_path / "ws", with_families=False, with_group=False
         )
@@ -710,6 +795,17 @@ class TestCli:
         }
         assert "Traceback" not in captured.out + captured.err
         assert code == 3
+
+    @pytest.mark.parametrize("name", ["manifest.json", "timings.csv"])
+    def test_unwritable_run_file_exits_2(self, workspace, tmp_path, capsys, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        code = main(["cvlme", "--config", str(workspace), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: cannot write {out / name}: Is a directory" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert (out / "cvLME.csv").is_file()  # the result files already written stay
 
     @pytest.mark.parametrize(
         "target, keep, stage",
