@@ -7,18 +7,39 @@ scientific notation with 17 significant digits so a write/read round trip
 reproduces every double bit-for-bit. Analysis configurations are JSON
 documents.
 
-Reading splits lines where :mod:`csv` does (``\n``, ``\r\n`` or a lone
-``\r``, never ``\x0b``, ``\x0c`` or ``\u2028``). The numbers of all data
-rows come from one :func:`numpy.loadtxt` call, numpy's C reader, which
-rounds through ``PyOS_string_to_double`` as ``float()`` does, so every
-value is bit-identical to ``float(cell)``. Its acceptance rule for a cell,
+Files whose data cells all have the canonical form :func:`save_matrix`
+writes, ``-?D.DDDDDDDDDDDDDDDDe[+-]DD``, are read by an exact vectorised
+decoder, 256 KiB of whole lines at a time: no ``"`` and no ``\r`` in the
+file, ``\n`` after every line, one cell count. It finds the cells from
+their ``e``, decodes the 16 fraction digits as two uint64 words by SWAR
+steps (eight byte lanes per integer) that check them at the same time,
+and forms M * 10**q from the 17-digit integer M with one long double
+multiply or divide by an exact power of ten, |q| <= 27 (Clinger 1990).
+That result is rounded once, so rounding it to a double is correct
+except where it lies exactly halfway between two doubles; such cells, and
+cells with |q| > 27, are read by ``float()``. So every value is
+bit-identical to ``float(cell)``. The decoder is off where ``long
+double`` does not round to a 64-bit or wider significand (Windows, macOS
+on arm64, the double-double of ppc64). On a 2-vCPU Xeon VM it reads a
+200 x 2,500 file of 11.5 MB in 50-65 ms, against 135-190 ms for the
+reader below.
+
+Any other file, and any file in which a block does not qualify, is read
+from the start by the general reader. It splits lines where :mod:`csv`
+does (``\n``, ``\r\n`` or a lone ``\r``, never ``\x0b``, ``\x0c`` or
+``\u2028``). The numbers of all data rows come from one
+:func:`numpy.loadtxt` call, numpy's C reader, which rounds through
+``PyOS_string_to_double`` as ``float()`` does, so every value is
+bit-identical to ``float(cell)``. Its acceptance rule for a cell,
 stripped of whitespace: non-empty ASCII in ``float()`` syntax without
 underscores. ``float()`` alone also reads digit-group underscores
 (``1_000``) and non-ASCII digits; both are rejected. A per-line pass in
 front of the C reader rejects blank and ragged rows, which the C reader
 would skip or not see against the header; when either rejects a file, one
 more pass names the first bad line and cell. Lines are numbered by CSV
-record, so a quoted cell spanning lines counts once.
+record, so a quoted cell spanning lines counts once. Both readers decide
+a header by one rule: only a label that starts like a number is tried by
+``float()``.
 
 Writing sends the header row through :mod:`csv` and formats each data row
 with one ``%.16e`` format, byte-identical to ``f"{v:.16e}"`` per cell.
@@ -30,6 +51,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -139,6 +161,213 @@ def _cells(lines: list, record: _Record) -> list:
     return text.split(",") if text else []
 
 
+# how every string that float() accepts starts: spaces, an ASCII sign, then
+# a digit (``\d`` and ``\s`` are the Unicode digits and spaces float() maps),
+# a point, or the i or n of inf and nan
+_NUMBER_START = re.compile(r"\s*[+-]?[\d.iInN]")
+
+
+def _header(cells: list) -> tuple | None:
+    """The stripped labels of a first row none of whose cells reads by
+    ``float()``, or None when one does and the row is data. Only a cell
+    that starts like a number goes to ``float()``, which spares a raised
+    exception per label."""
+    for cell in filter(_NUMBER_START.match, cells):
+        try:
+            float(cell)
+        except ValueError:
+            continue
+        return None
+    return tuple(map(str.strip, cells))
+
+
+# The exact reader of canonical cells, ``-?D.DDDDDDDDDDDDDDDDe[+-]DD``.
+# It needs a long double that rounds each operation to a significand of at
+# least 64 bits: x87 extended (nmant 63) or IEEE binary128 (112). The
+# double-double of ppc64 (105) does not round that way.
+_EXACT_LONGDOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+_CELL_BYTES = 22  # an unsigned canonical cell; a negative one has 23
+_BLOCK_BYTES = 1 << 18
+_MAX_EXACT_POWER = 27  # 10**27 = 2**27 * 5**27 with 5**27 < 2**64
+# by exponent code: e for e+DD, 100 + e for e-DD; a cell is M * 10**q
+_Q = np.array([e - 16 for e in range(100)] + [-e - 16 for e in range(100)])
+_SCALE = np.cumprod(np.array([1] + [10] * _MAX_EXACT_POWER, dtype=np.longdouble))[
+    [min(abs(q), _MAX_EXACT_POWER) for q in _Q.tolist()]
+]
+# SWAR (eight byte lanes in one uint64) constants; every operand is an
+# explicit uint64, so numpy 1.x never promotes a mix to float64
+_ZEROS = np.uint64(0x3030303030303030)  # "00000000"
+# a digit d minus "0" plus 0x76 stays below 0x80; any other byte sets bit 7
+# there or in the difference
+_ABOVE_NINE = np.uint64(0x7676767676767676)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_LOW_BYTES = np.uint64(0x000000FF000000FF)
+_PAIRS_TO_QUADS = np.uint64(100 + (1000000 << 32))
+_QUADS_TO_OCTET = np.uint64(1 + (10000 << 32))
+_TEN = np.uint64(10)
+_SHIFT_8 = np.uint64(8)
+_SHIFT_16 = np.uint64(16)
+_SHIFT_32 = np.uint64(32)
+_E8 = np.uint64(10**8)
+_E16 = np.uint64(10**16)
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray | None:
+    """The numbers of little-endian uint64 words of eight ASCII digits each,
+    the first digit in the lowest byte; None if a byte is not a digit."""
+    words = words - _ZEROS
+    spare = words + _ABOVE_NINE
+    spare |= words
+    spare &= _HIGH_BITS
+    if spare.any():
+        return None
+    np.right_shift(words, _SHIFT_8, out=spare)
+    words *= _TEN
+    words += spare  # byte pairs: 10 d0 + d1
+    np.right_shift(words, _SHIFT_16, out=spare)
+    spare &= _LOW_BYTES
+    spare *= _QUADS_TO_OCTET
+    words &= _LOW_BYTES
+    words *= _PAIRS_TO_QUADS
+    words += spare
+    words >>= _SHIFT_32
+    return words
+
+
+def _bytes_at(b: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
+    """``b[at[i] + j]`` for ``j < count`` as row ``i``: one gather of
+    ``count``-byte items from an overlapping view of ``b``."""
+    items = np.ndarray((b.size - count + 1,), f"V{count}", b, strides=(1,))
+    return items[at].view(np.uint8).reshape(-1, count)
+
+
+def _decode_canonical(b: np.ndarray, width: int) -> np.ndarray | None:
+    """The values of the whole lines ``b`` (uint8) of ``width`` canonical
+    cells each, flat in row order and each equal to ``float(cell)``; None
+    if a byte breaks the form.
+
+    A cell reads as M * 10**q with the integer M < 10**17 and
+    q = exponent - 16. Both M and 10**|q|, for |q| <= 27, are exact in a
+    64-bit significand, so one long double multiply or divide rounds the
+    exact value once. Rounding that to a double rounds twice, which errs
+    only where the first result lies exactly halfway between two doubles.
+    Those cells, and cells with |q| > 27, are read by ``float()``.
+    """
+    seps = np.flatnonzero(b == ord("e")) + 4  # a cell ends 4 bytes after its e
+    if seps.size == 0 or seps.size % width or seps[-1] != b.size - 1:
+        return None
+    ends = b[seps].reshape(-1, width)
+    if (ends[:, -1] != ord("\n")).any() or (ends[:, :-1] != ord(",")).any():
+        return None
+    length = np.diff(seps, prepend=-1) - 1
+    negative = length == _CELL_BYTES + 1
+    if (
+        not (negative | (length == _CELL_BYTES)).all()
+        or (negative & (b[seps - length] != ord("-"))).any()
+    ):
+        return None
+
+    # the e, the separators and the signs are checked; these are the rest
+    start = seps - _CELL_BYTES
+    head = _bytes_at(b, start, 2)  # the leading digit and the point
+    tail = _bytes_at(b, start + 19, 3)  # the exponent's sign and digits
+    lead = head[:, 0] - np.uint8(ord("0"))
+    exp_digits = tail[:, 1:] - np.uint8(ord("0"))
+    if (
+        (lead > 9).any()
+        or (head[:, 1] != ord(".")).any()
+        or (exp_digits > 9).any()
+        or ((tail[:, 0] != ord("+")) & (tail[:, 0] != ord("-"))).any()
+    ):
+        return None
+    fraction = _eight_digits(_bytes_at(b, start + 2, 16).view("<u8"))
+    if fraction is None:
+        return None
+    mantissa = lead.astype(np.uint64) * _E16 + fraction[:, 0] * _E8 + fraction[:, 1]
+    code = exp_digits[:, 0].astype(np.intp) * 10 + exp_digits[:, 1]
+    code[tail[:, 0] == ord("-")] += 100
+    q = _Q[code]
+
+    exact = mantissa.astype(np.longdouble)
+    scale = _SCALE[code]
+    up = q >= 0
+    np.multiply(exact, scale, out=exact, where=up)
+    np.divide(exact, scale, out=exact, where=~up)
+    values = exact.astype(np.float64)
+    # values + 2 residual is a double (the next one) only when exact is
+    # halfway; the residual is exact as a double for x87 (at most 11 bits),
+    # and a wider long double can at worst send a cell to float() needlessly
+    residual = (exact - values).astype(np.float64)
+    residual += residual
+    redo = np.flatnonzero(
+        (np.abs(q) > _MAX_EXACT_POWER)
+        | ((residual != 0) & ((values + residual) - values == residual))
+    )
+    values[negative] *= -1.0
+    text = memoryview(b)
+    values[redo] = [
+        float(text[stop - size : stop])
+        for stop, size in zip(seps[redo].tolist(), length[redo].tolist())
+    ]
+    return values
+
+
+def _line_blocks(handle):
+    """The file in blocks of whole lines, read ``_BLOCK_BYTES`` at a time;
+    bytes after the last newline come last, as a block of their own."""
+    parts = []
+    while chunk := handle.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            parts.append(chunk)
+            continue
+        yield b"".join([*parts, memoryview(chunk)[:cut]])
+        parts = [chunk[cut:]]
+    tail = b"".join(parts)
+    if tail:
+        yield tail
+
+
+def _load_canonical(path: Path) -> LabeledMatrix | None:
+    """The matrix of a file whose data cells are all canonical, each value
+    equal to ``float(cell)``; None for any other file or platform, which
+    the general reader reads instead."""
+    if not _EXACT_LONGDOUBLE:
+        return None
+    try:
+        with path.open("rb") as handle:
+            # a cell and its separator take at least 23 bytes
+            values = np.empty(os.fstat(handle.fileno()).st_size // (_CELL_BYTES + 1))
+            filled, width, columns = 0, None, None
+            for block in _line_blocks(handle):
+                if not block.endswith(b"\n"):
+                    return None
+                start = 0
+                if width is None:
+                    first = block[: block.index(b"\n")]
+                    if not first or b'"' in first or b"\r" in first:
+                        return None
+                    try:
+                        cells = first.decode("utf-8").split(",")
+                    except UnicodeDecodeError:
+                        return None
+                    width, columns = len(cells), _header(cells)
+                    if columns is not None:
+                        start = len(first) + 1
+                if start == len(block):
+                    continue
+                flat = _decode_canonical(np.frombuffer(block, np.uint8)[start:], width)
+                if flat is None or filled + flat.size > values.size:
+                    return None
+                values[filled : filled + flat.size] = flat
+                filled += flat.size
+    except OSError:
+        return None  # the general reader names the file and the error
+    if not filled:
+        return None
+    return LabeledMatrix(values=values[:filled].reshape(-1, width), columns=columns)
+
+
 def _is_number(text: str) -> bool:
     """Whether numpy's C reader reads the stripped cell ``text`` as a
     double: ``float()``'s syntax, in ASCII and without underscores."""
@@ -188,6 +417,9 @@ def load_matrix(path) -> LabeledMatrix:
     and, for a bad cell, its column.
     """
     path = Path(path)
+    matrix = _load_canonical(path)
+    if matrix is not None:
+        return matrix
     try:
         with path.open(newline="", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -199,15 +431,7 @@ def load_matrix(path) -> LabeledMatrix:
     if not records:
         raise ParseError(f"{path}: no data rows")
 
-    first_cells = _cells(lines, records[0])
-    columns = tuple(c.strip() for c in first_cells)
-    for cell in first_cells:
-        try:
-            float(cell)
-        except ValueError:
-            continue
-        columns = None  # a cell that reads as a number makes the row data
-        break
+    columns = _header(_cells(lines, records[0]))
     first_line = 1 if columns is None else 2
     data = records[first_line - 1 :]
     if not data:

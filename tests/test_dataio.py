@@ -2,16 +2,21 @@
 
 import json
 import re
+import sys
+from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from evidencer import dataio
 from evidencer.dataio import ResultTable, load_config, load_matrix, save_matrix
 from evidencer.errors import ConfigError, ParseError
+from evidencer.pipeline import STAGE_NAMES, RunOptions, run_pipeline
 
-from helpers import load_matrix_by_cells, save_matrix_by_cells
+from helpers import build_toy_workspace, load_matrix_by_cells, save_matrix_by_cells
 
 
 class TestLoadMatrix:
@@ -213,6 +218,258 @@ class TestRoundTrip:
         save_matrix(path, np.array([[np.pi]]))
         text = path.read_text().strip()
         assert text == "3.1415926535897931e+00"
+
+
+def _canonical(value) -> str:
+    """``value`` (a float or a Decimal) as ``%.16e`` with two or more
+    exponent digits, rounded half to even."""
+    mantissa, exponent = f"{value:.16e}".split("e")
+    return f"{mantissa}e{int(exponent):+03d}"
+
+
+def _double(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+_FINITE_DOUBLE = st.integers(0, 2**64 - 1).map(_double).filter(np.isfinite)
+
+
+@st.composite
+def _midpoint_cells(draw):
+    """The 17-digit rounding of the exact midpoint of two adjacent doubles."""
+    low = abs(draw(_FINITE_DOUBLE))
+    high = float(np.nextafter(low, np.inf))
+    if not np.isfinite(high):
+        low, high = float(np.nextafter(low, 0.0)), low
+    with localcontext() as ctx:
+        ctx.prec = 800  # exact: a double has at most 767 significant digits
+        middle = (Decimal(low) + Decimal(high)) / 2
+    return ("-" if draw(st.booleans()) else "") + _canonical(middle)
+
+
+_CANONICAL_CELLS = st.one_of(
+    # every finite double, subnormals, zeros and the largest ones included
+    _FINITE_DOUBLE.map(_canonical),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max]).map(_canonical),
+    # any 17 digits with any two-digit exponent
+    st.builds(
+        lambda sign, digits, exponent: f"{sign}{digits[0]}.{digits[1:]}e{exponent:+03d}",
+        st.sampled_from(["", "-"]),
+        st.integers(0, 10**17 - 1).map("{:017d}".format),
+        st.integers(-99, 99),
+    ),
+    _midpoint_cells(),
+)
+_TWO_DIGIT_EXPONENT = re.compile(r"-?\d\.\d{16}e[+-]\d\d")
+
+
+class TestCanonicalReader:
+    """The exact reader of ``%.16e`` cells against ``float()`` per cell and
+    against the reader it falls back to."""
+
+    @staticmethod
+    def _write(tmp_path, text, name="m.csv"):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @staticmethod
+    def _result(path):
+        """What load_matrix makes of ``path``: values and labels, or the error."""
+        try:
+            mat = load_matrix(path)
+        except ParseError as exc:
+            return str(exc)
+        return mat.values.shape, mat.values.tobytes(), mat.columns
+
+    def _fallback_result(self, path):
+        with mock.patch.object(dataio, "_EXACT_LONGDOUBLE", False):
+            return self._result(path)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(
+                    st.lists(_CANONICAL_CELLS, min_size=width, max_size=width),
+                    min_size=1,
+                    max_size=4,
+                ),
+            )
+        ),
+        st.booleans(),
+        st.sampled_from([64, 1 << 18]),
+    )
+    def test_equals_float_per_cell(self, tmp_path, shape_rows, header, block_bytes):
+        width, rows = shape_rows
+        lines = [",".join(f"v{i + 1}" for i in range(width))] if header else []
+        lines += [",".join(row) for row in rows]
+        path = self._write(tmp_path, "\n".join(lines) + "\n")
+        with mock.patch.object(dataio, "_BLOCK_BYTES", block_bytes):
+            mat = load_matrix(path)
+            fast = dataio._load_canonical(path)
+        ref = load_matrix_by_cells(path)
+        assert mat.values.tobytes() == ref.values.tobytes()
+        assert mat.columns == ref.columns
+        canonical = all(_TWO_DIGIT_EXPONENT.fullmatch(c) for row in rows for c in row)
+        assert (fast is not None) == (canonical and dataio._EXACT_LONGDOUBLE)
+
+    @pytest.mark.parametrize(
+        "cell, value",
+        [
+            ("9.0071992547409930e+15", 2.0**53),  # 2**53 + 1, halfway: to even
+            ("-0.0000000000000000e+00", -0.0),
+            ("4.9406564584124654e-324", 5e-324),
+            ("1.7976931348623157e+308", sys.float_info.max),
+            # not halfway, but their long double is: rounding that to a
+            # double would give the neighbour, so float() reads them
+            ("6.0686851400424405e+06", 6068685.14004244),
+            ("-9.9266242444890966e+04", -99266.24244489097),
+            ("9.8721221468156704e-03", 0.00987212214681567),
+            ("5.6080998138750278e+32", 5.608099813875028e32),
+        ],
+    )
+    def test_named_cells(self, tmp_path, cell, value):
+        path = self._write(tmp_path, f"v1,v2\n{cell},{cell}\n")
+        mat = load_matrix(path)
+        assert mat.values.tobytes() == np.array([[value, value]]).tobytes()
+        assert mat.values.tobytes() == load_matrix_by_cells(path).values.tobytes()
+
+    def test_exact_powers_of_ten(self):
+        for code, q in enumerate(dataio._Q):
+            assert int(dataio._SCALE[code]) == 10 ** min(abs(int(q)), 27)
+
+    @staticmethod
+    def _canonical_text():
+        values = np.array([[1.5, -2.25e-7], [3.0e12, -4.0e-11], [0.0, 6.02e23]])
+        lines = ["v1,v2"] + [",".join(_canonical(v) for v in row) for row in values]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda t: t.replace("5", "x", 1),  # a digit turned into x
+            lambda t: t.replace("e-07", "-07", 1),  # a missing e
+            lambda t: t.replace(",", ";", 2),  # ; for , in a data row
+            lambda t: t.replace("\n", "\r\n"),  # CRLF line ends
+            lambda t: t[:-1],  # no final newline
+            lambda t: t + "\n",  # a trailing blank line
+            lambda t: t.replace("3.0", '"3.0', 1),  # a quote
+            lambda t: t.replace("3.0", '"3.0', 1).replace("e+12", 'e+12"', 1),
+            lambda t: t.replace("v1", '"v1"', 1),  # a quoted label
+            lambda t: t.replace("e+23", "e+123", 1),  # a 3-digit exponent
+            lambda t: t.replace("\n", "\n\n", 2),  # an interior blank line
+            lambda t: t.replace("v1,v2", "v1,v2,v3", 1),  # a ragged header
+            lambda t: t.replace("v1,v2\n", "", 1),  # no header
+            lambda t: t.replace("v1,v2\n", "\n", 1),  # a blank first line
+            lambda t: t.replace("1.5", "+1.5", 1),  # a sign the writer omits
+            # one column under a blank first line, or under a lone \r
+            lambda t: "\n1.0000000000000000e+00\n",
+            lambda t: "a\rb\n1.0000000000000000e+00\n",
+        ],
+    )
+    def test_mutation_gives_the_fallback_result(self, tmp_path, mutate):
+        path = self._write(tmp_path, mutate(self._canonical_text()))
+        result = self._result(path)
+        assert result == self._fallback_result(path)
+        try:
+            ref = load_matrix_by_cells(path)
+        except ParseError as exc:
+            ref_line = re.search(r"\bline (\d+)", str(exc))
+            assert isinstance(result, str)
+            assert re.search(r"\bline (\d+)", result)[0] == ref_line[0]
+        else:
+            assert result == (ref.values.shape, ref.values.tobytes(), ref.columns)
+
+    def test_every_one_byte_change(self, tmp_path):
+        text = "v1,v2\n" + "1.2500000000000000e+00,-3.0000000000000000e-02\n" * 2
+        for at in range(len(text)):
+            for byte in ("", "x", "0", "-", "+", ",", "\n", '"', "e", ".", " "):
+                path = self._write(tmp_path, text[:at] + byte + text[at + 1 :])
+                assert self._result(path) == self._fallback_result(path), (at, byte)
+
+    def test_toy_workspace_results_identical_without_the_reader(self, tmp_path):
+        config_path = build_toy_workspace(tmp_path / "ws")
+        if dataio._EXACT_LONGDOUBLE:
+            assert dataio._load_canonical(tmp_path / "ws" / "Y_s1.csv") is not None
+        config = load_config(config_path)
+        run_pipeline(config, STAGE_NAMES, RunOptions(out_dir=tmp_path / "fast"))
+        with mock.patch.object(dataio, "_EXACT_LONGDOUBLE", False):
+            run_pipeline(config, STAGE_NAMES, RunOptions(out_dir=tmp_path / "slow"))
+        names = sorted(p.name for p in (tmp_path / "fast").iterdir())
+        names.remove("timings.csv")
+        assert "manifest.json" in names and "BMA_task.csv" in names
+        assert names == sorted(
+            p.name for p in (tmp_path / "slow").iterdir() if p.name != "timings.csv"
+        )
+        for name in names:
+            fast = (tmp_path / "fast" / name).read_bytes()
+            assert fast == (tmp_path / "slow" / name).read_bytes(), name
+
+
+_UNICODE_SPACES = st.text(
+    st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0   　"),
+    max_size=2,
+)
+_UNICODE_DIGITS = st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3)
+
+
+@st.composite
+def _float_like(draw):
+    """Strings in and near ``float()``'s syntax, with Unicode digits and spaces."""
+    body = draw(
+        st.one_of(
+            st.builds(
+                "{}{}{}".format,
+                _UNICODE_DIGITS | st.just(""),
+                st.sampled_from(["", ".", "_"]),
+                _UNICODE_DIGITS | st.just(""),
+            ),
+            st.sampled_from(["inf", "infinity", "nan"]).flatmap(
+                lambda word: st.tuples(*(st.sampled_from([c, c.upper()]) for c in word))
+            ).map("".join),
+        )
+    )
+    exponent = draw(
+        st.sampled_from(["", "e", "E"]).flatmap(
+            lambda e: st.just("") if not e else st.builds(
+                "{}{}{}".format, st.just(e), st.sampled_from(["", "+", "-"]), _UNICODE_DIGITS
+            )
+        )
+    )
+    sign = draw(st.sampled_from(["", "+", "-", "−"]))
+    return draw(_UNICODE_SPACES) + sign + body + exponent + draw(_UNICODE_SPACES)
+
+
+class TestHeaderRule:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_float_like(), st.text()))
+    def test_regex_admits_every_string_float_reads(self, text):
+        try:
+            float(text)
+        except ValueError:
+            return
+        assert dataio._NUMBER_START.match(text)
+
+    @pytest.mark.parametrize(
+        "cells, header",
+        [
+            (["v1", "v2"], ("v1", "v2")),
+            ([" a ", "nanny"], ("a", "nanny")),
+            (["x", " ١٢ "], None),  # Arabic-Indic digits read by float()
+            (["x", "-Infinity"], None),
+            (["x", "1_0"], None),
+            (["x", ".5"], None),
+            ([""], ("",)),
+        ],
+    )
+    def test_header_rule(self, cells, header):
+        assert dataio._header(cells) == header
 
 
 class TestResultTable:
