@@ -11,16 +11,15 @@ the one place a public name is declared.
 
 __version__ = "0.1.0"
 
-from . import bma, crossval, dataio, distributions, errors, glm, pipeline, rfx, special
+from . import bma, crossval, dataio, errors, glm, pipeline, rfx, special
 from .bma import *  # noqa: F403
 from .crossval import *  # noqa: F403
 from .dataio import *  # noqa: F403
-from .distributions import *  # noqa: F403
 from .errors import *  # noqa: F403
 from .glm import *  # noqa: F403
 from .pipeline import *  # noqa: F403
 from .rfx import *  # noqa: F403
 from .special import *  # noqa: F403
 
-_MODULES = (bma, crossval, dataio, distributions, errors, glm, pipeline, rfx, special)
+_MODULES = (bma, crossval, dataio, errors, glm, pipeline, rfx, special)
 __all__ = ["__version__"] + [name for module in _MODULES for name in module.__all__]

@@ -3,7 +3,7 @@
 Each fold trains a posterior on all sessions but one, starting from the
 non-informative prior, and scores the held-out session's evidence under
 that trained posterior: by conjugacy it is a normal-gamma parameter set
-(:class:`~evidencer.distributions.NgParams`), so it serves as the prior
+(:class:`~evidencer.glm.NgParams`), so it serves as the prior
 unchanged. Summing the per-fold out-of-sample quantities gives the
 cross-validated log model evidence and its accuracy/complexity split.
 
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import NgParams
 from .errors import DomainError, EstimationError, LayoutError
 from .glm import (
     GlmSpec,
+    NgParams,
     SessionStats,
     accuracy,
     complexity,

@@ -60,7 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bma import _prior_weights
-from .errors import ConfigError, DomainError, EvidencerError, ParseError
+from .crossval import split_single_session
+from .errors import ConfigError, DomainError, EvidencerError, LayoutError, ParseError
 
 __all__ = [
     "LabeledMatrix",
@@ -345,12 +346,15 @@ def _load_canonical(path: Path) -> LabeledMatrix | None:
                 start = 0
                 if width is None:
                     first = block[: block.index(b"\n")]
-                    if not first or b'"' in first or b"\r" in first:
+                    if b'"' in first or b"\r" in first:
                         return None
                     try:
-                        cells = first.decode("utf-8").split(",")
+                        text = first.decode("utf-8")
                     except UnicodeDecodeError:
                         return None
+                    if _NOT_BLANK.search(text) is None:
+                        return None  # the general reader names the blank row
+                    cells = text.split(",")
                     width, columns = len(cells), _header(cells)
                     if columns is not None:
                         start = len(first) + 1
@@ -411,10 +415,10 @@ def load_matrix(path) -> LabeledMatrix:
 
     The first row is treated as a header exactly when none of its cells
     parses by ``float()``, so a malformed first data row is an error, not
-    a header. Trailing blank rows are ignored.
-    Blank or ragged rows, empty or non-numeric data cells, and files
-    without data rows raise :class:`ParseError` naming the file, the line
-    and, for a bad cell, its column.
+    a header. Trailing blank rows are ignored; a blank first row is an
+    error, not an empty header. Blank or ragged rows, empty or non-numeric
+    data cells, and files without data rows raise :class:`ParseError`
+    naming the file, the line and, for a bad cell, its column.
     """
     path = Path(path)
     matrix = _load_canonical(path)
@@ -430,6 +434,8 @@ def load_matrix(path) -> LabeledMatrix:
         records.pop()
     if not records:
         raise ParseError(f"{path}: no data rows")
+    if records[0].blank:
+        raise ParseError(f"{path}, line 1: blank row inside the file")
 
     columns = _header(_cells(lines, records[0]))
     first_line = 1 if columns is None else 2
@@ -656,7 +662,11 @@ def load_config(path) -> ModelSpaceConfig:
         _require(len(data) >= 1, "first-level analyses need response files in 'data'")
         if kind == "single":
             _require(len(data) == 1, "single-session mode takes exactly one response file")
-            _positive(sessions, "scans", None, int, "sessions.scans")
+            scans = _positive(sessions, "scans", None, int, "sessions.scans")
+            try:
+                split_single_session(scans)
+            except LayoutError as exc:
+                raise ConfigError(f"sessions.scans: {exc}") from None
         for m in models:
             _require(
                 len(m["design"]) == len(data),
@@ -742,6 +752,10 @@ def load_config(path) -> ModelSpaceConfig:
             f"got {s['cvlme']!r}",
         )
     if subjects:
+        _require(
+            len(subjects) >= 2,
+            f"subjects: a group analysis needs at least two, got {len(subjects)}",
+        )
         subject_names = [s["name"] for s in subjects]
         _require(
             len(set(subject_names)) == len(subject_names),

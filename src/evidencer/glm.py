@@ -6,9 +6,19 @@ its design matrix, and the observation precision. Because the design and
 precision are shared across voxels, the posterior coefficient precision and
 Gamma shape are computed once per session while coefficient means and Gamma
 rates are per-voxel columns; this is what makes the mass-univariate setting
-cheap. The posterior is conjugate, an :class:`~evidencer.distributions.NgParams`
-with ``(p, V)`` means and ``(V,)`` rates, so it is also a valid prior for a
-further update.
+cheap.
+
+A normal-gamma parameter set :class:`NgParams` ``(mu, lam, a, b)``
+describes the joint prior or posterior of regression coefficients and
+residual precision: given precision ``tau``, coefficients are Gaussian with
+mean ``mu`` and precision ``tau * lam``; ``tau`` itself is Gamma(a, b). The
+all-zero instance encodes the non-informative prior (flat coefficients,
+Jeffreys precision); it is a legal *input* to the conjugate update but is
+rejected by every operation that would need its log-determinant or
+density. The family is conjugate: :func:`posterior_update` returns an
+:class:`NgParams` with ``(p, V)`` means and ``(V,)`` rates, so the
+posterior is directly the prior of a further update (the held-out session
+of a cross-validation fold).
 
 A spec holds inputs only. The conjugate update and every evidence term
 read a session through one :class:`SessionStats`: ``xtpx = X'PX``,
@@ -30,22 +40,16 @@ posterior from the prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import (
-    NgParams,
-    _check_symmetric,
-    _chol_solve,
-    _cholesky,
-    _logdet_from_chol,
-)
 from .errors import DecompositionError, DomainError, EstimationError
 from .special import digamma, log_gamma
 
 __all__ = [
+    "NgParams",
     "GlmSpec",
     "SessionStats",
     "response_stats",
@@ -57,8 +61,130 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _RANK_RTOL = 1e-10
+_SYM_RTOL = 1e-12
 # design columns per product in the response pass
 _STACK = 4
+
+
+def _check_symmetric(m: np.ndarray, name: str) -> None:
+    scale = np.max(np.abs(m)) if m.size else 0.0
+    if scale > 0 and np.max(np.abs(m - m.T)) > _SYM_RTOL * scale:
+        raise DomainError(f"{name} must be symmetric to {_SYM_RTOL} relative")
+
+
+def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(
+            f"{name} is not positive definite: {exc}"
+        ) from None
+
+
+def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(L L') x = rhs`` for a lower Cholesky factor ``L`` and a
+    ``(p, V)`` right-hand side: forward substitution with ``L``, then back
+    substitution with ``L'``, each row step batched over the V columns."""
+    x = np.array(rhs, dtype=float)
+    for i in range(x.shape[0]):
+        x[i] -= chol[i, :i] @ x[:i]
+        x[i] /= chol[i, i]
+    for i in reversed(range(x.shape[0])):
+        x[i] -= chol[i + 1:, i] @ x[i + 1:]
+        x[i] /= chol[i, i]
+    return x
+
+
+def _logdet_from_chol(chol: np.ndarray) -> float:
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+@dataclass
+class NgParams:
+    """Normal-gamma hyperparameters, optionally carrying per-voxel columns.
+
+    ``mu`` is ``(p,)`` or ``(p, V)``; ``lam`` is a shared ``(p, p)``
+    symmetric matrix; ``a`` is a shared scalar; ``b`` is scalar or ``(V,)``,
+    and a per-voxel ``b`` next to a ``(p, V)`` mean has one entry per
+    column. ``_chol`` may carry an already computed Cholesky factor of
+    ``lam``.
+    """
+
+    mu: np.ndarray
+    lam: np.ndarray
+    a: float
+    b: np.ndarray | float
+    _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.mu = np.asarray(self.mu, dtype=float)
+        self.lam = np.asarray(self.lam, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
+        if self.b.ndim == 0:
+            self.b = float(self.b)
+        self.a = float(self.a)
+        if self.mu.ndim not in (1, 2):
+            raise DomainError("mu must be a vector or a (p, V) matrix")
+        p = self.mu.shape[0]
+        if self.lam.shape != (p, p):
+            raise DomainError(f"lam must be ({p}, {p}), got {self.lam.shape}")
+        _check_symmetric(self.lam, "lam")
+        if self.mu.ndim == 2 and np.ndim(self.b) and self.b.shape != self.mu.shape[1:]:
+            raise DomainError(
+                f"b has shape {self.b.shape} but mu has {self.mu.shape[1]} "
+                "voxel columns"
+            )
+        if self.a < 0 or np.any(np.asarray(self.b) < 0):
+            raise DomainError("a and b must be non-negative")
+
+    @classmethod
+    def noninformative(cls, p: int) -> "NgParams":
+        """The flat-coefficient, Jeffreys-precision instance (all zeros)."""
+        return cls(mu=np.zeros(p), lam=np.zeros((p, p)), a=0.0, b=0.0)
+
+    @property
+    def dim(self) -> int:
+        return self.mu.shape[0]
+
+    @property
+    def n_voxels(self) -> int:
+        """Voxel columns carried by ``mu`` or ``b``; 1 when both are shared."""
+        return self.mu.shape[1] if self.mu.ndim == 2 else np.size(self.b)
+
+    @property
+    def is_noninformative(self) -> bool:
+        return (
+            self.a == 0.0
+            and np.all(np.asarray(self.b) == 0.0)
+            and not np.any(self.lam)
+            and not np.any(self.mu)
+        )
+
+    @property
+    def is_proper(self) -> bool:
+        """True when lam is positive definite and a, b strictly positive."""
+        if self.a <= 0 or np.any(np.asarray(self.b) <= 0):
+            return False
+        try:
+            self.chol_lam()
+        except DecompositionError:
+            return False
+        return True
+
+    def chol_lam(self) -> np.ndarray:
+        if self._chol is None:
+            self._chol = _cholesky(self.lam, "lam")
+        return self._chol
+
+    def logdet_lam(self) -> float:
+        return _logdet_from_chol(self.chol_lam())
+
+    def require_proper(self, operation: str) -> None:
+        if not self.is_proper:
+            raise DomainError(
+                f"{operation} requires a proper normal-gamma parameter set; "
+                "the non-informative instance is only valid as an update input"
+            )
 
 
 @dataclass

@@ -3,8 +3,7 @@
 Evidences and exceedance probabilities reduce to a handful of primitives
 collected here: the log gamma function, the digamma function, regularized
 incomplete gamma and beta integrals, and the Gamma tail quantiles that bound
-an integration domain. A max-shifted log-sum-exp is exported for users; the
-library's own prior-weighted evidence sums are formed in :mod:`.bma`.
+an integration domain.
 
 A scalar argument of :func:`log_gamma` or :func:`digamma` (a Python number,
 a numpy scalar or a 0-d array) is evaluated by the standard library:
@@ -29,7 +28,6 @@ __all__ = [
     "digamma",
     "reg_lower_incomplete_gamma",
     "reg_incomplete_beta",
-    "log_sum_exp",
 ]
 
 
@@ -119,39 +117,6 @@ def reg_incomplete_beta(x, a, b) -> np.ndarray | float:
     from scipy import special
 
     return _scalar_or_array(special.betainc(a_arr, b_arr, x_arr), x, a, b)
-
-
-def log_sum_exp(values, axis: int | None = None) -> np.ndarray | float:
-    """Max-shifted ``log(sum(exp(values)))``.
-
-    Only differences from the running maximum are exponentiated, so the
-    result never overflows for finite input and entries far below the
-    maximum underflow harmlessly to zero contribution. ``-inf`` entries are
-    permitted and behave as zero-probability terms.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise DomainError("log_sum_exp of an empty collection is undefined")
-    flat = axis is None
-    if flat:
-        arr = arr.ravel()
-        axis = 0
-    if arr.shape[axis] == 0:
-        raise DomainError("log_sum_exp along an empty axis is undefined")
-    if np.any(np.isnan(arr)) or np.any(arr == np.inf):
-        raise DomainError("log_sum_exp requires entries in [-inf, inf)")
-    shift = np.max(arr, axis=axis, keepdims=True)
-    # all -inf along the axis: the sum is exactly zero, result -inf
-    degenerate = ~np.isfinite(shift)
-    safe_shift = np.where(degenerate, 0.0, shift)
-    with np.errstate(divide="ignore"):
-        out = safe_shift.squeeze(axis) + np.log(
-            np.sum(np.exp(arr - safe_shift), axis=axis)
-        )
-    out = np.where(degenerate.squeeze(axis), -np.inf, out)
-    if flat:
-        return float(out)
-    return out
 
 
 def gamma_tail_quantiles(shape, tail: float) -> tuple[np.ndarray, np.ndarray]:

@@ -21,9 +21,8 @@ from scipy.special import digamma as _oracle_digamma
 from scipy.special import gammaln as _oracle_lgamma
 
 from evidencer.dataio import LabeledMatrix
-from evidencer.distributions import NgParams
-from evidencer.errors import ParseError
-from evidencer.glm import GlmSpec, SessionStats, response_stats
+from evidencer.errors import DecompositionError, DomainError, ParseError
+from evidencer.glm import GlmSpec, NgParams, SessionStats, response_stats
 from evidencer.rfx import DirichletPosterior, ep_integration_stack
 
 
@@ -113,6 +112,69 @@ def accuracy_by_residual(spec: GlmSpec, post) -> np.ndarray:
     )
 
 
+def _covariance_factor(sigma: np.ndarray, name: str) -> np.ndarray:
+    """The lower Cholesky factor of a symmetric positive-definite ``sigma``;
+    else :class:`DomainError` or :class:`DecompositionError` naming it."""
+    scale = np.max(np.abs(sigma))
+    if np.max(np.abs(sigma - sigma.T)) > 1e-12 * scale:
+        raise DomainError(f"{name} must be symmetric")
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"{name} is not positive definite: {exc}") from None
+
+
+def kl_mvn(mu1, sigma1, mu2, sigma2) -> float:
+    """Reference KL[N(mu1, sigma1) || N(mu2, sigma2)] in its textbook form.
+
+    With ``gamma_moments`` and ``kl_gamma`` it assembles the complexity
+    penalty the package computes in collected-terms form: the coefficient
+    KL at the posterior mean precision, plus the precision KL.
+    """
+    mu1 = np.asarray(mu1, dtype=float).ravel()
+    mu2 = np.asarray(mu2, dtype=float).ravel()
+    sigma1 = np.asarray(sigma1, dtype=float)
+    sigma2 = np.asarray(sigma2, dtype=float)
+    k = mu1.size
+    if mu2.size != k or sigma1.shape != (k, k) or sigma2.shape != (k, k):
+        raise DomainError("kl_mvn arguments have inconsistent dimensions")
+    chol1 = _covariance_factor(sigma1, "sigma1")
+    chol2 = _covariance_factor(sigma2, "sigma2")
+    z = np.linalg.solve(chol2, mu2 - mu1)
+    w = np.linalg.solve(chol2, chol1)
+    logdet1, logdet2 = (2.0 * float(np.sum(np.log(np.diag(c)))) for c in (chol1, chol2))
+    return 0.5 * (float(z @ z) + float(np.sum(w * w)) - (logdet1 - logdet2) - k)
+
+
+def kl_gamma(a1, b1, a2, b2) -> float:
+    """Reference KL[Gam(a1, b1) || Gam(a2, b2)], shape/rate form."""
+    for name, v in (("a1", a1), ("b1", b1), ("a2", a2), ("b2", b2)):
+        if not np.isfinite(v) or v <= 0:
+            raise DomainError(f"{name} must be a positive real, got {v!r}")
+    return float(
+        a2 * np.log(b1 / b2)
+        - (_oracle_lgamma(a1) - _oracle_lgamma(a2))
+        + (a1 - a2) * _oracle_digamma(a1)
+        - (b1 - b2) * a1 / b1
+    )
+
+
+def gamma_moments(a, b) -> tuple:
+    """Mean and expected log of a Gamma(a, b) variate, (a/b, psi(a) - ln b),
+    for scalars or arrays broadcast together."""
+    a_arr = np.asarray(a, dtype=float)
+    b_arr = np.asarray(b, dtype=float)
+    if not (np.all(np.isfinite(a_arr)) and np.all(np.isfinite(b_arr))):
+        raise DomainError("gamma_moments requires finite arguments")
+    if np.any(a_arr <= 0) or np.any(b_arr <= 0):
+        raise DomainError("gamma_moments requires strictly positive arguments")
+    mean = a_arr / b_arr
+    log_mean = _oracle_digamma(a_arr) - np.log(b_arr)
+    if np.isscalar(a) and np.isscalar(b):
+        return float(mean), float(log_mean)
+    return mean, log_mean
+
+
 def _parse_cell_by_float(cell: str, line_no: int):
     text = cell.strip()
     if not text:
@@ -149,6 +211,8 @@ def load_matrix_by_cells(path) -> LabeledMatrix:
 
     columns = None
     first_line, first_cells = raw_rows[0]
+    if all(not c.strip() for c in first_cells):
+        raise ParseError(f"line {first_line}: blank row inside {path}")
     header = True  # unless some cell reads as a number
     for cell in first_cells:
         try:

@@ -13,6 +13,9 @@ import pytest
 from helpers import (
     build_toy_workspace,
     ep_one_voxel,
+    gamma_moments,
+    kl_gamma,
+    kl_mvn,
     lme_by_quadrature,
     random_proper_instance,
     stats_of,
@@ -28,9 +31,9 @@ from evidencer.bma import (
 )
 from evidencer.cli import main
 from evidencer.crossval import SessionLayout, cv_lme_models
-from evidencer.distributions import NgParams
 from evidencer.glm import (
     GlmSpec,
+    NgParams,
     accuracy,
     complexity,
     log_model_evidence,
@@ -147,8 +150,6 @@ def test_criterion_03_brute_force_evidence_oracle():
 
 
 def test_criterion_04_complexity_decomposition():
-    from evidencer.distributions import gamma_moments, kl_gamma, kl_mvn
-
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(500):

@@ -18,9 +18,14 @@ from evidencer.crossval import (
     split_glm_spec,
     split_single_session,
 )
-from evidencer.distributions import NgParams
 from evidencer.errors import DomainError, EstimationError, LayoutError
-from evidencer.glm import GlmSpec, accuracy, log_model_evidence, posterior_update
+from evidencer.glm import (
+    GlmSpec,
+    NgParams,
+    accuracy,
+    log_model_evidence,
+    posterior_update,
+)
 
 
 def make_sessions(rng, s=3, n=20, p=2, v=4, precision_kind="identity"):

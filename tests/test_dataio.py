@@ -158,6 +158,10 @@ class TestCReader:
             ("1,2\n3,4,5\n", "line 2: ragged row with 3 cells"),
             ("a,b,c\n1,2\n", "line 2: ragged row with 2 cells, expected 3"),
             ("1,2\n \n3,4\n", "line 2: blank row"),
+            # a blank first line is a blank row, not an empty header
+            ("\n1.0,2.0\n", "line 1: blank row inside the file"),
+            (" \n1.0\n", "line 1: blank row inside the file"),
+            (" \n1.0000000000000000e+00\n", "line 1: blank row inside the file"),
             ("1,2\n3,x\n5,6,7\n", "line 2, column 2"),
             ('1,2\n3,"4\n', "line 2: unterminated quoted cell"),
             ('"1', "line 1: unterminated quoted cell"),

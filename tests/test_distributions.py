@@ -1,18 +1,14 @@
-"""KL divergences and Gamma moments: closed forms vs Monte Carlo."""
+"""Normal-gamma parameter sets and the Cholesky solve of :mod:`evidencer.glm`,
+and the tests' KL and Gamma-moment oracles: closed forms vs Monte Carlo."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import gamma_moments, kl_gamma, kl_mvn
 
-from evidencer.distributions import (
-    NgParams,
-    _chol_solve,
-    gamma_moments,
-    kl_gamma,
-    kl_mvn,
-)
 from evidencer.errors import DecompositionError, DomainError
+from evidencer.glm import NgParams, _chol_solve
 from evidencer.special import digamma
 
 EULER_GAMMA = 0.5772156649015329

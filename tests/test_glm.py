@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from helpers import (
     accuracy_by_residual,
+    gamma_moments,
+    kl_gamma,
+    kl_mvn,
     lme_by_quadrature,
     random_design,
     random_precision,
@@ -13,10 +16,10 @@ from helpers import (
     times_precision,
 )
 
-from evidencer.distributions import NgParams, gamma_moments, kl_gamma, kl_mvn
 from evidencer.errors import DecompositionError, DomainError, EstimationError
 from evidencer.glm import (
     GlmSpec,
+    NgParams,
     SessionStats,
     posterior_update,
     log_model_evidence,

@@ -640,6 +640,22 @@ class TestCli:
                 },
                 "scans",
             ),
+            # errors the config alone shows exit 2 on loading, not 3 from a stage
+            (
+                {
+                    "models": [
+                        {"name": "m1", "design": ["X1_s1.csv"]},
+                        {"name": "m2", "design": ["X2_s1.csv"]},
+                    ],
+                    "data": ["Y_s1.csv"],
+                    "sessions": {"kind": "single", "scans": 30},
+                },
+                "sessions.scans: single-session split needs at least 40 scans, got 30",
+            ),
+            (
+                {"subjects": [{"name": "s1", "cvlme": "@self"}]},
+                "subjects: a group analysis needs at least two, got 1",
+            ),
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, patch, named):

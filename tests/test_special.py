@@ -19,7 +19,6 @@ from evidencer.special import (
     digamma,
     gamma_tail_quantiles,
     log_gamma,
-    log_sum_exp,
     reg_incomplete_beta,
     reg_lower_incomplete_gamma,
 )
@@ -217,48 +216,8 @@ class TestRegIncompleteBeta:
             reg_incomplete_beta(0.5, 0.0, 1.0)
 
 
-class TestLogSumExp:
-    def test_equal_entries_exact(self):
-        assert log_sum_exp([-1000.0, -1000.0]) == -1000.0 + np.log(2.0)
-
-    def test_deep_underflow_is_absorbed(self):
-        # the smaller entry sits ~1000 log-units down; its exponential
-        # underflows to zero and the result is the maximum, exactly
-        assert log_sum_exp([-1000.0, -2000.0]) == -1000.0
-
-    def test_singleton(self):
-        assert log_sum_exp([0.0]) == 0.0
-
-    def test_never_overflows(self):
-        assert np.isfinite(log_sum_exp([1e308, 1e308]))
-
-    def test_neg_inf_entries(self):
-        assert log_sum_exp([-np.inf, 0.0]) == 0.0
-        assert log_sum_exp([-np.inf, -np.inf]) == -np.inf
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            log_sum_exp([])
-
-    def test_axis(self):
-        arr = np.array([[0.0, 0.0], [np.log(3.0), -np.inf]])
-        np.testing.assert_allclose(
-            log_sum_exp(arr, axis=1), [np.log(2.0), np.log(3.0)]
-        )
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6),
-            min_size=1,
-            max_size=16,
-        )
-    )
-    def test_bounds(self, values):
-        out = log_sum_exp(values)
-        top = max(values)
-        assert out >= top - 1e-12
-        assert out <= top + np.log(len(values)) + 1e-12
+class TestGammaMomentsByMonteCarlo:
+    """The digamma function as the mean log of Gamma draws."""
 
     def test_monte_carlo_gamma_moments(self):
         # 1e6 draws reproduce the Gamma mean and mean-log within 3 SE
