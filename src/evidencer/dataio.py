@@ -8,7 +8,7 @@ reproduces every double bit-for-bit. Analysis configurations are JSON
 documents.
 
 Files whose data cells all have the canonical form :func:`save_matrix`
-writes, ``-?D.DDDDDDDDDDDDDDDDe[+-]DD``, are read by an exact vectorised
+writes, ``-?D.DDDDDDDDDDDDDDDDe[+-]DD[D]``, are read by an exact vectorised
 decoder, 256 KiB of whole lines at a time: no ``"`` and no ``\r`` in the
 file, ``\n`` after every line, one cell count. It finds the cells from
 their ``e``, decodes the 16 fraction digits as two uint64 words by SWAR
@@ -16,13 +16,13 @@ steps (eight byte lanes per integer) that check them at the same time,
 and forms M * 10**q from the 17-digit integer M with one long double
 multiply or divide by an exact power of ten, |q| <= 27 (Clinger 1990).
 That result is rounded once, so rounding it to a double is correct
-except where it lies exactly halfway between two doubles; such cells, and
-cells with |q| > 27, are read by ``float()``. So every value is
-bit-identical to ``float(cell)``. The decoder is off where ``long
-double`` does not round to a 64-bit or wider significand (Windows, macOS
-on arm64, the double-double of ppc64). On a 2-vCPU Xeon VM it reads a
-200 x 2,500 file of 11.5 MB in 50-65 ms, against 135-190 ms for the
-reader below.
+except where it lies exactly halfway between two doubles; such cells,
+cells with |q| > 27 and cells with three exponent digits are read by
+``float()``. So every value is bit-identical to ``float(cell)``. The
+decoder is off where ``long double`` does not round to a 64-bit or wider
+significand (Windows, macOS on arm64, the double-double of ppc64). On a
+2-vCPU Xeon VM it reads a 200 x 2,500 file of 11.5 MB in 50-65 ms,
+against 135-190 ms for the reader below.
 
 Any other file, and any file in which a block does not qualify, is read
 from the start by the general reader. It splits lines where :mod:`csv`
@@ -41,13 +41,27 @@ record, so a quoted cell spanning lines counts once. Both readers decide
 a header by one rule: only a label that starts like a number is tried by
 ``float()``.
 
-Writing sends the header row through :mod:`csv` and formats each data row
-with one ``%.16e`` format, byte-identical to ``f"{v:.16e}"`` per cell.
+Writing sends the header row through :mod:`csv` and encodes the cells,
+16,384 at a time, byte-identical to ``'%.16e' % v`` each, by the same
+arithmetic run backwards (Steele & White 1990). A cell of
+1e-11 <= |x| < 1e44 is d.ddd...e(q) with q = floor(log10 |x|), estimated
+by ``log10`` and set right where it is one off, and the 17-digit
+M = round(|x| * 10**(16 - q)). The product is one long double multiply
+or divide by an exact power of ten, so it is within half its ulp, at most
+2**-8 below 2**57, of the exact one, and rounding it half up gives the
+exact M unless its fraction lies within 2**-7 of 1/2. M goes to ASCII by
+integer division into four-digit groups and a table of their digits;
+cells go into fixed 25-byte slots whose NUL padding is dropped before one
+write per chunk. Cells within that window (1 in 64 of random values, and
+every exact half, which ``%.16e`` rounds to even), non-finite cells,
+cells out of range and every cell where the long double is too narrow
+are formatted by ``'%.16e' % v``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -190,11 +204,10 @@ _EXACT_LONGDOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
 _CELL_BYTES = 22  # an unsigned canonical cell; a negative one has 23
 _BLOCK_BYTES = 1 << 18
 _MAX_EXACT_POWER = 27  # 10**27 = 2**27 * 5**27 with 5**27 < 2**64
+_POWERS = np.cumprod(np.array([1] + [10] * _MAX_EXACT_POWER, dtype=np.longdouble))
 # by exponent code: e for e+DD, 100 + e for e-DD; a cell is M * 10**q
 _Q = np.array([e - 16 for e in range(100)] + [-e - 16 for e in range(100)])
-_SCALE = np.cumprod(np.array([1] + [10] * _MAX_EXACT_POWER, dtype=np.longdouble))[
-    [min(abs(q), _MAX_EXACT_POWER) for q in _Q.tolist()]
-]
+_SCALE = _POWERS[[min(abs(q), _MAX_EXACT_POWER) for q in _Q.tolist()]]
 # SWAR (eight byte lanes in one uint64) constants; every operand is an
 # explicit uint64, so numpy 1.x never promotes a mix to float64
 _ZEROS = np.uint64(0x3030303030303030)  # "00000000"
@@ -235,6 +248,15 @@ def _eight_digits(words: np.ndarray) -> np.ndarray | None:
     return words
 
 
+def _scale_once(exact: np.ndarray, power: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """``exact * power`` where ``up`` and ``exact / power`` elsewhere, in
+    place: one long double operation on an exact power of ten, so each
+    result is the exact one rounded once."""
+    np.multiply(exact, power, out=exact, where=up)
+    np.divide(exact, power, out=exact, where=~up)
+    return exact
+
+
 def _bytes_at(b: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
     """``b[at[i] + j]`` for ``j < count`` as row ``i``: one gather of
     ``count``-byte items from an overlapping view of ``b``."""
@@ -252,26 +274,37 @@ def _decode_canonical(b: np.ndarray, width: int) -> np.ndarray | None:
     64-bit significand, so one long double multiply or divide rounds the
     exact value once. Rounding that to a double rounds twice, which errs
     only where the first result lies exactly halfway between two doubles.
-    Those cells, and cells with |q| > 27, are read by ``float()``.
+    Those cells, cells with |q| > 27 and cells with a three-digit exponent
+    are read by ``float()``.
     """
-    seps = np.flatnonzero(b == ord("e")) + 4  # a cell ends 4 bytes after its e
-    if seps.size == 0 or seps.size % width or seps[-1] != b.size - 1:
+    marks = np.flatnonzero(b == ord("e"))
+    if marks.size == 0 or marks.size % width or marks[-1] + 4 >= b.size:
+        return None
+    # a cell ends 4 bytes after its e, or 5 with a third exponent digit
+    # there (any byte above "," is taken for one and checked below)
+    seps = marks + 4
+    wide = b[seps] > ord(",")
+    seps += wide
+    if seps[-1] != b.size - 1:
         return None
     ends = b[seps].reshape(-1, width)
     if (ends[:, -1] != ord("\n")).any() or (ends[:, :-1] != ord(",")).any():
         return None
     length = np.diff(seps, prepend=-1) - 1
+    length -= wide  # as if the exponent had two digits
     negative = length == _CELL_BYTES + 1
     if (
         not (negative | (length == _CELL_BYTES)).all()
-        or (negative & (b[seps - length] != ord("-"))).any()
+        or (negative & (b[seps - wide - length] != ord("-"))).any()
+        or (b[seps[wide] - 1] - np.uint8(ord("0")) > 9).any()
     ):
         return None
 
-    # the e, the separators and the signs are checked; these are the rest
-    start = seps - _CELL_BYTES
+    # the e, the separators, the signs and third exponent digits are
+    # checked; these are the rest
+    start = seps - wide - _CELL_BYTES
     head = _bytes_at(b, start, 2)  # the leading digit and the point
-    tail = _bytes_at(b, start + 19, 3)  # the exponent's sign and digits
+    tail = _bytes_at(b, start + 19, 3)  # the exponent's sign and first digits
     lead = head[:, 0] - np.uint8(ord("0"))
     exp_digits = tail[:, 1:] - np.uint8(ord("0"))
     if (
@@ -289,11 +322,7 @@ def _decode_canonical(b: np.ndarray, width: int) -> np.ndarray | None:
     code[tail[:, 0] == ord("-")] += 100
     q = _Q[code]
 
-    exact = mantissa.astype(np.longdouble)
-    scale = _SCALE[code]
-    up = q >= 0
-    np.multiply(exact, scale, out=exact, where=up)
-    np.divide(exact, scale, out=exact, where=~up)
+    exact = _scale_once(mantissa.astype(np.longdouble), _SCALE[code], q >= 0)
     values = exact.astype(np.float64)
     # values + 2 residual is a double (the next one) only when exact is
     # halfway; the residual is exact as a double for x87 (at most 11 bits),
@@ -301,14 +330,16 @@ def _decode_canonical(b: np.ndarray, width: int) -> np.ndarray | None:
     residual = (exact - values).astype(np.float64)
     residual += residual
     redo = np.flatnonzero(
-        (np.abs(q) > _MAX_EXACT_POWER)
+        wide
+        | (np.abs(q) > _MAX_EXACT_POWER)
         | ((residual != 0) & ((values + residual) - values == residual))
     )
     values[negative] *= -1.0
     text = memoryview(b)
+    counts = length[redo] + wide[redo]
     values[redo] = [
-        float(text[stop - size : stop])
-        for stop, size in zip(seps[redo].tolist(), length[redo].tolist())
+        float(text[stop - count : stop])
+        for stop, count in zip(seps[redo].tolist(), counts.tolist())
     ]
     return values
 
@@ -460,20 +491,147 @@ def load_matrix(path) -> LabeledMatrix:
     return LabeledMatrix(values=values, columns=columns)
 
 
+# The exact writer of ``%.16e`` cells. A cell of 1e-11 <= |x| < 1e44 is
+# M * 10**(q - 16) with q = floor(log10 |x|) in [-11, 43] and the 17-digit
+# M = round(|x| * 10**(16 - q)); the product is one long double operation
+# on an exact power of ten, as in the reader.
+_WRITE_CELLS = 1 << 14  # cells encoded at a time, so temporaries follow this
+_MIN_Q, _MAX_Q = 16 - _MAX_EXACT_POWER, 16 + _MAX_EXACT_POWER
+_M_LOW = np.longdouble(10**16)
+# a product from 10**17 - 1/2 up would round to a carry, 10**17 (that of
+# no double in range does); it is rescaled like an estimate of q one too
+# low, so M always has 17 digits
+_M_HIGH = np.longdouble(10**17) - np.longdouble(0.5)
+# a product counted in ticks of 1/128 fits uint64: 128 * 10**17 < 2**64
+_TICKS_PER_UNIT = np.longdouble(128)
+_TICK_BITS = np.uint64(7)
+_TICK_MASK = np.uint64(127)
+_HALF_TICK = np.uint64(64)  # 1/2
+_BELOW_HALF_TICK = np.uint64(63)
+_E4 = np.uint32(10**4)
+_TEXT_BYTES = 24  # "-D.DDDDDDDDDDDDDDDDe-DDD", the longest "%.16e" of a double
+# byte layout of a cell: sign or NUL, "D.", 16 digits, "e+DD", NUL, separator;
+# a cell that goes through "%.16e" takes the bytes before the separator
+_SLOT = np.dtype(
+    {
+        "names": ["sign", "head", "fraction", "exponent", "sep"],
+        "formats": ["u1", "<u2", ("<u4", 4), "<u4", "u1"],
+        "offsets": [0, 1, 3, 19, _TEXT_BYTES],
+        "itemsize": _TEXT_BYTES + 1,
+    }
+)
+_HEAD = np.uint16(ord("0") + (ord(".") << 8))  # "0." for a leading digit 0
+# "DDDD" for 0..9999 as little-endian uint32 words, the first digit lowest;
+# built in uint8, as int64 temporaries would leave 1.2 MB more resident
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_QUADS = (
+    np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1)
+    .reshape(10000, 4)
+    .view("<u4")
+    .ravel()
+)
+# "e-11" ... "e+43" as little-endian uint32 words, by q - _MIN_Q
+_EXPONENTS = np.frombuffer(
+    "".join(f"e{q:+03d}" for q in range(_MIN_Q, _MAX_Q + 1)).encode(), "<u4"
+)
+
+
+def _scaled(magnitude: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``magnitude * 10**(16 - q)`` as long doubles, each rounded once."""
+    shift = 16 - q
+    return _scale_once(
+        magnitude.astype(np.longdouble), _POWERS[np.abs(shift)], shift >= 0
+    )
+
+
+def _encode_cells(x: np.ndarray) -> np.ndarray:
+    """The cells ``'%.16e' % v`` of the doubles ``x`` as NUL-padded
+    ``_SLOT`` records, their separators left unset.
+
+    q is estimated by ``log10`` and set right where the product falls
+    outside [10**16, 10**17 - 1/2). The long double product is within half its
+    ulp, at most 2**-8, of the exact |x| * 10**(16 - q), so rounding it to
+    the integer M gives the exact rounding wherever its fraction is at
+    least 2**-7 away from 1/2. A cell within that window (an exact half
+    among them, which ``%.16e`` rounds to even), and any cell that is not
+    finite, not zero and not in range, goes through ``'%.16e' % v``; so
+    does every cell where the long double is too narrow.
+    """
+    slots = np.zeros(x.size, _SLOT)
+    magnitude = np.abs(x)
+    fast = (magnitude >= 1e-11) & (magnitude < 1e44) & _EXACT_LONGDOUBLE
+    # a stand-in of 1 for the other cells keeps the arithmetic quiet
+    magnitude = np.where(fast, magnitude, 1.0)
+    q = np.floor(np.log10(magnitude)).astype(np.intp)  # may be one off
+    np.clip(q, _MIN_Q, _MAX_Q, out=q)
+    scaled = _scaled(magnitude, q)
+    fix = np.flatnonzero((scaled < _M_LOW) | (scaled >= _M_HIGH))
+    if fix.size:
+        step = np.where(scaled[fix] < _M_LOW, -1, 1)
+        q[fix] = np.clip(q[fix] + step, _MIN_Q, _MAX_Q)
+        redone = _scaled(magnitude[fix], q[fix])
+        out = (redone < _M_LOW) | (redone >= _M_HIGH)
+        fast[fix[out]] = False
+        redone[out] = _M_LOW  # keeps the cast below in range
+        scaled[fix] = redone
+    # floor(128 * scaled): M is scaled rounded half up, and the low 7 bits
+    # are 63 or 64 for a fraction in [63/128, 65/128), within 2**-7 of 1/2
+    ticks = (scaled * _TICKS_PER_UNIT).astype(np.uint64)
+    mantissa = (ticks + _HALF_TICK) >> _TICK_BITS
+    ticks &= _TICK_MASK
+    fast &= (ticks != _BELOW_HALF_TICK) & (ticks != _HALF_TICK)
+    zero = x == 0
+    fast |= zero
+    mantissa[zero] = 0  # their stand-in gave q = 0
+
+    lead = mantissa // _E16
+    mantissa -= lead * _E16
+    high = mantissa // _E8
+    low = mantissa - high * _E8
+    slots["sign"] = np.signbit(x) * np.uint8(ord("-"))
+    slots["head"] = lead.astype(np.uint16) + _HEAD
+    fraction = slots["fraction"]
+    for column, eight in enumerate((high, low)):
+        quads = np.divmod(eight.astype(np.uint32), _E4)
+        fraction[:, 2 * column] = _QUADS[quads[0]]
+        fraction[:, 2 * column + 1] = _QUADS[quads[1]]
+    slots["exponent"] = _EXPONENTS[q - _MIN_Q]
+
+    slow = np.flatnonzero(~fast)
+    text = np.array(["%.16e" % v for v in x[slow].tolist()], dtype=f"S{_TEXT_BYTES}")
+    cells = slots.view(np.uint8).reshape(x.size, _SLOT.itemsize)
+    cells[slow, :_TEXT_BYTES] = text.view(np.uint8).reshape(-1, _TEXT_BYTES)
+    return slots
+
+
 def save_matrix(path, values: np.ndarray, columns=None) -> None:
     """Write a matrix as CSV: optional header, 17-significant-digit values.
-    A file that cannot be written raises :class:`EvidencerError` naming it."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+
+    Each cell is byte-identical to ``'%.16e' % v``. A 1-D array is one
+    row. An array of more dimensions, or a label count that is not the
+    column count, raises :class:`ParseError` before the file is opened; a
+    file that cannot be written raises :class:`EvidencerError` naming it.
+    """
+    values = np.asarray(values, dtype=float)
     path = Path(path)
-    row_format = ",".join(["%.16e"] * values.shape[1]) + "\n"
+    if values.ndim > 2:
+        raise ParseError(f"{path}: a matrix has 1 or 2 dimensions, got {values.ndim}")
+    values = np.atleast_2d(values)
+    width = values.shape[1]
+    if columns is not None and len(columns) != width:
+        raise ParseError(f"{path}: one column label per column required")
+    flat = values.ravel()
     try:
-        with path.open("w", newline="", encoding="utf-8") as handle:
+        with path.open("wb") as handle:
             if columns is not None:
-                if len(columns) != values.shape[1]:
-                    raise ParseError("one column label per column required")
-                csv.writer(handle, lineterminator="\n").writerow(list(columns))
-            for row in values:
-                handle.write(row_format % tuple(row))
+                header = io.StringIO()
+                csv.writer(header, lineterminator="\n").writerow(list(columns))
+                handle.write(header.getvalue().encode("utf-8"))
+            for start in range(0, flat.size, _WRITE_CELLS):
+                slots = _encode_cells(flat[start : start + _WRITE_CELLS])
+                slots["sep"] = ord(",")
+                slots["sep"][width - 1 - start % width :: width] = ord("\n")
+                handle.write(slots.tobytes().translate(None, b"\0"))
     except OSError as exc:
         raise EvidencerError(f"cannot write {path}: {exc.strerror or exc}") from None
 

@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+import warnings
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -255,16 +256,16 @@ _CANONICAL_CELLS = st.one_of(
     # every finite double, subnormals, zeros and the largest ones included
     _FINITE_DOUBLE.map(_canonical),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max]).map(_canonical),
-    # any 17 digits with any two-digit exponent
+    # any 17 digits with any exponent of two or three digits
     st.builds(
         lambda sign, digits, exponent: f"{sign}{digits[0]}.{digits[1:]}e{exponent:+03d}",
         st.sampled_from(["", "-"]),
         st.integers(0, 10**17 - 1).map("{:017d}".format),
-        st.integers(-99, 99),
+        st.integers(-99, 99) | st.integers(-999, 999),
     ),
     _midpoint_cells(),
 )
-_TWO_DIGIT_EXPONENT = re.compile(r"-?\d\.\d{16}e[+-]\d\d")
+_CANONICAL_CELL = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}")
 
 
 class TestCanonicalReader:
@@ -320,7 +321,7 @@ class TestCanonicalReader:
         ref = load_matrix_by_cells(path)
         assert mat.values.tobytes() == ref.values.tobytes()
         assert mat.columns == ref.columns
-        canonical = all(_TWO_DIGIT_EXPONENT.fullmatch(c) for row in rows for c in row)
+        canonical = all(_CANONICAL_CELL.fullmatch(c) for row in rows for c in row)
         assert (fast is not None) == (canonical and dataio._EXACT_LONGDOUBLE)
 
     @pytest.mark.parametrize(
@@ -375,6 +376,12 @@ class TestCanonicalReader:
             # one column under a blank first line, or under a lone \r
             lambda t: "\n1.0000000000000000e+00\n",
             lambda t: "a\rb\n1.0000000000000000e+00\n",
+            # more exponents of three digits, and of other lengths
+            lambda t: t.replace("e-07", "e-307", 1).replace("e+23", "e+308", 1),
+            lambda t: t.replace("e+23", "e+999", 1),  # beyond the doubles
+            lambda t: t.replace("e+23", "e+1234", 1),  # a 4-digit exponent
+            lambda t: t.replace("e+23", "e+12x", 1),
+            lambda t: t.replace("e-07", "e-7", 1),  # a 1-digit exponent
         ],
     )
     def test_mutation_gives_the_fallback_result(self, tmp_path, mutate):
@@ -414,6 +421,157 @@ class TestCanonicalReader:
         for name in names:
             fast = (tmp_path / "fast" / name).read_bytes()
             assert fast == (tmp_path / "slow" / name).read_bytes(), name
+
+
+def _ulps_away(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, np.copysign(np.inf, steps)))
+    return value
+
+
+def _exact_tie(shift: int, k: int) -> float:
+    """k / 2**(shift + 1) for an odd k < 2**53: a double whose product
+    with 10**shift is an odd multiple of 1/2, a tie at 17 digits when
+    that product is in [1e16, 1e17)."""
+    return float(min(k, 2**53 - 1) | 1) / 2.0 ** (shift + 1)
+
+
+_POSITIVE_WRITER_VALUES = st.one_of(
+    # log-uniform over the encoder's range and a decade beyond it
+    st.floats(-12.0, 45.0).map(lambda exponent: 10.0**exponent),
+    # the nearest double to a 17-digit midpoint times 10**exponent
+    st.builds(
+        lambda digits, exponent: float(f"{digits}5e{exponent}"),
+        st.integers(10**16, 10**17 - 1),
+        st.integers(-30, 30),
+    ),
+    st.integers(1, 24).flatmap(
+        lambda shift: st.integers(
+            -(-2 * 10**16 // 5**shift), 2 * 10**17 // 5**shift
+        ).map(lambda k: _exact_tie(shift, k))
+    ),
+    # powers of ten and their neighbours, where log10 may be one off
+    st.builds(
+        lambda exponent, steps: _ulps_away(10.0**exponent, steps),
+        st.integers(-13, 46),
+        st.integers(-2, 2),
+    ),
+    st.sampled_from(
+        [5e-324, 2.2250738585072014e-308, sys.float_info.max, 1e-11, 1e44]
+        + [1e16, 1e17, 1e23, 9.999999999999999e22]
+    ),
+)
+_WRITER_VALUES = st.one_of(
+    # every double: NaNs, infinities, zeros and subnormals included
+    st.integers(0, 2**64 - 1).map(_double),
+    st.builds(
+        lambda sign, value: sign * value,
+        st.sampled_from([1.0, -1.0]),
+        _POSITIVE_WRITER_VALUES,
+    ),
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]),
+)
+
+
+class TestWriter:
+    """The exact ``%.16e`` encoder against the per-cell reference writer."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("cells", [3, dataio._WRITE_CELLS])
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(_WRITER_VALUES, min_size=width, max_size=4 * width).map(
+                    lambda v: v[: len(v) // width * width]
+                ),
+            )
+        ),
+        st.booleans(),
+    )
+    def test_equals_format_per_cell(self, tmp_path, cells, exact, shape_values, header):
+        width, flat = shape_values
+        values = np.array(flat, dtype=float).reshape(-1, width)
+        columns = [f"v{i + 1}" for i in range(width)] if header else None
+        with mock.patch.object(dataio, "_WRITE_CELLS", cells), mock.patch.object(
+            dataio, "_EXACT_LONGDOUBLE", exact and dataio._EXACT_LONGDOUBLE
+        ):
+            save_matrix(tmp_path / "new.csv", values, columns=columns)
+        save_matrix_by_cells(tmp_path / "ref.csv", values, columns=columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def _assert_cells(self, tmp_path, values):
+        save_matrix(tmp_path / "new.csv", values)
+        save_matrix_by_cells(tmp_path / "ref.csv", values)
+        new = (tmp_path / "new.csv").read_text().split()
+        ref = (tmp_path / "ref.csv").read_text().split()
+        assert [c for c, r in zip(new, ref) if c != r] == []
+
+    def test_decade_edges(self, tmp_path):
+        # log10 of a double next to a power of ten may round onto it; none
+        # of them rounds up to 10**17 at 17 digits, so no cell carries
+        values = [
+            sign * _ulps_away(10.0**exponent, steps)
+            for exponent in range(-13, 47)
+            for steps in range(-3, 4)
+            for sign in (1.0, -1.0)
+        ]
+        self._assert_cells(tmp_path, np.array(values)[:, None])
+
+    def test_exact_ties_round_half_to_even(self, tmp_path):
+        # halves above even and odd 17-digit integers in turn, which
+        # rounding half to even sends down and up
+        values = [
+            _exact_tie(shift, -(-2 * 10**16 // 5**shift) + 2 * j)
+            for shift in range(1, 25)
+            for j in range(8)
+        ]
+        self._assert_cells(tmp_path, np.array(values)[:, None])
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.lists(_WRITER_VALUES.filter(np.isfinite), min_size=1, max_size=12))
+    def test_round_trip_on_the_fast_reader(self, tmp_path, flat):
+        # three-digit exponents included: every finite file it writes reads
+        # back bit for bit, on the fast path where the platform has one
+        values = np.array(flat).reshape(1, -1)
+        path = tmp_path / "rt.csv"
+        save_matrix(path, values, columns=[f"v{i}" for i in range(values.size)])
+        fast = dataio._load_canonical(path)
+        assert (fast is not None) == dataio._EXACT_LONGDOUBLE
+        assert load_matrix(path).values.tobytes() == values.tobytes()
+
+    def test_no_runtime_warning_on_non_finite_cells(self, tmp_path):
+        values = np.array([[np.nan, -np.inf, np.inf, 5e-324, -0.0, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_matrix(tmp_path / "m.csv", values)
+        assert (tmp_path / "m.csv").read_text() == (
+            "nan,-inf,inf,4.9406564584124654e-324,-0.0000000000000000e+00,"
+            "1.0000000000000001e+300\n"
+        )
+
+    @pytest.mark.parametrize(
+        "values, columns, named",
+        [
+            (np.ones((2, 3)), ["a", "b"], "one column label per column required"),
+            (np.ones((2, 2, 2)), None, "a matrix has 1 or 2 dimensions, got 3"),
+        ],
+    )
+    def test_bad_arguments_leave_the_file_alone(self, tmp_path, values, columns, named):
+        path = tmp_path / "kept.csv"
+        path.write_bytes(b"v1\n1.0\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {named}")):
+            save_matrix(path, values, columns=columns)
+        assert path.read_bytes() == b"v1\n1.0\n"
 
 
 _UNICODE_SPACES = st.text(
