@@ -61,6 +61,7 @@ are formatted by ``'%.16e' % v``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -87,18 +88,8 @@ __all__ = [
 ]
 
 RESULT_KINDS = (
-    "cvLME",
-    "cvAcc",
-    "cvCom",
-    "oosLME",
-    "oosAcc",
-    "oosCom",
-    "LFE",
-    "alpha",
-    "expected_freq",
-    "EP",
-    "PP",
-    "BMA",
+    "cvLME", "cvAcc", "cvCom", "oosLME", "oosAcc", "oosCom",
+    "LFE", "alpha", "expected_freq", "EP", "PP", "BMA",
 )
 
 
@@ -604,6 +595,20 @@ def _encode_cells(x: np.ndarray) -> np.ndarray:
     return slots
 
 
+@functools.lru_cache(maxsize=4)
+def _header_row(columns: tuple) -> bytes:
+    """The header line :mod:`csv` writes for ``columns``, built once for
+    the result files of a run, which share their ``v1..vN`` labels."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(columns)
+    return line.getvalue().encode("utf-8")
+
+
+@functools.lru_cache(maxsize=4)
+def _voxel_labels(count: int) -> tuple:
+    return tuple(f"v{i + 1}" for i in range(count))
+
+
 def save_matrix(path, values: np.ndarray, columns=None) -> None:
     """Write a matrix as CSV: optional header, 17-significant-digit values.
 
@@ -624,9 +629,7 @@ def save_matrix(path, values: np.ndarray, columns=None) -> None:
     try:
         with path.open("wb") as handle:
             if columns is not None:
-                header = io.StringIO()
-                csv.writer(header, lineterminator="\n").writerow(list(columns))
-                handle.write(header.getvalue().encode("utf-8"))
+                handle.write(_header_row(tuple(columns)))
             for start in range(0, flat.size, _WRITE_CELLS):
                 slots = _encode_cells(flat[start : start + _WRITE_CELLS])
                 slots["sep"] = ord(",")
@@ -651,8 +654,7 @@ class ResultTable:
     def __post_init__(self):
         if self.kind not in RESULT_KINDS:
             raise ParseError(
-                f"unknown result kind {self.kind!r}; expected one of "
-                f"{RESULT_KINDS}"
+                f"unknown result kind {self.kind!r}; expected one of {RESULT_KINDS}"
             )
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if len(self.row_labels) != values.shape[0]:
@@ -663,17 +665,14 @@ class ResultTable:
         if not np.all(np.isfinite(values)):
             raise ParseError(f"{self.kind}: values must be finite")
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "row_labels", tuple(str(r) for r in self.row_labels)
-        )
+        object.__setattr__(self, "row_labels", tuple(map(str, self.row_labels)))
 
     @property
     def n_voxels(self) -> int:
         return self.values.shape[1]
 
     def save(self, path) -> None:
-        columns = [f"v{i + 1}" for i in range(self.n_voxels)]
-        save_matrix(path, self.values, columns=columns)
+        save_matrix(path, self.values, columns=_voxel_labels(self.n_voxels))
 
 
 @dataclass(frozen=True)

@@ -647,6 +647,15 @@ class TestResultTable:
         np.testing.assert_array_equal(back.values, table.values)
         assert back.columns == ("v1", "v2")
 
+    def test_save_matches_reference_bytes(self, tmp_path):
+        # width 1 twice: the second file takes the cached header row
+        for width in (1, 2500, 1):
+            table = ResultTable(kind="EP", row_labels=("a", "b"), values=np.ones((2, width)) / 3)
+            table.save(tmp_path / "new.csv")
+            columns = [f"v{i + 1}" for i in range(width)]
+            save_matrix_by_cells(tmp_path / "ref.csv", table.values, columns=columns)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_label_count_enforced(self):
         with pytest.raises(ParseError):
             ResultTable(kind="EP", row_labels=("a",), values=np.zeros((2, 3)))

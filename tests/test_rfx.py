@@ -130,6 +130,105 @@ class TestEstimateRfx:
         with pytest.raises(DomainError):
             estimate_rfx(stack(np.zeros((3, 2, 1))), alpha0=0.0)
 
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("max_iter", 0),
+            ("max_iter", -5),
+            ("max_iter", 2.5),
+            ("tol", float("nan")),
+            ("alpha0", float("nan")),
+            ("alpha0", float("inf")),
+        ],
+    )
+    def test_bad_argument_is_named(self, argument, value):
+        with pytest.raises(DomainError, match=f"^{argument} must be"):
+            estimate_rfx(stack(np.zeros((3, 2, 1))), **{argument: value})
+
+
+def split_case():
+    """Voxels for the block and slice checks: moderate evidences; ten
+    voxels whose evidences spread past 750 nats, so terms of
+    ``exp(lme - max_k lme)`` underflow to zero; and voxel 25, near-flat,
+    which converges strictly last, so the active set shrinks to it alone."""
+    lme = np.random.default_rng(19).normal(scale=2.0, size=(12, 3, 40))
+    lme[:, :, 10:20] *= 500.0
+    lme[:, :, 25] *= 0.02
+    return stack(lme)
+
+
+def assert_same_bits(post, reference):
+    np.testing.assert_array_equal(post.alpha, reference.alpha)
+    np.testing.assert_array_equal(post.iterations, reference.iterations)
+    np.testing.assert_array_equal(post.converged, reference.converged)
+
+
+class TestBlocks:
+    """A voxel's fixed point gives the same bits whatever block or slice it
+    runs in; CI runs this class at two BLAS threads as well."""
+
+    def test_case_covers_the_edges(self):
+        group = split_case()
+        spread = np.ptp(group.lme, axis=1).max(axis=0)
+        assert (spread > 750.0).sum() == 10
+        iterations = estimate_rfx(group).iterations
+        assert np.flatnonzero(iterations == iterations.max()).tolist() == [25]
+        assert not estimate_rfx(group, max_iter=3).converged.all()
+
+    @pytest.mark.parametrize("max_iter", [200, 3])
+    @pytest.mark.parametrize("voxels", [1, 2, 7])
+    def test_blocks_change_no_bit(self, monkeypatch, voxels, max_iter):
+        group = split_case()
+        whole = estimate_rfx(group, max_iter=max_iter)
+        bytes_per_voxel = 8 * group.n_subjects * group.n_models
+        monkeypatch.setattr(rfx, "_VB_BLOCK_BYTES", voxels * bytes_per_voxel)
+        assert_same_bits(estimate_rfx(group, max_iter=max_iter), whole)
+
+    @pytest.mark.parametrize("max_iter", [200, 3])
+    @pytest.mark.parametrize("width", [1, 3, 17])
+    def test_slices_concatenate_to_the_whole_call(self, width, max_iter):
+        group = split_case()
+        whole = estimate_rfx(group, max_iter=max_iter)
+        parts = [
+            estimate_rfx(stack(group.lme[:, :, lo : lo + width]), max_iter=max_iter)
+            for lo in range(0, group.n_voxels, width)
+        ]
+        joined = DirichletPosterior(
+            alpha=np.concatenate([p.alpha for p in parts], axis=1),
+            alpha0=1.0,
+            converged=np.concatenate([p.converged for p in parts]),
+            iterations=np.concatenate([p.iterations for p in parts]),
+        )
+        assert_same_bits(joined, whole)
+
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_log_space_step_changes_no_bit(self, monkeypatch, width):
+        # from its uniform start the fixed point keeps every normalizer far
+        # above the underflow guard, so the log-space step is reached here
+        # from set concentrations: psi(1e-4) is about -1e4, so a model with
+        # concentration 1e-4 has w = 0, and a subject that prefers it with
+        # its other models over 710 nats down has d_n below the guard
+        rng = np.random.default_rng(7)
+        lme = rng.normal(scale=400.0, size=(12, 3, 17))
+        alpha = np.where(rng.random((3, 17)) < 0.3, 1e-4, rng.uniform(0.5, 8.0, (3, 17)))
+        e = np.exp(lme - lme.max(axis=1, keepdims=True)).transpose(2, 0, 1).copy()
+        logged = []
+        log_space_step = rfx._log_space_step
+
+        def spy(lme, alpha, alpha0):
+            logged.append(lme.shape[2])
+            return log_space_step(lme, alpha, alpha0)
+
+        monkeypatch.setattr(rfx, "_log_space_step", spy)
+        whole = rfx._vb_step(alpha, e, lme, np.arange(17), 1e-4)
+        assert logged and 0 < sum(logged) < 17
+        parts = [
+            rfx._vb_step(alpha[:, lo : lo + width], e[lo : lo + width], lme,
+                         np.arange(lo, min(lo + width, 17)), 1e-4)
+            for lo in range(0, 17, width)
+        ]
+        np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
+
 
 class TestDirichletPosterior:
     def test_expected_freq_normalizes(self):
