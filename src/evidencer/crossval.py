@@ -72,13 +72,15 @@ class SessionLayout:
     def __post_init__(self):
         if len(self.sessions) < 2:
             raise LayoutError("a layout needs at least two folds")
-        covered = []
         for start, stop in self.sessions:
             if not (0 <= start < stop <= self.total_scans):
                 raise LayoutError(f"range ({start}, {stop}) out of bounds")
-            covered.extend(range(start, stop))
-        covered.extend(self.discarded)
-        if sorted(covered) != list(range(self.total_scans)):
+        # ranges, not scan indices: the check costs O(folds + discarded)
+        # however many scans a config declares
+        pieces = sorted([*self.sessions, *((i, i + 1) for i in self.discarded)])
+        starts = [start for start, _ in pieces]
+        stops = [stop for _, stop in pieces]
+        if starts != [0, *stops[:-1]] or stops[-1] != self.total_scans:
             raise LayoutError(
                 "session ranges plus discarded indices must cover every scan "
                 "exactly once"

@@ -699,7 +699,6 @@ class ModelSpaceConfig:
     alpha0: float = 1.0
     vb_tol: float = 1e-4
     vb_max_iter: int = 200
-    chunk_voxels: int = 4096
     base_dir: Path = Path(".")
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -718,13 +717,15 @@ def _require(condition: bool, message: str) -> None:
 
 def _positive(raw: dict, key: str, default, kind=float, path=None):
     """``raw[key]`` (or ``default``) as a positive ``kind``: a finite JSON
-    number for ``float``, a JSON integer for ``int``; anything else, booleans
-    and numeric strings included, raises :class:`ConfigError` naming the key
-    by ``path`` (default ``key``)."""
+    number for ``float``, a JSON integer that fits in int64 for ``int``;
+    anything else, booleans and numeric strings included, raises
+    :class:`ConfigError` naming the key by ``path`` (default ``key``)."""
     value = raw.get(key, default)
-    what = "integer" if kind is int else "number"
+    what = "integer below 2**63" if kind is int else "number"
     _require(
-        _is_real(value) and (isinstance(value, int) or kind is float) and value > 0,
+        _is_real(value)
+        and (kind is float or isinstance(value, int) and value < 2**63)
+        and value > 0,
         f"{path or key} must be a finite positive {what}, got {value!r}",
     )
     return kind(value)
@@ -932,7 +933,6 @@ def load_config(path) -> ModelSpaceConfig:
         alpha0=_positive(raw, "alpha0", 1.0),
         vb_tol=_positive(raw, "vb_tol", 1e-4),
         vb_max_iter=_positive(raw, "vb_max_iter", 200, int),
-        chunk_voxels=_positive(raw, "chunk_voxels", 4096, int),
         base_dir=path.parent,
         raw=raw,
     )

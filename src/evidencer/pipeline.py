@@ -17,12 +17,12 @@ the stage, saves the tables, and records status, outputs, sizes,
 diagnostics and the seconds of each phase (load, compute, write) in
 ``timings.csv``.
 
-Reruns with the same configuration, seed, and chunk size write
-byte-identical result files and manifest regardless of the worker-thread
-count: voxel chunk boundaries are fixed by ``chunk_voxels`` alone, chunk
-results are written back by index, and every sampling voxel derives its
-own RNG stream from (seed, voxel index). Wall-clock timings go to a
-separate ``timings.csv`` that is excluded from that guarantee.
+Reruns with the same configuration and seed write byte-identical result
+files and manifest regardless of the worker-thread count: voxel chunk
+boundaries are fixed by the constant ``_CHUNK_VOXELS``, chunk results are
+written back by index, and every sampling voxel derives its own RNG
+stream from (seed, voxel index). Wall-clock timings go to a separate
+``timings.csv`` that is excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -149,8 +149,18 @@ def _plan(config: ModelSpaceConfig, stages) -> list:
     return ordered
 
 
-def _chunk_slices(n_voxels: int, chunk: int) -> list:
-    return [slice(i, min(i + chunk, n_voxels)) for i in range(0, n_voxels, chunk)]
+# Voxels per chunk of the bms and ep stages, the unit the ``--threads`` pool
+# hands out. Results are bit-identical at any size and rfx bounds its own
+# memory, so only speed sets it. On 20 subjects x 3 models x 50k voxels at 2
+# threads (2-vCPU Xeon, one BLAS thread), 4,096-voxel chunks took 155-177 ms
+# (bms) and 848-982 ms (ep), one chunk 241-264 and 1476-1634 ms; at 1 thread
+# the two were within run-to-run spread. 500 voxels in four chunks of 125
+# took twice the bms time of one chunk.
+_CHUNK_VOXELS = 4096
+
+
+def _chunk_slices(n_voxels: int) -> list:
+    return [slice(i, i + _CHUNK_VOXELS) for i in range(0, n_voxels, _CHUNK_VOXELS)]
 
 
 def _map_chunks(fn, slices, threads: int) -> list:
@@ -360,7 +370,7 @@ def _stage_lfe(config, options, cv_result) -> _StageResult:
 
 
 def _stage_bms(config, options, group) -> _StageResult:
-    slices = _chunk_slices(group.n_voxels, config.chunk_voxels)
+    slices = _chunk_slices(group.n_voxels)
 
     def run_chunk(sl):
         piece = GroupLmeStack(
@@ -409,7 +419,7 @@ def _stage_bms(config, options, group) -> _StageResult:
 
 def _stage_ep(config, options, alpha_table) -> _StageResult:
     alpha = alpha_table.values
-    slices = _chunk_slices(alpha.shape[1], config.chunk_voxels)
+    slices = _chunk_slices(alpha.shape[1])
 
     if options.ep_method == "closed-form":
 
@@ -585,7 +595,6 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
             "alpha0": config.alpha0,
             "vb_tol": config.vb_tol,
             "vb_max_iter": config.vb_max_iter,
-            "chunk_voxels": config.chunk_voxels,
         },
         "versions": {
             "evidencer": __version__,

@@ -204,17 +204,24 @@ def estimate_rfx(
     concentration change falls below ``tol``; voxels still moving at
     ``max_iter`` are flagged, not fatal. Every voxel's arithmetic is
     independent of the others, so blocks and chunking leave results
-    unchanged to the bit. ``alpha0`` and ``tol`` must be finite and
-    positive, and ``max_iter`` an integer of at least 1.
+    unchanged to the bit. ``alpha0`` must be a normal double (subnormals
+    overflow digamma) that keeps the concentration mass ``k * alpha0 +
+    subjects`` finite, ``tol`` finite and positive, and ``max_iter`` an
+    integer from 1 to 2**63 - 1.
     """
-    if not (np.isfinite(alpha0) and alpha0 > 0):
-        raise DomainError(f"alpha0 must be finite and positive, got {alpha0!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise DomainError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     lme = group.lme
     n, k, v = lme.shape
+    if not (alpha0 >= np.finfo(float).tiny and np.isfinite(k * float(alpha0) + n)):
+        raise DomainError(
+            f"alpha0 must be a positive normal double with k * alpha0 + subjects "
+            f"finite ({k} models, {n} subjects), got {alpha0!r}"
+        )
+    if not (np.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    if not isinstance(max_iter, numbers.Integral) or not 1 <= max_iter < 2**63:
+        raise DomainError(
+            f"max_iter must be an integer from 1 to 2**63 - 1, got {max_iter!r}"
+        )
     alpha = np.empty((k, v))
     converged = np.zeros(v, dtype=bool)
     iterations = np.full(v, max_iter, dtype=np.int64)
@@ -328,7 +335,10 @@ def _node_sums(alpha, t_lo, step, positions, weights) -> np.ndarray:
         others = np.zeros_like(log_cdf)
         np.cumsum(log_cdf[:, :-1], axis=1, out=others[:, 1:])
         others[:, :-1] += np.cumsum(log_cdf[:, :0:-1], axis=1)[:, ::-1]
-        terms = np.exp(shape * t - x - log_gamma(shape) + others)
+        # at huge shapes (near 1e30) the exponent overflows; the caller
+        # reports that column's non-finite sum
+        with np.errstate(over="ignore"):
+            terms = np.exp(shape * t - x - log_gamma(shape) + others)
         # an elementwise product, not a matrix product: BLAS picks its
         # kernels by operand shape, which would tie a column to its block
         sums[block] = (terms * weights).sum(axis=-1)

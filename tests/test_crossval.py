@@ -57,6 +57,35 @@ class TestSessionLayout:
         with pytest.raises(LayoutError):
             SessionLayout(sessions=((0, 4), (6, 10)), discarded=(), total_scans=10)
 
+    @pytest.mark.parametrize(
+        "sessions, discarded",
+        [
+            (((0, 6), (4, 10)), ()),  # overlapping folds
+            (((0, 5), (5, 10)), (3,)),  # a discard inside a fold
+            (((0, 4), (6, 10)), (4,)),  # a scan left out
+            (((0, 4), (6, 10)), (4, 4, 5)),  # a scan discarded twice
+            (((0, 4), (5, 10)), (4, 10)),  # a discard past the end
+            (((0, 4), (5, 10)), (-1, 4)),  # a discard before the start
+            (((0, 4), (4, 8)), ()),  # short of the scan count
+        ],
+    )
+    def test_rejects_bad_coverage(self, sessions, discarded):
+        with pytest.raises(LayoutError, match="cover every scan exactly once"):
+            SessionLayout(sessions=sessions, discarded=discarded, total_scans=10)
+
+    def test_discards_in_any_order(self):
+        layout = SessionLayout(
+            sessions=((0, 4), (6, 10)), discarded=(5, 4), total_scans=10
+        )
+        assert layout.n_folds == 2
+
+    def test_split_costs_nothing_per_scan(self):
+        # the coverage check walks ranges, so a declared count of a
+        # trillion scans allocates nothing in proportion to it
+        layout = split_single_session(10**12)
+        assert layout.sessions == ((0, 499_999_999_995), (500_000_000_005, 10**12))
+        assert len(layout.discarded) == 10
+
     def test_split_even(self):
         layout = split_single_session(100)
         assert layout.sessions == ((0, 45), (55, 100))

@@ -34,8 +34,11 @@ def workspace(tmp_path_factory):
     return build_toy_workspace(root)
 
 
-# values of the wrong type or shape for some config entry
-_FUZZ_VALUES = (True, "7", -1, 2.5, [], {}, None, "nan", [[1.0, 2.0], [3.0]])
+# values of the wrong type or shape for some config entry, an integer
+# beyond int64 and a subnormal double
+_FUZZ_VALUES = (
+    True, "7", -1, 2.5, [], {}, None, "nan", [[1.0, 2.0], [3.0]], 10**30, 1e-310,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +53,6 @@ def fuzz_workspace(tmp_path_factory):
             "alpha0": 1.0,
             "vb_tol": 1e-4,
             "vb_max_iter": 200,
-            "chunk_voxels": 5,
         },
     )
     return root, json.loads(config_path.read_text())
@@ -164,11 +166,12 @@ class TestStageOutputs:
         assert on_disk["versions"]["evidencer"]
         assert on_disk == manifest
 
-    def test_ep_integration_counters_in_manifest(self, tmp_path):
-        config_path = build_toy_workspace(
-            tmp_path / "ws", extra_config={"chunk_voxels": 5}
-        )
-        manifest = run(config_path, tmp_path / "out", ["ep"])
+    def test_ep_integration_counters_in_manifest(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(evidencer.pipeline, "_CHUNK_VOXELS", 5)
+        manifest = run(workspace, tmp_path / "out", ["ep"])
+        assert manifest["sizes"]["chunks"] > 1
         alpha = load_matrix(tmp_path / "out" / "alpha.csv").values
         chunks = [alpha[:, i:i + 5] for i in range(0, alpha.shape[1], 5)]
         diagnostics = manifest["diagnostics"]
@@ -192,12 +195,10 @@ class TestStageOutputs:
         assert diagnostics["bms_voxel_iterations"] == int(iterations.sum())
         assert diagnostics["bms_max_iterations"] == int(iterations.max())
 
-    def test_problem_sizes_in_manifest(self, tmp_path):
-        config_path = build_toy_workspace(
-            tmp_path / "ws", extra_config={"chunk_voxels": 5}
-        )
+    def test_problem_sizes_in_manifest(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setattr(evidencer.pipeline, "_CHUNK_VOXELS", 5)
         group = {"subjects": 5, "group_models": 2, "group_voxels": 12, "chunks": 3}
-        manifest = run(config_path, tmp_path / "all", STAGES)
+        manifest = run(workspace, tmp_path / "all", STAGES)
         assert manifest["sizes"] == {
             "sessions": 2,
             "scans_per_session": [24, 24],
@@ -207,7 +208,7 @@ class TestStageOutputs:
             **group,
         }
         # a stage that does not run adds no sizes
-        assert run(config_path, tmp_path / "bms", ["bms"])["sizes"] == group
+        assert run(workspace, tmp_path / "bms", ["bms"])["sizes"] == group
 
     def test_timings_written(self, workspace, tmp_path):
         run(workspace, tmp_path / "out", ["cvlme"])
@@ -535,30 +536,40 @@ class TestDeterminism:
             assert (outputs[1] / name).read_bytes() == reference
             assert (outputs[2] / name).read_bytes() == reference
 
-    def test_bms_outputs_chunk_and_thread_invariant(self, tmp_path):
+    def test_bms_outputs_chunk_and_thread_invariant(
+        self, workspace, tmp_path, monkeypatch
+    ):
         outputs = []
         for chunk in (1, 7, 12):
-            config_path = build_toy_workspace(
-                tmp_path / f"ws{chunk}", extra_config={"chunk_voxels": chunk}
-            )
+            monkeypatch.setattr(evidencer.pipeline, "_CHUNK_VOXELS", chunk)
             for threads in (1, 2):
                 out = tmp_path / f"out{chunk}_{threads}"
-                run(config_path, out, ["bms"], threads=threads)
+                manifest = run(workspace, out, ["bms"], threads=threads)
+                assert manifest["sizes"]["chunks"] == -(-12 // chunk)
                 outputs.append(out)
         for name in ("alpha.csv", "expected_freq.csv"):
             reference = (outputs[0] / name).read_bytes()
             for out in outputs[1:]:
                 assert (out / name).read_bytes() == reference
 
-    def test_chunked_equals_unchunked(self, tmp_path):
-        config_path = build_toy_workspace(
-            tmp_path / "ws", extra_config={"chunk_voxels": 5}
-        )
-        run(config_path, tmp_path / "chunked", ["bms", "ep"], threads=3)
-        default_path = build_toy_workspace(tmp_path / "ws2")
-        run(default_path, tmp_path / "plain", ["bms", "ep"])
+    def test_chunked_equals_unchunked(self, workspace, tmp_path, monkeypatch):
+        run(workspace, tmp_path / "plain", ["bms", "ep"])
+        monkeypatch.setattr(evidencer.pipeline, "_CHUNK_VOXELS", 5)
+        manifest = run(workspace, tmp_path / "chunked", ["bms", "ep"], threads=3)
+        assert manifest["sizes"]["chunks"] > 1
         for name in ("alpha.csv", "EP.csv"):
             assert (tmp_path / "chunked" / name).read_bytes() == (
+                tmp_path / "plain" / name
+            ).read_bytes()
+
+    def test_old_chunk_voxels_key_is_ignored(self, workspace, tmp_path):
+        old = build_toy_workspace(tmp_path / "ws", extra_config={"chunk_voxels": 5})
+        manifest = run(old, tmp_path / "old", ["bms", "ep"])
+        assert manifest["sizes"]["chunks"] == 1
+        assert "chunk_voxels" not in manifest["options"]
+        run(workspace, tmp_path / "plain", ["bms", "ep"])
+        for name in ("alpha.csv", "EP.csv"):
+            assert (tmp_path / "old" / name).read_bytes() == (
                 tmp_path / "plain" / name
             ).read_bytes()
 
@@ -603,7 +614,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "patch, named",
         [
-            ({"chunk_voxels": "abc"}, "chunk_voxels"),
+            ({"vb_max_iter": 10**30}, "vb_max_iter"),
             ({"data": "Y_s1.csv"}, "data"),
             ({"model_prior": ["a", 1.0]}, "model_prior"),
             ({"sessions": "multi"}, "sessions"),
@@ -625,9 +636,19 @@ class TestCli:
             ({"model_prior": ["0.5", "0.5"]}, "model_prior"),
             ({"model_prior": [True, False]}, "model_prior"),
             ({"model_prior": ["nan", "nan"]}, "model_prior"),
-            ({"chunk_voxels": 2.5}, "chunk_voxels"),
+            (
+                {
+                    "models": [
+                        {"name": "m1", "design": ["X1_s1.csv"]},
+                        {"name": "m2", "design": ["X2_s1.csv"]},
+                    ],
+                    "data": ["Y_s1.csv"],
+                    "sessions": {"kind": "single", "scans": 10**30},
+                },
+                "sessions.scans",
+            ),
             ({"vb_max_iter": 2.5}, "vb_max_iter"),
-            ({"chunk_voxels": "7"}, "chunk_voxels"),
+            ({"vb_tol": 0}, "vb_tol"),
             ({"alpha0": "1"}, "alpha0"),
             (
                 {
@@ -690,6 +711,7 @@ class TestCli:
         err = stderr.getvalue()
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in stdout.getvalue() + err
+        assert "internal error" not in err
         if code == 2:  # the message names the key, or the file name given
             names = (path[0], path[0].rstrip("s"), value if isinstance(value, str) else None)
             assert any(n and n in err for n in names), err

@@ -1,5 +1,7 @@
 """Group-level selection: variational fixed point and exceedance methods."""
 
+import warnings
+
 import numpy as np
 import pytest
 from helpers import ep_one_voxel, estimate_rfx_log_space, vb_step_log_space
@@ -136,9 +138,12 @@ class TestEstimateRfx:
             ("max_iter", 0),
             ("max_iter", -5),
             ("max_iter", 2.5),
+            ("max_iter", 10**30),
             ("tol", float("nan")),
             ("alpha0", float("nan")),
             ("alpha0", float("inf")),
+            ("alpha0", 1e-310),
+            ("alpha0", 1e308),
         ],
     )
     def test_bad_argument_is_named(self, argument, value):
@@ -396,6 +401,19 @@ class TestEpStacks:
             ep_integration_stack(alpha)
         with pytest.raises(NumericalError, match=named.format(0)):
             ep_integration_stack(alpha[:, 1:2])
+
+    def test_overflowing_column_raises_without_warning(self):
+        # huge shapes overflow the integrand; the error names the column
+        # and no RuntimeWarning leaks
+        alpha = np.array([[2.0, 1e30], [1.0, 1e30]])
+        named = (
+            r"non-finite sum for concentrations "
+            r"\[1e\+30, 1e\+30\] \(first at input column 1\)"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match=named):
+                ep_integration_stack(alpha)
 
     def test_integration_matches_adaptive_quadrature(self):
         # tolerance fixed before the first run: an order of magnitude
