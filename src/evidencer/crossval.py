@@ -15,6 +15,8 @@ minus the held-out session's; both the training and the all-data
 posterior are one :func:`~evidencer.glm.posterior_update` of summed
 statistics; and the fully-updated posterior (train block then test block)
 is the same all-data posterior for every fold, so it is computed once.
+Each fold's (lme, acc, com) is written in place into one (3, folds,
+models, voxels) array, whose fold sums are the cross-validated arrays.
 
 Models are compared on the same data, so :func:`cv_lme_models` reads each
 session's response once: per session it groups the specs whose response
@@ -170,7 +172,8 @@ class CvResult:
             )
 
 
-def _check_sessions(specs, layout: SessionLayout) -> None:
+def _check_sessions(specs, layout: SessionLayout) -> int:
+    """The voxel count the specs share, once they fit the layout."""
     if len(specs) != layout.n_folds:
         raise DomainError(
             f"layout has {layout.n_folds} folds but {len(specs)} session "
@@ -189,6 +192,7 @@ def _check_sessions(specs, layout: SessionLayout) -> None:
                 f"session {i + 1} has {spec.n} scans but its layout range covers "
                 f"{stop - start}"
             )
+    return v
 
 
 def _posterior(stats: SessionStats, label: str) -> NgParams:
@@ -229,30 +233,22 @@ def _session_stats(models, n_folds: int) -> dict:
     return stats
 
 
-def _oos_fold(stats, fold: int, total: SessionStats, post_all: NgParams, label: str):
-    held = stats[fold]
-    train = SessionStats(*(t - h for t, h in zip(total, held)))
-    # conjugacy: the training posterior is the held-out session's prior
-    train_prior = _posterior(train, f"{label}fold {fold + 1} training")
-    lme = log_model_evidence(held, train_prior, post_all)
-    acc = accuracy(held, post_all)
-    com = complexity(train_prior, post_all)
-    return lme, acc, com
-
-
-def _model_folds(stats, name: str):
-    """One model's out-of-sample (lme, acc, com) as a (3, folds, voxels)
-    array, and the per-voxel round-off bound on their fold sums' acc - com
-    - lme gap."""
+def _model_folds(stats, name: str, out: np.ndarray) -> np.ndarray:
+    """Write one model's out-of-sample (lme, acc, com) into the (3, folds,
+    voxels) array ``out`` and return the per-voxel round-off bound on their
+    fold sums' acc - com - lme gap."""
     label = f"model {name!r}, "
     total = SessionStats(*(sum(field) for field in zip(*stats)))
     post_all = _posterior(total, f"{label}all-data")
-    folds = np.stack(
-        [_oos_fold(stats, i, total, post_all, label) for i in range(len(stats))],
-        axis=1,
-    )
+    for fold, held in enumerate(stats):
+        train = SessionStats(*(t - h for t, h in zip(total, held)))
+        # conjugacy: the training posterior is the held-out session's prior
+        train_prior = _posterior(train, f"{label}fold {fold + 1} training")
+        out[0, fold] = log_model_evidence(held, train_prior, post_all)
+        out[1, fold] = accuracy(held, post_all)
+        out[2, fold] = complexity(train_prior, post_all)
     scale = np.finfo(float).eps * post_all.a / post_all.b
-    return folds, scale * sum(s.n * s.ytpy for s in stats)
+    return scale * sum(s.n * s.ytpy for s in stats)
 
 
 def cv_lme_models(models, layout: SessionLayout) -> CvResult:
@@ -277,12 +273,15 @@ def cv_lme_models(models, layout: SessionLayout) -> CvResult:
     if not models:
         raise DomainError("cv_lme_models needs at least one model")
     names = tuple(models)
-    for n in names:
-        _check_sessions(models[n], layout)
+    voxels = {_check_sessions(models[n], layout) for n in names}
+    if len(voxels) > 1:
+        raise DomainError(f"models disagree on the voxel count: {sorted(voxels)}")
+    (v,) = voxels
     stats = _session_stats(models, layout.n_folds)
-    folds, bounds = zip(*(_model_folds(stats[n], n) for n in names))
-    # (3, folds, models, voxels); fold sums add the folds in order
-    oos = np.stack(folds, axis=2)
+    # (3, folds, models, voxels), C-ordered, so fold sums add the folds in
+    # order; each model's folds are written in place
+    oos = np.empty((3, layout.n_folds, len(names), v))
+    bounds = [_model_folds(stats[n], n, oos[:, :, m]) for m, n in enumerate(names)]
     tol = np.maximum(_ACC_COM_FLOOR, np.stack(bounds))
     result = CvResult(names, *oos.sum(axis=1), *oos, acc_com_tol=tol)
     result.validate()

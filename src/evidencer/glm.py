@@ -382,20 +382,26 @@ def posterior_update(stats: SessionStats, prior: NgParams) -> NgParams:
     b0 = _prior_b_vector(prior, V)
     lam0 = prior.lam
 
+    flat = prior.is_noninformative
     lambda_n = stats.xtpx + lam0
     try:
         chol = _cholesky(lambda_n, "lambda_n")
     except DecompositionError:
-        if prior.is_noninformative:
+        if flat:
             raise EstimationError(
                 "the data leave the coefficient precision singular under "
                 "the non-informative prior; the design is effectively "
                 "rank-deficient"
             ) from None
         raise
-    mu_n = _chol_solve(chol, stats.xtpy + lam0 @ mu0)
+    if flat:
+        # the zero prior's products would only add exact zeros
+        rhs, quad_prior = stats.xtpy, 0.0
+    else:
+        prior_rhs = lam0 @ mu0
+        rhs, quad_prior = stats.xtpy + prior_rhs, np.einsum("pv,pv->v", mu0, prior_rhs)
+    mu_n = _chol_solve(chol, rhs)
 
-    quad_prior = np.einsum("pv,pv->v", mu0, lam0 @ mu0)
     quad_post = np.einsum("pv,pv->v", mu_n, lambda_n @ mu_n)
     a_n = prior.a + stats.n / 2.0
     b_n = b0 + 0.5 * (stats.ytpy + quad_prior - quad_post)

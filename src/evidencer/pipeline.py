@@ -95,6 +95,8 @@ class RunOptions:
             raise ConfigError("samples must be at least 1e4")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def _missing_block(config: ModelSpaceConfig, stage: str):
@@ -345,7 +347,10 @@ def _stage_cvlme(config, options, model_specs, layout) -> _StageResult:
         "voxels": result.cv_lme.shape[1],
         "models": len(result.model_names),
     }
-    return _StageResult(_cv_tables(result, "LME"), product=result, sizes=sizes)
+    diagnostics = {"cvlme_max_acc_com_tol": float(np.max(result.acc_com_tol))}
+    return _StageResult(
+        _cv_tables(result, "LME"), diagnostics, product=result, sizes=sizes
+    )
 
 
 def _stage_anc(config, options, cv_result) -> _StageResult:

@@ -270,6 +270,40 @@ class TestCvLme:
         result.validate()
         assert result.cv_lme.shape == (1, 2)
 
+    def test_folds_written_in_place_sum_exactly(self):
+        # three models over four folds land in one (3, folds, models,
+        # voxels) array: each model's folds match its own call, and the
+        # cross-validated arrays are the fold sums added in fold order
+        rng = np.random.default_rng(27)
+        n, v = 16, 5
+        ys = [rng.normal(size=(n, v)) + 1.0 for _ in range(4)]
+        layout = SessionLayout.from_counts([n] * 4)
+        models = {
+            f"p{p}": [GlmSpec(Y=y, X=random_design(rng, n, p)) for y in ys]
+            for p in (1, 2, 3)
+        }
+        result = cv_lme_models(models, layout)
+        for kind in ("lme", "acc", "com"):
+            oos, cv = getattr(result, f"oos_{kind}"), getattr(result, f"cv_{kind}")
+            assert oos.shape == (4, 3, v) and oos.flags.c_contiguous
+            in_order = oos[0] + oos[1] + oos[2] + oos[3]
+            assert cv.tobytes() == in_order.tobytes() == oos.sum(axis=0).tobytes()
+        for m, name in enumerate(models):
+            alone = cv_lme_models({name: models[name]}, layout)
+            for kind in ("lme", "acc", "com"):
+                shared = getattr(result, f"oos_{kind}")[:, m]
+                np.testing.assert_array_equal(shared, getattr(alone, f"oos_{kind}")[:, 0])
+
+    def test_models_must_share_the_voxel_count(self):
+        rng = np.random.default_rng(31)
+        x = random_design(rng, 20, 2)
+        models = {
+            name: [GlmSpec(Y=rng.normal(size=(20, v)), X=x) for _ in range(2)]
+            for name, v in (("a", 5), ("b", 6))
+        }
+        with pytest.raises(DomainError, match=r"voxel count: \[5, 6\]"):
+            cv_lme_models(models, SessionLayout.from_counts([20, 20]))
+
     def test_mismatched_sessions_rejected(self):
         rng = np.random.default_rng(28)
         specs, layout = make_sessions(rng, s=2)

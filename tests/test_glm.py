@@ -245,6 +245,29 @@ class TestPosteriorUpdate:
             np.testing.assert_allclose(chained.b, joint.b, rtol=1e-10)
             assert chained.a == pytest.approx(joint.a, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_noninformative_skip_changes_no_bit(self, monkeypatch, precision_kind, p):
+        # the non-informative prior skips its zero products; the general
+        # formula, which adds them, must give the same bits, and the shared
+        # statistics must not be written to
+        rng = np.random.default_rng(60 + p)
+        n = 3 * p + 9
+        spec = GlmSpec(
+            Y=rng.normal(size=(n, 37)) * 40.0 + 5.0,
+            X=random_design(rng, n, p),
+            precision=random_precision(rng, n, precision_kind),
+        )
+        stats = stats_of(spec)
+        xtpy = stats.xtpy.copy()
+        skip = posterior_update(stats, NgParams.noninformative(p))
+        monkeypatch.setattr(NgParams, "is_noninformative", property(lambda self: False))
+        general = posterior_update(stats, NgParams.noninformative(p))
+        for name in ("mu", "lam", "b", "_chol"):
+            assert getattr(skip, name).tobytes() == getattr(general, name).tobytes(), name
+        assert skip.a == general.a
+        assert stats.xtpy.tobytes() == xtpy.tobytes()
+
     def test_voxel_permutation_equivariance(self):
         # equivariant up to BLAS column-blocking round-off
         rng = np.random.default_rng(9)

@@ -17,6 +17,7 @@ import evidencer.pipeline
 from evidencer.cli import main
 from evidencer.dataio import load_config, load_matrix, save_matrix
 from evidencer.errors import ConfigError
+from evidencer.glm import NgParams
 from evidencer.pipeline import _STAGES, STAGE_NAMES, RunOptions, _plan, run_pipeline
 from evidencer.rfx import (
     GroupLmeStack,
@@ -194,6 +195,22 @@ class TestStageOutputs:
         diagnostics = manifest["diagnostics"]
         assert diagnostics["bms_voxel_iterations"] == int(iterations.sum())
         assert diagnostics["bms_max_iterations"] == int(iterations.max())
+
+    def test_cvlme_acc_com_tol_in_manifest(self, workspace, tmp_path, monkeypatch):
+        manifest = run(workspace, tmp_path / "skip", STAGES)
+        tol = manifest["diagnostics"]["cvlme_max_acc_com_tol"]
+        assert np.isfinite(tol) and tol >= 1e-8
+        # the update under the non-informative prior skips the prior's zero
+        # products; the general formula, which adds them, writes every
+        # result file with the same bytes
+        monkeypatch.setattr(NgParams, "is_noninformative", property(lambda self: False))
+        general = run(workspace, tmp_path / "general", STAGES)
+        assert general["diagnostics"] == manifest["diagnostics"]
+        assert len(manifest["tables"]) > 6
+        for name in manifest["tables"]:
+            assert (tmp_path / "skip" / name).read_bytes() == (
+                tmp_path / "general" / name
+            ).read_bytes(), name
 
     def test_problem_sizes_in_manifest(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setattr(evidencer.pipeline, "_CHUNK_VOXELS", 5)
@@ -610,6 +627,18 @@ class TestCli:
         code = main(["cvlme", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["sampling", "integration"])
+    def test_negative_seed_is_a_config_error(self, workspace, tmp_path, capsys, method):
+        out = tmp_path / "o"
+        code = main(
+            ["pipeline", "--config", str(workspace), "--out", str(out),
+             "--seed", "-1", "--ep-method", method]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "patch, named",

@@ -180,7 +180,7 @@ class TestBlocks:
         assert np.flatnonzero(iterations == iterations.max()).tolist() == [25]
         assert not estimate_rfx(group, max_iter=3).converged.all()
 
-    @pytest.mark.parametrize("max_iter", [200, 3])
+    @pytest.mark.parametrize("max_iter", [200, 3, 1])
     @pytest.mark.parametrize("voxels", [1, 2, 7])
     def test_blocks_change_no_bit(self, monkeypatch, voxels, max_iter):
         group = split_case()
@@ -189,7 +189,7 @@ class TestBlocks:
         monkeypatch.setattr(rfx, "_VB_BLOCK_BYTES", voxels * bytes_per_voxel)
         assert_same_bits(estimate_rfx(group, max_iter=max_iter), whole)
 
-    @pytest.mark.parametrize("max_iter", [200, 3])
+    @pytest.mark.parametrize("max_iter", [200, 3, 1])
     @pytest.mark.parametrize("width", [1, 3, 17])
     def test_slices_concatenate_to_the_whole_call(self, width, max_iter):
         group = split_case()
@@ -205,6 +205,27 @@ class TestBlocks:
             iterations=np.concatenate([p.iterations for p in parts]),
         )
         assert_same_bits(joined, whole)
+
+    @pytest.mark.parametrize("voxels", [1, 4, 9])
+    def test_block_that_stops_at_one_step(self, monkeypatch, voxels):
+        # copies of one voxel all stop at the same step, so a block's active
+        # set empties in a single compaction
+        one = split_case().lme[:, :, 25:26]
+        group = stack(np.repeat(one, 9, axis=2))
+        single = estimate_rfx(stack(one))
+        bytes_per_voxel = 8 * group.n_subjects * group.n_models
+        monkeypatch.setattr(rfx, "_VB_BLOCK_BYTES", voxels * bytes_per_voxel)
+        post = estimate_rfx(group)
+        assert single.converged.all() and single.iterations[0] > 1
+        assert_same_bits(
+            post,
+            DirichletPosterior(
+                alpha=np.repeat(single.alpha, 9, axis=1),
+                alpha0=1.0,
+                converged=np.repeat(single.converged, 9),
+                iterations=np.repeat(single.iterations, 9),
+            ),
+        )
 
     @pytest.mark.parametrize("width", [1, 2, 7])
     def test_log_space_step_changes_no_bit(self, monkeypatch, width):
