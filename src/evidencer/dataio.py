@@ -10,18 +10,18 @@ documents.
 Files whose data cells all have the canonical form :func:`save_matrix`
 writes, ``-?D.DDDDDDDDDDDDDDDDe[+-]DD[D]``, are read by an exact vectorised
 decoder, 256 KiB of whole lines at a time: no ``"`` and no ``\r`` in the
-file, ``\n`` after every line, one cell count. It finds the cells from
-their ``e``, decodes the 16 fraction digits as two uint64 words by SWAR
-steps (eight byte lanes per integer) that check them at the same time,
-and forms M * 10**q from the 17-digit integer M with one long double
-multiply or divide by an exact power of ten, |q| <= 27 (Clinger 1990).
-That result is rounded once, so rounding it to a double is correct
-except where it lies exactly halfway between two doubles; such cells,
-cells with |q| > 27 and cells with three exponent digits are read by
-``float()``. So every value is bit-identical to ``float(cell)``. The
-decoder is off where ``long double`` does not round to a 64-bit or wider
-significand (Windows, macOS on arm64, the double-double of ppc64). On a
-2-vCPU Xeon VM it reads a 200 x 2,500 file of 11.5 MB in 50-65 ms,
+file, ``\n`` after every line, one cell count. Each check is one operation
+on a column of 32-byte windows around the cells' ``e``; the 16 fraction
+digits are two uint64 words, decoded and checked by SWAR steps (eight
+byte lanes per integer). M * 10**q, from the 17-digit integer M, is one
+long double multiply or divide by an exact power of ten, |q| <= 27
+(Clinger 1990), rounded once: its double is correct unless it lies
+exactly halfway between two doubles, as its low significand bits show.
+Such cells, cells with |q| > 27 and cells with three exponent digits are
+read by ``float()``, so every value is bit-identical to ``float(cell)``.
+The decoder is off where ``long double`` does not round to a 64-bit or
+wider significand (Windows, macOS on arm64, ppc64's double-double). On a
+2-vCPU Xeon VM it reads a 200 x 2,500 file of 11.5 MB in 35-45 ms,
 against 135-190 ms for the reader below.
 
 Any other file, and any file in which a block does not qualify, is read
@@ -68,6 +68,7 @@ import json
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -95,10 +96,12 @@ RESULT_KINDS = (
 
 @dataclass(frozen=True)
 class LabeledMatrix:
-    """A 2-D float matrix with optional column labels."""
+    """A 2-D float matrix with optional column labels; ``declined`` marks a
+    file that :func:`load_matrix` read after the exact decoder declined it."""
 
     values: np.ndarray
     columns: tuple | None = None
+    declined: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -187,18 +190,41 @@ def _header(cells: list) -> tuple | None:
     return tuple(map(str.strip, cells))
 
 
-# The exact reader of canonical cells, ``-?D.DDDDDDDDDDDDDDDDe[+-]DD``.
-# It needs a long double that rounds each operation to a significand of at
-# least 64 bits: x87 extended (nmant 63) or IEEE binary128 (112). The
-# double-double of ppc64 (105) does not round that way.
+# The exact reader of canonical cells. It needs a long double that rounds
+# each operation to a significand of at least 64 bits: x87 extended (nmant
+# 63) or IEEE binary128 (112), not the double-double of ppc64 (105).
 _EXACT_LONGDOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
 _CELL_BYTES = 22  # an unsigned canonical cell; a negative one has 23
 _BLOCK_BYTES = 1 << 18
+_PAD = 24  # zero bytes around each block, so every cell window lies inside
+_FRAME = bytes(_PAD)
 _MAX_EXACT_POWER = 27  # 10**27 = 2**27 * 5**27 with 5**27 < 2**64
 _POWERS = np.cumprod(np.array([1] + [10] * _MAX_EXACT_POWER, dtype=np.longdouble))
 # by exponent code: e for e+DD, 100 + e for e-DD; a cell is M * 10**q
 _Q = np.array([e - 16 for e in range(100)] + [-e - 16 for e in range(100)])
 _SCALE = _POWERS[[min(abs(q), _MAX_EXACT_POWER) for q in _Q.tolist()]]
+
+
+def _halfway_bits(nmant: int) -> tuple | None:
+    """The mask of the bits a long double of ``nmant`` fraction bits drops to
+    round to a double, and their value at a halfway point; None for none."""
+    dropped = nmant - 52
+    if dropped <= 0:
+        return None
+    return np.uint64((1 << dropped) - 1), np.uint64(1 << (dropped - 1))
+
+
+_HALFWAY = _halfway_bits(np.finfo(np.longdouble).nmant)
+
+
+def _halfway(exact: np.ndarray) -> np.ndarray:
+    """Whether each long double lies exactly halfway between two doubles."""
+    at = 0 if sys.byteorder == "little" else exact.itemsize - 8  # low 64 bits
+    low = np.ndarray(exact.shape, np.uint64, exact, at, (exact.itemsize,))
+    mask, half = _HALFWAY
+    return (low & mask) == half
+
+
 # SWAR (eight byte lanes in one uint64) constants; every operand is an
 # explicit uint64, so numpy 1.x never promotes a mix to float64
 _ZEROS = np.uint64(0x3030303030303030)  # "00000000"
@@ -215,12 +241,14 @@ _SHIFT_16 = np.uint64(16)
 _SHIFT_32 = np.uint64(32)
 _E8 = np.uint64(10**8)
 _E16 = np.uint64(10**16)
+_ZERO = np.uint8(ord("0"))
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray | None:
     """The numbers of little-endian uint64 words of eight ASCII digits each,
     the first digit in the lowest byte; None if a byte is not a digit."""
-    words = words - _ZEROS
+    # C-ordered: numpy runs a strided view of two columns two items at a time
+    words = np.subtract(words, _ZEROS, out=np.empty(words.shape, np.uint64))
     spare = words + _ABOVE_NINE
     spare |= words
     spare &= _HIGH_BITS
@@ -243,112 +271,83 @@ def _scale_once(exact: np.ndarray, power: np.ndarray, up: np.ndarray) -> np.ndar
     """``exact * power`` where ``up`` and ``exact / power`` elsewhere, in
     place: one long double operation on an exact power of ten, so each
     result is the exact one rounded once."""
+    if up.all():
+        return np.multiply(exact, power, out=exact)
+    if not up.any():
+        return np.divide(exact, power, out=exact)
     np.multiply(exact, power, out=exact, where=up)
     np.divide(exact, power, out=exact, where=~up)
     return exact
 
 
-def _bytes_at(b: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
-    """``b[at[i] + j]`` for ``j < count`` as row ``i``: one gather of
-    ``count``-byte items from an overlapping view of ``b``."""
-    items = np.ndarray((b.size - count + 1,), f"V{count}", b, strides=(1,))
-    return items[at].view(np.uint8).reshape(-1, count)
-
-
-def _decode_canonical(b: np.ndarray, width: int) -> np.ndarray | None:
-    """The values of the whole lines ``b`` (uint8) of ``width`` canonical
-    cells each, flat in row order and each equal to ``float(cell)``; None
-    if a byte breaks the form.
-
-    A cell reads as M * 10**q with the integer M < 10**17 and
-    q = exponent - 16. Both M and 10**|q|, for |q| <= 27, are exact in a
-    64-bit significand, so one long double multiply or divide rounds the
-    exact value once. Rounding that to a double rounds twice, which errs
-    only where the first result lies exactly halfway between two doubles.
-    Those cells, cells with |q| > 27 and cells with a three-digit exponent
-    are read by ``float()``.
-    """
-    marks = np.flatnonzero(b == ord("e"))
-    if marks.size == 0 or marks.size % width or marks[-1] + 4 >= b.size:
+def _decode_canonical(b: np.ndarray, start: int, width: int) -> np.ndarray | None:
+    """The values of the whole lines ``b[start:-_PAD]`` (uint8) of ``width``
+    canonical cells each, flat in row order and each equal to ``float(cell)``;
+    None if a byte breaks the form. ``b`` has ``_PAD`` bytes before ``start``
+    and ends in ``_PAD`` zero bytes, so each cell has a 32-byte window from
+    24 bytes before its e: byte 5 is its "-" or the byte before it, 6 its
+    leading digit, 7 the point, 8-23 the fraction, 24 the e, 25 the
+    exponent's sign, 26-27 its digits, 28 the separator or a third digit
+    and 29 the separator after a third digit."""
+    stop = b.size - _PAD
+    marks = np.flatnonzero(b[start:stop] == ord("e")) + start
+    if marks.size == 0 or marks.size % width:
         return None
+    window = np.ndarray((b.size - 31,), "V32", b, strides=(1,))[marks - 24]
+    window = window.view(np.uint8).reshape(-1, 32)
     # a cell ends 4 bytes after its e, or 5 with a third exponent digit
     # there (any byte above "," is taken for one and checked below)
+    wide = window[:, 28] > ord(",")
     seps = marks + 4
-    wide = b[seps] > ord(",")
     seps += wide
-    if seps[-1] != b.size - 1:
-        return None
-    ends = b[seps].reshape(-1, width)
-    if (ends[:, -1] != ord("\n")).any() or (ends[:, :-1] != ord(",")).any():
-        return None
-    length = np.diff(seps, prepend=-1) - 1
+    ends = np.where(wide, window[:, 29], window[:, 28]).reshape(-1, width)
+    length = np.diff(seps, prepend=start - 1) - 1
     length -= wide  # as if the exponent had two digits
     negative = length == _CELL_BYTES + 1
+    lead = window.view("<u2")[:, 3] ^ _HEAD  # the digit, if a point follows
+    exp_sign, tens, ones = window[:, 25], window[:, 26] - _ZERO, window[:, 27] - _ZERO
     if (
-        not (negative | (length == _CELL_BYTES)).all()
-        or (negative & (b[seps - wide - length] != ord("-"))).any()
-        or (b[seps[wide] - 1] - np.uint8(ord("0")) > 9).any()
+        seps[-1] != stop - 1
+        or (ends[:, -1] != ord("\n")).any()
+        or (ends[:, :-1] != ord(",")).any()
+        or not (negative | (length == _CELL_BYTES)).all()
+        or (negative & (window[:, 5] != ord("-"))).any()
+        or (wide & (window[:, 28] - _ZERO > 9)).any()
+        or (lead > 9).any()
+        or (np.maximum(tens, ones) > 9).any()
+        or ((exp_sign != ord("+")) & (exp_sign != ord("-"))).any()
     ):
         return None
-
-    # the e, the separators, the signs and third exponent digits are
-    # checked; these are the rest
-    start = seps - wide - _CELL_BYTES
-    head = _bytes_at(b, start, 2)  # the leading digit and the point
-    tail = _bytes_at(b, start + 19, 3)  # the exponent's sign and first digits
-    lead = head[:, 0] - np.uint8(ord("0"))
-    exp_digits = tail[:, 1:] - np.uint8(ord("0"))
-    if (
-        (lead > 9).any()
-        or (head[:, 1] != ord(".")).any()
-        or (exp_digits > 9).any()
-        or ((tail[:, 0] != ord("+")) & (tail[:, 0] != ord("-"))).any()
-    ):
-        return None
-    fraction = _eight_digits(_bytes_at(b, start + 2, 16).view("<u8"))
+    fraction = _eight_digits(window.view("<u8")[:, 1:3].T)
     if fraction is None:
         return None
-    mantissa = lead.astype(np.uint64) * _E16 + fraction[:, 0] * _E8 + fraction[:, 1]
-    code = exp_digits[:, 0].astype(np.intp) * 10 + exp_digits[:, 1]
-    code[tail[:, 0] == ord("-")] += 100
+    mantissa = lead.astype(np.uint64) * _E16 + fraction[0] * _E8 + fraction[1]
+    code = tens * np.uint8(10) + ones + (exp_sign == ord("-")) * np.uint8(100)
+    code = code.astype(np.intp)  # an index of any other type costs a conversion
     q = _Q[code]
-
     exact = _scale_once(mantissa.astype(np.longdouble), _SCALE[code], q >= 0)
     values = exact.astype(np.float64)
-    # values + 2 residual is a double (the next one) only when exact is
-    # halfway; the residual is exact as a double for x87 (at most 11 bits),
-    # and a wider long double can at worst send a cell to float() needlessly
-    residual = (exact - values).astype(np.float64)
-    residual += residual
-    redo = np.flatnonzero(
-        wide
-        | (np.abs(q) > _MAX_EXACT_POWER)
-        | ((residual != 0) & ((values + residual) - values == residual))
-    )
-    values[negative] *= -1.0
-    text = memoryview(b)
-    counts = length[redo] + wide[redo]
-    values[redo] = [
-        float(text[stop - count : stop])
-        for stop, count in zip(seps[redo].tolist(), counts.tolist())
-    ]
+    redo = np.flatnonzero(wide | (np.abs(q) > _MAX_EXACT_POWER) | _halfway(exact))
+    np.negative(values, out=values, where=negative)
+    text, lasts = memoryview(b), seps[redo]
+    firsts = lasts - length[redo] - wide[redo]
+    values[redo] = [float(text[a:z]) for a, z in zip(firsts.tolist(), lasts.tolist())]
     return values
 
 
 def _line_blocks(handle):
-    """The file in blocks of whole lines, read ``_BLOCK_BYTES`` at a time;
-    bytes after the last newline come last, as a block of their own."""
-    parts = []
+    """The file in blocks of whole lines framed by ``_FRAME``, read
+    ``_BLOCK_BYTES`` at a time; bytes after the last newline come last."""
+    parts = [_FRAME]
     while chunk := handle.read(_BLOCK_BYTES):
         cut = chunk.rfind(b"\n") + 1
         if not cut:
             parts.append(chunk)
             continue
-        yield b"".join([*parts, memoryview(chunk)[:cut]])
-        parts = [chunk[cut:]]
-    tail = b"".join(parts)
-    if tail:
-        yield tail
+        yield b"".join([*parts, memoryview(chunk)[:cut], _FRAME])
+        parts = [_FRAME, chunk[cut:]]
+    if any(parts[1:]):
+        yield b"".join([*parts, _FRAME])
 
 
 def _load_canonical(path: Path) -> LabeledMatrix | None:
@@ -363,11 +362,11 @@ def _load_canonical(path: Path) -> LabeledMatrix | None:
             values = np.empty(os.fstat(handle.fileno()).st_size // (_CELL_BYTES + 1))
             filled, width, columns = 0, None, None
             for block in _line_blocks(handle):
-                if not block.endswith(b"\n"):
+                if block[-_PAD - 1] != ord("\n"):
                     return None
-                start = 0
+                start = _PAD
                 if width is None:
-                    first = block[: block.index(b"\n")]
+                    first = block[_PAD : block.index(b"\n", _PAD)]
                     if b'"' in first or b"\r" in first:
                         return None
                     try:
@@ -379,10 +378,10 @@ def _load_canonical(path: Path) -> LabeledMatrix | None:
                     cells = text.split(",")
                     width, columns = len(cells), _header(cells)
                     if columns is not None:
-                        start = len(first) + 1
-                if start == len(block):
+                        start += len(first) + 1
+                if start == len(block) - _PAD:
                     continue
-                flat = _decode_canonical(np.frombuffer(block, np.uint8)[start:], width)
+                flat = _decode_canonical(np.frombuffer(block, np.uint8), start, width)
                 if flat is None or filled + flat.size > values.size:
                     return None
                 values[filled : filled + flat.size] = flat
@@ -440,7 +439,8 @@ def load_matrix(path) -> LabeledMatrix:
     a header. Trailing blank rows are ignored; a blank first row is an
     error, not an empty header. Blank or ragged rows, empty or non-numeric
     data cells, and files without data rows raise :class:`ParseError`
-    naming the file, the line and, for a bad cell, its column.
+    naming the file, the line and, for a bad cell, its column. A file the
+    platform's exact decoder declines comes back with ``declined`` set.
     """
     path = Path(path)
     matrix = _load_canonical(path)
@@ -479,7 +479,7 @@ def load_matrix(path) -> LabeledMatrix:
         )
     except ValueError as exc:
         raise _first_fault(path, lines, data, first_line, width, exc) from None
-    return LabeledMatrix(values=values, columns=columns)
+    return LabeledMatrix(values=values, columns=columns, declined=_EXACT_LONGDOUBLE)
 
 
 # The exact writer of ``%.16e`` cells. A cell of 1e-11 <= |x| < 1e44 is

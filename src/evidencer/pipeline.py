@@ -184,10 +184,13 @@ class _StageResult:
     sizes: dict = field(default_factory=dict)
 
 
-def _load_finite(config: ModelSpaceConfig, relative) -> np.ndarray:
-    """The values of an input matrix whose every cell must be finite."""
+def _load_finite(config: ModelSpaceConfig, relative, declined: list) -> np.ndarray:
+    """The values of an input matrix whose every cell must be finite;
+    ``relative`` joins ``declined`` if the canonical CSV decoder declined it."""
     path = config.resolve(relative)
     matrix = load_matrix(path)
+    if matrix.declined and relative not in declined:
+        declined.append(relative)
     finite = np.isfinite(matrix.values)
     if not finite.all():
         row, column = np.argwhere(~finite)[0]
@@ -199,8 +202,8 @@ def _load_finite(config: ModelSpaceConfig, relative) -> np.ndarray:
     return matrix.values
 
 
-def _load_session_matrices(config: ModelSpaceConfig):
-    data = [_load_finite(config, p) for p in config.data]
+def _load_session_matrices(config: ModelSpaceConfig, declined: list):
+    data = [_load_finite(config, p, declined) for p in config.data]
     for path, y in zip(config.data, data):
         if y.shape[1] != data[0].shape[1]:
             raise ConfigError(
@@ -212,7 +215,7 @@ def _load_session_matrices(config: ModelSpaceConfig):
     else:
         precisions = []
         for p, y in zip(config.precision, data):
-            mat = _load_finite(config, p)
+            mat = _load_finite(config, p, declined)
             if mat.shape == (1, y.shape[0]):
                 mat = mat.ravel()  # stored as a single row: diagonal precision
             precisions.append(mat)
@@ -229,12 +232,12 @@ def _model_space_files(config: ModelSpaceConfig) -> list:
     return files
 
 
-def _load_model_space(config: ModelSpaceConfig, products) -> tuple:
+def _load_model_space(config: ModelSpaceConfig, products, declined: list) -> tuple:
     """The cvlme stage's arguments: per-model session specs and their layout.
 
     A single session is built as one session, then split into halves.
     """
-    data, precisions = _load_session_matrices(config)
+    data, precisions = _load_session_matrices(config, declined)
     single = config.sessions.get("kind") == "single"
     if single:
         scans = config.sessions["scans"]
@@ -251,7 +254,7 @@ def _load_model_space(config: ModelSpaceConfig, products) -> tuple:
     for model in config.models:
         specs = []
         for s, y in enumerate(data):
-            x = _load_finite(config, model["design"][s])
+            x = _load_finite(config, model["design"][s], declined)
             try:
                 spec = GlmSpec(Y=y, X=x, precision=precisions[s])
                 specs.extend(split_glm_spec(spec, layout) if single else [spec])
@@ -272,13 +275,13 @@ def _subject_files(config: ModelSpaceConfig) -> list:
     return [s["cvlme"] for s in config.subjects if s["cvlme"] != "@self"]
 
 
-def _load_group(config: ModelSpaceConfig, products) -> tuple:
+def _load_group(config: ModelSpaceConfig, products, declined: list) -> tuple:
     """The bms stage's argument: every subject's evidences, taking a
     ``'@self'`` subject's from this run's cvlme product."""
     slabs = [
         products["cvlme"].cv_lme
         if subject["cvlme"] == "@self"
-        else _load_finite(config, subject["cvlme"])
+        else _load_finite(config, subject["cvlme"], declined)
         for subject in config.subjects
     ]
     for subject, slab in zip(config.subjects, slabs):
@@ -296,7 +299,7 @@ def _estimate_files(config: ModelSpaceConfig) -> list:
     return [path for row in config.betas["files"] for path in row]
 
 
-def _load_estimates(config: ModelSpaceConfig, products) -> tuple:
+def _load_estimates(config: ModelSpaceConfig, products, declined: list) -> tuple:
     """The bma stage's arguments: the cvlme product and the (models x
     sessions x voxels) estimates."""
     cv_result = products["cvlme"]
@@ -305,7 +308,7 @@ def _load_estimates(config: ModelSpaceConfig, products) -> tuple:
     for row in config.betas["files"]:
         per_session = []
         for path in row:
-            mat = _load_finite(config, path)
+            mat = _load_finite(config, path, declined)
             if mat.shape[0] != 1:
                 mat = mat.T  # stored one voxel per row
             if mat.shape != (1, n_voxels):
@@ -479,7 +482,9 @@ class _Stage(NamedTuple):
     blocks: tuple  # the config blocks it reads its inputs from
     deps: tuple  # the stages whose products it reads
     files: Callable  # config -> its input files, relative to the config
-    load: Callable  # (config, products) -> its arguments after (config, options)
+    # (config, products, declined) -> its arguments after (config, options),
+    # adding to declined the input files the canonical CSV decoder declined
+    load: Callable
 
 
 def _no_files(config) -> tuple:
@@ -487,7 +492,7 @@ def _no_files(config) -> tuple:
 
 
 def _product_of(stage: str) -> Callable:
-    return lambda config, products: (products[stage],)
+    return lambda config, products, declined: (products[stage],)
 
 
 _STAGES = {
@@ -544,6 +549,7 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
     statuses: dict = {}
     tables: dict = {}
     diagnostics: dict = {}
+    declined: list = []
     sizes: dict = {}
     timings: list = []
     for stage in ordered:
@@ -557,7 +563,7 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
             continue
         marks = [time.perf_counter()]  # each phase's start, then the end
         try:
-            inputs = _STAGES[stage].load(config, products)
+            inputs = _STAGES[stage].load(config, products, declined)
             marks.append(time.perf_counter())
             result = _STAGE_FUNCTIONS[stage](config, options, *inputs)
             marks.append(time.perf_counter())
@@ -612,7 +618,7 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
         "stages": statuses,
         "tables": tables,
         "sizes": sizes,
-        "diagnostics": diagnostics,
+        "diagnostics": {**diagnostics, "slow_path_inputs": declined},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     _write(options.out_dir / "manifest.json", text)

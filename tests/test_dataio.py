@@ -345,6 +345,55 @@ class TestCanonicalReader:
         assert mat.values.tobytes() == np.array([[value, value]]).tobytes()
         assert mat.values.tobytes() == load_matrix_by_cells(path).values.tobytes()
 
+    def test_near_midpoints_equal_float(self, tmp_path):
+        # the 17-digit rounding of the midpoint of a double and the next one
+        # up, within |q| <= 27; the long double of some lies exactly halfway
+        rng = np.random.default_rng(7)
+        cells = []
+        for low in rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-11, 43, 4000):
+            high = float(np.nextafter(low, np.inf))
+            with localcontext() as ctx:
+                ctx.prec = 800
+                cells.append(_canonical((Decimal(low) + Decimal(high)) / 2))
+        rows = map(",".join, zip(*[iter(cells)] * 40))
+        header = ",".join(f"v{i + 1}" for i in range(40))
+        path = self._write(tmp_path, "\n".join([header, *rows]) + "\n")
+        halfway, real = [], dataio._halfway
+
+        def spy(exact):
+            found = real(exact)
+            halfway.append(int(found.sum()))
+            return found
+
+        with mock.patch.object(dataio, "_halfway", spy):
+            matrix = load_matrix(path)
+        assert not matrix.declined
+        assert matrix.values.tobytes() == np.array([float(c) for c in cells]).tobytes()
+        assert sum(halfway) > 0 or not dataio._EXACT_LONGDOUBLE
+
+    @pytest.mark.parametrize(
+        "nmant, bits", [(52, None), (63, (0x7FF, 0x400)), (112, (2**60 - 1, 2**59))]
+    )
+    def test_halfway_bits(self, nmant, bits):
+        # 52 is a long double that is a double (macOS on arm64), 63 the x87
+        # extended format, 112 IEEE binary128
+        got = dataio._halfway_bits(nmant)
+        assert got == bits
+        assert got is None or all(type(b) is np.uint64 for b in got)
+
+    def test_halfway(self):
+        if not dataio._EXACT_LONGDOUBLE:
+            pytest.skip("no long double wider than a double")
+        one, ulp = np.longdouble(1), np.longdouble(2.0**-52)
+        # 1 + ulp/2 lies halfway between the doubles 1 and 1 + ulp, in any
+        # binade and of either sign; a little off it does not
+        middle = one + ulp / 2
+        exact = np.array(
+            [middle, -middle * 2**40, middle / 2**40]
+            + [middle + ulp / 2**10, one + ulp / 4, one]
+        )
+        assert dataio._halfway(exact).tolist() == [True] * 3 + [False] * 3
+
     def test_exact_powers_of_ten(self):
         for code, q in enumerate(dataio._Q):
             assert int(dataio._SCALE[code]) == 10 ** min(abs(int(q)), 27)
@@ -399,10 +448,21 @@ class TestCanonicalReader:
 
     def test_every_one_byte_change(self, tmp_path):
         text = "v1,v2\n" + "1.2500000000000000e+00,-3.0000000000000000e-02\n" * 2
-        for at in range(len(text)):
-            for byte in ("", "x", "0", "-", "+", ",", "\n", '"', "e", ".", " "):
-                path = self._write(tmp_path, text[:at] + byte + text[at + 1 :])
-                assert self._result(path) == self._fallback_result(path), (at, byte)
+        # a cell's window starts 24 bytes before its e and ends 7 after: a
+        # negative first cell reaches into the zero bytes before the block,
+        # a three-digit exponent ending a line fills the window's last
+        # separator byte, and the file's last cell reaches past the block
+        edges = (
+            "-1.2500000000000000e+00,3.0000000000000000e-102\n"
+            "-2.5000000000000000e-03,4.0000000000000000e+101\n"
+        )
+        for text, block_bytes in ((text, 1 << 18), (edges, 1 << 18), (edges, 64)):
+            for at in range(len(text)):
+                for byte in ("", "x", "0", "-", "+", ",", "\n", '"', "e", ".", " "):
+                    path = self._write(tmp_path, text[:at] + byte + text[at + 1 :])
+                    with mock.patch.object(dataio, "_BLOCK_BYTES", block_bytes):
+                        result = self._result(path)
+                    assert result == self._fallback_result(path), (at, byte)
 
     def test_toy_workspace_results_identical_without_the_reader(self, tmp_path):
         config_path = build_toy_workspace(tmp_path / "ws")

@@ -212,6 +212,26 @@ class TestStageOutputs:
                 tmp_path / "general" / name
             ).read_bytes(), name
 
+    def test_slow_path_inputs_in_manifest(self, workspace, tmp_path):
+        manifest = run(workspace, tmp_path / "fast", STAGES)
+        assert manifest["diagnostics"]["slow_path_inputs"] == []
+        # CRLF line ends: the canonical decoder declines the file, and the
+        # general reader reads the same values
+        root = shutil.copytree(workspace.parent, tmp_path / "ws")
+        (root / "Y_s2.csv").write_bytes(
+            (root / "Y_s2.csv").read_bytes().replace(b"\n", b"\r\n")
+        )
+        crlf = run(root / workspace.name, tmp_path / "crlf", STAGES)
+        named = ["Y_s2.csv"] if evidencer.dataio._EXACT_LONGDOUBLE else []
+        assert crlf["diagnostics"] == {
+            **manifest["diagnostics"], "slow_path_inputs": named
+        }
+        assert len(manifest["tables"]) > 6
+        for name in manifest["tables"]:
+            assert (tmp_path / "fast" / name).read_bytes() == (
+                tmp_path / "crlf" / name
+            ).read_bytes(), name
+
     def test_problem_sizes_in_manifest(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setattr(evidencer.pipeline, "_CHUNK_VOXELS", 5)
         group = {"subjects": 5, "group_models": 2, "group_voxels": 12, "chunks": 3}
