@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaStack:
     """Point estimates for one named regressor: (models x sessions x voxels)."""
 
@@ -64,7 +64,7 @@ class BetaStack:
         return self.beta.shape[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorProbs:
     """Per-voxel posterior model probabilities (models x voxels)."""
 

@@ -143,7 +143,7 @@ def split_glm_spec(spec: GlmSpec, layout: SessionLayout) -> list:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class CvResult:
     """Cross-validated evidences for a set of models.
 

@@ -94,7 +94,7 @@ RESULT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledMatrix:
     """A 2-D float matrix with optional column labels; ``declined`` marks a
     file that :func:`load_matrix` read after the exact decoder declined it."""
@@ -639,7 +639,7 @@ def save_matrix(path, values: np.ndarray, columns=None) -> None:
         raise EvidencerError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultTable:
     """One persisted analysis result: a labeled matrix plus its kind.
 

@@ -99,7 +99,7 @@ def _logdet_from_chol(chol: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-@dataclass
+@dataclass(eq=False)
 class NgParams:
     """Normal-gamma hyperparameters, optionally carrying per-voxel columns.
 
@@ -187,7 +187,7 @@ class NgParams:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class GlmSpec:
     """One session of data: responses ``Y`` (n x V), design ``X`` (n x p),
     and observation precision ``precision``.

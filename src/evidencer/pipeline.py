@@ -398,6 +398,7 @@ def _stage_bms(config, options, group) -> _StageResult:
         n_subjects=group.n_subjects,
         converged=np.concatenate([p.converged for p in parts]),
         iterations=np.concatenate([p.iterations for p in parts]),
+        log_space_steps=sum(p.log_space_steps for p in parts),
     )
     rows = config.model_names
     if len(rows) != group.n_models:
@@ -414,6 +415,7 @@ def _stage_bms(config, options, group) -> _StageResult:
             "bms_unconverged_voxels": int(np.sum(~dirichlet.converged)),
             "bms_max_iterations": int(dirichlet.iterations.max()),
             "bms_voxel_iterations": int(dirichlet.iterations.sum()),
+            "bms_log_space_steps": dirichlet.log_space_steps,
         },
         product=alpha,
         sizes={

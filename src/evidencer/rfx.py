@@ -3,11 +3,11 @@
 Subjects' log model evidences feed a hierarchical population-proportion
 model whose variational inversion yields, per voxel, a Dirichlet posterior
 over model frequencies. The fixed point's responsibilities factorise into
-``exp(lme - max_k lme)``, formed as a voxel-major array per cache-sized
-block of voxels, times per-voxel model weights ``exp(psi(alpha) -
-psi(sum alpha))`` scaled to a maximum of one; an iteration is then two
-batched matrix-vector products, and a voxel whose normalizer underflows
-takes the log-space step instead.
+``exp(lme - max_k lme)``, formed as a (subjects x models x voxels) array
+per cache-sized block of voxels, times per-voxel model weights
+``exp(psi(alpha) - max_k psi(alpha))``; an iteration is then two einsum
+products over the block, and a voxel whose normalizer underflows takes
+the log-space step instead.
 Exceedance probabilities (the posterior probability
 that one model is the most frequent) come in three flavors:
 
@@ -70,7 +70,7 @@ _VB_BLOCK_BYTES = 1 << 21
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupLmeStack:
     """Per-subject evidences: a (subjects x models x voxels) array."""
 
@@ -107,14 +107,15 @@ class GroupLmeStack:
         return self.lme.shape[2]
 
 
-@dataclass
+@dataclass(eq=False)
 class DirichletPosterior:
     """Voxel-wise Dirichlet posterior over model frequencies.
 
     ``alpha`` is (models x voxels); per voxel the concentrations sum to
     ``models * alpha0 + n_subjects`` (the variational fixed point conserves
     the subject count). ``converged`` and ``iterations`` record per-voxel
-    fixed-point behavior.
+    fixed-point behavior, and ``log_space_steps`` counts the voxel-steps
+    that took the log-space step.
     """
 
     alpha: np.ndarray
@@ -122,6 +123,7 @@ class DirichletPosterior:
     n_subjects: int | None = None
     converged: np.ndarray | None = None
     iterations: np.ndarray | None = None
+    log_space_steps: int = 0
 
     def __post_init__(self):
         self.alpha = np.atleast_2d(np.asarray(self.alpha, dtype=float))
@@ -147,41 +149,48 @@ def _log_space_step(lme: np.ndarray, alpha: np.ndarray, alpha0: float) -> np.nda
     """One fixed-point update in log space: (subjects x models x B) evidences
     and (models x B) concentrations to the next concentrations.
 
-    Responsibilities are the row-softmax of ``lme + psi(alpha) -
-    psi(sum alpha)``, max-shifted per subject, so no exponential overflows
-    and each subject's best model keeps a weight of one before normalizing.
+    Responsibilities are the row-softmax of ``lme + psi(alpha)``,
+    max-shifted per subject (which cancels the textbook ``- psi(sum
+    alpha)``), so no exponential overflows.
     """
-    bias = digamma(alpha) - digamma(alpha.sum(axis=0, keepdims=True))
-    logu = lme + bias[None, :, :]
+    logu = lme + digamma(alpha)[None, :, :]
     logu -= logu.max(axis=1, keepdims=True)
     u = np.exp(logu)
     return alpha0 + (u / u.sum(axis=1, keepdims=True)).sum(axis=0)
 
 
-def _vb_step(alpha, e, lme, voxels, alpha0: float) -> np.ndarray:
-    """One fixed-point update of the (models x A) concentrations ``alpha``.
+def _vb_step(alpha, e, lme, voxels, alpha0: float) -> tuple:
+    """One fixed-point update of the (models x A) concentrations ``alpha``,
+    and the number of voxels that took the log-space step.
 
-    ``e`` is the (A x subjects x models) array ``exp(lme - max_k lme)`` of
+    ``e`` is the (subjects x models x A) array ``exp(lme - max_k lme)`` of
     the voxels ``voxels``, whose evidences are ``lme[:, :, voxels]``. With
-    ``w = exp(psi(alpha) - psi(sum alpha))`` scaled to a per-voxel maximum
-    of one, subject n's responsibilities are ``e[n] * w / d_n`` with
-    ``d = e @ w``, so the update is ``alpha0 + w * (e' (1 / d))``. A voxel
-    where some ``d_n`` is below the subject count times the smallest normal
-    double takes :func:`_log_space_step` instead: there a subject's terms
-    have underflowed to zero or to digit-losing subnormals, or the sum of
-    ``1 / d`` over subjects could overflow.
+    ``w = exp(psi(alpha) - max_k psi(alpha))`` (the scaling cancels the
+    textbook ``- psi(sum alpha)``), subject n's responsibilities are
+    ``e[n] * w / d_n`` with ``d_n = sum_k e[n, k] w_k``, and the update is
+    ``alpha0 + w * sum_n e[n] / d_n``. einsum adds both sums in sequence per
+    voxel, so a voxel's bits depend neither on A nor on BLAS; a lone voxel,
+    which einsum reduces with another loop, runs as two equal columns. A
+    voxel with some ``d_n`` below the subject count times the smallest
+    normal double takes :func:`_log_space_step`: there a subject's terms
+    have underflowed, or the sum of ``1 / d`` could overflow.
     """
-    bias = digamma(alpha) - digamma(alpha.sum(axis=0, keepdims=True))
-    w = np.exp(bias - bias.max(axis=0, keepdims=True))
-    d = np.matmul(e, w.T[:, :, None])[:, :, 0]
+    if e.shape[2] == 1:
+        pair, logged = _vb_step(alpha.repeat(2, 1), e.repeat(2, 2), lme,
+                                voxels.repeat(2), alpha0)
+        return pair[:, :1], logged // 2
+    psi = digamma(alpha)
+    w = np.exp(psi - psi.max(axis=0, keepdims=True))
+    d = np.einsum("nka,ka->na", e, w)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.matmul((1.0 / d)[:, None, :], e)[:, 0, :]
-        new_alpha = alpha0 + w * s.T
-    floor = _TINY * e.shape[1]
-    if d.min() < floor:
-        bad = np.flatnonzero((d < floor).any(axis=1))
-        new_alpha[:, bad] = _log_space_step(lme[:, :, voxels[bad]], alpha[:, bad], alpha0)
-    return new_alpha
+        s = np.einsum("na,nka->ka", 1.0 / d, e)
+        new_alpha = alpha0 + w * s
+    floor = _TINY * e.shape[0]
+    if d.min() >= floor:
+        return new_alpha, 0
+    bad = np.flatnonzero((d < floor).any(axis=0))
+    new_alpha[:, bad] = _log_space_step(lme[:, :, voxels[bad]], alpha[:, bad], alpha0)
+    return new_alpha, bad.size
 
 
 def estimate_rfx(
@@ -197,10 +206,10 @@ def estimate_rfx(
     concentration is ``alpha0`` plus its summed responsibilities. The
     softmax factorises into ``exp(lme - max_k lme)`` times per-voxel model
     weights, so an iteration takes digamma and exp of the (models x voxels)
-    concentrations and two batched matrix-vector products (see
-    :func:`_vb_step`). Voxels run in blocks whose ``exp(lme - max_k lme)``
-    fills about ``_VB_BLOCK_BYTES``, so the array the products stream stays
-    in cache across a block's iterations. Stops per voxel once the largest
+    concentrations and two einsum products (see :func:`_vb_step`). Voxels
+    run in blocks whose ``exp(lme - max_k lme)`` fills about
+    ``_VB_BLOCK_BYTES``, so the array the products stream stays in cache
+    across a block's iterations. Stops per voxel once the largest
     concentration change falls below ``tol``, and stopped voxels leave the
     block by index; voxels still moving at ``max_iter`` are flagged, not
     fatal. Every voxel's arithmetic is independent of the others, so blocks
@@ -225,18 +234,18 @@ def estimate_rfx(
     alpha = np.empty((k, v))
     converged = np.zeros(v, dtype=bool)
     iterations = np.full(v, max_iter, dtype=np.int64)
+    log_space_steps = 0
     width = max(1, _VB_BLOCK_BYTES // (8 * n * k))
 
     for lo in range(0, v, width):
         block = lme[:, :, lo : lo + width]
-        # voxel-major, so each voxel's (subjects x models) slab is contiguous
-        e = np.empty((block.shape[2], n, k))
-        np.subtract(block.transpose(2, 0, 1), block.max(axis=1).T[:, :, None], out=e)
+        e = block - block.max(axis=1, keepdims=True)
         np.exp(e, out=e)
-        active = np.arange(lo, lo + e.shape[0])
-        current = np.full((k, e.shape[0]), alpha0)
+        active = np.arange(lo, lo + e.shape[2])
+        current = np.full((k, e.shape[2]), alpha0)
         for step in range(1, max_iter + 1):
-            new_alpha = _vb_step(current, e, lme, active, alpha0)
+            new_alpha, logged = _vb_step(current, e, lme, active, alpha0)
+            log_space_steps += logged
             done = np.max(np.abs(new_alpha - current), axis=0) < tol
             current = new_alpha
             if done.any():
@@ -246,7 +255,7 @@ def estimate_rfx(
                 alpha[:, finished] = current.take(stop, axis=1)
                 iterations[finished] = step
                 converged[finished] = True
-                active, e, current = active[keep], e[keep], current.take(keep, axis=1)
+                active, e, current = active[keep], e.take(keep, 2), current.take(keep, 1)
                 if active.size == 0:
                     break
         # voxels still moving at max_iter keep their last iterate
@@ -258,6 +267,7 @@ def estimate_rfx(
         n_subjects=n,
         converged=converged,
         iterations=iterations,
+        log_space_steps=log_space_steps,
     )
 
 

@@ -373,6 +373,23 @@ def vb_step_log_space(lme, alpha, alpha0: float) -> np.ndarray:
     return alpha0 + g.sum(axis=0)
 
 
+def vb_step_sequential(e, alpha, alpha0: float) -> np.ndarray:
+    """Reference factorised VB update for the (subjects x models x voxels)
+    ``e = exp(lme - max_k lme)``, in plain ufuncs: ``w = exp(psi(alpha) -
+    max_k psi(alpha))``, then ``d_n`` and ``sum_n e[n] / d_n`` added term by
+    term in model and subject order, one rounding per operation."""
+    psi = _oracle_digamma(alpha)
+    w = np.exp(psi - psi.max(axis=0))
+    d = e[:, 0] * w[0]
+    for j in range(1, e.shape[1]):
+        d = d + e[:, j] * w[j]
+    r = 1.0 / d
+    s = r[0] * e[0]
+    for i in range(1, e.shape[0]):
+        s = s + r[i] * e[i]
+    return alpha0 + w * s
+
+
 def estimate_rfx_log_space(group, alpha0=1.0, tol=1e-4, max_iter=200):
     """Reference VB Dirichlet loop that works in log space throughout.
 

@@ -1,11 +1,14 @@
 """Every exported name resolves, so a deleted class or function leaves no
 stale entry in ``__all__`` behind, and each public name is declared once,
-in the module that defines it."""
+in the module that defines it. Public dataclasses that hold arrays compare
+by identity."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import evidencer
@@ -47,3 +50,28 @@ def test_each_export_is_defined_in_its_module():
 def test_no_name_is_exported_by_two_modules():
     names = [name for _, name, _ in _exports()]
     assert len(names) == len(set(names))
+
+
+def test_array_dataclasses_compare_by_identity():
+    # a generated __eq__ compares arrays with ==, whose truth value raises,
+    # and a frozen class's generated __hash__ hashes an unhashable array
+    holders = {
+        obj.__name__: obj
+        for _, _, obj in _exports()
+        if dataclasses.is_dataclass(obj)
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(obj))
+    }
+    assert {
+        "LabeledMatrix", "ResultTable", "GroupLmeStack", "BetaStack",
+        "PosteriorProbs", "DirichletPosterior", "CvResult", "NgParams", "GlmSpec",
+    } <= holders.keys()
+    for cls in holders.values():
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+    for make in (
+        lambda: evidencer.LabeledMatrix(np.ones((2, 2))),
+        lambda: evidencer.GroupLmeStack(lme=np.zeros((2, 2, 3)), subject_ids=("a", "b")),
+        lambda: evidencer.DirichletPosterior(alpha=np.ones((2, 3)), alpha0=1.0),
+    ):
+        one, other = make(), make()
+        assert one == one and one != other
+        assert len({one, other, one}) == 2

@@ -195,6 +195,24 @@ class TestStageOutputs:
         diagnostics = manifest["diagnostics"]
         assert diagnostics["bms_voxel_iterations"] == int(iterations.sum())
         assert diagnostics["bms_max_iterations"] == int(iterations.max())
+        assert diagnostics["bms_log_space_steps"] == 0
+
+    def test_log_space_steps_in_manifest(self, workspace, tmp_path, monkeypatch):
+        # an infinite underflow guard sends every voxel-step to log space;
+        # the counter sums over chunks, and chunking keeps the result bytes
+        monkeypatch.setattr(evidencer.rfx, "_TINY", np.inf)
+        whole = run(workspace, tmp_path / "whole", ["bms"])
+        monkeypatch.setattr(evidencer.pipeline, "_CHUNK_VOXELS", 5)
+        chunked = run(workspace, tmp_path / "chunked", ["bms"])
+        diagnostics = whole["diagnostics"]
+        assert diagnostics["bms_log_space_steps"] == diagnostics["bms_voxel_iterations"]
+        assert diagnostics["bms_log_space_steps"] > 0
+        assert chunked["sizes"]["chunks"] > 1
+        assert chunked["diagnostics"] == diagnostics
+        for name in ("alpha.csv", "expected_freq.csv"):
+            assert (tmp_path / "whole" / name).read_bytes() == (
+                tmp_path / "chunked" / name
+            ).read_bytes(), name
 
     def test_cvlme_acc_com_tol_in_manifest(self, workspace, tmp_path, monkeypatch):
         manifest = run(workspace, tmp_path / "skip", STAGES)

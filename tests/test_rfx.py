@@ -4,7 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import ep_one_voxel, estimate_rfx_log_space, vb_step_log_space
+from helpers import (
+    ep_one_voxel,
+    estimate_rfx_log_space,
+    vb_step_log_space,
+    vb_step_sequential,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
@@ -115,10 +120,11 @@ class TestEstimateRfx:
         lme[0, 1, 0] = -1000.0
         lme[:, :, 1] = [[0.0, -1.0], [-2.0, 0.5], [1.0, 0.0]]
         alpha = np.array([[1e-4, 2.0], [50.0, 3.0]])
-        e = np.exp(lme - lme.max(axis=1, keepdims=True)).transpose(2, 0, 1).copy()
+        e = np.exp(lme - lme.max(axis=1, keepdims=True))
         w = np.exp(special.digamma(alpha[:, 0]) - special.digamma(alpha[:, 0]).max())
-        assert e[0, 0] @ w == 0.0
-        step = rfx._vb_step(alpha, e, lme, np.arange(2), alpha0=1e-4)
+        assert e[0, :, 0] @ w == 0.0
+        step, logged = rfx._vb_step(alpha, e, lme, np.arange(2), alpha0=1e-4)
+        assert logged == 1
         assert np.all(np.isfinite(step))
         np.testing.assert_allclose(
             step, vb_step_log_space(lme, alpha, 1e-4), rtol=1e-14, atol=0
@@ -237,7 +243,7 @@ class TestBlocks:
         rng = np.random.default_rng(7)
         lme = rng.normal(scale=400.0, size=(12, 3, 17))
         alpha = np.where(rng.random((3, 17)) < 0.3, 1e-4, rng.uniform(0.5, 8.0, (3, 17)))
-        e = np.exp(lme - lme.max(axis=1, keepdims=True)).transpose(2, 0, 1).copy()
+        e = np.exp(lme - lme.max(axis=1, keepdims=True))
         logged = []
         log_space_step = rfx._log_space_step
 
@@ -246,14 +252,36 @@ class TestBlocks:
             return log_space_step(lme, alpha, alpha0)
 
         monkeypatch.setattr(rfx, "_log_space_step", spy)
-        whole = rfx._vb_step(alpha, e, lme, np.arange(17), 1e-4)
+        whole, count = rfx._vb_step(alpha, e, lme, np.arange(17), 1e-4)
         assert logged and 0 < sum(logged) < 17
+        assert count == sum(logged)
         parts = [
-            rfx._vb_step(alpha[:, lo : lo + width], e[lo : lo + width], lme,
-                         np.arange(lo, min(lo + width, 17)), 1e-4)
+            rfx._vb_step(alpha[:, lo : lo + width], e[:, :, lo : lo + width], lme,
+                         np.arange(lo, min(lo + width, 17)), 1e-4)[0]
             for lo in range(0, 17, width)
         ]
         np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 17, 4369])
+    def test_vb_step_width_changes_no_bit(self, width):
+        # 4,369 voxels fill a block at 20 subjects x 3 models; 4,400 leave a
+        # 31-voxel remainder at that width. Parts are C-ordered copies, as
+        # estimate_rfx's blocks are: einsum reduces a lone contiguous voxel
+        # with another loop and other bits
+        rng = np.random.default_rng(23)
+        lme = rng.normal(scale=3.0, size=(20, 3, 4400))
+        alpha = rng.uniform(0.5, 12.0, (3, 4400))
+        e = np.exp(lme - lme.max(axis=1, keepdims=True))
+        whole, logged = rfx._vb_step(alpha, e, lme, np.arange(4400), 1.0)
+        assert logged == 0
+        parts = [
+            rfx._vb_step(alpha[:, lo : lo + width], e[:, :, lo : lo + width].copy(),
+                         lme, np.arange(lo, min(lo + width, 4400)), 1.0)[0]
+            for lo in range(0, 4400, width)
+        ]
+        np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
+        reference = vb_step_sequential(e, alpha, 1.0)
+        assert np.all(np.abs(whole - reference) <= 4 * np.spacing(reference))
 
 
 class TestDirichletPosterior:
