@@ -15,7 +15,7 @@ import sys
 
 from .dataio import load_config
 from .errors import ConfigError, EvidencerError, ParseError
-from .pipeline import EP_METHODS, STAGE_NAMES, RunOptions, run_pipeline, supported_stages
+from .pipeline import STAGE_NAMES, RunOptions, run_pipeline, supported_stages
 
 # one subcommand per stage, under the stage's name but for bms
 _SUBCOMMANDS = {"bms-group" if s == "bms" else s: s for s in STAGE_NAMES}
@@ -29,24 +29,11 @@ EXIT_PARTIAL = 4
 def _common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="analysis config (JSON)")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument(
         "--threads",
         type=int,
         default=1,
         help="worker threads for voxel chunks (default 1)",
-    )
-    parser.add_argument(
-        "--ep-method",
-        choices=EP_METHODS,
-        default="integration",
-        help="exceedance probability method (default integration)",
-    )
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=1_000_000,
-        help="Monte Carlo sample count for --ep-method sampling (default 1e6)",
     )
 
 
@@ -86,13 +73,7 @@ def main(argv=None) -> int:
                     raise ConfigError("--stages must name at least one stage")
         else:
             stages = (_SUBCOMMANDS[args.command],)
-        options = RunOptions(
-            out_dir=args.out,
-            seed=args.seed,
-            threads=args.threads,
-            ep_method=args.ep_method,
-            samples=args.samples,
-        )
+        options = RunOptions(out_dir=args.out, threads=args.threads)
         manifest = run_pipeline(config, stages, options)
     except (ConfigError, ParseError) as exc:
         print(f"evidencer: config error: {exc}", file=sys.stderr)

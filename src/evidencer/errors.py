@@ -40,7 +40,17 @@ class ParseError(EvidencerError, ValueError):
 
 
 class NumericalError(EvidencerError):
-    """A numerical routine failed to converge to the requested tolerance."""
+    """A numerical routine failed to converge to the requested tolerance.
+
+    A failure at one column of a (rows x columns) input carries that
+    column's index as ``column``, which the message names after ``reason``.
+    """
+
+    def __init__(self, reason: str, column: int | None = None):
+        self.reason, self.column = reason, column
+        super().__init__(
+            reason if column is None else f"{reason} (first at input column {column})"
+        )
 
 
 class ConfigError(EvidencerError, ValueError):

@@ -17,12 +17,11 @@ the stage, saves the tables, and records status, outputs, sizes,
 diagnostics and the seconds of each phase (load, compute, write) in
 ``timings.csv``.
 
-Reruns with the same configuration and seed write byte-identical result
-files and manifest regardless of the worker-thread count: voxel chunk
-boundaries are fixed by the constant ``_CHUNK_VOXELS``, chunk results are
-written back by index, and every sampling voxel derives its own RNG
-stream from (seed, voxel index). Wall-clock timings go to a separate
-``timings.csv`` that is excluded from that guarantee.
+Reruns with the same configuration write byte-identical result files and
+manifest regardless of the worker-thread count: voxel chunk boundaries are
+fixed by the constant ``_CHUNK_VOXELS``, and chunk results are written
+back by index. Wall-clock timings go to a separate ``timings.csv`` that is
+excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -56,22 +55,19 @@ from .crossval import (
     split_single_session,
 )
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
-from .errors import ConfigError, EvidencerError, ParseError
+from .errors import ConfigError, EvidencerError, NumericalError, ParseError
 from .glm import GlmSpec
 from .rfx import (
     EP_REL_TAIL,
     EP_TOL,
     DirichletPosterior,
     GroupLmeStack,
-    ep_beta_closed_form,
     ep_integration_stack,
-    ep_sampling_stack,
     estimate_rfx,
 )
 
 __all__ = ["RunOptions", "run_pipeline", "supported_stages"]
 
-EP_METHODS = ("closed-form", "sampling", "integration")
 _PHASES = ("load", "compute", "write")
 
 
@@ -80,23 +76,12 @@ class RunOptions:
     """Execution knobs shared by all stages."""
 
     out_dir: Path
-    seed: int = 0
     threads: int = 1
-    ep_method: str = "integration"
-    samples: int = 1_000_000
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
-        if self.ep_method not in EP_METHODS:
-            raise ConfigError(
-                f"ep_method must be one of {EP_METHODS}, got {self.ep_method!r}"
-            )
-        if self.samples < 10_000:
-            raise ConfigError("samples must be at least 1e4")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def _missing_block(config: ModelSpaceConfig, stage: str):
@@ -284,12 +269,18 @@ def _load_group(config: ModelSpaceConfig, products, declined: list) -> tuple:
         else _load_finite(config, subject["cvlme"], declined)
         for subject in config.subjects
     ]
-    for subject, slab in zip(config.subjects, slabs):
+    files = [subject["cvlme"] for subject in config.subjects]
+    for path, slab in zip(files, slabs):
         if slab.shape != slabs[0].shape:
             raise ConfigError(
-                f"subjects' evidence files disagree on shape: {subject['cvlme']} has "
-                f"{slab.shape}, {config.subjects[0]['cvlme']} {slabs[0].shape}"
+                f"subjects' evidence files disagree on shape: {path} has "
+                f"{slab.shape}, {files[0]} {slabs[0].shape}"
             )
+    if slabs[0].shape[0] < 2:
+        raise ConfigError(
+            "group analysis needs at least two models, but the subjects' evidence "
+            f"files hold one row each: {', '.join(files)}"
+        )
     names = tuple(s["name"] for s in config.subjects)
     return (GroupLmeStack(lme=np.stack(slabs), subject_ids=names),)
 
@@ -429,37 +420,22 @@ def _stage_bms(config, options, group) -> _StageResult:
 
 def _stage_ep(config, options, alpha_table) -> _StageResult:
     alpha = alpha_table.values
-    slices = _chunk_slices(alpha.shape[1])
 
-    if options.ep_method == "closed-form":
-
-        def run_chunk(sl):
-            return ep_beta_closed_form(alpha[:, sl])
-
-    elif options.ep_method == "sampling":
-
-        def run_chunk(sl):
-            return ep_sampling_stack(
-                alpha[:, sl],
-                samples=options.samples,
-                seed=options.seed,
-                voxel_offset=sl.start,
-            )
-
-    else:
-
-        def run_chunk(sl):
+    def run_chunk(sl):
+        try:
             return ep_integration_stack(alpha[:, sl])
+        except NumericalError as exc:
+            # the first failing chunk is the one raised: name its column in
+            # the whole map, whatever the chunk size
+            raise NumericalError(exc.reason, exc.column + sl.start) from None
 
-    parts = _map_chunks(run_chunk, slices, options.threads)
-    diagnostics = {}
-    if options.ep_method == "integration":
-        parts, infos = zip(*parts)
-        diagnostics = {
-            "ep_max_sum_deviation": max(i["max_sum_deviation"] for i in infos),
-            "ep_distinct_columns": sum(i["distinct_columns"] for i in infos),
-            "ep_max_nodes": max(i["max_nodes"] for i in infos),
-        }
+    slices = _chunk_slices(alpha.shape[1])
+    parts, infos = zip(*_map_chunks(run_chunk, slices, options.threads))
+    diagnostics = {
+        "ep_max_sum_deviation": max(i["max_sum_deviation"] for i in infos),
+        "ep_distinct_columns": sum(i["distinct_columns"] for i in infos),
+        "ep_max_nodes": max(i["max_nodes"] for i in infos),
+    }
     ep = np.concatenate(parts, axis=1)
     return _StageResult(
         {"EP.csv": ResultTable("EP", alpha_table.row_labels, ep)}, diagnostics
@@ -599,10 +575,7 @@ def run_pipeline(config: ModelSpaceConfig, stages, options: RunOptions) -> dict:
 
     manifest = {
         "config_sha256": _config_hash(config),
-        "seed": options.seed,
         "options": {
-            "ep_method": options.ep_method,
-            "samples": options.samples,
             "rel_tail": EP_REL_TAIL,
             "ep_tol": EP_TOL,
             "alpha0": config.alpha0,

@@ -8,21 +8,14 @@ per cache-sized block of voxels, times per-voxel model weights
 ``exp(psi(alpha) - max_k psi(alpha))``; an iteration is then two einsum
 products over the block, and a voxel whose normalizer underflows takes
 the log-space step instead.
-Exceedance probabilities (the posterior probability
-that one model is the most frequent) come in three flavors:
 
-* a closed form through the incomplete beta function when exactly two
-  models compete,
-* Monte Carlo frequencies of the argmax over normalized Gamma draws,
-* numerical integration of the product of Gamma CDFs against a Gamma
-  density, which is deterministic and considerably cheaper than sampling
-  at comparable accuracy.
-
-The closed form and the integration work on whole (models x voxels)
-matrices. Integration runs once per distinct concentration column, on one
-trapezoid node set in ``log x`` for all of the column's models, and a
-column's result never depends on the other columns of its call, so
-chunking and thread count leave the output bytes unchanged.
+Exceedance probabilities (the posterior probability that one model is the
+most frequent) integrate the product of Gamma CDFs against a Gamma
+density, as the MACS toolbox does. The integration works on a whole
+(models x voxels) matrix and runs once per distinct concentration column,
+on one trapezoid node set in ``log x`` for all of the column's models; a
+column's result, or its failure, never depends on the other columns of
+its call, so chunking and thread count leave the output bytes unchanged.
 """
 
 from __future__ import annotations
@@ -33,29 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .special import (
-    digamma,
-    gamma_tail_quantiles,
-    log_gamma,
-    reg_incomplete_beta,
-    reg_lower_incomplete_gamma,
-)
+from .special import digamma, gamma_tail_quantiles, log_gamma, reg_lower_incomplete_gamma
 
 __all__ = [
     "GroupLmeStack",
     "DirichletPosterior",
     "estimate_rfx",
-    "ep_beta_closed_form",
-    "ep_sampling",
     "ep_integration_stack",
-    "ep_sampling_stack",
 ]
 
 # integration settings, recorded in the manifest: the tail mass left outside
 # each column's domain, and the change between passes below which it is done
 EP_REL_TAIL = 1e-12
 EP_TOL = 1e-8
-_SAMPLING_BATCH = 262_144
 # trapezoid intervals of the first pass, and the count past which a column fails
 _FIRST_INTERVALS = 16
 _MAX_INTERVALS = 1 << 14
@@ -271,58 +254,6 @@ def estimate_rfx(
     )
 
 
-def _validated_alpha(alpha) -> np.ndarray:
-    """Concentrations as a float array whose first axis indexes models."""
-    arr = np.asarray(alpha, dtype=float)
-    if arr.ndim == 0 or arr.shape[0] < 2:
-        raise DomainError("need at least 2 concentration parameters")
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("concentrations must be finite and positive")
-    return arr
-
-
-def ep_beta_closed_form(alpha) -> np.ndarray:
-    """Exceedance probabilities for exactly two models.
-
-    The two-model Dirichlet marginal is a Beta distribution, so the first
-    model exceeds the second with probability one minus the Beta CDF at
-    one half. ``alpha`` is one voxel's pair or a (2 x voxels) matrix, and
-    the result has the same shape.
-    """
-    arr = _validated_alpha(alpha)
-    if arr.shape[0] != 2:
-        raise DomainError(
-            f"closed form requires exactly 2 models, got {arr.shape[0]}"
-        )
-    phi1 = 1.0 - reg_incomplete_beta(0.5, arr[0], arr[1])
-    return np.stack([phi1, 1.0 - phi1])
-
-
-def ep_sampling(alpha, samples: int = 1_000_000, seed: int = 0) -> np.ndarray:
-    """Monte Carlo exceedance probabilities from Gamma draws.
-
-    Draws ``samples`` independent Gamma(alpha_j, 1) vectors and counts how
-    often each component is the largest; ties (a measure-zero event) go to
-    the lowest index. The argmax is invariant under the positive
-    normalization to Dirichlet variates, so the division by the sample sum
-    is skipped. Deterministic for a fixed seed.
-    """
-    arr = _validated_alpha(np.ravel(alpha))
-    samples = int(samples)
-    if samples < 10_000:
-        raise DomainError("need at least 1e4 samples for a stable estimate")
-    rng = np.random.default_rng(seed)
-    k = arr.size
-    counts = np.zeros(k, dtype=np.int64)
-    remaining = samples
-    while remaining > 0:
-        batch = min(_SAMPLING_BATCH, remaining)
-        draws = rng.gamma(shape=arr, scale=1.0, size=(batch, k))
-        counts += np.bincount(np.argmax(draws, axis=1), minlength=k)
-        remaining -= batch
-    return counts / samples
-
-
 def _node_sums(alpha, t_lo, step, positions, weights) -> np.ndarray:
     """Weighted sums of each (column, model j) row's integrand
     ``x f_j(x) prod_{i != j} F_i(x)`` over the nodes ``t = t_lo + positions
@@ -371,17 +302,26 @@ def ep_integration_stack(alpha: np.ndarray) -> tuple:
     From ``_FIRST_INTERVALS`` intervals the step halves until a column's
     rows change by less than ``EP_TOL`` and sum to 1 within ``EP_TOL``,
     which guards against a missed peak. A column not done at
-    ``_MAX_INTERVALS``, or a non-finite sum, raises :class:`NumericalError`
-    naming the concentrations and the first input column that holds them.
+    ``_MAX_INTERVALS`` fails, and so does a non-finite sum. Every other
+    column still runs, and :class:`NumericalError` names the failing
+    concentrations that come first in the input, with the index of their
+    first input column as its ``column``, so the error of a matrix is that
+    of its first failing slice.
 
     Returns the raw (not renormalized) EPs and the diagnostics
     ``max_sum_deviation``, ``distinct_columns`` and ``max_nodes``.
     """
-    alpha = _validated_alpha(np.atleast_2d(alpha))
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
+    if alpha.shape[0] < 2:
+        raise DomainError("need at least 2 concentration parameters")
+    if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
+        raise DomainError("concentrations must be finite and positive")
     # concentrations are finite and positive, so equal values are equal
     # bytes; the inverse is flattened because its shape under ``axis`` has
     # changed across numpy 2.x releases
-    distinct, inverse = np.unique(alpha, axis=1, return_inverse=True)
+    distinct, first, inverse = np.unique(
+        alpha, axis=1, return_index=True, return_inverse=True
+    )
     inverse = inverse.ravel()
     shapes = distinct.T
     lower, upper = gamma_tail_quantiles(shapes, EP_REL_TAIL)
@@ -391,13 +331,6 @@ def ep_integration_stack(alpha: np.ndarray) -> tuple:
     t_lo = np.maximum(t_lo, bound / shapes.sum(axis=1))
     width = np.log(upper.max(axis=1)) - t_lo
 
-    def fail(column, reason):
-        return NumericalError(
-            f"exceedance integration {reason} for concentrations "
-            f"{distinct[:, column].tolist()} (first at input column "
-            f"{int(np.argmax(inverse == column))})"
-        )
-
     intervals = _FIRST_INTERVALS
     ends = np.r_[0.5, np.ones(intervals - 1), 0.5]
     sums = _node_sums(shapes, t_lo, width / intervals, np.arange(intervals + 1.0), ends)
@@ -405,49 +338,37 @@ def ep_integration_stack(alpha: np.ndarray) -> tuple:
     table = np.empty_like(distinct)
     nodes = np.zeros(distinct.shape[1], dtype=np.int64)
     active = np.arange(distinct.shape[1])
+    failures = {}  # distinct column -> reason
     while active.size:
         if intervals == _MAX_INTERVALS:
-            raise fail(active[0], f"did not stabilize to {EP_TOL} within "
-                                  f"{_MAX_INTERVALS + 1} nodes")
+            reason = f"did not stabilize to {EP_TOL} within {_MAX_INTERVALS + 1} nodes"
+            failures.update(dict.fromkeys(active.tolist(), reason))
+            break
         intervals *= 2
         step = width[active] / intervals
         odd = np.arange(1.0, intervals, 2.0)
         sums = sums + _node_sums(shapes[active], t_lo[active], step, odd, 1.0)
         phi = sums * step[:, None]
         total = phi.sum(axis=1)
-        if not np.all(np.isfinite(total)):
-            raise fail(active[np.argmin(np.isfinite(total))], "gave a non-finite sum")
-        done = np.abs(phi - previous).max(axis=1) < EP_TOL
+        finite = np.isfinite(total)
+        failures.update(dict.fromkeys(active[~finite].tolist(), "gave a non-finite sum"))
+        with np.errstate(invalid="ignore"):  # a non-finite row is never done
+            done = np.abs(phi - previous).max(axis=1) < EP_TOL
         done &= np.abs(total - 1.0) < EP_TOL
         table[:, active[done]] = phi[done].T
         nodes[active[done]] = intervals + 1
-        active, sums, previous = active[~done], sums[~done], phi[~done]
+        going = ~done & finite
+        active, sums, previous = active[going], sums[going], phi[going]
+    if failures:
+        column = min(failures, key=first.__getitem__)
+        raise NumericalError(
+            f"exceedance integration {failures[column]} for concentrations "
+            f"{distinct[:, column].tolist()}",
+            column=int(first[column]),
+        )
     deviation = np.abs(table.sum(axis=0) - 1.0)
     return table[:, inverse], {
         "max_sum_deviation": float(deviation.max(initial=0.0)),
         "distinct_columns": distinct.shape[1],
         "max_nodes": int(nodes.max(initial=0)),
     }
-
-
-def ep_sampling_stack(
-    alpha: np.ndarray,
-    samples: int = 1_000_000,
-    seed: int = 0,
-    voxel_offset: int = 0,
-) -> np.ndarray:
-    """Sampling EPs per voxel column, with one derived RNG stream each.
-
-    Voxel ``v`` uses the stream seeded by ``(seed, voxel_offset + v)``, so
-    results do not depend on chunking or execution order; pass the chunk's
-    absolute start as ``voxel_offset`` when processing a slice.
-    """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    out = np.empty_like(alpha)
-    for v in range(alpha.shape[1]):
-        out[:, v] = ep_sampling(
-            alpha[:, v],
-            samples=samples,
-            seed=np.random.SeedSequence((seed, voxel_offset + v)),
-        )
-    return out

@@ -1,9 +1,9 @@
 """Numerically robust special functions.
 
 Evidences and exceedance probabilities reduce to a handful of primitives
-collected here: the log gamma function, the digamma function, regularized
-incomplete gamma and beta integrals, and the Gamma tail quantiles that bound
-an integration domain.
+collected here: the log gamma function, the digamma function, the
+regularized lower incomplete gamma integral (the Gamma CDF), and the Gamma
+tail quantiles that bound an integration domain.
 
 A scalar argument of :func:`log_gamma` or :func:`digamma` (a Python number,
 a numpy scalar or a 0-d array) is evaluated by the standard library:
@@ -27,7 +27,6 @@ __all__ = [
     "log_gamma",
     "digamma",
     "reg_lower_incomplete_gamma",
-    "reg_incomplete_beta",
 ]
 
 
@@ -41,12 +40,6 @@ def _validated(x, name: str, *, positive: bool = False, nonneg: bool = False):
     if nonneg and not np.all(arr >= 0):
         raise DomainError(f"{name} must be non-negative, got {x!r}")
     return arr
-
-
-def _scalar_or_array(result: np.ndarray, *inputs) -> np.ndarray | float:
-    if all(np.isscalar(v) or np.ndim(v) == 0 for v in inputs):
-        return float(result)
-    return result
 
 
 def log_gamma(x) -> np.ndarray | float:
@@ -102,21 +95,8 @@ def reg_lower_incomplete_gamma(a, x) -> np.ndarray | float:
     x_arr = _validated(x, "x", nonneg=True)
     from scipy import special
 
-    return _scalar_or_array(special.gammainc(a_arr, x_arr), a, x)
-
-
-def reg_incomplete_beta(x, a, b) -> np.ndarray | float:
-    """Regularized incomplete beta ``I_x(a, b)``, the Beta(a, b) CDF at x."""
-    a_arr = _validated(a, "a", positive=True)
-    b_arr = _validated(b, "b", positive=True)
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if np.any(x_arr < 0) or np.any(x_arr > 1):
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    from scipy import special
-
-    return _scalar_or_array(special.betainc(a_arr, b_arr, x_arr), x, a, b)
+    result = special.gammainc(a_arr, x_arr)
+    return float(result) if a_arr.ndim == x_arr.ndim == 0 else result
 
 
 def gamma_tail_quantiles(shape, tail: float) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,9 @@ The evidence oracle here never touches the package's evidence formulas: it
 integrates the likelihood times the prior density over (coefficient,
 precision) with nested adaptive quadrature, in log space with explicit
 shifts. It is deliberately restricted to single-coefficient designs, where
-the data enter only through three scalar reductions.
+the data enter only through three scalar reductions. The exceedance
+oracles are the two-model Beta closed form and Monte Carlo sampling, which
+share no code with the package's Gamma-CDF integration.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import integrate
+from scipy.special import betainc as _oracle_betainc
 from scipy.special import digamma as _oracle_digamma
 from scipy.special import gammaln as _oracle_lgamma
 
@@ -503,3 +506,43 @@ def ep_one_voxel(alpha) -> np.ndarray:
     """Integration EPs of one voxel's concentrations, from a one-column
     ``ep_integration_stack`` call."""
     return ep_integration_stack(np.ravel(np.asarray(alpha, dtype=float))[:, None])[0][:, 0]
+
+
+def ep_beta_closed_form(alpha) -> np.ndarray:
+    """Reference exceedance probabilities for exactly two models.
+
+    The two-model Dirichlet marginal is a Beta distribution, so the first
+    model exceeds the second with probability one minus the Beta CDF at
+    one half. ``alpha`` is one voxel's pair or a (2 x voxels) matrix, and
+    the result has the same shape.
+    """
+    arr = np.asarray(alpha, dtype=float)
+    if arr.shape[0] != 2:
+        raise DomainError(f"closed form requires exactly 2 models, got {arr.shape[0]}")
+    phi1 = 1.0 - _oracle_betainc(arr[0], arr[1], 0.5)
+    return np.stack([phi1, 1.0 - phi1])
+
+
+# Gamma draws per batch of ep_sampling, which bounds its memory
+_SAMPLING_BATCH = 262_144
+
+
+def ep_sampling(alpha, samples: int = 1_000_000, seed=0) -> np.ndarray:
+    """Reference exceedance probabilities by Monte Carlo, as SPM computes
+    them for more than two models.
+
+    Draws ``samples`` independent Gamma(alpha_j, 1) vectors and counts how
+    often each component is the largest; ties (a measure-zero event) go to
+    the lowest index. The argmax is invariant under the normalization to
+    Dirichlet variates, so the division by the sample sum is skipped.
+    Deterministic for a fixed seed.
+    """
+    arr = np.ravel(np.asarray(alpha, dtype=float))
+    if samples < 10_000:
+        raise DomainError("need at least 1e4 samples for a stable estimate")
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(arr.size, dtype=np.int64)
+    for start in range(0, samples, _SAMPLING_BATCH):
+        draws = rng.gamma(arr, size=(min(_SAMPLING_BATCH, samples - start), arr.size))
+        counts += np.bincount(np.argmax(draws, axis=1), minlength=arr.size)
+    return counts / samples

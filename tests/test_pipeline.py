@@ -9,22 +9,25 @@ import shutil
 
 import numpy as np
 import pytest
-from helpers import build_toy_workspace
+from helpers import build_toy_workspace, ep_beta_closed_form
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import evidencer.pipeline
 from evidencer.cli import main
 from evidencer.dataio import load_config, load_matrix, save_matrix
+from evidencer.dataio import ResultTable
 from evidencer.errors import ConfigError
 from evidencer.glm import NgParams
-from evidencer.pipeline import _STAGES, STAGE_NAMES, RunOptions, _plan, run_pipeline
-from evidencer.rfx import (
-    GroupLmeStack,
-    ep_beta_closed_form,
-    ep_integration_stack,
-    estimate_rfx,
+from evidencer.pipeline import (
+    _STAGES,
+    STAGE_NAMES,
+    RunOptions,
+    _plan,
+    _StageResult,
+    run_pipeline,
 )
+from evidencer.rfx import EP_TOL, GroupLmeStack, ep_integration_stack, estimate_rfx
 
 STAGES = ("cvlme", "anc", "lfe", "bms", "ep", "bma")
 
@@ -132,23 +135,22 @@ class TestStageOutputs:
         np.testing.assert_allclose(lfe, lme, atol=1e-12)
 
     def test_ep_closed_form_consistency(self, workspace, tmp_path):
-        manifest = run(
-            workspace, tmp_path / "out", ["ep"], ep_method="closed-form"
-        )
+        manifest = run(workspace, tmp_path / "out", ["ep"])
         assert manifest["stages"]["ep"]["status"] == "ok"
         alpha = load_matrix(tmp_path / "out" / "alpha.csv").values
         ep = load_matrix(tmp_path / "out" / "EP.csv").values
-        for v in range(alpha.shape[1]):
-            np.testing.assert_allclose(
-                ep[:, v], ep_beta_closed_form(alpha[:, v]), atol=1e-12
-            )
+        np.testing.assert_allclose(ep, ep_beta_closed_form(alpha), rtol=0, atol=EP_TOL)
 
-    def test_ep_integration_close_to_closed_form(self, workspace, tmp_path):
-        run(workspace, tmp_path / "a", ["ep"], ep_method="integration")
-        run(workspace, tmp_path / "b", ["ep"], ep_method="closed-form")
-        ep_int = load_matrix(tmp_path / "a" / "EP.csv").values
-        ep_cf = load_matrix(tmp_path / "b" / "EP.csv").values
-        np.testing.assert_allclose(ep_int, ep_cf, atol=1e-6)
+    def test_ep_integration_close_to_closed_form(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        # several chunks on two threads integrate to the same oracle values
+        monkeypatch.setattr(evidencer.pipeline, "_CHUNK_VOXELS", 5)
+        manifest = run(workspace, tmp_path / "out", ["ep"], threads=2)
+        assert manifest["sizes"]["chunks"] > 1
+        alpha = load_matrix(tmp_path / "out" / "alpha.csv").values
+        ep = load_matrix(tmp_path / "out" / "EP.csv").values
+        np.testing.assert_allclose(ep, ep_beta_closed_form(alpha), rtol=0, atol=EP_TOL)
 
     def test_bma_stage(self, workspace, tmp_path):
         manifest = run(workspace, tmp_path / "out", ["bma"])
@@ -159,9 +161,12 @@ class TestStageOutputs:
         assert averaged.shape == (1, 12)
 
     def test_manifest_contents(self, workspace, tmp_path):
-        manifest = run(workspace, tmp_path / "out", ["cvlme"], seed=5)
+        manifest = run(workspace, tmp_path / "out", ["cvlme"])
         on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert on_disk["seed"] == 5
+        assert "seed" not in on_disk
+        assert sorted(on_disk["options"]) == [
+            "alpha0", "ep_tol", "rel_tail", "vb_max_iter", "vb_tol",
+        ]
         assert on_disk["model_names"] == ["m1", "m2"]
         assert "config_sha256" in on_disk
         assert on_disk["versions"]["evidencer"]
@@ -295,7 +300,7 @@ class TestStageOutputs:
         assert all(float(r[2]) >= 0.0 for r in rows)
 
     def test_manifest_output_order(self, workspace, tmp_path):
-        manifest = run(workspace, tmp_path / "out", STAGES, ep_method="closed-form")
+        manifest = run(workspace, tmp_path / "out", STAGES)
         folds = ("fold1", "fold2")
         assert {k: v["outputs"] for k, v in manifest["stages"].items()} == {
             "cvlme": ["cvLME.csv"] + [f"oosLME_{f}.csv" for f in folds],
@@ -564,23 +569,10 @@ class TestFailureHandling:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("ep_method", ["integration", "sampling"])
-    def test_reruns_byte_identical_across_threads(
-        self, workspace, tmp_path, ep_method
-    ):
-        samples = 20_000
-        stages = ("cvlme", "anc", "lfe", "bms", "ep", "bma")
+    def test_reruns_byte_identical_across_threads(self, workspace, tmp_path):
         outputs = []
         for label, threads in (("a", 1), ("b", 1), ("c", 4)):
-            run(
-                workspace,
-                tmp_path / label,
-                stages,
-                seed=11,
-                threads=threads,
-                ep_method=ep_method,
-                samples=samples,
-            )
+            run(workspace, tmp_path / label, STAGES, threads=threads)
             outputs.append(tmp_path / label)
         names = sorted(
             p.name for p in outputs[0].iterdir() if p.name != "timings.csv"
@@ -617,6 +609,32 @@ class TestDeterminism:
                 tmp_path / "plain" / name
             ).read_bytes()
 
+    def test_ep_failure_names_the_same_column_at_any_chunk_and_thread_count(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        # the bms stage hands on concentrations whose column 5,000 never
+        # stabilizes; every chunking names it by its column in the matrix
+        alpha = np.random.default_rng(5).uniform(1.0, 9.0, size=(2, 6000))
+        alpha[:, 5000] = [1e9, 1.001e9]
+        table = ResultTable("alpha", ("m1", "m2"), alpha)
+        monkeypatch.setitem(
+            evidencer.pipeline._STAGE_FUNCTIONS,
+            "bms",
+            lambda config, options, group: _StageResult({}, product=table),
+        )
+        statuses = set()
+        for chunk in (5, 4096):
+            monkeypatch.setattr(evidencer.pipeline, "_CHUNK_VOXELS", chunk)
+            for threads in (1, 2):
+                out = tmp_path / f"out{chunk}_{threads}"
+                manifest = run(workspace, out, ["ep"], threads=threads)
+                statuses.add(manifest["stages"]["ep"]["status"])
+        assert statuses == {
+            "failed: NumericalError: exceedance integration did not stabilize to "
+            "1e-08 within 16385 nodes for concentrations [1000000000.0, "
+            "1001000000.0] (first at input column 5000)"
+        }
+
     def test_old_chunk_voxels_key_is_ignored(self, workspace, tmp_path):
         old = build_toy_workspace(tmp_path / "ws", extra_config={"chunk_voxels": 5})
         manifest = run(old, tmp_path / "old", ["bms", "ep"])
@@ -646,8 +664,6 @@ class TestCli:
                 str(workspace),
                 "--out",
                 str(tmp_path / "o"),
-                "--samples",
-                "20000",
             ]
         )
         assert code == 0
@@ -666,17 +682,19 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["sampling", "integration"])
-    def test_negative_seed_is_a_config_error(self, workspace, tmp_path, capsys, method):
+    @pytest.mark.parametrize(
+        "flag",
+        [["--seed", "1"], ["--samples", "20000"], ["--ep-method", "integration"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_removed_ep_flags_exit_2(self, workspace, tmp_path, capsys, flag):
+        # EPs have one method, integration, which draws no random numbers
         out = tmp_path / "o"
-        code = main(
-            ["pipeline", "--config", str(workspace), "--out", str(out),
-             "--seed", "-1", "--ep-method", method]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "seed" in err
-        assert not (out / "manifest.json").exists()
+        with pytest.raises(SystemExit) as exited:
+            main(["pipeline", "--config", str(workspace), "--out", str(out), *flag])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "patch, named",
@@ -931,6 +949,35 @@ class TestCli:
         status = json.loads((tmp_path / "o" / "manifest.json").read_text())["stages"][stage]
         assert status["status"].startswith("failed") and target in status["status"]
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("with_self", [False, True], ids=["files", "self"])
+    def test_one_model_group_names_the_subject_files(self, tmp_path, capsys, with_self):
+        root = tmp_path / "ws"
+        extra = None
+        named = [f"sub{i}_cvLME.csv" for i in range(5)]
+        if with_self:
+            named = ["@self", "sub0_cvLME.csv", "sub1_cvLME.csv"]
+            extra = {
+                "models": [{"name": "m1", "design": ["X1_s1.csv", "X1_s2.csv"]}],
+                "subjects": [{"name": f"s{i}", "cvlme": c} for i, c in enumerate(named)],
+            }
+        config_path = build_toy_workspace(
+            root, with_betas=False, with_families=False, extra_config=extra
+        )
+        for i in range(5):
+            path = root / f"sub{i}_cvLME.csv"
+            save_matrix(path, load_matrix(path).values[:1])
+        out = tmp_path / "o"
+        code = main(["pipeline", "--config", str(config_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert stages["bms"]["status"] == (
+            "failed: ConfigError: group analysis needs at least two models, but the "
+            f"subjects' evidence files hold one row each: {', '.join(named)}"
+        )
+        assert stages["ep"]["status"] == "skipped: dependency 'bms' did not succeed"
+        assert "Traceback" not in captured.out + captured.err
+        assert code == 4  # the cvlme stage succeeds
 
     def test_overflowing_response_names_session_and_voxel(self, tmp_path, capsys):
         # every cell is finite, so the loader accepts the file; the column's

@@ -1,9 +1,13 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and its command-line
+synopsis lists the parser's options."""
 
+import argparse
 import re
 from pathlib import Path
 
 import numpy as np
+
+from evidencer.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +29,29 @@ def test_library_quick_start_runs():
     result.validate()
     np.testing.assert_allclose(pp.pp.sum(axis=0), 1.0, rtol=0, atol=1e-12)
     assert lme.shape == (100,) and np.all(np.isfinite(lme))
+
+
+def synopsis() -> dict:
+    """The long options of each line of the "Command line" synopsis, by the
+    line's subcommand (``<subcommand>`` for every stage's)."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    return {
+        line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+        for line in block.splitlines()
+    }
+
+
+def test_command_line_synopsis_lists_the_parser_options():
+    (commands,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+        - {"--help"}
+        for name, sub in commands.choices.items()
+    }
+    lines = synopsis()
+    assert set(lines) == {"<subcommand>", "pipeline"}
+    assert lines["pipeline"] == options.pop("pipeline")
+    assert all(stage == lines["<subcommand>"] for stage in options.values())

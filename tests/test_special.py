@@ -19,7 +19,6 @@ from evidencer.special import (
     digamma,
     gamma_tail_quantiles,
     log_gamma,
-    reg_incomplete_beta,
     reg_lower_incomplete_gamma,
 )
 
@@ -176,44 +175,6 @@ class TestRegLowerIncompleteGamma:
             reg_lower_incomplete_gamma(0.0, 1.0)
         with pytest.raises(DomainError):
             reg_lower_incomplete_gamma(2.0, -1.0)
-
-
-class TestRegIncompleteBeta:
-    def test_uniform_cdf(self):
-        assert reg_incomplete_beta(0.5, 1.0, 1.0) == pytest.approx(0.5)
-
-    def test_power_law(self):
-        # Beta(2, 1) CDF is x^2
-        assert reg_incomplete_beta(0.5, 2.0, 1.0) == pytest.approx(0.25)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.floats(min_value=0.01, max_value=0.99),
-        st.floats(min_value=0.5, max_value=50.0),
-        st.floats(min_value=0.5, max_value=50.0),
-    )
-    def test_reflection(self, x, a, b):
-        # x bounded away from the endpoints so that 1 - x is itself exact
-        # enough for the identity to be float-meaningful
-        total = reg_incomplete_beta(x, a, b) + reg_incomplete_beta(1.0 - x, b, a)
-        np.testing.assert_allclose(total, 1.0, atol=1e-12)
-
-    def test_reflection_at_endpoints(self):
-        assert reg_incomplete_beta(0.0, 2.0, 3.0) == 0.0
-        assert reg_incomplete_beta(1.0, 2.0, 3.0) == 1.0
-
-    def test_monotone_in_x(self):
-        xs = np.linspace(0, 1, 200)
-        vals = reg_incomplete_beta(xs, 3.3, 1.7)
-        assert np.all(np.diff(vals) >= 0)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            reg_incomplete_beta(1.5, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_incomplete_beta(-0.1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_incomplete_beta(0.5, 0.0, 1.0)
 
 
 class TestGammaMomentsByMonteCarlo:
