@@ -18,11 +18,11 @@ is the same all-data posterior for every fold, so it is computed once.
 Each fold's (lme, acc, com) is written in place into one (3, folds,
 models, voxels) array, whose fold sums are the cross-validated arrays.
 
-Models are compared on the same data, so :func:`cv_lme_models` reads each
-session's response once: per session it groups the specs whose response
-and precision view the same memory (same data pointer, shape and strides,
-as specs built from one array are) and forms the group's statistics with
-one :func:`~evidencer.glm.response_stats` pass, which checks the response.
+Models are compared on the same data, so one response pass per session
+serves them all: the cvlme stage makes it as it reads a session, then calls
+:func:`_cv_folds`. Only the spec path, :func:`cv_lme_models`, groups specs
+by the memory of their response and precision (same data pointer, shape
+and strides, as specs built from one array have).
 """
 
 from __future__ import annotations
@@ -179,8 +179,7 @@ def _check_sessions(specs, layout: SessionLayout) -> int:
             f"layout has {layout.n_folds} folds but {len(specs)} session "
             "specs were given"
         )
-    p = specs[0].p
-    v = specs[0].n_voxels
+    p, v = specs[0].p, specs[0].n_voxels
     for i, spec in enumerate(specs):
         if spec.p != p or spec.n_voxels != v:
             raise DomainError(
@@ -210,11 +209,20 @@ def _memory_key(a: np.ndarray | None):
     return a.__array_interface__["data"][0], a.shape, a.strides
 
 
+def _fold_stats(fold: int, specs) -> list:
+    """One :func:`~evidencer.glm.response_stats` pass for specs that share a
+    fold's response and precision; a rejection names the session from 1."""
+    first = specs[0]
+    try:
+        return response_stats(first.Y, [spec.X for spec in specs], first.precision)
+    except DomainError as exc:
+        raise DomainError(f"session {fold + 1}: {exc}") from None
+
+
 def _session_stats(models, n_folds: int) -> dict:
     """Each model's per-session :class:`~evidencer.glm.SessionStats`, from
-    one :func:`~evidencer.glm.response_stats` pass per session and per
-    distinct (response, precision) memory, so models built on the same
-    arrays read each session's response once."""
+    one :func:`_fold_stats` pass per session and per distinct (response,
+    precision) memory: models on the same arrays read a response once."""
     stats = {name: [] for name in models}
     for s in range(n_folds):
         groups = {}
@@ -222,12 +230,7 @@ def _session_stats(models, n_folds: int) -> dict:
             key = _memory_key(specs[s].Y), _memory_key(specs[s].precision)
             groups.setdefault(key, []).append(name)
         for names in groups.values():
-            first = models[names[0]][s]
-            designs = [models[name][s].X for name in names]
-            try:
-                found = response_stats(first.Y, designs, first.precision)
-            except DomainError as exc:
-                raise DomainError(f"session {s + 1}: {exc}") from None
+            found = _fold_stats(s, [models[name][s] for name in names])
             for name, session in zip(names, found):
                 stats[name].append(session)
     return stats
@@ -251,6 +254,20 @@ def _model_folds(stats, name: str, out: np.ndarray) -> np.ndarray:
     return scale * sum(s.n * s.ytpy for s in stats)
 
 
+def _cv_folds(stats, layout: SessionLayout) -> CvResult:
+    """:func:`cv_lme_models` after its statistics pass, on a name -> per-fold
+    ``SessionStats`` mapping that meets its checks."""
+    names = tuple(stats)
+    # (3, folds, models, voxels), C-ordered, so fold sums add the folds in
+    # order; each model's folds are written in place
+    oos = np.empty((3, layout.n_folds, len(names), stats[names[0]][0].n_voxels))
+    bounds = [_model_folds(stats[n], n, oos[:, :, m]) for m, n in enumerate(names)]
+    tol = np.maximum(_ACC_COM_FLOOR, np.stack(bounds))
+    result = CvResult(names, *oos.sum(axis=1), *oos, acc_com_tol=tol)
+    result.validate()
+    return result
+
+
 def cv_lme_models(models, layout: SessionLayout) -> CvResult:
     """Cross-validated evidences for a name -> per-session-specs mapping.
 
@@ -272,17 +289,7 @@ def cv_lme_models(models, layout: SessionLayout) -> CvResult:
     """
     if not models:
         raise DomainError("cv_lme_models needs at least one model")
-    names = tuple(models)
-    voxels = {_check_sessions(models[n], layout) for n in names}
+    voxels = {_check_sessions(specs, layout) for specs in models.values()}
     if len(voxels) > 1:
         raise DomainError(f"models disagree on the voxel count: {sorted(voxels)}")
-    (v,) = voxels
-    stats = _session_stats(models, layout.n_folds)
-    # (3, folds, models, voxels), C-ordered, so fold sums add the folds in
-    # order; each model's folds are written in place
-    oos = np.empty((3, layout.n_folds, len(names), v))
-    bounds = [_model_folds(stats[n], n, oos[:, :, m]) for m, n in enumerate(names)]
-    tol = np.maximum(_ACC_COM_FLOOR, np.stack(bounds))
-    result = CvResult(names, *oos.sum(axis=1), *oos, acc_com_tol=tol)
-    result.validate()
-    return result
+    return _cv_folds(_session_stats(models, layout.n_folds), layout)

@@ -42,15 +42,14 @@ class ParseError(EvidencerError, ValueError):
 class NumericalError(EvidencerError):
     """A numerical routine failed to converge to the requested tolerance.
 
-    A failure at one column of a (rows x columns) input carries that
-    column's index as ``column``, which the message names after ``reason``.
+    A failure at one column of a (rows x columns) input carries its 0-based
+    index as ``column``; the message names it from 1, as headers do.
     """
 
     def __init__(self, reason: str, column: int | None = None):
         self.reason, self.column = reason, column
-        super().__init__(
-            reason if column is None else f"{reason} (first at input column {column})"
-        )
+        where = "" if column is None else f" (first at input column {column + 1})"
+        super().__init__(reason + where)
 
 
 class ConfigError(EvidencerError, ValueError):

@@ -321,8 +321,8 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> list:
     bad = np.flatnonzero(~np.isfinite(ytpy))
     if bad.size:
         raise DomainError(
-            f"y'Py is not finite at {bad.size} voxel(s), first at voxel index "
-            f"{bad[0]}; the response holds a non-finite cell there, or values "
+            f"y'Py is not finite at {bad.size} voxel(s), first at voxel "
+            f"v{bad[0] + 1}; the response holds a non-finite cell there, or values "
             "whose quadratic form overflows"
         )
     distinct = {}
@@ -409,8 +409,9 @@ def posterior_update(stats: SessionStats, prior: NgParams) -> NgParams:
     if bad.size:
         raise EstimationError(
             f"posterior rate b is non-positive at {bad.size} voxel(s), first "
-            f"at voxel index {bad[0]}; this signals catastrophic "
-            "cancellation, typically from an ill-conditioned design matrix"
+            f"at voxel v{bad[0] + 1}; the model fits the voxel's response "
+            "exactly, or to round-off, in every session (a constant or all-zero "
+            "voxel), or an ill-conditioned design cancels catastrophically"
         )
     return NgParams(mu=mu_n, lam=lambda_n, a=a_n, b=b_n, _chol=chol)
 

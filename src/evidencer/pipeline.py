@@ -12,10 +12,10 @@ A stage is pure compute: its inputs come in as arguments, and it returns
 its result tables by file name, the problem sizes and diagnostics it adds
 to the manifest, and the product its dependents read (the cvlme stage's
 :class:`CvResult`, the bms stage's alpha table). Only :func:`run_pipeline`
-does I/O: per stage it loads the input files or dependency products, calls
-the stage, saves the tables, and records status, outputs, sizes,
-diagnostics and the seconds of each phase (load, compute, write) in
-``timings.csv``.
+does I/O: per stage it loads the input files (the cvlme stage's one session
+at a time, kept as statistics) or dependency products, calls the stage,
+saves the tables, and records status, outputs, sizes, diagnostics and the
+seconds of each phase (load, compute, write) in ``timings.csv``.
 
 Reruns with the same configuration write byte-identical result files and
 manifest regardless of the worker-thread count: voxel chunk boundaries are
@@ -50,12 +50,13 @@ from .bma import (
 from .crossval import (
     CvResult,
     SessionLayout,
-    cv_lme_models,
+    _cv_folds,
+    _fold_stats,
     split_glm_spec,
     split_single_session,
 )
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
-from .errors import ConfigError, EvidencerError, NumericalError, ParseError
+from .errors import ConfigError, DomainError, EvidencerError, NumericalError, ParseError
 from .glm import GlmSpec
 from .rfx import (
     EP_REL_TAIL,
@@ -187,72 +188,66 @@ def _load_finite(config: ModelSpaceConfig, relative, declined: list) -> np.ndarr
     return matrix.values
 
 
-def _load_session_matrices(config: ModelSpaceConfig, declined: list):
-    data = [_load_finite(config, p, declined) for p in config.data]
-    for path, y in zip(config.data, data):
-        if y.shape[1] != data[0].shape[1]:
-            raise ConfigError(
-                f"response files disagree on voxel count: {path} has {y.shape[1]}, "
-                f"{config.data[0]} {data[0].shape[1]}"
-            )
-    if config.precision == "identity":
-        precisions = [None] * len(data)
-    else:
-        precisions = []
-        for p, y in zip(config.precision, data):
-            mat = _load_finite(config, p, declined)
-            if mat.shape == (1, y.shape[0]):
-                mat = mat.ravel()  # stored as a single row: diagonal precision
-            precisions.append(mat)
-    return data, precisions
-
-
 def _model_space_files(config: ModelSpaceConfig) -> list:
     """The cvlme stage's input files: responses, designs and precisions."""
-    files = list(config.data)
-    for model in config.models:
-        files.extend(model["design"])
-    if config.precision != "identity":
-        files.extend(config.precision)
-    return files
+    designs = [path for model in config.models for path in model["design"]]
+    precisions = [] if config.precision == "identity" else list(config.precision)
+    return [*config.data, *designs, *precisions]
 
 
 def _load_model_space(config: ModelSpaceConfig, products, declined: list) -> tuple:
-    """The cvlme stage's arguments: per-model session specs and their layout.
-
-    A single session is built as one session, then split into halves.
-    """
-    data, precisions = _load_session_matrices(config, declined)
+    """The cvlme stage's arguments: each model's per-fold statistics and
+    their layout, reduced from one session at a time (:func:`_session_pass`)."""
     single = config.sessions.get("kind") == "single"
-    if single:
-        scans = config.sessions["scans"]
-        if data[0].shape[0] != scans:
-            raise ConfigError(
-                f"config declares {scans} scans but the response file "
-                f"{config.resolve(config.data[0])} has {data[0].shape[0]} rows"
-            )
-        layout = split_single_session(scans)
-    else:
-        layout = SessionLayout.from_counts([y.shape[0] for y in data])
+    layout = split_single_session(config.sessions["scans"]) if single else None
+    stats = {model["name"]: [] for model in config.models}
+    for s in range(len(config.data)):
+        _session_pass(config, s, layout, stats, declined)
+    if layout is None:  # one fold per session
+        layout = SessionLayout.from_counts([f.n for f in next(iter(stats.values()))])
+    return stats, layout
 
-    model_specs = {}
-    for model in config.models:
-        specs = []
-        for s, y in enumerate(data):
-            x = _load_finite(config, model["design"][s], declined)
-            try:
-                spec = GlmSpec(Y=y, X=x, precision=precisions[s])
-                specs.extend(split_glm_spec(spec, layout) if single else [spec])
-            except EvidencerError as exc:
-                files = f"design {config.resolve(model['design'][s])}"
-                if config.precision != "identity":
-                    files += f", precision {config.resolve(config.precision[s])}"
-                raise type(exc)(
-                    f"model {model['name']!r}, session {s + 1}, {files}: {exc} "
-                    f"(response {config.resolve(config.data[s])})"
-                ) from None
-        model_specs[model["name"]] = specs
-    return model_specs, layout
+
+def _session_pass(config: ModelSpaceConfig, s: int, layout, stats, declined: list):
+    """Read session ``s``, check its response, precision and designs as specs
+    (a single session whole, then as ``layout``'s halves), and add each
+    model's statistics of its folds to ``stats``; nothing else outlives it."""
+    y = _load_finite(config, config.data[s], declined)
+    first = next(iter(stats.values()))
+    if first and y.shape[1] != first[0].n_voxels:
+        raise ConfigError(
+            f"response files disagree on voxel count: {config.data[s]} has "
+            f"{y.shape[1]}, {config.data[0]} {first[0].n_voxels}"
+        )
+    precision = None
+    if config.precision != "identity":
+        precision = _load_finite(config, config.precision[s], declined)
+        if precision.shape == (1, y.shape[0]):
+            precision = precision.ravel()  # stored as a single row: diagonal precision
+    if layout is not None and y.shape[0] != layout.total_scans:
+        raise ConfigError(
+            f"config declares {layout.total_scans} scans but the response file "
+            f"{config.resolve(config.data[s])} has {y.shape[0]} rows"
+        )
+    folds = []  # per model, its specs of the session's folds
+    for model, kept in zip(config.models, stats.values()):
+        x = _load_finite(config, model["design"][s], declined)
+        try:
+            spec = GlmSpec(Y=y, X=x, precision=precision)
+            if kept and spec.p != kept[0].p:
+                raise DomainError(f"design has {spec.p} columns, session 1's {kept[0].p}")
+            folds.append([spec] if layout is None else split_glm_spec(spec, layout))
+        except EvidencerError as exc:
+            files = f"design {config.resolve(model['design'][s])}"
+            if precision is not None:
+                files += f", precision {config.resolve(config.precision[s])}"
+            raise type(exc)(
+                f"model {model['name']!r}, session {s + 1}, {files}: {exc} "
+                f"(response {config.resolve(config.data[s])})"
+            ) from None
+    for k, specs in enumerate(zip(*folds)):
+        for model_stats, session in zip(stats.values(), _fold_stats(s + k, specs)):
+            model_stats.append(session)
 
 
 def _subject_files(config: ModelSpaceConfig) -> list:
@@ -328,12 +323,10 @@ def _cv_tables(result: CvResult, *terms) -> dict:
     return tables
 
 
-def _stage_cvlme(config, options, model_specs, layout) -> _StageResult:
-    result = cv_lme_models(model_specs, layout)
-    if config.sessions.get("kind") == "single":
-        scans = [layout.total_scans]
-    else:
-        scans = [stop - start for start, stop in layout.sessions]
+def _stage_cvlme(config, options, stats, layout) -> _StageResult:
+    result = _cv_folds(stats, layout)
+    single = config.sessions.get("kind") == "single"
+    scans = [layout.total_scans] if single else [b - a for a, b in layout.sessions]
     sizes = {
         "sessions": len(scans),
         "scans_per_session": scans,
@@ -342,9 +335,7 @@ def _stage_cvlme(config, options, model_specs, layout) -> _StageResult:
         "models": len(result.model_names),
     }
     diagnostics = {"cvlme_max_acc_com_tol": float(np.max(result.acc_com_tol))}
-    return _StageResult(
-        _cv_tables(result, "LME"), diagnostics, product=result, sizes=sizes
-    )
+    return _StageResult(_cv_tables(result, "LME"), diagnostics, result, sizes)
 
 
 def _stage_anc(config, options, cv_result) -> _StageResult:

@@ -289,7 +289,8 @@ def _node_sums(alpha, t_lo, step, positions, weights) -> np.ndarray:
 
 def ep_integration_stack(alpha: np.ndarray) -> tuple:
     """Exceedance probabilities by Gamma-CDF-product integration for a
-    (models x voxels) concentration matrix, and their diagnostics.
+    (models x voxels) concentration matrix, or one voxel's vector, and their
+    diagnostics.
 
     Model j's EP is the integral of ``f_j(x) prod_{i != j} F_i(x)``, and
     the k integrands sum to the density of M, the maximum of the k Gamma
@@ -311,9 +312,10 @@ def ep_integration_stack(alpha: np.ndarray) -> tuple:
     Returns the raw (not renormalized) EPs and the diagnostics
     ``max_sum_deviation``, ``distinct_columns`` and ``max_nodes``.
     """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    if alpha.shape[0] < 2:
-        raise DomainError("need at least 2 concentration parameters")
+    alpha = np.asarray(alpha, dtype=float)
+    alpha = alpha[:, None] if alpha.ndim == 1 else alpha  # one voxel
+    if alpha.ndim != 2 or alpha.shape[0] < 2:
+        raise DomainError(f"need (models x voxels), 2+ models, got shape {alpha.shape}")
     if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
         raise DomainError("concentrations must be finite and positive")
     # concentrations are finite and positive, so equal values are equal

@@ -432,6 +432,29 @@ class TestFailureLocation:
             cv_lme_models(models, SessionLayout.from_counts([n] * 3))
 
 
+    @pytest.mark.parametrize("level", [0.0, 100.0])
+    def test_exact_fit_names_both_causes_and_the_voxel(self, level):
+        # voxel v3 is constant in every session, so the design's constant
+        # column fits it exactly and the all-data rate is round-off
+        rng = np.random.default_rng(66)
+        n = 100
+        data = [rng.normal(size=(n, 5)) for _ in range(4)]
+        specs = []
+        for y in data:
+            y[:, 2] = level
+            x = np.hstack([rng.normal(size=(n, 1)), np.ones((n, 1))])
+            specs.append(GlmSpec(Y=y, X=x))
+        with pytest.raises(EstimationError) as caught:
+            cv_lme_models({"m": specs}, SessionLayout.from_counts([n] * 4))
+        message = str(caught.value)
+        assert message.startswith(
+            "model 'm', all-data block: posterior rate b is non-positive"
+        )
+        assert "first at voxel v3;" in message
+        assert "(a constant or all-zero voxel)" in message
+        assert "ill-conditioned design" in message
+
+
 class TestResponseCheck:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
@@ -439,7 +462,7 @@ class TestResponseCheck:
         rng = np.random.default_rng(64)
         specs, layout = make_sessions(rng, s=3, precision_kind=precision_kind)
         specs[1].Y[7, 2] = value
-        expected = r"^session 2: y'Py is not finite at 1 voxel\(s\), first at voxel index 2;"
+        expected = r"^session 2: y'Py is not finite at 1 voxel\(s\), first at voxel v3;"
         with pytest.raises(DomainError, match=expected):
             cv_lme_models({"m": specs}, layout)
 
@@ -451,7 +474,7 @@ class TestResponseCheck:
         for spec in specs:
             spec.Y[:, 3] *= 1e160
             assert np.all(np.isfinite(spec.Y))
-        expected = r"^session 1: y'Py is not finite at 1 voxel\(s\), first at voxel index 3;"
+        expected = r"^session 1: y'Py is not finite at 1 voxel\(s\), first at voxel v4;"
         with pytest.raises(DomainError, match=expected):
             cv_lme_models({"m": specs}, layout)
 

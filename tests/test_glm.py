@@ -163,7 +163,7 @@ class TestResponseStats:
             Y=y, X=random_design(rng, 10, 2),
             precision=random_precision(rng, 10, precision_kind),
         )
-        expected = r"^y'Py is not finite at 1 voxel\(s\), first at voxel index 5;"
+        expected = r"^y'Py is not finite at 1 voxel\(s\), first at voxel v6;"
         with pytest.raises(DomainError, match=expected):
             stats_of(spec)
 
@@ -176,7 +176,7 @@ class TestResponseStats:
             Y=y, X=random_design(rng, 10, 2),
             precision=random_precision(rng, 10, precision_kind),
         )
-        expected = r"^y'Py is not finite at 2 voxel\(s\), first at voxel index 1;"
+        expected = r"^y'Py is not finite at 2 voxel\(s\), first at voxel v2;"
         with pytest.raises(DomainError, match=expected):
             stats_of(spec)
 
@@ -193,7 +193,7 @@ class TestPosteriorUpdate:
         ytpy = stats.ytpy.copy()
         ytpy[[3, 5]] = 0.5 * fitted[[3, 5]]
         with pytest.raises(
-            EstimationError, match=r"at 2 voxel\(s\), first at voxel index 3;"
+            EstimationError, match=r"at 2 voxel\(s\), first at voxel v4;"
         ):
             posterior_update(stats._replace(ytpy=ytpy), NgParams.noninformative(2))
 

@@ -6,19 +6,26 @@ import dataclasses
 import io
 import json
 import shutil
+import weakref
 
 import numpy as np
 import pytest
-from helpers import build_toy_workspace, ep_beta_closed_form
+from helpers import build_toy_workspace, ep_beta_closed_form, random_precision
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import evidencer.pipeline
 from evidencer.cli import main
+from evidencer.crossval import (
+    SessionLayout,
+    cv_lme_models,
+    split_glm_spec,
+    split_single_session,
+)
 from evidencer.dataio import load_config, load_matrix, save_matrix
 from evidencer.dataio import ResultTable
 from evidencer.errors import ConfigError
-from evidencer.glm import NgParams
+from evidencer.glm import GlmSpec, NgParams
 from evidencer.pipeline import (
     _STAGES,
     STAGE_NAMES,
@@ -397,6 +404,33 @@ class TestStageTable:
             ), stage
         assert per_stage["cvlme"] and per_stage["bms"] and per_stage["bma"]
 
+    def test_cvlme_stage_holds_one_response_at_a_time(
+        self, stage_config, tmp_path, monkeypatch
+    ):
+        # the stage reduces a session to its statistics before it reads the
+        # next one, so no earlier response is alive when a response is read
+        order, alive, responses = [], [], []
+        real_load = evidencer.pipeline._load_finite
+
+        def tracking_load(config, relative, declined):
+            if relative in config.data:
+                alive.append(sum(ref() is not None for ref in responses))
+            values = real_load(config, relative, declined)
+            order.append(relative)
+            if relative in config.data:
+                responses.append(weakref.ref(values))
+            return values
+
+        monkeypatch.setattr(evidencer.pipeline, "_load_finite", tracking_load)
+        options = RunOptions(out_dir=tmp_path / "out")
+        manifest = run_pipeline(stage_config, ["cvlme"], options)
+        assert manifest["stages"]["cvlme"]["status"] == "ok"
+        assert alive == [0, 0]
+        assert all(ref() is None for ref in responses)
+        assert order == [
+            f"{name}_s{s}.csv" for s in (1, 2) for name in ("Y", "P", "X1", "X2")
+        ]
+
     @pytest.mark.parametrize("stage", STAGE_NAMES)
     def test_each_declared_block_is_required(self, stage_config, stage):
         for block in _STAGES[stage].blocks:
@@ -583,6 +617,49 @@ class TestDeterminism:
             assert (outputs[1] / name).read_bytes() == reference
             assert (outputs[2] / name).read_bytes() == reference
 
+    @pytest.mark.parametrize("single", [False, True], ids=["multi", "single"])
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_stage_tables_equal_the_spec_path(self, tmp_path, precision_kind, single):
+        # the stage's statistics, formed session by session, give the bits
+        # of cv_lme_models on specs of the same arrays
+        n, s = (60, 1) if single else (24, 3)
+        extra = {"sessions": {"kind": "single", "scans": n}} if single else {}
+        if precision_kind != "identity":
+            extra["precision"] = [f"P_s{i}.csv" for i in range(1, s + 1)]
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(
+            root, n=n, s=s, with_group=False, with_betas=False, extra_config=extra
+        )
+        rng = np.random.default_rng(8)
+        precisions = [random_precision(rng, n, precision_kind) for _ in range(s)]
+        for i, precision in enumerate(precisions, 1):
+            if precision is not None:
+                save_matrix(root / f"P_s{i}.csv", np.atleast_2d(precision))
+        manifest = run(config_path, tmp_path / "out", ["cvlme", "anc"])
+        assert manifest["stages"]["anc"]["status"] == "ok"
+
+        config = load_config(config_path)
+        layout = split_single_session(n) if single else SessionLayout.from_counts([n] * s)
+        models = {}
+        for model in config.models:
+            specs = [
+                GlmSpec(
+                    Y=load_matrix(root / y).values,
+                    X=load_matrix(root / x).values,
+                    precision=precision,
+                )
+                for y, x, precision in zip(config.data, model["design"], precisions)
+            ]
+            models[model["name"]] = split_glm_spec(specs[0], layout) if single else specs
+        expected = cv_lme_models(models, layout)
+        out = tmp_path / "out"
+        for term in ("LME", "Acc", "Com"):
+            written = load_matrix(out / f"cv{term}.csv").values
+            np.testing.assert_array_equal(written, getattr(expected, f"cv_{term.lower()}"))
+            for fold, oos in enumerate(getattr(expected, f"oos_{term.lower()}"), 1):
+                written = load_matrix(out / f"oos{term}_fold{fold}.csv").values
+                np.testing.assert_array_equal(written, oos)
+
     def test_bms_outputs_chunk_and_thread_invariant(
         self, workspace, tmp_path, monkeypatch
     ):
@@ -632,7 +709,7 @@ class TestDeterminism:
         assert statuses == {
             "failed: NumericalError: exceedance integration did not stabilize to "
             "1e-08 within 16385 nodes for concentrations [1000000000.0, "
-            "1001000000.0] (first at input column 5000)"
+            "1001000000.0] (first at input column 5001)"
         }
 
     def test_old_chunk_voxels_key_is_ignored(self, workspace, tmp_path):
@@ -995,7 +1072,7 @@ class TestCli:
         status = manifest["stages"]["cvlme"]["status"]
         assert status.startswith(
             "failed: DomainError: session 2: y'Py is not finite at 1 voxel(s), "
-            "first at voxel index 3;"
+            "first at voxel v4;"
         )
         assert status in captured.err
         assert "Traceback" not in captured.out + captured.err

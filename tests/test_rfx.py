@@ -418,6 +418,16 @@ class TestEpStacks:
         for v in range(0, 300, 50):
             np.testing.assert_array_equal(ep[:, v], ep_one_voxel(alpha[:, v]))
 
+    def test_vector_is_one_voxel(self):
+        # a 1-D input is one voxel's concentrations, not one model's row
+        alpha = np.array([[1.0, 3.0], [2.0, 0.5], [4.0, 1.5]])
+        ep, info = ep_integration_stack(alpha[:, 0])
+        np.testing.assert_array_equal(ep, ep_integration_stack(alpha)[0][:, :1])
+        assert info["distinct_columns"] == 1
+        named = r"^need \(models x voxels\), 2\+ models, got shape \(3, 2, 1\)$"
+        with pytest.raises(DomainError, match=named):
+            ep_integration_stack(alpha[:, :, None])
+
     @pytest.mark.parametrize("k, small", [(2, 0.1), (3, 0.1), (12, 0.03)])
     def test_integration_stack_is_split_invariant(self, k, small):
         # columns that converge at the first comparison share blocks with
@@ -449,9 +459,9 @@ class TestEpStacks:
     def test_unstable_column_raises(self):
         alpha = np.array([[2.0, 0.01, 3.0, 0.01], [1.0, 0.01, 4.0, 0.01]])
         named = r"16385 nodes for concentrations \[0.01, 0.01\] \(first at input column {}\)"
-        with pytest.raises(NumericalError, match=named.format(1)):
+        with pytest.raises(NumericalError, match=named.format(2)):
             ep_integration_stack(alpha)
-        with pytest.raises(NumericalError, match=named.format(0)):
+        with pytest.raises(NumericalError, match=named.format(1)):
             ep_integration_stack(alpha[:, 1:2])
 
     def test_failure_names_the_first_failing_input_column(self):
@@ -464,12 +474,12 @@ class TestEpStacks:
             ep_integration_stack(alpha)
         assert whole.value.column == 1
         assert str(whole.value).endswith(
-            "[1000000000000.0, 1001000000000.0] (first at input column 1)"
+            "[1000000000000.0, 1001000000000.0] (first at input column 2)"
         )
         with pytest.raises(NumericalError, match="non-finite sum") as tail:
             ep_integration_stack(alpha[:, 2:])
         assert tail.value.column == 1
-        assert str(tail.value) == f"{tail.value.reason} (first at input column 1)"
+        assert str(tail.value) == f"{tail.value.reason} (first at input column 2)"
 
     def test_overflowing_column_raises_without_warning(self):
         # huge shapes overflow the integrand; the error names the column
@@ -477,7 +487,7 @@ class TestEpStacks:
         alpha = np.array([[2.0, 1e30], [1.0, 1e30]])
         named = (
             r"non-finite sum for concentrations "
-            r"\[1e\+30, 1e\+30\] \(first at input column 1\)"
+            r"\[1e\+30, 1e\+30\] \(first at input column 2\)"
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
