@@ -75,8 +75,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bma import _prior_weights
-from .crossval import split_single_session
+from .bma import FamilyPartition, _prior_weights
+from .crossval import SessionLayout, split_single_session
 from .errors import ConfigError, DomainError, EvidencerError, LayoutError, ParseError
 
 __all__ = [
@@ -677,22 +677,22 @@ class ResultTable:
 
 @dataclass(frozen=True)
 class ModelSpaceConfig:
-    """Parsed analysis configuration.
+    """Parsed analysis configuration, in the form the stages use.
 
     First-level fields describe one subject's model space: named models
-    with per-session design files, per-session response files, and an
-    optional precision (``"identity"`` or per-session files). ``sessions``
-    selects multi-session folds or the single-session split. Optional
-    blocks configure families, model priors, the estimate stack for
-    averaging, and the group of subjects for population-level selection.
+    with per-session design and response files, ``precision`` files per
+    session (none for identity), and ``layout``, the single-session split
+    or ``None`` for one fold per session. Optional blocks configure
+    ``families`` (a :class:`~evidencer.bma.FamilyPartition`), model priors,
+    the estimate stack for averaging (``regressor`` filled in), and the
+    group of subjects for population-level selection.
     """
 
     models: tuple = ()
     data: tuple = ()
-    precision: object = "identity"
-    sessions: dict = field(default_factory=lambda: {"kind": "multi"})
-    families: dict | None = None
-    family_weights: dict | None = None
+    precision: tuple = ()
+    layout: SessionLayout | None = None
+    families: FamilyPartition | None = None
     model_prior: tuple | None = None
     betas: dict | None = None
     subjects: tuple = ()
@@ -717,15 +717,16 @@ def _require(condition: bool, message: str) -> None:
 
 def _positive(raw: dict, key: str, default, kind=float, path=None):
     """``raw[key]`` (or ``default``) as a positive ``kind``: a finite JSON
-    number for ``float``, a JSON integer that fits in int64 for ``int``;
-    anything else, booleans and numeric strings included, raises
-    :class:`ConfigError` naming the key by ``path`` (default ``key``)."""
+    number no smaller than the smallest normal double for ``float``, a JSON
+    integer below 2**63 for ``int``; anything else, booleans and numeric
+    strings included, raises :class:`ConfigError` naming the key by ``path``
+    (default ``key``)."""
     value = raw.get(key, default)
-    what = "integer below 2**63" if kind is int else "number"
+    what = "integer below 2**63" if kind is int else f"number >= {sys.float_info.min!r}"
     _require(
         _is_real(value)
         and (kind is float or isinstance(value, int) and value < 2**63)
-        and value > 0,
+        and value >= sys.float_info.min,
         f"{path or key} must be a finite positive {what}, got {value!r}",
     )
     return kind(value)
@@ -803,10 +804,10 @@ def load_config(path) -> ModelSpaceConfig:
     _require(
         isinstance(sessions, dict), f"sessions must be a JSON object, got {sessions!r}"
     )
-    sessions = dict(sessions)
     kind = sessions.get("kind")
     _require(kind in ("multi", "single"), "sessions.kind must be 'multi' or 'single'")
 
+    layout = None
     if models:
         names = []
         for m in models:
@@ -815,62 +816,63 @@ def load_config(path) -> ModelSpaceConfig:
                 "each model needs 'name' and 'design' entries",
             )
             names.append(_name(m, "model"))
-            _file_list(m["design"], f"model {m['name']!r} design")
+            design = _file_list(m["design"], f"model {m['name']!r} design")
+            _require(
+                len(design) == len(data),
+                f"model {m['name']!r} needs one design file per session "
+                f"({len(data)} expected, {len(design)} given)",
+            )
         _require(len(set(names)) == len(names), "model names must be unique")
-        _require(len(data) >= 1, "first-level analyses need response files in 'data'")
-        if kind == "single":
+        if kind == "multi":
+            _require(
+                len(data) >= 2,
+                f"data: 'multi' sessions need 2 or more response files, got {len(data)}"
+                '; for one session use "sessions": {"kind": "single", "scans": n}',
+            )
+        else:
             _require(len(data) == 1, "single-session mode takes exactly one response file")
             scans = _positive(sessions, "scans", None, int, "sessions.scans")
             try:
-                split_single_session(scans)
+                layout = split_single_session(scans)
             except LayoutError as exc:
                 raise ConfigError(f"sessions.scans: {exc}") from None
-        for m in models:
-            _require(
-                len(m["design"]) == len(data),
-                f"model {m['name']!r} needs one design file per session "
-                f"({len(data)} expected, {len(m['design'])} given)",
-            )
 
-    precision = raw.get("precision", "identity")
-    if precision != "identity":
-        precision = _file_list(precision, "precision")
+    precision = ()
+    if raw.get("precision", "identity") != "identity":
+        precision = _file_list(raw["precision"], "precision")
         _require(
             len(precision) == len(data),
             "precision must be 'identity' or one file per session",
         )
 
     families = raw.get("families")
+    weights = raw.get("family_weights")
+    _require(families is not None or weights is None, "family_weights requires families")
     if families is not None:
         _require(
             isinstance(families, dict) and families,
             "families must be a non-empty {name: [model names]} object",
         )
+        index = {m["name"]: i for i, m in enumerate(models)}
         for fam, members in families.items():
             _require(
                 isinstance(members, list)
-                and all(isinstance(m, str) for m in members),
+                and all(isinstance(m, str) and m in index for m in members),
                 f"families entry {fam!r} must be a JSON list of model names, "
                 f"got {members!r}",
             )
-        known = set(tuple(m["name"] for m in models))
-        mentioned = [name for members in families.values() for name in members]
         _require(
-            sorted(mentioned) == sorted(known),
-            "families must mention every model exactly once",
+            weights is None or isinstance(weights, dict),
+            f"family_weights must be a {{family: [weights]}} object, got {weights!r}",
         )
-
-    family_weights = raw.get("family_weights")
-    if family_weights is not None:
-        _require(families is not None, "family_weights requires families")
-        _require(
-            isinstance(family_weights, dict),
-            f"family_weights must be a {{family: [weights]}} object, got "
-            f"{family_weights!r}",
-        )
-        for fam, weights in family_weights.items():
+        for fam, w in (weights or {}).items():
             _require(fam in families, f"family_weights names unknown family {fam!r}")
-            _weights(weights, len(families[fam]), f"family_weights entry {fam!r}", "member")
+            _weights(w, len(families[fam]), f"family_weights entry {fam!r}", "member")
+        indices = {fam: [index[m] for m in members] for fam, members in families.items()}
+        try:  # the partition rule: no family empty, every model in exactly one
+            families = FamilyPartition.from_mapping(len(models), indices, weights)
+        except DomainError as exc:
+            raise ConfigError(f"families: {exc}") from None
 
     model_prior = raw.get("model_prior")
     if model_prior is not None:
@@ -886,16 +888,15 @@ def load_config(path) -> ModelSpaceConfig:
             isinstance(betas["files"], list) and len(betas["files"]) == len(models),
             "betas.files needs one row per model",
         )
-        regressor = betas.get("regressor", "effect")
+        betas = {**betas, "regressor": betas.get("regressor", "effect")}
         _require(
-            isinstance(regressor, str),
-            f"betas.regressor must be a string, got {regressor!r}",
+            isinstance(betas["regressor"], str),
+            f"betas.regressor must be a string, got {betas['regressor']!r}",
         )
-        n_sessions = 1 if kind == "single" else len(data)
         for row in betas["files"]:
             _require(
-                len(_file_list(row, "betas.files row")) == n_sessions,
-                f"betas.files rows need one file per session ({n_sessions})",
+                len(_file_list(row, "betas.files row")) == len(data),
+                f"betas.files rows need one file per session ({len(data)})",
             )
 
     for s in subjects:
@@ -924,9 +925,8 @@ def load_config(path) -> ModelSpaceConfig:
         models=models,
         data=data,
         precision=precision,
-        sessions=sessions,
+        layout=layout,
         families=families,
-        family_weights=family_weights,
         model_prior=model_prior,
         betas=betas,
         subjects=subjects,

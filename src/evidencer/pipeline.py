@@ -8,6 +8,10 @@ input files and its loader; the bms stage's dependency on cvlme when a
 subject is ``'@self'`` is the one rule decided per run. A failing stage
 aborts only its dependents; the manifest always records per-stage status.
 
+The config comes parsed: :func:`~evidencer.dataio.load_config` has built
+the family partition, the single-session layout, the precision file list
+and the regressor name once, and the stages read them as they are.
+
 A stage is pure compute: its inputs come in as arguments, and it returns
 its result tables by file name, the problem sizes and diagnostics it adds
 to the manifest, and the product its dependents read (the cvlme stage's
@@ -40,21 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .bma import (
-    BetaStack,
-    FamilyPartition,
-    cv_bma,
-    log_family_evidence,
-    posterior_probabilities,
-)
-from .crossval import (
-    CvResult,
-    SessionLayout,
-    _cv_folds,
-    _fold_stats,
-    split_glm_spec,
-    split_single_session,
-)
+from .bma import BetaStack, cv_bma, log_family_evidence, posterior_probabilities
+from .crossval import CvResult, SessionLayout, _cv_folds, _fold_stats, split_glm_spec
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
 from .errors import ConfigError, DomainError, EvidencerError, NumericalError, ParseError
 from .glm import GlmSpec
@@ -191,27 +182,26 @@ def _load_finite(config: ModelSpaceConfig, relative, declined: list) -> np.ndarr
 def _model_space_files(config: ModelSpaceConfig) -> list:
     """The cvlme stage's input files: responses, designs and precisions."""
     designs = [path for model in config.models for path in model["design"]]
-    precisions = [] if config.precision == "identity" else list(config.precision)
-    return [*config.data, *designs, *precisions]
+    return [*config.data, *designs, *config.precision]
 
 
 def _load_model_space(config: ModelSpaceConfig, products, declined: list) -> tuple:
     """The cvlme stage's arguments: each model's per-fold statistics and
     their layout, reduced from one session at a time (:func:`_session_pass`)."""
-    single = config.sessions.get("kind") == "single"
-    layout = split_single_session(config.sessions["scans"]) if single else None
     stats = {model["name"]: [] for model in config.models}
     for s in range(len(config.data)):
-        _session_pass(config, s, layout, stats, declined)
+        _session_pass(config, s, stats, declined)
+    layout = config.layout
     if layout is None:  # one fold per session
         layout = SessionLayout.from_counts([f.n for f in next(iter(stats.values()))])
     return stats, layout
 
 
-def _session_pass(config: ModelSpaceConfig, s: int, layout, stats, declined: list):
+def _session_pass(config: ModelSpaceConfig, s: int, stats, declined: list):
     """Read session ``s``, check its response, precision and designs as specs
-    (a single session whole, then as ``layout``'s halves), and add each
-    model's statistics of its folds to ``stats``; nothing else outlives it."""
+    (a single session whole, then as the config's layout's halves), and add
+    each model's statistics of its folds to ``stats``; nothing else outlives it."""
+    layout = config.layout
     y = _load_finite(config, config.data[s], declined)
     first = next(iter(stats.values()))
     if first and y.shape[1] != first[0].n_voxels:
@@ -220,7 +210,7 @@ def _session_pass(config: ModelSpaceConfig, s: int, layout, stats, declined: lis
             f"{y.shape[1]}, {config.data[0]} {first[0].n_voxels}"
         )
     precision = None
-    if config.precision != "identity":
+    if config.precision:
         precision = _load_finite(config, config.precision[s], declined)
         if precision.shape == (1, y.shape[0]):
             precision = precision.ravel()  # stored as a single row: diagonal precision
@@ -304,7 +294,7 @@ def _load_estimates(config: ModelSpaceConfig, products, declined: list) -> tuple
                 )
             per_session.append(mat[0])
         stacks.append(per_session)
-    regressor = str(config.betas.get("regressor", "effect"))
+    regressor = config.betas["regressor"]
     return cv_result, BetaStack(beta=np.asarray(stacks), regressor_name=regressor)
 
 
@@ -325,7 +315,7 @@ def _cv_tables(result: CvResult, *terms) -> dict:
 
 def _stage_cvlme(config, options, stats, layout) -> _StageResult:
     result = _cv_folds(stats, layout)
-    single = config.sessions.get("kind") == "single"
+    single = config.layout is not None
     scans = [layout.total_scans] if single else [b - a for a, b in layout.sessions]
     sizes = {
         "sessions": len(scans),
@@ -342,21 +332,9 @@ def _stage_anc(config, options, cv_result) -> _StageResult:
     return _StageResult(_cv_tables(cv_result, "Acc", "Com"))
 
 
-def _family_partition(config: ModelSpaceConfig) -> FamilyPartition:
-    order = {name: i for i, name in enumerate(config.model_names)}
-    families = {
-        fam: tuple(order[m] for m in members)
-        for fam, members in config.families.items()
-    }
-    return FamilyPartition.from_mapping(
-        len(config.model_names), families, config.family_weights
-    )
-
-
 def _stage_lfe(config, options, cv_result) -> _StageResult:
-    partition = _family_partition(config)
-    lfe = log_family_evidence(cv_result.cv_lme, partition)
-    return _StageResult({"LFE.csv": ResultTable("LFE", partition.names, lfe)})
+    lfe = log_family_evidence(cv_result.cv_lme, config.families)
+    return _StageResult({"LFE.csv": ResultTable("LFE", config.families.names, lfe)})
 
 
 def _stage_bms(config, options, group) -> _StageResult:

@@ -751,13 +751,13 @@ class TestLoadConfig:
             self._write(
                 tmp_path,
                 {
-                    "models": [{"name": "m1", "design": ["x.csv"]}],
-                    "data": ["y.csv"],
+                    "models": [{"name": "m1", "design": ["x1.csv", "x2.csv"]}],
+                    "data": ["y1.csv", "y2.csv"],
                 },
             )
         )
         assert config.model_names == ("m1",)
-        assert config.sessions == {"kind": "multi"}
+        assert config.layout is None
 
     def test_group_only(self, tmp_path):
         config = load_config(
@@ -803,10 +803,10 @@ class TestLoadConfig:
                     tmp_path,
                     {
                         "models": [
-                            {"name": "a", "design": ["xa.csv"]},
-                            {"name": "b", "design": ["xb.csv"]},
+                            {"name": "a", "design": ["xa1.csv", "xa2.csv"]},
+                            {"name": "b", "design": ["xb1.csv", "xb2.csv"]},
                         ],
-                        "data": ["y.csv"],
+                        "data": ["y1.csv", "y2.csv"],
                         "families": {"f": ["a"]},
                     },
                 )
@@ -846,8 +846,8 @@ class TestLoadConfig:
         path.write_text(
             json.dumps(
                 {
-                    "models": [{"name": "m", "design": ["x.csv"]}],
-                    "data": ["y.csv"],
+                    "models": [{"name": "m", "design": ["x1.csv", "x2.csv"]}],
+                    "data": ["y1.csv", "y2.csv"],
                     key: value,
                 }
             ).replace("Infinity", "1e999")
@@ -865,7 +865,10 @@ class TestLoadConfig:
         ],
     )
     def test_file_lists_must_be_lists(self, tmp_path, patch, what):
-        payload = {"models": [{"name": "m", "design": ["x.csv"]}], "data": ["y.csv"]}
+        payload = {
+            "models": [{"name": "m", "design": ["x1.csv", "x2.csv"]}],
+            "data": ["y1.csv", "y2.csv"],
+        }
         payload.update(patch)
         with pytest.raises(ConfigError, match=f"{what} must be a JSON list"):
             load_config(self._write(tmp_path, payload))

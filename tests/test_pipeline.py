@@ -434,7 +434,8 @@ class TestStageTable:
     @pytest.mark.parametrize("stage", STAGE_NAMES)
     def test_each_declared_block_is_required(self, stage_config, stage):
         for block in _STAGES[stage].blocks:
-            empty = type(getattr(stage_config, block))()
+            # a FamilyPartition has no empty instance: a config lacks one as None
+            empty = None if block == "families" else type(getattr(stage_config, block))()
             lacking = dataclasses.replace(stage_config, **{block: empty})
             # the first stage of the plan that declares the block is named
             named = next(
@@ -839,6 +840,30 @@ class TestCli:
                 {"subjects": [{"name": "s1", "cvlme": "@self"}]},
                 "subjects: a group analysis needs at least two, got 1",
             ),
+            (
+                {"families": {"simple": ["m1"], "rich": ["m2"], "none": []}},
+                "families: family 'none' is empty",
+            ),
+            (
+                {"families": {"simple": ["m1"], "rich": ["m2", "m3"]}},
+                "families entry 'rich' must be a JSON list of model names",
+            ),
+            (
+                {"families": {"simple": ["m1"], "rich": ["m2", "m1"]}},
+                "families: families must partition the model space",
+            ),
+            (
+                {
+                    "models": [
+                        {"name": "m1", "design": ["X1_s1.csv"]},
+                        {"name": "m2", "design": ["X2_s1.csv"]},
+                    ],
+                    "data": ["Y_s1.csv"],
+                },
+                "data: 'multi' sessions need 2 or more response files, got 1; "
+                'for one session use "sessions": {"kind": "single", "scans": n}',
+            ),
+            ({"alpha0": 1e-310}, "alpha0 must be a finite positive number >= 2.2"),
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, patch, named):
@@ -850,6 +875,7 @@ class TestCli:
         assert code == 2
         assert named in captured.err
         assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "o").exists()
 
     @seed(20180712)
     @settings(max_examples=60, deadline=None, database=None)
@@ -1120,6 +1146,59 @@ class TestCli:
         assert status in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert code == 4
+
+    @staticmethod
+    def _failed_cvlme(config_path, out, capsys) -> str:
+        """Run the pipeline; the cvlme stage's status, after checking that it
+        failed alone (its dependents skipped, exit 4) without a traceback."""
+        code = main(["pipeline", "--config", str(config_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert code == 4
+        assert stages["bms"]["status"] == stages["ep"]["status"] == "ok"
+        for stage in ("anc", "lfe", "bma"):
+            assert stages[stage]["status"] == "skipped: dependency 'cvlme' did not succeed"
+        assert stages["cvlme"]["status"] in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        return stages["cvlme"]["status"]
+
+    def test_responses_disagreeing_on_voxels_name_both_files(self, tmp_path, capsys):
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(root)
+        save_matrix(root / "Y_s2.csv", load_matrix(root / "Y_s2.csv").values[:, :-1])
+        assert self._failed_cvlme(config_path, tmp_path / "o", capsys) == (
+            "failed: ConfigError: response files disagree on voxel count: "
+            "Y_s2.csv has 11, Y_s1.csv 12"
+        )
+
+    def test_design_widening_in_session_2_names_model_session_and_file(
+        self, tmp_path, capsys
+    ):
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(root)
+        design = load_matrix(root / "X1_s2.csv").values
+        save_matrix(root / "X1_s2.csv", np.hstack([design, np.arange(24.0)[:, None]]))
+        status = self._failed_cvlme(config_path, tmp_path / "o", capsys)
+        named = f"model 'm1', session 2, design {(root / 'X1_s2.csv').resolve()}"
+        assert status.startswith(
+            f"failed: DomainError: {named}: design has 3 columns, session 1's 2"
+        )
+
+    def test_indefinite_precision_names_its_file(self, tmp_path, capsys):
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(
+            root, extra_config={"precision": ["P_s1.csv", "P_s2.csv"]}
+        )
+        save_matrix(root / "P_s1.csv", 2.0 * np.eye(24))
+        save_matrix(root / "P_s2.csv", np.diag([-1.0] + [1.0] * 23))
+        status = self._failed_cvlme(config_path, tmp_path / "o", capsys)
+        named = (
+            f"model 'm1', session 2, design {(root / 'X1_s2.csv').resolve()}, "
+            f"precision {(root / 'P_s2.csv').resolve()}"
+        )
+        assert status.startswith(
+            f"failed: DecompositionError: {named}: precision is not positive definite"
+        )
 
     def test_only_stage_failed_exit_code(self, tmp_path, capsys):
         root = tmp_path / "ws"

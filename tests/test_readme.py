@@ -1,5 +1,5 @@
-"""The README's library quick start runs as written, and its command-line
-synopsis lists the parser's options."""
+"""The README's library quick start runs as written, its command-line
+synopsis lists the parser's options, and its configuration example loads."""
 
 import argparse
 import re
@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from evidencer.cli import build_parser
+from evidencer.dataio import load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,3 +56,16 @@ def test_command_line_synopsis_lists_the_parser_options():
     assert set(lines) == {"<subcommand>", "pipeline"}
     assert lines["pipeline"] == options.pop("pipeline")
     assert all(stage == lines["<subcommand>"] for stage in options.values())
+
+
+def test_configuration_example_loads(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Configuration schema\n", 1)[1].split("\n### ", 1)[0]
+    (block,) = re.findall(r"```jsonc\n(.*?)```", section, flags=re.S)
+    path = tmp_path / "config.json"
+    path.write_text(re.sub(r"//.*", "", block), encoding="utf-8")
+    config = load_config(path)
+    assert config.families.names == ("simple", "rich")
+    assert list(config.families.weights[1]) == [1.0]
+    assert config.layout is None
+    assert config.betas["regressor"] == "task"
