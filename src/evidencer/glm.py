@@ -27,8 +27,11 @@ read a session through one :class:`SessionStats`: ``xtpx = X'PX``,
 is O(p^2) whatever the scan count. They come from :func:`response_stats`,
 one pass over ``Y`` that serves any number of designs on the same response
 and precision and checks the response per voxel (a spec checks only its
-design). A spec and a response pass check the precision by one rule, which
-also forms log|P|. The fields add over sessions, so summed statistics
+design). It reads each response once, in fixed-width zero-padded voxel
+blocks, holds no ``P·Y`` larger than a block, and gives a voxel the same
+bits whatever the voxel count or however the voxels are split over calls.
+A spec and a response pass check the precision by one rule, which also
+forms log|P|. The fields add over sessions, so summed statistics
 are as valid an input as one session's. The posterior mean is solved with
 the Cholesky factor of its precision by forward and back substitution.
 
@@ -64,6 +67,9 @@ _RANK_RTOL = 1e-10
 _SYM_RTOL = 1e-12
 # design columns per product in the response pass
 _STACK = 4
+# voxels per block of the response pass: at 200 scans a block is 800 KB,
+# still in L2 cache when the product reads it
+_BLOCK = 512
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> None:
@@ -86,10 +92,13 @@ def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``(p, V)`` right-hand side: forward substitution with ``L``, then back
     substitution with ``L'``, each row step batched over the V columns."""
     x = np.array(rhs, dtype=float)
-    for i in range(x.shape[0]):
+    p = x.shape[0]
+    x[0] /= chol[0, 0]  # the first and last steps' row products are empty
+    for i in range(1, p):
         x[i] -= chol[i, :i] @ x[:i]
         x[i] /= chol[i, i]
-    for i in reversed(range(x.shape[0])):
+    x[p - 1] /= chol[p - 1, p - 1]
+    for i in reversed(range(p - 1)):
         x[i] -= chol[i + 1:, i] @ x[i + 1:]
         x[i] /= chol[i, i]
     return x
@@ -305,40 +314,55 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> list:
     over ``Y``.
 
     The ``(n, p_i)`` designs share the response ``Y`` and the precision.
-    ``P Y``, the per-voxel ``y'Py`` and ``log|P|`` are formed once, and
-    ``X'PY`` of every design comes from one product over the designs'
-    distinct columns, then row selections. The product runs over stacks of
-    four columns, zero-padded, so BLAS always sees the same operand shapes:
-    it picks its kernels by shape, and kernels for different shapes round
-    differently. A design's statistics are thus bit-identical whether it is
-    alone or shares the pass. A non-finite ``y'Py`` (a non-finite cell, or
-    an overflow) raises :class:`DomainError` naming the voxels; the
-    precision must meet :class:`GlmSpec`'s rule.
+    ``log|P|`` is formed once, and the pass reads ``Y`` once, in blocks of
+    ``_BLOCK`` voxels, the last one zero-padded to that width. Per block it
+    forms ``P y`` (no larger than the block), the block's ``y'Py`` and then
+    ``X'PY`` of every design, from one product over the designs' distinct
+    columns while the block is still in cache; each design takes its rows.
+    The product runs over stacks of four columns, zero-padded, so BLAS
+    always sees the same operand shapes: it picks its kernels by shape, and
+    kernels for different shapes round differently. A design's statistics
+    are thus bit-identical whether it is alone or shares the pass, and a
+    voxel's whatever the voxel count or however the voxels are split over
+    calls. A non-finite ``y'Py`` (a non-finite cell, or an overflow) raises
+    :class:`DomainError` naming the voxels, and a block that holds one skips
+    the product; the precision must meet :class:`GlmSpec`'s rule.
     """
-    logdet = _precision_logdet(precision, Y.shape[0])
-    py = _precision_times(precision, Y)
-    ytpy = np.einsum("nv,nv->v", Y, py)
-    bad = np.flatnonzero(~np.isfinite(ytpy))
-    if bad.size:
-        raise DomainError(
-            f"y'Py is not finite at {bad.size} voxel(s), first at voxel "
-            f"v{bad[0] + 1}; the response holds a non-finite cell there, or values "
-            "whose quadratic form overflows"
-        )
+    n, v = Y.shape
+    logdet = _precision_logdet(precision, n)
     distinct = {}
     rows = [
         [distinct.setdefault(column.tobytes(), len(distinct)) for column in x.T]
         for x in designs
     ]
-    stacked = np.zeros((-(-len(distinct) // _STACK) * _STACK, Y.shape[0]))
+    stacked = np.zeros((-(-len(distinct) // _STACK) * _STACK, n))
     for x, r in zip(designs, rows):
         stacked[r] = x.T
-    xtpy = np.concatenate(
-        [stacked[i:i + _STACK] @ py for i in range(0, len(stacked), _STACK)]
-    )
+    padded = -(-v // _BLOCK) * _BLOCK
+    xtpy, ytpy = np.empty((len(stacked), padded)), np.empty(padded)
+    finite = True
+    for lo in range(0, v, _BLOCK):
+        y = Y[:, lo:lo + _BLOCK]
+        if y.shape[1] < _BLOCK:
+            y = np.zeros((n, _BLOCK))
+            y[:, :v - lo] = Y[:, lo:]
+        py = _precision_times(precision, y)
+        block = np.einsum("nv,nv->v", y, py, out=ytpy[lo:lo + _BLOCK])
+        finite = finite and np.isfinite(block).all()
+        if finite:  # a non-finite P y would warn in the product
+            for i in range(0, len(stacked), _STACK):
+                np.matmul(stacked[i:i + _STACK], py, out=xtpy[i:i + _STACK, lo:lo + _BLOCK])
+    ytpy = ytpy[:v]
+    if not finite:
+        bad = np.flatnonzero(~np.isfinite(ytpy))
+        raise DomainError(
+            f"y'Py is not finite at {bad.size} voxel(s), first at voxel "
+            f"v{bad[0] + 1}; the response holds a non-finite cell there, or values "
+            "whose quadratic form overflows"
+        )
     return [
         SessionStats(
-            x.T @ _precision_times(precision, x), xtpy[r], ytpy, Y.shape[0], logdet
+            x.T @ _precision_times(precision, x), xtpy[r, :v], ytpy, n, logdet
         )
         for x, r in zip(designs, rows)
     ]

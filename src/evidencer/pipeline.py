@@ -47,7 +47,9 @@ from . import __version__
 from .bma import BetaStack, cv_bma, log_family_evidence, posterior_probabilities
 from .crossval import CvResult, SessionLayout, _cv_folds, _fold_stats, split_glm_spec
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
-from .errors import ConfigError, DomainError, EvidencerError, NumericalError, ParseError
+from .errors import (
+    ConfigError, DomainError, EstimationError, EvidencerError, NumericalError, ParseError,
+)
 from .glm import GlmSpec
 from .rfx import (
     EP_REL_TAIL,
@@ -314,7 +316,11 @@ def _cv_tables(result: CvResult, *terms) -> dict:
 
 
 def _stage_cvlme(config, options, stats, layout) -> _StageResult:
-    result = _cv_folds(stats, layout)
+    try:
+        result = _cv_folds(stats, layout)
+    except EstimationError as exc:
+        files = ", ".join(str(config.resolve(path)) for path in config.data)
+        raise EstimationError(f"{exc} (response files {files})") from None
     single = config.layout is not None
     scans = [layout.total_scans] if single else [b - a for a, b in layout.sessions]
     sizes = {

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .special import digamma, gamma_tail_quantiles, log_gamma, reg_lower_incomplete_gamma
+from .special import (
+    _psi, digamma, gamma_tail_quantiles, log_gamma, reg_lower_incomplete_gamma,
+)
 
 __all__ = [
     "GroupLmeStack",
@@ -162,7 +164,7 @@ def _vb_step(alpha, e, lme, voxels, alpha0: float) -> tuple:
         pair, logged = _vb_step(alpha.repeat(2, 1), e.repeat(2, 2), lme,
                                 voxels.repeat(2), alpha0)
         return pair[:, :1], logged // 2
-    psi = digamma(alpha)
+    psi = _psi(alpha)  # estimate_rfx's checks keep every iterate finite and positive
     w = np.exp(psi - psi.max(axis=0, keepdims=True))
     d = np.einsum("nka,ka->na", e, w)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -61,6 +61,12 @@ def digamma(x) -> np.ndarray | float:
     arr = _validated(x, "x", positive=True)
     if arr.ndim == 0:
         return _scalar_digamma(float(arr))
+    return _psi(arr)
+
+
+def _psi(arr: np.ndarray) -> np.ndarray:
+    """psi of a float array whose entries the caller keeps finite and
+    positive, without :func:`digamma`'s checks (the VB loop's iterates)."""
     from scipy import special
 
     return special.psi(arr)

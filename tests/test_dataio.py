@@ -371,6 +371,21 @@ class TestCanonicalReader:
         assert matrix.values.tobytes() == np.array([float(c) for c in cells]).tobytes()
         assert sum(halfway) > 0 or not dataio._EXACT_LONGDOUBLE
 
+    @pytest.mark.parametrize("wide_share, declined", [(0.7, True), (0.1, False)])
+    def test_a_block_of_mostly_float_cells_is_declined(self, tmp_path, wide_share, declined):
+        # cells with |q| > 27 go to float() one by one; where they are most
+        # of a block, the general reader is faster and the file goes there
+        rng = np.random.default_rng(11)
+        wide = rng.random((40, 500)) < wide_share
+        exponent = np.where(wide, rng.choice([-90, -60, 40, 90], wide.shape), 0)
+        values = rng.uniform(-10, 10, wide.shape) * 10.0**exponent
+        cells = [[_canonical(v) for v in row] for row in values.tolist()]
+        path = self._write(tmp_path, "\n".join(map(",".join, cells)) + "\n")
+        matrix = load_matrix(path)
+        assert matrix.declined == (declined and dataio._EXACT_LONGDOUBLE)
+        expected = np.array([[float(c) for c in row] for row in cells])
+        assert matrix.values.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "nmant, bits", [(52, None), (63, (0x7FF, 0x400)), (112, (2**60 - 1, 2**59))]
     )

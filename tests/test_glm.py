@@ -1,5 +1,11 @@
 """Conjugate GLM inference: update algebra, evidence identities, oracles."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import (
@@ -16,8 +22,10 @@ from helpers import (
     times_precision,
 )
 
+import evidencer
 from evidencer.errors import DecompositionError, DomainError, EstimationError
 from evidencer.glm import (
+    _BLOCK,
     GlmSpec,
     NgParams,
     SessionStats,
@@ -27,6 +35,22 @@ from evidencer.glm import (
     complexity,
     response_stats,
 )
+
+_SRC = str(Path(evidencer.__file__).resolve().parent.parent)
+# prints the statistics' bytes of identity and diagonal precisions at shapes
+# where BLAS picks several kernels
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from evidencer.glm import response_stats
+rng = np.random.default_rng(59)
+for n, v in [(200, 2500), (100, 777), (40, 300)]:
+    y = rng.normal(size=(n, v)) + 5.0
+    x = rng.normal(size=(n, 6))
+    for precision in (None, rng.uniform(0.5, 2.0, size=n)):
+        for stats in response_stats(y, [x[:, :2], x, x[:, [3]]], precision):
+            print(hashlib.sha256(stats.xtpy.tobytes() + stats.ytpy.tobytes()).hexdigest())
+"""
 
 NONFINITE = pytest.mark.parametrize(
     "value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"]
@@ -117,7 +141,9 @@ class TestResponseStats:
                 np.testing.assert_array_equal(getattr(stats, name), getattr(alone, name))
             np.testing.assert_array_equal(stats.xtpx, x.T @ times_precision(precision, x))
             np.testing.assert_allclose(stats.xtpy, x.T @ py, rtol=1e-12, atol=1e-12)
-            np.testing.assert_array_equal(stats.ytpy, np.einsum("nv,nv->v", y, py))
+            np.testing.assert_allclose(
+                stats.ytpy, np.einsum("nv,nv->v", y, py), rtol=1e-12, atol=1e-12
+            )
             assert stats.n == n
             assert stats.logdet_precision == pytest.approx(
                 np.linalg.slogdet(dense)[1], rel=1e-12, abs=1e-12
@@ -128,6 +154,81 @@ class TestResponseStats:
                 log_model_evidence(stats, prior, posterior_update(stats, prior)),
                 log_model_evidence(alone, prior, posterior_update(alone, prior)),
             )
+
+    @pytest.mark.parametrize("v", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["one-column", "stacked"])
+    def test_voxel_chunks_keep_every_bit(self, v, precision_kind, wide):
+        # the pass runs over fixed-width padded blocks, so BLAS sees the same
+        # shapes however the voxels are split over calls, and a voxel's
+        # statistics keep their bits; the stacked designs have more distinct
+        # columns than one product stack holds
+        rng = np.random.default_rng(56)
+        n = 30
+        x = random_design(rng, n, 6)
+        designs = [x[:, :3], x, x[:, [1, 4]]] if wide else [x[:, [0]]]
+        y = rng.normal(size=(n, v)) + 5.0
+        precision = random_precision(rng, n, precision_kind)
+        whole = response_stats(y, designs, precision)
+        cuts = sorted({0, 1, v // 2, v - 1, v})
+        parts = [response_stats(y[:, a:b], designs, precision) for a, b in zip(cuts, cuts[1:])]
+        for d, stats in enumerate(whole):
+            pieces = [part[d] for part in parts]
+            np.testing.assert_array_equal(
+                np.concatenate([p.xtpy for p in pieces], axis=1), stats.xtpy
+            )
+            np.testing.assert_array_equal(np.concatenate([p.ytpy for p in pieces]), stats.ytpy)
+            for p in pieces:
+                np.testing.assert_array_equal(p.xtpx, stats.xtpx)
+                assert (p.n, p.logdet_precision) == (stats.n, stats.logdet_precision)
+
+    @pytest.mark.parametrize("precision_kind", ["diagonal", "full"])
+    def test_no_full_size_precision_product(self, precision_kind):
+        # P y is formed one block at a time; the statistics are p + 1 rows
+        rng = np.random.default_rng(57)
+        n, v = 200, 20_000
+        y = rng.normal(size=(n, v))
+        x = random_design(rng, n, 2)
+        precision = random_precision(rng, n, precision_kind)
+        tracemalloc.start()
+        try:
+            response_stats(y, [x], precision)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes / 4
+
+    def test_diagonal_and_identity_bits_do_not_depend_on_blas_threads(self):
+        # a full precision's P @ block rounds differently at two OpenBLAS
+        # threads; the stacks-of-four product and the einsum do not
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
+                text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append(done.stdout)
+        assert runs[0] == runs[1]
+
+    @NONFINITE
+    @pytest.mark.parametrize("voxels", [[2 * _BLOCK + 1], [4, 2 * _BLOCK + 1]])
+    def test_nonfinite_cell_in_a_padded_block_names_voxel(self, voxels, value):
+        # the last block is zero-padded; voxels are counted over the whole
+        # response, past a block that already failed, and no product warns
+        rng = np.random.default_rng(58)
+        y = rng.normal(size=(10, 2 * _BLOCK + 3))
+        y[3, voxels] = value
+        expected = (
+            rf"^y'Py is not finite at {len(voxels)} voxel\(s\), "
+            rf"first at voxel v{voxels[0] + 1};"
+        )
+        for precision_kind in ("identity", "diagonal", "full"):
+            precision = random_precision(rng, 10, precision_kind)
+            with pytest.raises(DomainError, match=expected):
+                response_stats(y, [random_design(rng, 10, 2)], precision)
 
     @pytest.mark.parametrize(
         "precision, error, message",

@@ -1171,6 +1171,21 @@ class TestCli:
             "Y_s2.csv has 11, Y_s1.csv 12"
         )
 
+    def test_exact_fit_names_the_response_files(self, tmp_path, capsys):
+        # voxel v1 is constant in every session, so a failed update sees
+        # statistics only; the stage adds the files they came from
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(root)
+        for s in (1, 2):
+            y = load_matrix(root / f"Y_s{s}.csv").values
+            y[:, 0] = 100.0
+            save_matrix(root / f"Y_s{s}.csv", y)
+        status = self._failed_cvlme(config_path, tmp_path / "o", capsys)
+        assert status.startswith("failed: EstimationError: model 'm1', ")
+        assert "posterior rate b is non-positive at 1 voxel(s), first at voxel v1;" in status
+        files = ", ".join(str((root / f"Y_s{s}.csv").resolve()) for s in (1, 2))
+        assert status.endswith(f" (response files {files})")
+
     def test_design_widening_in_session_2_names_model_session_and_file(
         self, tmp_path, capsys
     ):
