@@ -19,8 +19,7 @@ long double multiply or divide by an exact power of ten, |q| <= 27
 exactly halfway between two doubles, as its low significand bits show.
 Such cells, cells with |q| > 27 and cells with three exponent digits are
 read by ``float()``, so every value is bit-identical to ``float(cell)``;
-a block where they are more than one cell in two, and over 1,024, is
-declined, as the reader below is faster there.
+a block where they are over 1,024 and over half its cells is declined.
 The decoder is off where ``long double`` does not round to a 64-bit or
 wider significand (Windows, macOS on arm64, ppc64's double-double). On a
 2-vCPU Xeon VM it reads a 200 x 2,500 file of 11.5 MB in 35-45 ms,
@@ -180,9 +179,7 @@ _NUMBER_START = re.compile(r"\s*[+-]?[\d.iInN]")
 
 def _header(cells: list) -> tuple | None:
     """The stripped labels of a first row none of whose cells reads by
-    ``float()``, or None when one does and the row is data. Only a cell
-    that starts like a number goes to ``float()``, which spares a raised
-    exception per label."""
+    ``float()``, or None when one does and the row is data."""
     for cell in filter(_NUMBER_START.match, cells):
         try:
             float(cell)
@@ -201,9 +198,9 @@ _BLOCK_BYTES = 1 << 18
 _PAD = 24  # zero bytes around each block, so every cell window lies inside
 _FRAME = bytes(_PAD)
 _MAX_EXACT_POWER = 27  # 10**27 = 2**27 * 5**27 with 5**27 < 2**64
-# a block with more float() cells than one in _REDO_SHARE, and than _REDO_FREE,
-# is declined: a float() cell costs about 0.5 us, a general reader's cell 0.35
-_REDO_SHARE, _REDO_FREE = 2, 1024
+# the general reader takes 75 ms on 250,000 cells, half float() (78 ms kept),
+# and 0.57 ms on 1,024 float() cells (0.56 kept), so past both a block is declined
+_REDO_SHARE, _REDO_FREE = 2, 1024  # float() cells: over one in two, over 1,024
 _POWERS = np.cumprod(np.array([1] + [10] * _MAX_EXACT_POWER, dtype=np.longdouble))
 # by exponent code: e for e+DD, 100 + e for e-DD; a cell is M * 10**q
 _Q = np.array([e - 16 for e in range(100)] + [-e - 16 for e in range(100)])
@@ -288,13 +285,12 @@ def _scale_once(exact: np.ndarray, power: np.ndarray, up: np.ndarray) -> np.ndar
 def _decode_canonical(b: np.ndarray, start: int, width: int) -> np.ndarray | None:
     """The values of the whole lines ``b[start:-_PAD]`` (uint8) of ``width``
     canonical cells each, flat in row order and each equal to ``float(cell)``;
-    None if a byte breaks the form, or if too many cells would need
-    ``float()``. ``b`` has ``_PAD`` bytes before ``start`` and ends in
-    ``_PAD`` zero bytes, so each cell has a 32-byte window from
-    24 bytes before its e: byte 5 is its "-" or the byte before it, 6 its
-    leading digit, 7 the point, 8-23 the fraction, 24 the e, 25 the
-    exponent's sign, 26-27 its digits, 28 the separator or a third digit
-    and 29 the separator after a third digit."""
+    None if a byte breaks the form or too many cells need ``float()``. ``b``
+    has ``_PAD`` bytes before ``start`` and ends in ``_PAD`` zero bytes, so
+    each cell has a 32-byte window from 24 bytes before its e: byte 5 is its
+    "-" or the byte before it, 6 its leading digit, 7 the point, 8-23 the
+    fraction, 24 the e, 25 the exponent's sign, 26-27 its digits, 28 the
+    separator or a third digit and 29 the separator after a third digit."""
     stop = b.size - _PAD
     marks = np.flatnonzero(b[start:stop] == ord("e")) + start
     if marks.size == 0 or marks.size % width:
@@ -414,12 +410,8 @@ def _is_number(text: str) -> bool:
 
 
 def _first_fault(path, lines, data, first_line, width, cause=None) -> ParseError:
-    """The error for the first data record that breaks the acceptance rule.
-
-    Records are checked in file order, each for blankness, then cell by
-    cell, then for its width. This pass only names the fault; the values
-    always come from :func:`numpy.loadtxt`.
-    """
+    """The error for the first data record, in file order, that is blank,
+    holds a bad cell or is ragged; the values come from :func:`numpy.loadtxt`."""
     for line_no, record in enumerate(data, start=first_line):
         where = f"{path}, line {line_no}"
         if record.blank:
@@ -429,7 +421,9 @@ def _first_fault(path, lines, data, first_line, width, cause=None) -> ParseError
             if not text:
                 return ParseError(f"{where}, column {column}: empty cell")
             if not _is_number(text):
-                return ParseError(f"{where}, column {column}: non-numeric cell {cell!r}")
+                return ParseError(
+                    f"{where}, column {column}: non-numeric cell {cell!r}"
+                )
         if record.width != width:
             return ParseError(
                 f"{where}: ragged row with {record.width} cells, expected {width}"
@@ -477,7 +471,11 @@ def load_matrix(path) -> LabeledMatrix:
     try:
         values = np.loadtxt(
             lines[data[0].start : data[-1].stop],
-            dtype=float, delimiter=",", quotechar='"', comments=None, ndmin=2,
+            dtype=float,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=2,
         )
     except ValueError as exc:
         raise _first_fault(path, lines, data, first_line, width, exc) from None
@@ -532,7 +530,9 @@ _EXPONENTS = np.frombuffer(
 def _scaled(magnitude: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``magnitude * 10**(16 - q)`` as long doubles, each rounded once."""
     shift = 16 - q
-    return _scale_once(magnitude.astype(np.longdouble), _POWERS[np.abs(shift)], shift >= 0)
+    return _scale_once(
+        magnitude.astype(np.longdouble), _POWERS[np.abs(shift)], shift >= 0
+    )
 
 
 def _encode_cells(x: np.ndarray) -> np.ndarray:
