@@ -11,7 +11,7 @@ the one place a public name is declared.
 
 __version__ = "0.1.0"
 
-from . import bma, crossval, dataio, errors, glm, pipeline, rfx, special
+from . import bma, crossval, dataio, errors, glm, pipeline, rfx
 from .bma import *  # noqa: F403
 from .crossval import *  # noqa: F403
 from .dataio import *  # noqa: F403
@@ -19,7 +19,6 @@ from .errors import *  # noqa: F403
 from .glm import *  # noqa: F403
 from .pipeline import *  # noqa: F403
 from .rfx import *  # noqa: F403
-from .special import *  # noqa: F403
 
-_MODULES = (bma, crossval, dataio, errors, glm, pipeline, rfx, special)
+_MODULES = (bma, crossval, dataio, errors, glm, pipeline, rfx)
 __all__ = ["__version__"] + [name for module in _MODULES for name in module.__all__]

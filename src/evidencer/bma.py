@@ -74,7 +74,7 @@ class PosteriorProbs:
         pp = np.atleast_2d(np.asarray(self.pp, dtype=float))
         if np.any(pp < 0):
             raise DomainError("posterior probabilities must be non-negative")
-        if np.max(np.abs(pp.sum(axis=0) - 1.0)) > 1e-10:
+        if np.max(np.abs(pp.sum(axis=0) - 1.0), initial=0.0) > 1e-10:
             raise DomainError("posterior probabilities must sum to 1 per voxel")
         object.__setattr__(self, "pp", pp)
 
@@ -152,7 +152,10 @@ class FamilyPartition:
         seen = []
         normalized = []
         for name, indices in self.families:
+            indices = tuple(indices)
             idx = tuple(int(i) for i in indices)
+            if idx != indices:
+                raise DomainError(f"family {name!r} has non-integral indices {indices!r}")
             if not idx:
                 raise DomainError(f"family {name!r} is empty")
             if any(i < 0 or i >= self.n_models for i in idx):

@@ -95,7 +95,7 @@ class SessionLayout:
     @classmethod
     def from_counts(cls, counts) -> "SessionLayout":
         """Contiguous multi-session layout from per-session scan counts."""
-        counts = [int(c) for c in counts]
+        counts = [_scan_count(c) for c in counts]
         if any(c <= 0 for c in counts):
             raise LayoutError("every session needs at least one scan")
         edges = np.concatenate([[0], np.cumsum(counts)])
@@ -103,6 +103,12 @@ class SessionLayout:
             (int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])
         )
         return cls(sessions=sessions, discarded=(), total_scans=int(edges[-1]))
+
+
+def _scan_count(value) -> int:
+    if int(value) != value:
+        raise LayoutError(f"scan counts must be integers, got {value!r}")
+    return int(value)
 
 
 def split_single_session(n: int) -> SessionLayout:
@@ -113,7 +119,7 @@ def split_single_session(n: int) -> SessionLayout:
     temporal dependence between them. At least 40 scans are required, so
     each half can estimate something.
     """
-    n = int(n)
+    n = _scan_count(n)
     if n < _MIN_SINGLE_SESSION_SCANS:
         raise LayoutError(
             f"single-session split needs at least {_MIN_SINGLE_SESSION_SCANS} "

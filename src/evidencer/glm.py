@@ -115,8 +115,9 @@ class NgParams:
     ``mu`` is ``(p,)`` or ``(p, V)``; ``lam`` is a shared ``(p, p)``
     symmetric matrix; ``a`` is a shared scalar; ``b`` is scalar or ``(V,)``,
     and a per-voxel ``b`` next to a ``(p, V)`` mean has one entry per
-    column. ``_chol`` may carry an already computed Cholesky factor of
-    ``lam``.
+    column. Entries must be finite, ``a`` and ``b`` non-negative, else
+    :class:`DomainError`. ``_chol`` may carry an already computed Cholesky
+    factor of ``lam``.
     """
 
     mu: np.ndarray
@@ -134,6 +135,9 @@ class NgParams:
         self.a = float(self.a)
         if self.mu.ndim not in (1, 2):
             raise DomainError("mu must be a vector or a (p, V) matrix")
+        for name in ("mu", "lam", "a", "b"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DomainError(f"{name} must be finite")
         p = self.mu.shape[0]
         if self.lam.shape != (p, p):
             raise DomainError(f"lam must be ({p}, {p}), got {self.lam.shape}")
@@ -191,8 +195,8 @@ class NgParams:
     def require_proper(self, operation: str) -> None:
         if not self.is_proper:
             raise DomainError(
-                f"{operation} requires a proper normal-gamma parameter set; "
-                "the non-informative instance is only valid as an update input"
+                f"{operation} requires a proper normal-gamma parameter set (lam positive "
+                "definite, a and b > 0); the non-informative prior is only an update input"
             )
 
 
@@ -459,9 +463,10 @@ def log_model_evidence(stats: SessionStats, prior: NgParams, post: NgParams) -> 
     """Per-voxel log marginal likelihood of the data under the model.
 
     Requires a strictly proper prior (the non-informative instance has an
-    infinite log-determinant penalty and is rejected).
+    infinite log-determinant penalty and is rejected) and posterior.
     """
     prior.require_proper("log_model_evidence")
+    post.require_proper("log_model_evidence")
     _check_consistency(stats, prior, post)
     b0 = _prior_b_vector(prior, stats.n_voxels)
     return (
@@ -482,11 +487,10 @@ def accuracy(stats: SessionStats, post: NgParams) -> np.ndarray:
     The residual quadratic form ``(y - X mu)' P (y - X mu)`` is expanded
     over the sufficient statistics, which costs O(p^2) per voxel instead of
     O(n p) and accepts the same cancellation at high SNR as the posterior
-    rate ``b``.
+    rate ``b``. Requires a proper posterior.
     """
     _check_shape(stats, post)
-    if post.a <= 0 or np.any(post.b <= 0):
-        raise DomainError("accuracy requires a proper posterior")
+    post.require_proper("accuracy")
     mu = post.mu
     quad = (
         stats.ytpy
@@ -510,9 +514,10 @@ def complexity(prior: NgParams, post: NgParams) -> np.ndarray:
 
     Collected-terms form of the expected coefficient KL (over the posterior
     precision) plus the Gamma precision KL; equals ``accuracy - lme`` up to
-    round-off.
+    round-off. Requires a proper prior and posterior.
     """
     prior.require_proper("complexity")
+    post.require_proper("complexity")
     V = post.n_voxels
     mu0 = _prior_mu_matrix(prior, V)
     b0 = _prior_b_vector(prior, V)

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .special import (
-    _psi, digamma, gamma_tail_quantiles, log_gamma, reg_lower_incomplete_gamma,
-)
+from .special import digamma, gamma_tail_quantiles, log_gamma, reg_lower_incomplete_gamma
 
 __all__ = [
     "GroupLmeStack",
@@ -120,7 +118,7 @@ class DirichletPosterior:
         if self.n_subjects is not None:
             k = self.alpha.shape[0]
             target = k * self.alpha0 + self.n_subjects
-            if np.max(np.abs(self.alpha.sum(axis=0) - target)) > 1e-8 * target:
+            if np.max(np.abs(self.alpha.sum(axis=0) - target), initial=0.0) > 1e-8 * target:
                 raise DomainError(
                     "concentration mass is inconsistent with the subject count"
                 )
@@ -164,7 +162,7 @@ def _vb_step(alpha, e, lme, voxels, alpha0: float) -> tuple:
         pair, logged = _vb_step(alpha.repeat(2, 1), e.repeat(2, 2), lme,
                                 voxels.repeat(2), alpha0)
         return pair[:, :1], logged // 2
-    psi = _psi(alpha)  # estimate_rfx's checks keep every iterate finite and positive
+    psi = digamma(alpha)
     w = np.exp(psi - psi.max(axis=0, keepdims=True))
     d = np.einsum("nka,ka->na", e, w)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -1,18 +1,18 @@
 """Numerically robust special functions.
 
-Evidences and exceedance probabilities reduce to a handful of primitives
-collected here: the log gamma function, the digamma function, the
-regularized lower incomplete gamma integral (the Gamma CDF), and the Gamma
-tail quantiles that bound an integration domain.
+Evidences and exceedance probabilities reduce to the log gamma and digamma
+functions, the regularized lower incomplete gamma integral (the Gamma CDF)
+and the Gamma tail quantiles that bound an integration domain.
 
 A scalar argument of :func:`log_gamma` or :func:`digamma` (a Python number,
 a numpy scalar or a 0-d array) is evaluated by the standard library:
-``math.lgamma`` and a short digamma series. Array arguments, and every
-argument of the other functions, go through scipy's ufuncs, and
-``scipy.special`` is imported on the first such call. The first-level
-stages need ln G and psi only at the Gamma shapes, which are scalars, so
-they never pay for that import (about 0.35 s). This module owns argument
-validation and error semantics.
+``math.lgamma`` and a short digamma series. It must be finite and positive,
+else :class:`DomainError` (the series would never end at ``-inf``). Arrays,
+and every argument of the other functions, go unchecked to scipy's ufuncs:
+the library checks its arguments where they enter it. ``scipy.special`` is
+imported on the first such call. The first-level stages need ln G and psi
+only at the Gamma shapes, which are scalars, so they never pay for that
+import (about 0.35 s). Nothing here is public.
 """
 
 from __future__ import annotations
@@ -23,53 +23,33 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "log_gamma",
-    "digamma",
-    "reg_lower_incomplete_gamma",
-]
+__all__: list = []
 
 
-def _validated(x, name: str, *, positive: bool = False, nonneg: bool = False):
-    """Convert to float array, enforcing finiteness and sign constraints."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    if positive and not np.all(arr > 0):
-        raise DomainError(f"{name} must be strictly positive, got {x!r}")
-    if nonneg and not np.all(arr >= 0):
-        raise DomainError(f"{name} must be non-negative, got {x!r}")
-    return arr
+def _scalar(x) -> float:
+    """A scalar argument as a float, which must be finite and positive."""
+    value = float(x)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"x must be finite and strictly positive, got {x!r}")
+    return value
 
 
 def log_gamma(x) -> np.ndarray | float:
-    """Natural log of the gamma function, ``ln G(x)`` for ``x > 0``.
+    """Natural log of the gamma function, ``ln G(x)`` for ``x > 0``."""
+    if np.ndim(x):
+        from scipy import special
 
-    Accepts scalars or arrays; raises :class:`DomainError` on non-positive
-    or non-finite input.
-    """
-    arr = _validated(x, "x", positive=True)
-    if arr.ndim == 0:
-        return math.lgamma(float(arr))
-    from scipy import special
-
-    return special.gammaln(arr)
+        return special.gammaln(x)
+    return math.lgamma(_scalar(x))
 
 
 def digamma(x) -> np.ndarray | float:
     """Digamma function ``psi(x) = d/dx ln G(x)`` for ``x > 0``."""
-    arr = _validated(x, "x", positive=True)
-    if arr.ndim == 0:
-        return _scalar_digamma(float(arr))
-    return _psi(arr)
+    if np.ndim(x):
+        from scipy import special
 
-
-def _psi(arr: np.ndarray) -> np.ndarray:
-    """psi of a float array whose entries the caller keeps finite and
-    positive, without :func:`digamma`'s checks (the VB loop's iterates)."""
-    from scipy import special
-
-    return special.psi(arr)
+        return special.psi(x)
+    return _scalar_digamma(_scalar(x))
 
 
 # B_2k / 2k for k = 1..6: psi(x) ~ ln x - 1/(2x) - sum_k B_2k / (2k x^2k)
@@ -92,29 +72,25 @@ def _scalar_digamma(x: float) -> float:
 
 
 def reg_lower_incomplete_gamma(a, x) -> np.ndarray | float:
-    """Regularized lower incomplete gamma ``P(a, x)`` in ``[0, 1]``.
+    """Regularized lower incomplete gamma ``P(a, x)`` in ``[0, 1]`` for
+    ``a > 0`` and ``x >= 0``.
 
     Equals the CDF of a Gamma(a, 1) variate at ``x``; monotone
     nondecreasing in ``x``.
     """
-    a_arr = _validated(a, "a", positive=True)
-    x_arr = _validated(x, "x", nonneg=True)
     from scipy import special
 
-    result = special.gammainc(a_arr, x_arr)
-    return float(result) if a_arr.ndim == x_arr.ndim == 0 else result
+    return special.gammainc(a, x)
 
 
 def gamma_tail_quantiles(shape, tail: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Gamma(shape, 1) quantiles at ``tail`` and at ``1 - tail``.
+    """The Gamma(shape, 1) quantiles at ``tail`` and at ``1 - tail``, for
+    ``shape > 0`` and ``tail`` in (0, 0.5).
 
     The upper quantile comes from the complementary inverse, since ``tail``
     is representable where ``1 - tail`` is not. The lower quantile
     underflows to 0 for small shapes.
     """
-    shape = _validated(shape, "shape", positive=True)
-    if not (0.0 < tail < 0.5):
-        raise DomainError(f"tail must lie in (0, 0.5), got {tail!r}")
     from scipy import special
 
     return special.gammaincinv(shape, tail), special.gammainccinv(shape, tail)

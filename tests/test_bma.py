@@ -14,7 +14,10 @@ from evidencer.bma import (
     oos_bma,
     posterior_probabilities,
 )
+from evidencer.crossval import SessionLayout, cv_lme_models
 from evidencer.errors import DomainError
+from evidencer.glm import GlmSpec
+from evidencer.rfx import GroupLmeStack, ep_integration_stack, estimate_rfx
 
 
 class TestPosteriorProbabilities:
@@ -194,3 +197,30 @@ class TestOosBma:
         pp = PosteriorProbs(pp=np.full((2, 4), 0.5))
         with pytest.raises(DomainError):
             oos_bma(betas, [pp, pp])
+
+
+def _no_voxel_cv_lme():
+    x = np.random.default_rng(3).normal(size=(20, 2))
+    specs = [GlmSpec(Y=np.empty((10, 0)), X=x[:10]), GlmSpec(Y=np.empty((10, 0)), X=x[10:])]
+    return cv_lme_models({"m0": specs, "m1": specs}, SessionLayout.from_counts([10, 10])).cv_lme
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        _no_voxel_cv_lme,
+        lambda: posterior_probabilities(np.empty((2, 0))).pp,
+        lambda: log_family_evidence(
+            np.empty((2, 0)), FamilyPartition.from_mapping(2, {"f": (0, 1)})
+        ),
+        lambda: cv_bma(BetaStack(np.empty((2, 3, 0))), PosteriorProbs(np.empty((2, 0))))[None],
+        lambda: estimate_rfx(GroupLmeStack(np.empty((3, 2, 0)), ("s1", "s2", "s3"))).alpha,
+        lambda: ep_integration_stack(np.empty((2, 0)))[0],
+    ],
+    ids=["cv_lme_models", "posterior_probabilities", "log_family_evidence", "cv_bma",
+         "estimate_rfx", "ep_integration_stack"],
+)
+def test_no_voxels_give_empty_results(run):
+    # every voxel-wise stage maps a (..., 0) input to a (k, 0) result
+    out = run()
+    assert out.shape[1] == 0 and out.shape[0] >= 1

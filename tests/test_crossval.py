@@ -105,6 +105,14 @@ class TestSessionLayout:
             (a0, a1), (b0, b1) = layout.sessions
             assert a1 - a0 == b1 - b0
 
+    @pytest.mark.parametrize(
+        "make", [lambda: SessionLayout.from_counts([10.5, 10]), lambda: split_single_session(40.9)],
+        ids=["from_counts", "split_single_session"],
+    )
+    def test_rejects_non_integral_scan_count(self, make):
+        with pytest.raises(LayoutError, match=r"(10\.5|40\.9)"):
+            make()
+
     def test_too_small_rejected(self):
         with pytest.raises(LayoutError):
             split_single_session(39)

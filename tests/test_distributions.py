@@ -203,6 +203,17 @@ class TestNgParams:
         with pytest.raises(DomainError):
             NgParams(mu=np.zeros(1), lam=np.eye(1), a=-0.5, b=1.0)
 
+    @pytest.mark.parametrize("name", ["mu", "lam", "a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_rejects_nonfinite_hyperparameters(self, name, value):
+        fields = dict(mu=np.zeros((2, 3)), lam=np.eye(2), a=1.0, b=np.ones(3))
+        if name == "a":
+            fields["a"] = value
+        else:
+            fields[name].flat[-1] = value
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            NgParams(**fields)
+
     def test_improper_rejected_by_guard(self):
         ni = NgParams.noninformative(2)
         with pytest.raises(DomainError, match="proper"):

@@ -28,6 +28,11 @@ class TestFamilyPartition:
         with pytest.raises(DomainError):
             uniform_partition(3, [(0,), (1,)])
 
+    def test_rejects_non_integral_index(self):
+        with pytest.raises(DomainError, match="1.7"):
+            FamilyPartition.from_mapping(2, {"a": (0,), "b": (1.7,)})
+        assert FamilyPartition.from_mapping(2, {"a": (0,), "b": (1.0,)}).families[1] == ("b", (1,))
+
     def test_rejects_empty_family(self):
         with pytest.raises(DomainError):
             uniform_partition(2, [(0, 1), ()])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,28 @@ class TestEvidenceQuantities:
             log_model_evidence(stats, ni, post)
         with pytest.raises(DomainError):
             complexity(ni, post)
+
+    @pytest.mark.parametrize(
+        "evidence",
+        [
+            lambda stats, prior, post: log_model_evidence(stats, prior, post),
+            lambda stats, prior, post: accuracy(stats, post),
+            lambda stats, prior, post: complexity(prior, post),
+        ],
+        ids=["log_model_evidence", "accuracy", "complexity"],
+    )
+    def test_zero_rate_posterior_rejected(self, evidence):
+        # a log of the zero rate would warn and return -inf or nan
+        spec, prior = random_proper_instance(np.random.default_rng(8), v=3)
+        stats = stats_of(spec)
+        post = posterior_update(stats, prior)
+        b = post.b.copy()
+        b[1] = 0.0
+        zero_rate = NgParams(mu=post.mu, lam=post.lam, a=post.a, b=b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="proper"):
+                evidence(stats, prior, zero_rate)
 
     def test_duplicated_voxel_column(self):
         rng = np.random.default_rng(31)
