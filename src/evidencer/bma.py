@@ -153,7 +153,10 @@ class FamilyPartition:
         normalized = []
         for name, indices in self.families:
             indices = tuple(indices)
-            idx = tuple(int(i) for i in indices)
+            try:
+                idx = tuple(int(i) for i in indices)
+            except (OverflowError, ValueError):  # nan, inf
+                idx = None
             if idx != indices:
                 raise DomainError(f"family {name!r} has non-integral indices {indices!r}")
             if not idx:

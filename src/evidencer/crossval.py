@@ -106,9 +106,13 @@ class SessionLayout:
 
 
 def _scan_count(value) -> int:
-    if int(value) != value:
+    try:
+        count = int(value)
+    except (OverflowError, ValueError):  # nan, inf
+        count = None
+    if count != value:
         raise LayoutError(f"scan counts must be integers, got {value!r}")
-    return int(value)
+    return count
 
 
 def split_single_session(n: int) -> SessionLayout:

@@ -67,9 +67,9 @@ _RANK_RTOL = 1e-10
 _SYM_RTOL = 1e-12
 # design columns per product in the response pass
 _STACK = 4
-# voxels per block of the response pass: at 200 scans a block is 800 KB,
-# still in L2 cache when the product reads it
-_BLOCK = 512
+# voxels per block of the response pass: at 200 scans a block is 400 KB,
+# so it and BLAS's packed copy of it fit in a 2 MiB L2 cache together
+_BLOCK = 256
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> None:
@@ -322,7 +322,8 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> list:
     ``_BLOCK`` voxels, the last one zero-padded to that width. Per block it
     forms ``P y`` (no larger than the block), the block's ``y'Py`` and then
     ``X'PY`` of every design, from one product over the designs' distinct
-    columns while the block is still in cache; each design takes its rows.
+    columns while the block, and BLAS's packed copy of it, are still in
+    cache; each design takes its rows.
     The product runs over stacks of four columns, zero-padded, so BLAS
     always sees the same operand shapes: it picks its kernels by shape, and
     kernels for different shapes round differently. A design's statistics

@@ -7,7 +7,9 @@ over model frequencies. The fixed point's responsibilities factorise into
 per cache-sized block of voxels, times per-voxel model weights
 ``exp(psi(alpha) - max_k psi(alpha))``; an iteration is then two einsum
 products over the block, and a voxel whose normalizer underflows takes
-the log-space step instead.
+the log-space step instead. A block's still-moving voxels stay a prefix
+of its arrays: the slots of voxels that stop are refilled from the
+block's end, so only the refilling voxels' evidences move.
 
 Exceedance probabilities (the posterior probability that one model is the
 most frequent) integrate the product of Gamma CDFs against a Gamma
@@ -152,24 +154,33 @@ def _vb_step(alpha, e, lme, voxels, alpha0: float) -> tuple:
     textbook ``- psi(sum alpha)``), subject n's responsibilities are
     ``e[n] * w / d_n`` with ``d_n = sum_k e[n, k] w_k``, and the update is
     ``alpha0 + w * sum_n e[n] / d_n``. einsum adds both sums in sequence per
-    voxel, so a voxel's bits depend neither on A nor on BLAS; a lone voxel,
+    voxel, so a voxel's bits depend neither on A, nor on whether ``alpha``
+    and ``e`` are prefix views of wider arrays, nor on BLAS; a lone voxel,
     which einsum reduces with another loop, runs as two equal columns. A
     voxel with some ``d_n`` below the subject count times the smallest
     normal double takes :func:`_log_space_step`: there a subject's terms
-    have underflowed, or the sum of ``1 / d`` could overflow.
+    have underflowed, or the sum of ``1 / d`` could overflow. The step
+    forms ``w`` in digamma's output and the update in the second product's
+    output, and writes ``1 / d`` over ``d`` unless a voxel takes the
+    log-space step, which reads ``d``.
     """
     if e.shape[2] == 1:
         pair, logged = _vb_step(alpha.repeat(2, 1), e.repeat(2, 2), lme,
                                 voxels.repeat(2), alpha0)
         return pair[:, :1], logged // 2
-    psi = digamma(alpha)
-    w = np.exp(psi - psi.max(axis=0, keepdims=True))
+    w = digamma(alpha)
+    w -= w.max(axis=0, keepdims=True)
+    np.exp(w, out=w)
     d = np.einsum("nka,ka->na", e, w)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.einsum("na,nka->ka", 1.0 / d, e)
-        new_alpha = alpha0 + w * s
     floor = _TINY * e.shape[0]
-    if d.min() >= floor:
+    factorised = d.min() >= floor
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the log-space branch below still reads d
+        r = np.divide(1.0, d, out=d if factorised else None)
+        new_alpha = np.einsum("na,nka->ka", r, e)
+        new_alpha *= w
+        new_alpha += alpha0
+    if factorised:
         return new_alpha, 0
     bad = np.flatnonzero((d < floor).any(axis=0))
     new_alpha[:, bad] = _log_space_step(lme[:, :, voxels[bad]], alpha[:, bad], alpha0)
@@ -193,13 +204,17 @@ def estimate_rfx(
     run in blocks whose ``exp(lme - max_k lme)`` fills about
     ``_VB_BLOCK_BYTES``, so the array the products stream stays in cache
     across a block's iterations. Stops per voxel once the largest
-    concentration change falls below ``tol``, and stopped voxels leave the
-    block by index; voxels still moving at ``max_iter`` are flagged, not
-    fatal. Every voxel's arithmetic is independent of the others, so blocks
-    and chunking leave results unchanged to the bit. ``alpha0`` must be a
-    normal double (subnormals overflow digamma) that keeps the concentration
-    mass ``k * alpha0 + subjects`` finite, ``tol`` finite and positive, and
-    ``max_iter`` an integer from 1 to 2**63 - 1.
+    concentration change falls below ``tol``; voxels still moving at
+    ``max_iter`` are flagged, not fatal. The still-moving voxels stay a
+    prefix of the block's arrays: when some stop at a step that leaves
+    ``left`` moving, the still-moving voxels at or past slot ``left`` fill
+    the stopped slots below it, and the arrays become their first ``left``
+    slots, so only the refilling voxels' slabs are copied. Every voxel's
+    arithmetic is independent of the others and of its slot, so blocks,
+    slots and chunking leave results unchanged to the bit. ``alpha0`` must
+    be a normal double (subnormals overflow digamma) that keeps the
+    concentration mass ``k * alpha0 + subjects`` finite, ``tol`` finite and
+    positive, and ``max_iter`` an integer from 1 to 2**63 - 1.
     """
     lme = group.lme
     n, k, v = lme.shape
@@ -232,14 +247,21 @@ def estimate_rfx(
             done = np.max(np.abs(new_alpha - current), axis=0) < tol
             current = new_alpha
             if done.any():
-                # indices, not masks: a take costs a tenth of a boolean select
-                stop, keep = np.flatnonzero(done), np.flatnonzero(~done)
+                stop = np.flatnonzero(done)
                 finished = active[stop]
                 alpha[:, finished] = current.take(stop, axis=1)
                 iterations[finished] = step
                 converged[finished] = True
-                active, e, current = active[keep], e.take(keep, 2), current.take(keep, 1)
-                if active.size == 0:
+                # still-moving voxels stay a prefix: those at or above left
+                # fill the stopped slots below it, and only they move
+                left = active.size - stop.size
+                holes = stop[: np.searchsorted(stop, left)]
+                movers = left + np.flatnonzero(~done[left:])
+                e[:, :, holes] = e[:, :, movers]
+                current[:, holes] = current[:, movers]
+                active[holes] = active[movers]
+                active, e, current = active[:left], e[:, :, :left], current[:, :left]
+                if left == 0:
                     break
         # voxels still moving at max_iter keep their last iterate
         alpha[:, active] = current

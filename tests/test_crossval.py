@@ -113,6 +113,16 @@ class TestSessionLayout:
         with pytest.raises(LayoutError, match=r"(10\.5|40\.9)"):
             make()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_from_counts_rejects_non_finite_scan_count(self, value):
+        with pytest.raises(LayoutError, match=f"must be integers, got {value!r}"):
+            SessionLayout.from_counts([value, 10])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_split_rejects_non_finite_scan_count(self, value):
+        with pytest.raises(LayoutError, match=f"must be integers, got {value!r}"):
+            split_single_session(value)
+
     def test_too_small_rejected(self):
         with pytest.raises(LayoutError):
             split_single_session(39)

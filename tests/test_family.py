@@ -33,6 +33,11 @@ class TestFamilyPartition:
             FamilyPartition.from_mapping(2, {"a": (0,), "b": (1.7,)})
         assert FamilyPartition.from_mapping(2, {"a": (0,), "b": (1.0,)}).families[1] == ("b", (1,))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_index(self, value):
+        with pytest.raises(DomainError, match=rf"non-integral indices \({value!r},\)"):
+            FamilyPartition.from_mapping(2, {"a": (0,), "b": (value,)})
+
     def test_rejects_empty_family(self):
         with pytest.raises(DomainError):
             uniform_partition(2, [(0, 1), ()])

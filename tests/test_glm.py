@@ -24,6 +24,7 @@ from helpers import (
 )
 
 import evidencer
+from evidencer import glm
 from evidencer.errors import DecompositionError, DomainError, EstimationError
 from evidencer.glm import (
     _BLOCK,
@@ -158,14 +159,19 @@ class TestResponseStats:
                 log_model_evidence(alone, prior, posterior_update(alone, prior)),
             )
 
-    @pytest.mark.parametrize("v", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize(
+        "v",
+        [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
+         2 * _BLOCK + 3, 4 * _BLOCK + 3],
+    )
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
     @pytest.mark.parametrize("wide", [False, True], ids=["one-column", "stacked"])
     def test_voxel_chunks_keep_every_bit(self, v, precision_kind, wide):
         # the pass runs over fixed-width padded blocks, so BLAS sees the same
         # shapes however the voxels are split over calls, and a voxel's
         # statistics keep their bits; the stacked designs have more distinct
-        # columns than one product stack holds
+        # columns than one product stack holds. Voxel counts run past one,
+        # two and four blocks
         rng = np.random.default_rng(56)
         n = 30
         x = random_design(rng, n, 6)
@@ -184,6 +190,22 @@ class TestResponseStats:
             for p in pieces:
                 np.testing.assert_array_equal(p.xtpx, stats.xtpx)
                 assert (p.n, p.logdet_precision) == (stats.n, stats.logdet_precision)
+
+    @pytest.mark.parametrize("v", [1, 300, 2503])
+    @pytest.mark.parametrize("n", [10, 200])
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_block_width_changes_no_bit(self, monkeypatch, n, v, precision_kind):
+        # _BLOCK went from 512 voxels to 256 with every statistic's bits kept
+        rng = np.random.default_rng(58)
+        x = random_design(rng, n, 6)
+        designs = [x[:, :3], x, x[:, [1, 4]]]
+        y = rng.normal(size=(n, v)) + 5.0
+        precision = random_precision(rng, n, precision_kind)
+        narrow = response_stats(y, designs, precision)
+        monkeypatch.setattr(glm, "_BLOCK", 512)
+        for stats, wide in zip(narrow, response_stats(y, designs, precision)):
+            for name in SessionStats._fields:
+                np.testing.assert_array_equal(getattr(stats, name), getattr(wide, name))
 
     @pytest.mark.parametrize("precision_kind", ["diagonal", "full"])
     def test_no_full_size_precision_product(self, precision_kind):

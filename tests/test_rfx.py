@@ -173,6 +173,38 @@ def assert_same_bits(post, reference):
     np.testing.assert_array_equal(post.converged, reference.converged)
 
 
+# a max_iter at which a few of slot_case's voxels are still moving
+SLOT_MAX_ITER = 30
+
+
+def slot_case():
+    """24 voxels whose evidence scales, from near-flat to spreads past 750
+    nats, make them stop from the second step to the 63rd in an order that
+    interleaves their block positions."""
+    rng = np.random.default_rng(0)
+    lme = rng.normal(scale=2.0, size=(12, 3, 24))
+    lme *= rng.choice([0.05, 1.0, 20.0, 500.0], size=24)
+    return stack(lme)
+
+
+def active_sets(monkeypatch, group, voxels):
+    """The voxel indices, in slot order, that each fixed-point step of
+    ``estimate_rfx`` runs at blocks of ``voxels`` voxels."""
+    steps = []
+    vb_step = rfx._vb_step
+
+    def spy(alpha, e, lme, active, alpha0):
+        if np.unique(active).size == active.size:  # not the lone-voxel pair
+            steps.append(active.copy())
+        return vb_step(alpha, e, lme, active, alpha0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rfx, "_vb_step", spy)
+        patch.setattr(rfx, "_VB_BLOCK_BYTES", voxels * 8 * group.n_subjects * group.n_models)
+        estimate_rfx(group)
+    return steps
+
+
 class TestBlocks:
     """A voxel's fixed point gives the same bits whatever block or slice it
     runs in; CI runs this class at two BLAS threads as well."""
@@ -265,8 +297,9 @@ class TestBlocks:
     def test_vb_step_width_changes_no_bit(self, width):
         # 4,369 voxels fill a block at 20 subjects x 3 models; 4,400 leave a
         # 31-voxel remainder at that width. Parts are C-ordered copies, as
-        # estimate_rfx's blocks are: einsum reduces a lone contiguous voxel
-        # with another loop and other bits
+        # estimate_rfx's blocks start: einsum reduces a lone contiguous voxel
+        # with another loop and other bits. Once voxels stop, a block is a
+        # prefix view (test_vb_step_on_a_prefix_view_changes_no_bit)
         rng = np.random.default_rng(23)
         lme = rng.normal(scale=3.0, size=(20, 3, 4400))
         alpha = rng.uniform(0.5, 12.0, (3, 4400))
@@ -281,6 +314,49 @@ class TestBlocks:
         np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
         reference = vb_step_sequential(e, alpha, 1.0)
         assert np.all(np.abs(whole - reference) <= 4 * np.spacing(reference))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 31, 4000])
+    def test_vb_step_on_a_prefix_view_changes_no_bit(self, width):
+        # after a stop, estimate_rfx steps on e[:, :, :left] and
+        # current[:, :left] of wider arrays; the slot fill rests on einsum
+        # giving those views the bits of C-ordered copies
+        rng = np.random.default_rng(29)
+        lme = rng.normal(scale=3.0, size=(20, 3, 4400))
+        alpha = rng.uniform(0.5, 12.0, (3, 4400))
+        e = np.exp(lme - lme.max(axis=1, keepdims=True))
+        voxels = np.arange(width)
+        view, logged = rfx._vb_step(alpha[:, :width], e[:, :, :width], lme, voxels, 1.0)
+        copy, _ = rfx._vb_step(alpha[:, :width].copy(), e[:, :, :width].copy(), lme,
+                               voxels, 1.0)
+        assert logged == 0
+        np.testing.assert_array_equal(view, copy)
+
+    def test_slot_fill_case_covers_the_edges(self, monkeypatch):
+        # in one 24-voxel block, voxels stop interleaved, so stopped slots
+        # fall below the still-moving count and voxels from above fill them
+        group = slot_case()
+        steps = active_sets(monkeypatch, group, voxels=group.n_voxels)
+        moves = np.zeros(group.n_voxels, dtype=int)
+        for before, after in zip(steps, steps[1:]):
+            slot = {voxel: i for i, voxel in enumerate(before.tolist())}
+            moved = [voxel for i, voxel in enumerate(after.tolist()) if slot[voxel] != i]
+            moves[moved] += 1
+        assert moves.max() >= 2  # some voxel moves twice
+        assert steps[-1].size == 1  # a lone voxel ends the block
+        unconverged = (~estimate_rfx(group, max_iter=SLOT_MAX_ITER).converged).sum()
+        assert 0 < unconverged < 6
+
+    @pytest.mark.parametrize("max_iter", [200, SLOT_MAX_ITER])
+    @pytest.mark.parametrize("voxels", [2, 5, 9, 24])
+    def test_slot_fill_changes_no_bit(self, monkeypatch, voxels, max_iter):
+        group = slot_case()
+        bytes_per_voxel = 8 * group.n_subjects * group.n_models
+        monkeypatch.setattr(rfx, "_VB_BLOCK_BYTES", bytes_per_voxel)
+        alone = estimate_rfx(group, max_iter=max_iter)
+        monkeypatch.setattr(rfx, "_VB_BLOCK_BYTES", voxels * bytes_per_voxel)
+        post = estimate_rfx(group, max_iter=max_iter)
+        assert_same_bits(post, alone)
+        assert post.log_space_steps == alone.log_space_steps
 
 
 class TestDirichletPosterior:
