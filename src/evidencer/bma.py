@@ -157,7 +157,7 @@ class FamilyPartition:
                 idx = tuple(int(i) for i in indices)
             except (OverflowError, ValueError):  # nan, inf
                 idx = None
-            if idx != indices:
+            if idx != indices or any(isinstance(i, bool) for i in indices):
                 raise DomainError(f"family {name!r} has non-integral indices {indices!r}")
             if not idx:
                 raise DomainError(f"family {name!r} is empty")

@@ -19,10 +19,10 @@ Each fold's (lme, acc, com) is written in place into one (3, folds,
 models, voxels) array, whose fold sums are the cross-validated arrays.
 
 Models are compared on the same data, so one response pass per session
-serves them all: the cvlme stage makes it as it reads a session, then calls
-:func:`_cv_folds`. Only the spec path, :func:`cv_lme_models`, groups specs
-by the memory of their response and precision (same data pointer, shape
-and strides, as specs built from one array have).
+serves them all: :func:`_fold_stats` groups specs by the memory of their
+response and precision (same data pointer, shape and strides, as specs
+built from one array have). The cvlme stage calls it as it reads each
+session, then :func:`_cv_folds`; :func:`cv_lme_models` calls it once.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class SessionLayout:
             if not (0 <= start < stop <= self.total_scans):
                 raise LayoutError(f"range ({start}, {stop}) out of bounds")
         # ranges, not scan indices: the check costs O(folds + discarded)
-        # however many scans a config declares
+        # however many scans the layout covers
         pieces = sorted([*self.sessions, *((i, i + 1) for i in self.discarded)])
         starts = [start for start, _ in pieces]
         stops = [stop for _, stop in pieces]
@@ -110,7 +110,7 @@ def _scan_count(value) -> int:
         count = int(value)
     except (OverflowError, ValueError):  # nan, inf
         count = None
-    if count != value:
+    if count != value or isinstance(value, bool):
         raise LayoutError(f"scan counts must be integers, got {value!r}")
     return count
 
@@ -219,28 +219,24 @@ def _memory_key(a: np.ndarray | None):
     return a.__array_interface__["data"][0], a.shape, a.strides
 
 
-def _fold_stats(fold: int, specs) -> list:
-    """One :func:`~evidencer.glm.response_stats` pass for specs that share a
-    fold's response and precision; a rejection names the session from 1."""
-    first = specs[0]
-    try:
-        return response_stats(first.Y, [spec.X for spec in specs], first.precision)
-    except DomainError as exc:
-        raise DomainError(f"session {fold + 1}: {exc}") from None
-
-
-def _session_stats(models, n_folds: int) -> dict:
-    """Each model's per-session :class:`~evidencer.glm.SessionStats`, from
-    one :func:`_fold_stats` pass per session and per distinct (response,
-    precision) memory: models on the same arrays read a response once."""
+def _fold_stats(models, first: int) -> dict:
+    """Each model's :class:`~evidencer.glm.SessionStats` per fold, from a name
+    -> fold-specs mapping whose first fold is session ``first`` (from 0): one
+    :func:`~evidencer.glm.response_stats` pass per fold and distinct (response,
+    precision) memory. A rejection names the session from 1."""
     stats = {name: [] for name in models}
-    for s in range(n_folds):
+    for k, specs in enumerate(zip(*models.values())):
         groups = {}
-        for name, specs in models.items():
-            key = _memory_key(specs[s].Y), _memory_key(specs[s].precision)
+        for name, spec in zip(models, specs):
+            key = _memory_key(spec.Y), _memory_key(spec.precision)
             groups.setdefault(key, []).append(name)
         for names in groups.values():
-            found = _fold_stats(s, [models[name][s] for name in names])
+            shared = models[names[0]][k]
+            designs = [models[name][k].X for name in names]
+            try:
+                found = response_stats(shared.Y, designs, shared.precision)
+            except DomainError as exc:
+                raise DomainError(f"session {first + k + 1}: {exc}") from None
             for name, session in zip(names, found):
                 stats[name].append(session)
     return stats
@@ -302,4 +298,4 @@ def cv_lme_models(models, layout: SessionLayout) -> CvResult:
     voxels = {_check_sessions(specs, layout) for specs in models.values()}
     if len(voxels) > 1:
         raise DomainError(f"models disagree on the voxel count: {sorted(voxels)}")
-    return _cv_folds(_session_stats(models, layout.n_folds), layout)
+    return _cv_folds(_fold_stats(models, 0), layout)

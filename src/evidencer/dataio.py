@@ -77,8 +77,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bma import FamilyPartition, _prior_weights
-from .crossval import SessionLayout, split_single_session
-from .errors import ConfigError, DomainError, EvidencerError, LayoutError, ParseError
+from .errors import ConfigError, DomainError, EvidencerError, ParseError
 
 __all__ = [
     "LabeledMatrix",
@@ -680,9 +679,9 @@ class ModelSpaceConfig:
     """Parsed analysis configuration, in the form the stages use.
 
     First-level fields describe one subject's model space: named models
-    with per-session design and response files, ``precision`` files per
-    session (none for identity), and ``layout``, the single-session split
-    or ``None`` for one fold per session. Optional blocks configure
+    with per-session design and response files, and ``precision`` files per
+    session (none for identity). One response file is split in halves,
+    several are one fold each. Optional blocks configure
     ``families`` (a :class:`~evidencer.bma.FamilyPartition`), model priors,
     the estimate stack for averaging (``regressor`` filled in), and the
     group of subjects for population-level selection.
@@ -691,7 +690,6 @@ class ModelSpaceConfig:
     models: tuple = ()
     data: tuple = ()
     precision: tuple = ()
-    layout: SessionLayout | None = None
     families: FamilyPartition | None = None
     model_prior: tuple | None = None
     betas: dict | None = None
@@ -715,19 +713,18 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _positive(raw: dict, key: str, default, kind=float, path=None):
+def _positive(raw: dict, key: str, default, kind=float):
     """``raw[key]`` (or ``default``) as a positive ``kind``: a finite JSON
     number no smaller than the smallest normal double for ``float``, a JSON
     integer below 2**63 for ``int``; anything else, booleans and numeric
-    strings included, raises :class:`ConfigError` naming the key by ``path``
-    (default ``key``)."""
+    strings included, raises :class:`ConfigError` naming the key."""
     value = raw.get(key, default)
     what = "integer below 2**63" if kind is int else f"number >= {sys.float_info.min!r}"
     _require(
         _is_real(value)
         and (kind is float or isinstance(value, int) and value < 2**63)
         and value >= sys.float_info.min,
-        f"{path or key} must be a finite positive {what}, got {value!r}",
+        f"{key} must be a finite positive {what}, got {value!r}",
     )
     return kind(value)
 
@@ -800,15 +797,8 @@ def load_config(path) -> ModelSpaceConfig:
         "config must declare first-level 'models' or a group 'subjects' list",
     )
 
-    sessions = raw.get("sessions", {"kind": "multi"})
-    _require(
-        isinstance(sessions, dict), f"sessions must be a JSON object, got {sessions!r}"
-    )
-    kind = sessions.get("kind")
-    _require(kind in ("multi", "single"), "sessions.kind must be 'multi' or 'single'")
-
-    layout = None
     if models:
+        _require(data, "data must list at least one response file")
         names = []
         for m in models:
             _require(
@@ -823,19 +813,6 @@ def load_config(path) -> ModelSpaceConfig:
                 f"({len(data)} expected, {len(design)} given)",
             )
         _require(len(set(names)) == len(names), "model names must be unique")
-        if kind == "multi":
-            _require(
-                len(data) >= 2,
-                f"data: 'multi' sessions need 2 or more response files, got {len(data)}"
-                '; for one session use "sessions": {"kind": "single", "scans": n}',
-            )
-        else:
-            _require(len(data) == 1, "single-session mode takes exactly one response file")
-            scans = _positive(sessions, "scans", None, int, "sessions.scans")
-            try:
-                layout = split_single_session(scans)
-            except LayoutError as exc:
-                raise ConfigError(f"sessions.scans: {exc}") from None
 
     precision = ()
     if raw.get("precision", "identity") != "identity":
@@ -925,7 +902,6 @@ def load_config(path) -> ModelSpaceConfig:
         models=models,
         data=data,
         precision=precision,
-        layout=layout,
         families=families,
         model_prior=model_prior,
         betas=betas,

@@ -26,10 +26,11 @@ read a session through one :class:`SessionStats`: ``xtpx = X'PX``,
 ``logdet_precision = log|P|``, so once those are formed the per-voxel work
 is O(p^2) whatever the scan count. They come from :func:`response_stats`,
 one pass over ``Y`` that serves any number of designs on the same response
-and precision and checks the response per voxel (a spec checks only its
-design). It reads each response once, in fixed-width zero-padded voxel
-blocks, holds no ``P·Y`` larger than a block, and gives a voxel the same
-bits whatever the voxel count or however the voxels are split over calls.
+and precision; it checks the designs as a spec does, but for the rank
+test, and the response per voxel. It reads each response once, in
+fixed-width zero-padded voxel blocks, holds no ``P·Y`` larger than a
+block, and gives a voxel the same bits whatever the voxel count or
+however the voxels are split over calls.
 A spec and a response pass check the precision by one rule, which also
 forms log|P|. The fields add over sessions, so summed statistics
 are as valid an input as one session's. The posterior mean is solved with
@@ -200,6 +201,29 @@ class NgParams:
             )
 
 
+def _as_columns(a, name: str) -> np.ndarray:
+    """``a`` as a 2-D float array, a vector as one column."""
+    a = np.asarray(a, dtype=float)
+    a = a[:, None] if a.ndim == 1 else a
+    if a.ndim != 2:
+        raise DomainError(f"{name} must be a vector or a 2-D array")
+    return a
+
+
+def _check_design(x: np.ndarray, n: int, name: str) -> None:
+    """:class:`DomainError` naming ``name`` unless ``x`` is a finite design of
+    ``n`` rows and ``p`` columns, ``1 <= p <= n - 1``."""
+    if x.shape[0] != n:
+        raise DomainError(f"Y has {n} scans but {name} has {x.shape[0]}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{name} must be finite")
+    p = x.shape[1]
+    if p == 0:
+        raise DomainError(f"{name} has no columns")
+    if n < p + 1:
+        raise DomainError(f"{name} needs n >= p + 1 scans, got n={n}, p={p}")
+
+
 @dataclass(eq=False)
 class GlmSpec:
     """One session of data: responses ``Y`` (n x V), design ``X`` (n x p),
@@ -216,25 +240,9 @@ class GlmSpec:
     precision: np.ndarray | None = None
 
     def __post_init__(self):
-        self.Y = np.asarray(self.Y, dtype=float)
-        if self.Y.ndim == 1:
-            self.Y = self.Y[:, None]
-        self.X = np.asarray(self.X, dtype=float)
-        if self.X.ndim == 1:
-            self.X = self.X[:, None]
-        if self.Y.ndim != 2 or self.X.ndim != 2:
-            raise DomainError("Y and X must be 2-D arrays")
-        if self.Y.shape[0] != self.X.shape[0]:
-            raise DomainError(
-                f"Y has {self.Y.shape[0]} scans but X has {self.X.shape[0]}"
-            )
-        if not np.all(np.isfinite(self.X)):
-            raise DomainError("X must be finite")
-        n, p = self.X.shape
-        if p == 0:
-            raise DomainError("design X has no columns")
-        if n < p + 1:
-            raise DomainError(f"need n >= p + 1 scans, got n={n}, p={p}")
+        self.Y = _as_columns(self.Y, "Y")
+        self.X = _as_columns(self.X, "X")
+        _check_design(self.X, self.Y.shape[0], "X")
         sv = np.linalg.svd(self.X, compute_uv=False)
         if sv[-1] <= _RANK_RTOL * sv[0]:
             raise EstimationError(
@@ -242,9 +250,7 @@ class GlmSpec:
                 f"{sv[-1]:.3e} vs largest {sv[0]:.3e}); drop or merge "
                 "collinear regressors"
             )
-        if self.precision is not None:
-            self.precision = np.asarray(self.precision, dtype=float)
-            _precision_logdet(self.precision, n)
+        self.precision, _ = _precision_logdet(self.precision, self.n)
 
     @property
     def n(self) -> int:
@@ -280,13 +286,14 @@ class SessionStats(NamedTuple):
         return self.xtpy.shape[1]
 
 
-def _precision_logdet(precision: np.ndarray | None, n: int) -> float:
-    """log|P| of a precision over ``n`` scans that is ``None`` (identity), a
-    finite length-n vector of positive entries, or a finite symmetric (n, n)
-    matrix with a Cholesky factor; else :class:`DomainError`, or
-    :class:`DecompositionError` where not positive definite."""
+def _precision_logdet(precision, n: int) -> tuple:
+    """A precision over ``n`` scans as floats, and its log|P|: ``None``
+    (identity), a finite length-n vector of positive entries, or a finite
+    symmetric (n, n) matrix with a Cholesky factor; else :class:`DomainError`,
+    or :class:`DecompositionError` where not positive definite."""
     if precision is None:
-        return 0.0
+        return None, 0.0
+    precision = np.asarray(precision, dtype=float)
     if not np.all(np.isfinite(precision)):
         raise DomainError("precision must be finite")
     if precision.ndim == 1:
@@ -296,13 +303,13 @@ def _precision_logdet(precision: np.ndarray | None, n: int) -> float:
             raise DecompositionError(
                 "precision is not positive definite: non-positive diagonal entry"
             )
-        return float(np.sum(np.log(precision)))
+        return precision, float(np.sum(np.log(precision)))
     if precision.ndim != 2:
         raise DomainError("precision must be a vector or a matrix")
     if precision.shape != (n, n):
         raise DomainError("precision matrix must be (n, n)")
     _check_symmetric(precision, "precision")
-    return _logdet_from_chol(_cholesky(precision, "precision"))
+    return precision, _logdet_from_chol(_cholesky(precision, "precision"))
 
 
 def _precision_times(precision: np.ndarray | None, m: np.ndarray) -> np.ndarray:
@@ -331,10 +338,16 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> list:
     voxel's whatever the voxel count or however the voxels are split over
     calls. A non-finite ``y'Py`` (a non-finite cell, or an overflow) raises
     :class:`DomainError` naming the voxels, and a block that holds one skips
-    the product; the precision must meet :class:`GlmSpec`'s rule.
+    the product. ``Y``, the designs and the precision must meet
+    :class:`GlmSpec`'s rules but its rank test, and a rejected design is
+    named by its position, from 1.
     """
+    Y = _as_columns(Y, "Y")
     n, v = Y.shape
-    logdet = _precision_logdet(precision, n)
+    designs = [_as_columns(x, f"design {i}") for i, x in enumerate(designs, 1)]
+    for i, x in enumerate(designs, 1):
+        _check_design(x, n, f"design {i}")
+    precision, logdet = _precision_logdet(precision, n)
     distinct = {}
     rows = [
         [distinct.setdefault(column.tobytes(), len(distinct)) for column in x.T]

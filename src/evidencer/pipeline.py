@@ -9,8 +9,9 @@ subject is ``'@self'`` is the one rule decided per run. A failing stage
 aborts only its dependents; the manifest always records per-stage status.
 
 The config comes parsed: :func:`~evidencer.dataio.load_config` has built
-the family partition, the single-session layout, the precision file list
-and the regressor name once, and the stages read them as they are.
+the family partition, the precision file list and the regressor name once,
+and the stages read them as they are. The response files fix the folds:
+one file is split in halves once it is read, several are one fold each.
 
 A stage is pure compute: its inputs come in as arguments, and it returns
 its result tables by file name, the problem sizes and diagnostics it adds
@@ -45,10 +46,13 @@ import numpy as np
 
 from . import __version__
 from .bma import BetaStack, cv_bma, log_family_evidence, posterior_probabilities
-from .crossval import CvResult, SessionLayout, _cv_folds, _fold_stats, split_glm_spec
+from .crossval import (
+    CvResult, SessionLayout, _cv_folds, _fold_stats, split_glm_spec, split_single_session,
+)
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
 from .errors import (
-    ConfigError, DomainError, EstimationError, EvidencerError, NumericalError, ParseError,
+    ConfigError, DomainError, EstimationError, EvidencerError, LayoutError, NumericalError,
+    ParseError,
 )
 from .glm import GlmSpec
 from .rfx import (
@@ -189,21 +193,19 @@ def _model_space_files(config: ModelSpaceConfig) -> list:
 
 def _load_model_space(config: ModelSpaceConfig, products, declined: list) -> tuple:
     """The cvlme stage's arguments: each model's per-fold statistics and
-    their layout, reduced from one session at a time (:func:`_session_pass`)."""
+    their layout, reduced from one session at a time (:func:`_session_pass`).
+    One response file is split in halves; several are one fold each."""
     stats = {model["name"]: [] for model in config.models}
     for s in range(len(config.data)):
-        _session_pass(config, s, stats, declined)
-    layout = config.layout
-    if layout is None:  # one fold per session
-        layout = SessionLayout.from_counts([f.n for f in next(iter(stats.values()))])
-    return stats, layout
+        split = _session_pass(config, s, stats, declined)
+    return stats, split or SessionLayout.from_counts([f.n for f in next(iter(stats.values()))])
 
 
 def _session_pass(config: ModelSpaceConfig, s: int, stats, declined: list):
     """Read session ``s``, check its response, precision and designs as specs
-    (a single session whole, then as the config's layout's halves), and add
-    each model's statistics of its folds to ``stats``; nothing else outlives it."""
-    layout = config.layout
+    (a single session whole, then as its halves), and add each model's
+    statistics of its folds to ``stats``; nothing else outlives it. Returns
+    the single session's split, or None for one of several sessions."""
     y = _load_finite(config, config.data[s], declined)
     first = next(iter(stats.values()))
     if first and y.shape[1] != first[0].n_voxels:
@@ -211,24 +213,25 @@ def _session_pass(config: ModelSpaceConfig, s: int, stats, declined: list):
             f"response files disagree on voxel count: {config.data[s]} has "
             f"{y.shape[1]}, {config.data[0]} {first[0].n_voxels}"
         )
+    layout = None
+    if len(config.data) == 1:
+        try:
+            layout = split_single_session(y.shape[0])
+        except LayoutError as exc:
+            raise ConfigError(f"{config.resolve(config.data[s])}: {exc}") from None
     precision = None
     if config.precision:
         precision = _load_finite(config, config.precision[s], declined)
         if precision.shape == (1, y.shape[0]):
             precision = precision.ravel()  # stored as a single row: diagonal precision
-    if layout is not None and y.shape[0] != layout.total_scans:
-        raise ConfigError(
-            f"config declares {layout.total_scans} scans but the response file "
-            f"{config.resolve(config.data[s])} has {y.shape[0]} rows"
-        )
-    folds = []  # per model, its specs of the session's folds
+    folds = {}  # per model, its specs of the session's folds
     for model, kept in zip(config.models, stats.values()):
         x = _load_finite(config, model["design"][s], declined)
         try:
             spec = GlmSpec(Y=y, X=x, precision=precision)
             if kept and spec.p != kept[0].p:
                 raise DomainError(f"design has {spec.p} columns, session 1's {kept[0].p}")
-            folds.append([spec] if layout is None else split_glm_spec(spec, layout))
+            folds[model["name"]] = [spec] if layout is None else split_glm_spec(spec, layout)
         except EvidencerError as exc:
             files = f"design {config.resolve(model['design'][s])}"
             if precision is not None:
@@ -237,9 +240,9 @@ def _session_pass(config: ModelSpaceConfig, s: int, stats, declined: list):
                 f"model {model['name']!r}, session {s + 1}, {files}: {exc} "
                 f"(response {config.resolve(config.data[s])})"
             ) from None
-    for k, specs in enumerate(zip(*folds)):
-        for model_stats, session in zip(stats.values(), _fold_stats(s + k, specs)):
-            model_stats.append(session)
+    for name, found in _fold_stats(folds, s).items():
+        stats[name].extend(found)
+    return layout
 
 
 def _subject_files(config: ModelSpaceConfig) -> list:
@@ -321,7 +324,7 @@ def _stage_cvlme(config, options, stats, layout) -> _StageResult:
     except EstimationError as exc:
         files = ", ".join(str(config.resolve(path)) for path in config.data)
         raise EstimationError(f"{exc} (response files {files})") from None
-    single = config.layout is not None
+    single = len(config.data) == 1
     scans = [layout.total_scans] if single else [b - a for a, b in layout.sessions]
     sizes = {
         "sessions": len(scans),

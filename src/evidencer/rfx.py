@@ -214,7 +214,7 @@ def estimate_rfx(
     slots and chunking leave results unchanged to the bit. ``alpha0`` must
     be a normal double (subnormals overflow digamma) that keeps the
     concentration mass ``k * alpha0 + subjects`` finite, ``tol`` finite and
-    positive, and ``max_iter`` an integer from 1 to 2**63 - 1.
+    positive, and ``max_iter`` an integer, not a bool, from 1 to 2**63 - 1.
     """
     lme = group.lme
     n, k, v = lme.shape
@@ -225,7 +225,8 @@ def estimate_rfx(
         )
     if not (np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    if not isinstance(max_iter, numbers.Integral) or not 1 <= max_iter < 2**63:
+    integral = isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool)
+    if not integral or not 1 <= max_iter < 2**63:
         raise DomainError(
             f"max_iter must be an integer from 1 to 2**63 - 1, got {max_iter!r}"
         )

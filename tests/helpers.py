@@ -474,7 +474,6 @@ def build_toy_workspace(
         ],
         "data": [f"Y_s{i}.csv" for i in range(1, s + 1)],
         "precision": "identity",
-        "sessions": {"kind": "multi"},
     }
     if with_families:
         config["families"] = {"simple": ["m1"], "rich": ["m2"]}

@@ -118,6 +118,10 @@ class TestSessionLayout:
         with pytest.raises(LayoutError, match=f"must be integers, got {value!r}"):
             SessionLayout.from_counts([value, 10])
 
+    def test_from_counts_rejects_boolean_scan_count(self):
+        with pytest.raises(LayoutError, match="must be integers, got True"):
+            SessionLayout.from_counts([True, 10])
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_split_rejects_non_finite_scan_count(self, value):
         with pytest.raises(LayoutError, match=f"must be integers, got {value!r}"):

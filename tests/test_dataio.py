@@ -772,7 +772,6 @@ class TestLoadConfig:
             )
         )
         assert config.model_names == ("m1",)
-        assert config.layout is None
 
     def test_group_only(self, tmp_path):
         config = load_config(
@@ -833,18 +832,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
-    def test_single_session_requires_scans(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"sessions\.scans"):
-            load_config(
-                self._write(
-                    tmp_path,
-                    {
-                        "models": [{"name": "m", "design": ["x.csv"]}],
-                        "data": ["y.csv"],
-                        "sessions": {"kind": "single"},
-                    },
-                )
+    def test_one_response_file_needs_no_sessions_block(self, tmp_path):
+        # the cvlme stage splits a single response in halves once it reads it
+        config = load_config(
+            self._write(
+                tmp_path,
+                {"models": [{"name": "m", "design": ["x.csv"]}], "data": ["y.csv"]},
             )
+        )
+        assert config.data == ("y.csv",)
 
     @pytest.mark.parametrize(
         "key, value",

@@ -38,6 +38,10 @@ class TestFamilyPartition:
         with pytest.raises(DomainError, match=rf"non-integral indices \({value!r},\)"):
             FamilyPartition.from_mapping(2, {"a": (0,), "b": (value,)})
 
+    def test_rejects_boolean_index(self):
+        with pytest.raises(DomainError, match=r"non-integral indices \(True,\)"):
+            FamilyPartition.from_mapping(2, {"a": (True,), "b": (1,)})
+
     def test_rejects_empty_family(self):
         with pytest.raises(DomainError):
             uniform_partition(2, [(0, 1), ()])

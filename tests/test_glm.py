@@ -278,6 +278,45 @@ class TestResponseStats:
         with pytest.raises(error, match=message):
             GlmSpec(Y=y, X=x, precision=precision)
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("nan-design", "^design 2 must be finite$"),
+            ("vector-design", None),
+            ("short-design", "^Y has 20 scans but design 2 has 19$"),
+            ("list-response", None),
+            ("vector-response", None),
+            ("no-columns", "^design 2 has no columns$"),
+            ("list-precision", None),
+        ],
+        ids=["nan-design", "vector-design", "short-design", "list-response",
+             "vector-response", "no-columns", "list-precision"],
+    )
+    def test_takes_inputs_by_the_spec_rule(self, case, message):
+        # floats, a vector as one column; a design the spec rejects, but for
+        # its rank test, is named by its position from 1
+        rng = np.random.default_rng(56)
+        y, x = rng.normal(size=(20, 5)), random_design(rng, 20, 2)
+        bad = x.copy()
+        bad[3, 1] = np.nan
+        design = {
+            "nan-design": bad, "vector-design": x[:, 1], "short-design": x[:19],
+            "no-columns": x[:, :0],
+        }.get(case, x)
+        response = {"list-response": y.tolist(), "vector-response": y[:, 2]}.get(case, y)
+        precision = rng.uniform(0.5, 2.0, size=20).tolist() if case == "list-precision" else None
+        if message is not None:
+            with pytest.raises(DomainError, match=message):
+                response_stats(response, [x, design])
+            with pytest.raises(DomainError):
+                GlmSpec(Y=response, X=design)
+            return
+        spec = GlmSpec(Y=response, X=design, precision=precision)
+        found = response_stats(response, [x, design], precision)
+        for got, want in zip(found, response_stats(spec.Y, [x, spec.X], spec.precision)):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
     @NONFINITE
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
     def test_nonfinite_response_cell_names_voxel(self, precision_kind, value):

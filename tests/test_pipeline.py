@@ -477,7 +477,6 @@ class TestSingleSession:
                         {"name": "m2", "design": ["X2.csv"]},
                     ],
                     "data": ["Y.csv"],
-                    "sessions": {"kind": "single", "scans": n},
                 }
             )
         )
@@ -501,26 +500,27 @@ class TestSingleSession:
         # the generating model should win nearly everywhere on this toy
         assert np.mean(cvlme[0] > cvlme[1]) > 0.5
 
-    def test_scan_count_mismatch_rejected(self, tmp_path):
-        import numpy as np
-
-        from evidencer.dataio import save_matrix
-
+    def test_short_response_fails_cvlme_naming_it(self, tmp_path, capsys):
+        # one response file is split in halves, which needs 40 scans: a
+        # shorter one fails the stage that reads it, not the config
         root = tmp_path / "ws"
-        root.mkdir()
-        save_matrix(root / "Y.csv", np.zeros((50, 2)))
-        save_matrix(root / "X.csv", np.ones((50, 1)))
-        (root / "config.json").write_text(
-            json.dumps(
-                {
-                    "models": [{"name": "m", "design": ["X.csv"]}],
-                    "data": ["Y.csv"],
-                    "sessions": {"kind": "single", "scans": 44},
-                }
-            )
+        config_path = build_toy_workspace(root, n=30, s=1)
+        code = main(
+            ["pipeline", "--config", str(config_path), "--out", str(tmp_path / "o")]
         )
-        manifest = run(root / "config.json", tmp_path / "out", ["cvlme"])
-        assert "failed: ConfigError" in manifest["stages"]["cvlme"]["status"]
+        captured = capsys.readouterr()
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        statuses = {k: v["status"] for k, v in manifest["stages"].items()}
+        assert statuses["cvlme"] == (
+            f"failed: ConfigError: {(root / 'Y_s1.csv').resolve()}: "
+            "single-session split needs at least 40 scans, got 30"
+        )
+        assert statuses["cvlme"] in captured.err
+        for stage in ("anc", "lfe", "bma"):
+            assert statuses[stage] == "skipped: dependency 'cvlme' did not succeed"
+        assert statuses["bms"] == statuses["ep"] == "ok"
+        assert "Traceback" not in captured.out + captured.err
+        assert code == 4
 
 
 class TestFailureHandling:
@@ -618,13 +618,38 @@ class TestDeterminism:
             assert (outputs[1] / name).read_bytes() == reference
             assert (outputs[2] / name).read_bytes() == reference
 
+    @pytest.mark.parametrize(
+        "s, n, block",
+        [(2, 24, {"kind": "multi"}), (1, 60, {"kind": "single", "scans": 60})],
+        ids=["multi", "single"],
+    )
+    def test_sessions_block_of_older_configs_is_ignored(self, tmp_path, s, n, block):
+        # the response files fix the folds; the block changes only the hash
+        without = build_toy_workspace(tmp_path / "ws", n=n, s=s)
+        with_block = tmp_path / "ws" / "with_block.json"
+        config = json.loads(without.read_text())
+        with_block.write_text(json.dumps({**config, "sessions": block}))
+        run(without, tmp_path / "a", STAGES)
+        run(with_block, tmp_path / "b", STAGES)
+        a, b = tmp_path / "a", tmp_path / "b"
+        names = {p.name for p in a.iterdir()}
+        assert names == {p.name for p in b.iterdir()}
+        for name in names - {"manifest.json", "timings.csv"}:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (a, b)]
+        assert manifests[0]["stages"]["cvlme"]["status"] == "ok"
+        assert manifests[0]["sizes"]["folds"] == 2
+        hashes = [m.pop("config_sha256") for m in manifests]
+        assert hashes[0] != hashes[1]
+        assert manifests[0] == manifests[1]
+
     @pytest.mark.parametrize("single", [False, True], ids=["multi", "single"])
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
     def test_stage_tables_equal_the_spec_path(self, tmp_path, precision_kind, single):
         # the stage's statistics, formed session by session, give the bits
         # of cv_lme_models on specs of the same arrays
         n, s = (60, 1) if single else (24, 3)
-        extra = {"sessions": {"kind": "single", "scans": n}} if single else {}
+        extra = {}
         if precision_kind != "identity":
             extra["precision"] = [f"P_s{i}.csv" for i in range(1, s + 1)]
         root = tmp_path / "ws"
@@ -780,7 +805,13 @@ class TestCli:
             ({"vb_max_iter": 10**30}, "vb_max_iter"),
             ({"data": "Y_s1.csv"}, "data"),
             ({"model_prior": ["a", 1.0]}, "model_prior"),
-            ({"sessions": "multi"}, "sessions"),
+            (
+                {
+                    "models": [{"name": "m1", "design": []}, {"name": "m2", "design": []}],
+                    "data": [],
+                },
+                "data must list at least one response file",
+            ),
             ({"models": 5}, "models"),
             ({"subjects": [{"name": "s1", "cvlme": ["x.csv"]}]}, "cvlme"),
             ({"families": {"f": 5}}, "families"),
@@ -800,30 +831,13 @@ class TestCli:
             ({"model_prior": [True, False]}, "model_prior"),
             ({"model_prior": ["nan", "nan"]}, "model_prior"),
             (
-                {
-                    "models": [
-                        {"name": "m1", "design": ["X1_s1.csv"]},
-                        {"name": "m2", "design": ["X2_s1.csv"]},
-                    ],
-                    "data": ["Y_s1.csv"],
-                    "sessions": {"kind": "single", "scans": 10**30},
-                },
-                "sessions.scans",
+                {"data": ["Y_s1.csv"]},
+                "model 'm1' needs one design file per session (1 expected, 2 given)",
             ),
             ({"vb_max_iter": 2.5}, "vb_max_iter"),
             ({"vb_tol": 0}, "vb_tol"),
             ({"alpha0": "1"}, "alpha0"),
-            (
-                {
-                    "models": [
-                        {"name": "m1", "design": ["X1_s1.csv"]},
-                        {"name": "m2", "design": ["X2_s1.csv"]},
-                    ],
-                    "data": ["Y_s1.csv"],
-                    "sessions": {"kind": "single", "scans": True},
-                },
-                "scans",
-            ),
+            ({"precision": ["Y_s1.csv"]}, "precision must be 'identity' or one file per"),
             # errors the config alone shows exit 2 on loading, not 3 from a stage
             (
                 {
@@ -832,9 +846,8 @@ class TestCli:
                         {"name": "m2", "design": ["X2_s1.csv"]},
                     ],
                     "data": ["Y_s1.csv"],
-                    "sessions": {"kind": "single", "scans": 30},
                 },
-                "sessions.scans: single-session split needs at least 40 scans, got 30",
+                "betas.files rows need one file per session (1)",
             ),
             (
                 {"subjects": [{"name": "s1", "cvlme": "@self"}]},
@@ -854,14 +867,12 @@ class TestCli:
             ),
             (
                 {
-                    "models": [
-                        {"name": "m1", "design": ["X1_s1.csv"]},
-                        {"name": "m2", "design": ["X2_s1.csv"]},
-                    ],
-                    "data": ["Y_s1.csv"],
+                    "subjects": [
+                        {"name": "s", "cvlme": "sub0_cvLME.csv"},
+                        {"name": "s", "cvlme": "sub1_cvLME.csv"},
+                    ]
                 },
-                "data: 'multi' sessions need 2 or more response files, got 1; "
-                'for one session use "sessions": {"kind": "single", "scans": n}',
+                "subject names must be unique",
             ),
             ({"alpha0": 1e-310}, "alpha0 must be a finite positive number >= 2.2"),
         ],

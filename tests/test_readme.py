@@ -67,5 +67,5 @@ def test_configuration_example_loads(tmp_path):
     config = load_config(path)
     assert config.families.names == ("simple", "rich")
     assert list(config.families.weights[1]) == [1.0]
-    assert config.layout is None
+    assert config.data == ("Y_s1.csv", "Y_s2.csv")
     assert config.betas["regressor"] == "task"

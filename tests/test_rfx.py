@@ -144,6 +144,7 @@ class TestEstimateRfx:
             ("max_iter", -5),
             ("max_iter", 2.5),
             ("max_iter", 10**30),
+            ("max_iter", True),
             ("tol", float("nan")),
             ("alpha0", float("nan")),
             ("alpha0", float("inf")),
