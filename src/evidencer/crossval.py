@@ -31,11 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, LayoutError
+from .errors import DomainError, EstimationError, EvidencerError, LayoutError
 from .glm import (
     GlmSpec,
     NgParams,
     SessionStats,
+    _precision_logdet,
     accuracy,
     complexity,
     log_model_evidence,
@@ -139,7 +140,14 @@ def split_single_session(n: int) -> SessionLayout:
 
 
 def split_glm_spec(spec: GlmSpec, layout: SessionLayout) -> list:
-    """Slice one session's spec into per-fold specs along the scan axis."""
+    """Slice one session's spec into per-fold specs along the scan axis,
+    once its whole precision passes the rule each fold's pass applies."""
+    _precision_logdet(spec.precision, spec.n)
+    return _slice_spec(spec, layout)
+
+
+def _slice_spec(spec: GlmSpec, layout: SessionLayout) -> list:
+    """:func:`split_glm_spec` after its precision check."""
     if spec.n != layout.total_scans:
         raise LayoutError(
             f"layout covers {layout.total_scans} scans but spec has {spec.n}"
@@ -235,8 +243,8 @@ def _fold_stats(models, first: int) -> dict:
             designs = [models[name][k].X for name in names]
             try:
                 found = response_stats(shared.Y, designs, shared.precision)
-            except DomainError as exc:
-                raise DomainError(f"session {first + k + 1}: {exc}") from None
+            except EvidencerError as exc:
+                raise type(exc)(f"session {first + k + 1}: {exc}") from None
             for name, session in zip(names, found):
                 stats[name].append(session)
     return stats
@@ -260,13 +268,14 @@ def _model_folds(stats, name: str, out: np.ndarray) -> np.ndarray:
     return scale * sum(s.n * s.ytpy for s in stats)
 
 
-def _cv_folds(stats, layout: SessionLayout) -> CvResult:
+def _cv_folds(stats) -> CvResult:
     """:func:`cv_lme_models` after its statistics pass, on a name -> per-fold
     ``SessionStats`` mapping that meets its checks."""
     names = tuple(stats)
+    folds = stats[names[0]]
     # (3, folds, models, voxels), C-ordered, so fold sums add the folds in
     # order; each model's folds are written in place
-    oos = np.empty((3, layout.n_folds, len(names), stats[names[0]][0].n_voxels))
+    oos = np.empty((3, len(folds), len(names), folds[0].n_voxels))
     bounds = [_model_folds(stats[n], n, oos[:, :, m]) for m, n in enumerate(names)]
     tol = np.maximum(_ACC_COM_FLOOR, np.stack(bounds))
     result = CvResult(names, *oos.sum(axis=1), *oos, acc_com_tol=tol)
@@ -289,13 +298,13 @@ def cv_lme_models(models, layout: SessionLayout) -> CvResult:
     Models whose session specs view the same response (and precision)
     arrays share one statistics pass per session; the specs are left as
     they are. Messages count sessions and folds from 1, like the
-    ``oos*_fold<i>.csv`` files: a rejected response or a scan count that
-    disagrees with the layout names its session, and a failed update names
-    the model and the block (``fold i training`` or ``all-data``).
+    ``oos*_fold<i>.csv`` files: a rejected response or precision, or a scan
+    count off the layout, names its session; a failed update names the
+    model and the block (``fold i training`` or ``all-data``).
     """
     if not models:
         raise DomainError("cv_lme_models needs at least one model")
     voxels = {_check_sessions(specs, layout) for specs in models.values()}
     if len(voxels) > 1:
         raise DomainError(f"models disagree on the voxel count: {sorted(voxels)}")
-    return _cv_folds(_fold_stats(models, 0), layout)
+    return _cv_folds(_fold_stats(models, 0))

@@ -27,14 +27,14 @@ read a session through one :class:`SessionStats`: ``xtpx = X'PX``,
 is O(p^2) whatever the scan count. They come from :func:`response_stats`,
 one pass over ``Y`` that serves any number of designs on the same response
 and precision; it checks the designs as a spec does, but for the rank
-test, and the response per voxel. It reads each response once, in
+test, the response per voxel, and the precision, which a spec does not, by
+the rule that also forms log|P|. It reads each response once, in
 fixed-width zero-padded voxel blocks, holds no ``P·Y`` larger than a
 block, and gives a voxel the same bits whatever the voxel count or
-however the voxels are split over calls.
-A spec and a response pass check the precision by one rule, which also
-forms log|P|. The fields add over sessions, so summed statistics
-are as valid an input as one session's. The posterior mean is solved with
-the Cholesky factor of its precision by forward and back substitution.
+however the voxels are split over calls. The fields add over sessions, so
+summed statistics are as valid an input as one session's. The posterior
+mean is solved with the Cholesky factor of its precision by forward and
+back substitution.
 
 The three evidence quantities exposed here satisfy, per voxel and exactly
 in the algebra, ``log_model_evidence = accuracy - complexity``: accuracy is
@@ -232,7 +232,7 @@ class GlmSpec:
     ``precision`` may be ``None`` (identity), a length-n vector (diagonal),
     or a full symmetric positive-definite (n x n) matrix. ``n >= p + 1``,
     and ``X`` must be finite with full column rank; :func:`response_stats`
-    checks ``Y``.
+    checks ``Y`` and ``precision``, which the spec holds as floats.
     """
 
     Y: np.ndarray
@@ -250,7 +250,8 @@ class GlmSpec:
                 f"{sv[-1]:.3e} vs largest {sv[0]:.3e}); drop or merge "
                 "collinear regressors"
             )
-        self.precision, _ = _precision_logdet(self.precision, self.n)
+        if self.precision is not None:
+            self.precision = np.asarray(self.precision, dtype=float)
 
     @property
     def n(self) -> int:
@@ -338,9 +339,9 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> list:
     voxel's whatever the voxel count or however the voxels are split over
     calls. A non-finite ``y'Py`` (a non-finite cell, or an overflow) raises
     :class:`DomainError` naming the voxels, and a block that holds one skips
-    the product. ``Y``, the designs and the precision must meet
-    :class:`GlmSpec`'s rules but its rank test, and a rejected design is
-    named by its position, from 1.
+    the product. ``Y`` and the designs must meet :class:`GlmSpec`'s rules
+    but its rank test, a rejected design named by its position from 1, and
+    the precision is checked here, by the rule that forms ``log|P|``.
     """
     Y = _as_columns(Y, "Y")
     n, v = Y.shape

@@ -46,15 +46,13 @@ import numpy as np
 
 from . import __version__
 from .bma import BetaStack, cv_bma, log_family_evidence, posterior_probabilities
-from .crossval import (
-    CvResult, SessionLayout, _cv_folds, _fold_stats, split_glm_spec, split_single_session,
-)
+from .crossval import CvResult, _cv_folds, _fold_stats, _slice_spec, split_single_session
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
 from .errors import (
     ConfigError, DomainError, EstimationError, EvidencerError, LayoutError, NumericalError,
     ParseError,
 )
-from .glm import GlmSpec
+from .glm import GlmSpec, _precision_logdet
 from .rfx import (
     EP_REL_TAIL,
     EP_TOL,
@@ -192,20 +190,19 @@ def _model_space_files(config: ModelSpaceConfig) -> list:
 
 
 def _load_model_space(config: ModelSpaceConfig, products, declined: list) -> tuple:
-    """The cvlme stage's arguments: each model's per-fold statistics and
-    their layout, reduced from one session at a time (:func:`_session_pass`).
+    """The cvlme stage's arguments: each model's per-fold statistics and each
+    response file's scan count, one session at a time (:func:`_session_pass`).
     One response file is split in halves; several are one fold each."""
     stats = {model["name"]: [] for model in config.models}
-    for s in range(len(config.data)):
-        split = _session_pass(config, s, stats, declined)
-    return stats, split or SessionLayout.from_counts([f.n for f in next(iter(stats.values()))])
+    scans = [_session_pass(config, s, stats, declined) for s in range(len(config.data))]
+    return stats, scans
 
 
-def _session_pass(config: ModelSpaceConfig, s: int, stats, declined: list):
-    """Read session ``s``, check its response, precision and designs as specs
-    (a single session whole, then as its halves), and add each model's
-    statistics of its folds to ``stats``; nothing else outlives it. Returns
-    the single session's split, or None for one of several sessions."""
+def _session_pass(config: ModelSpaceConfig, s: int, stats, declined: list) -> int:
+    """Read session ``s``, check its response, its whole precision file and
+    its designs as specs (a single session whole, then as its halves), and
+    add each model's statistics of its folds to ``stats``; nothing else
+    outlives it. Returns the response's scan count."""
     y = _load_finite(config, config.data[s], declined)
     first = next(iter(stats.values()))
     if first and y.shape[1] != first[0].n_voxels:
@@ -224,6 +221,11 @@ def _session_pass(config: ModelSpaceConfig, s: int, stats, declined: list):
         precision = _load_finite(config, config.precision[s], declined)
         if precision.shape == (1, y.shape[0]):
             precision = precision.ravel()  # stored as a single row: diagonal precision
+        try:
+            _precision_logdet(precision, y.shape[0])
+        except EvidencerError as exc:
+            where = f"session {s + 1}, precision {config.resolve(config.precision[s])}"
+            raise type(exc)(f"{where}: {exc}") from None
     folds = {}  # per model, its specs of the session's folds
     for model, kept in zip(config.models, stats.values()):
         x = _load_finite(config, model["design"][s], declined)
@@ -231,18 +233,16 @@ def _session_pass(config: ModelSpaceConfig, s: int, stats, declined: list):
             spec = GlmSpec(Y=y, X=x, precision=precision)
             if kept and spec.p != kept[0].p:
                 raise DomainError(f"design has {spec.p} columns, session 1's {kept[0].p}")
-            folds[model["name"]] = [spec] if layout is None else split_glm_spec(spec, layout)
+            folds[model["name"]] = [spec] if layout is None else _slice_spec(spec, layout)
         except EvidencerError as exc:
-            files = f"design {config.resolve(model['design'][s])}"
-            if precision is not None:
-                files += f", precision {config.resolve(config.precision[s])}"
             raise type(exc)(
-                f"model {model['name']!r}, session {s + 1}, {files}: {exc} "
+                f"model {model['name']!r}, session {s + 1}, design "
+                f"{config.resolve(model['design'][s])}: {exc} "
                 f"(response {config.resolve(config.data[s])})"
             ) from None
     for name, found in _fold_stats(folds, s).items():
         stats[name].extend(found)
-    return layout
+    return y.shape[0]
 
 
 def _subject_files(config: ModelSpaceConfig) -> list:
@@ -318,18 +318,16 @@ def _cv_tables(result: CvResult, *terms) -> dict:
     return tables
 
 
-def _stage_cvlme(config, options, stats, layout) -> _StageResult:
+def _stage_cvlme(config, options, stats, scans) -> _StageResult:
     try:
-        result = _cv_folds(stats, layout)
+        result = _cv_folds(stats)
     except EstimationError as exc:
         files = ", ".join(str(config.resolve(path)) for path in config.data)
         raise EstimationError(f"{exc} (response files {files})") from None
-    single = len(config.data) == 1
-    scans = [layout.total_scans] if single else [b - a for a, b in layout.sessions]
     sizes = {
         "sessions": len(scans),
         "scans_per_session": scans,
-        "folds": layout.n_folds,
+        "folds": result.oos_lme.shape[0],
         "voxels": result.cv_lme.shape[1],
         "models": len(result.model_names),
     }

@@ -57,13 +57,13 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True, eq=False)
 class GroupLmeStack:
-    """Per-subject evidences: a (subjects x models x voxels) array."""
+    """Per-subject evidences: a C-ordered (subjects x models x voxels) array."""
 
     lme: np.ndarray
     subject_ids: tuple
 
     def __post_init__(self):
-        lme = np.asarray(self.lme, dtype=float)
+        lme = np.ascontiguousarray(self.lme, dtype=float)
         if lme.ndim == 2:
             lme = lme[:, :, None]
         if lme.ndim != 3:

@@ -18,7 +18,7 @@ from evidencer.crossval import (
     split_glm_spec,
     split_single_session,
 )
-from evidencer.errors import DomainError, EstimationError, LayoutError
+from evidencer.errors import DecompositionError, DomainError, EstimationError, LayoutError
 from evidencer.glm import (
     GlmSpec,
     NgParams,
@@ -26,6 +26,13 @@ from evidencer.glm import (
     log_model_evidence,
     posterior_update,
 )
+
+
+def _with_cells(a, cells):
+    """``a`` with the given index -> value cells set."""
+    for index, value in cells.items():
+        a[index] = value
+    return a
 
 
 def make_sessions(rng, s=3, n=20, p=2, v=4, precision_kind="identity"):
@@ -147,6 +154,36 @@ class TestSessionLayout:
         np.testing.assert_array_equal(parts[1].Y, spec.Y[30:])
         np.testing.assert_array_equal(parts[1].precision, spec.precision[30:])
 
+    @pytest.mark.parametrize(
+        "precision, error, message",
+        [
+            (_with_cells(np.eye(60), {(0, 59): 0.5}), DomainError, "symmetric"),
+            (
+                _with_cells(np.eye(60), {(0, 59): 1.5, (59, 0): 1.5}),
+                DecompositionError,
+                "not positive definite",
+            ),
+            (_with_cells(np.ones(60), {(30,): np.nan}), DomainError, "finite"),
+            (_with_cells(np.ones(60), {(30,): -1.0}), DecompositionError, "definite"),
+            (np.ones(63), DomainError, "length n"),
+            (np.eye(63), DomainError, r"\(n, n\)"),
+            (np.eye(60, 63), DomainError, r"\(n, n\)"),
+        ],
+        ids=["asymmetric-across", "indefinite-across", "nonfinite-discarded",
+             "negative-discarded", "long-vector", "large-matrix", "wide-matrix"],
+    )
+    def test_split_checks_the_whole_precision(self, precision, error, message):
+        # 60 scans split as [0, 25) and [35, 60): both halves' blocks pass the
+        # rule, and the fault lies between them, on a discarded scan or in the
+        # shape, so only a check of the whole precision sees it
+        rng = np.random.default_rng(3)
+        y, x = rng.normal(size=(60, 3)), random_design(rng, 60, 2)
+        layout = split_single_session(60)
+        assert layout.sessions == ((0, 25), (35, 60))
+        with pytest.raises(error, match=message):
+            spec = GlmSpec(Y=y, X=x, precision=precision)
+            cv_lme_models({"m": split_glm_spec(spec, layout)}, layout)
+
 
 class TestOosLme:
     def test_identity_per_fold(self):
@@ -253,14 +290,18 @@ class TestCvLme:
         rng = np.random.default_rng(22)
         specs, layout = make_sessions(rng, s=2, v=6)
         perm = rng.permutation(6)
+        # a C-ordered copy: Y[:, perm] alone is Fortran-ordered, and adds
+        # each voxel's terms in another order
         permuted = [
-            GlmSpec(Y=s.Y[:, perm], X=s.X, precision=s.precision) for s in specs
+            GlmSpec(Y=np.ascontiguousarray(s.Y[:, perm]), X=s.X, precision=s.precision)
+            for s in specs
         ]
         base = cv_lme_models({"m": specs}, layout)
         shuffled = cv_lme_models({"m": permuted}, layout)
-        np.testing.assert_allclose(
-            shuffled.cv_lme[:, :], base.cv_lme[:, perm], rtol=1e-10, atol=1e-10
-        )
+        for term in ("cv_lme", "cv_acc", "cv_com"):
+            np.testing.assert_array_equal(
+                getattr(shuffled, term), getattr(base, term)[:, perm]
+            )
 
     def test_model_stack(self):
         rng = np.random.default_rng(24)

@@ -25,6 +25,7 @@ from helpers import (
 
 import evidencer
 from evidencer import glm
+from evidencer.crossval import SessionLayout, cv_lme_models
 from evidencer.errors import DecompositionError, DomainError, EstimationError
 from evidencer.glm import (
     _BLOCK,
@@ -59,6 +60,12 @@ NONFINITE = pytest.mark.parametrize(
 )
 
 
+def cv_of_two(spec: GlmSpec):
+    """``cv_lme_models`` on ``spec`` as both of two sessions: a spec holds
+    its precision unchecked, and the first response pass checks it."""
+    return cv_lme_models({"m": [spec, spec]}, SessionLayout.from_counts([spec.n] * 2))
+
+
 class TestGlmSpec:
     def test_shapes_and_vector_promotion(self):
         spec = GlmSpec(Y=np.arange(4.0), X=np.ones(4))
@@ -91,8 +98,9 @@ class TestGlmSpec:
         rng = np.random.default_rng(4)
         precision = random_precision(rng, 8, precision_kind)
         precision[(2,) * precision.ndim] = value
-        with pytest.raises(DomainError, match="precision must be finite"):
-            GlmSpec(Y=np.zeros((8, 1)), X=random_design(rng, 8, 2), precision=precision)
+        spec = GlmSpec(Y=np.zeros((8, 1)), X=random_design(rng, 8, 2), precision=precision)
+        with pytest.raises(DomainError, match="^session 1: precision must be finite$"):
+            cv_of_two(spec)
 
     def test_rejects_rank_deficient_design(self):
         x = np.ones((6, 2))
@@ -100,8 +108,9 @@ class TestGlmSpec:
             GlmSpec(Y=np.zeros((6, 1)), X=x)
 
     def test_rejects_bad_precision(self):
-        with pytest.raises(DomainError):
-            GlmSpec(Y=np.zeros((4, 1)), X=np.ones((4, 1)), precision=np.ones(3))
+        spec = GlmSpec(Y=np.zeros((4, 1)), X=np.ones((4, 1)), precision=np.ones(3))
+        with pytest.raises(DomainError, match="^session 1: diagonal precision must have"):
+            cv_of_two(spec)
 
     def test_logdet_precision_variants(self):
         y, x = np.zeros((3, 1)), np.arange(1.0, 4.0)[:, None]
@@ -270,13 +279,15 @@ class TestResponseStats:
              "indefinite", "three-dimensional"],
     )
     def test_rejects_bad_precision(self, precision, error, message):
-        # the response pass checks the precision by the spec's rule
+        # the response pass checks the precision, one a spec holds too
         rng = np.random.default_rng(55)
         y, x = rng.normal(size=(6, 3)), random_design(rng, 6, 2)
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as direct:
             response_stats(y, [x], precision)
-        with pytest.raises(error, match=message):
-            GlmSpec(Y=y, X=x, precision=precision)
+        with pytest.raises(error) as relayed:
+            cv_of_two(GlmSpec(Y=y, X=x, precision=precision))
+        assert type(relayed.value) is type(direct.value)
+        assert str(relayed.value) == f"session 1: {direct.value}"
 
     @pytest.mark.parametrize(
         "case, message",
@@ -434,15 +445,17 @@ class TestPosteriorUpdate:
         assert stats.xtpy.tobytes() == xtpy.tobytes()
 
     def test_voxel_permutation_equivariance(self):
-        # equivariant up to BLAS column-blocking round-off
+        # bit-equivariant on a C-ordered permuted copy (Y[:, perm] alone is
+        # Fortran-ordered, and adds each voxel's terms in another order)
         rng = np.random.default_rng(9)
         spec, prior = random_proper_instance(rng, v=8)
         perm = rng.permutation(8)
-        permuted_spec = GlmSpec(Y=spec.Y[:, perm], X=spec.X, precision=spec.precision)
+        y = np.ascontiguousarray(spec.Y[:, perm])
+        permuted_spec = GlmSpec(Y=y, X=spec.X, precision=spec.precision)
         post = posterior_update(stats_of(spec), prior)
         post_perm = posterior_update(stats_of(permuted_spec), prior)
-        np.testing.assert_allclose(post_perm.mu, post.mu[:, perm], atol=1e-12)
-        np.testing.assert_allclose(post_perm.b, post.b[perm], rtol=1e-12)
+        np.testing.assert_array_equal(post_perm.mu, post.mu[:, perm])
+        np.testing.assert_array_equal(post_perm.b, post.b[perm])
 
 
 class TestEvidenceQuantities:
@@ -610,8 +623,6 @@ class TestEvidenceQuantities:
     def test_irrelevant_regressor_penalized_on_average(self):
         # adding a pure-noise column should not raise the cross-validated
         # evidence on average; informational, printed for the record
-        from evidencer.crossval import SessionLayout, cv_lme_models
-
         rng = np.random.default_rng(99)
         layout = SessionLayout.from_counts([24, 24])
         deltas = []

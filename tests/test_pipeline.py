@@ -15,6 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import evidencer.pipeline
+from evidencer import glm
 from evidencer.cli import main
 from evidencer.crossval import (
     SessionLayout,
@@ -337,6 +338,41 @@ class TestStageOutputs:
             "rows": rows,
         }
         assert manifest["tables"]["EP.csv"] == {"kind": "EP", "rows": rows}
+
+    @pytest.mark.parametrize("single", [False, True], ids=["two-files", "one-file"])
+    def test_each_precision_factorised_once_per_pass(self, tmp_path, monkeypatch, single):
+        # the cvlme stage checks a precision file where it reads it, then
+        # each fold's response pass forms log|P|: two Cholesky factors per
+        # file, three for one file split in halves, whatever the model count
+        n, s = (60, 1) if single else (24, 2)
+        rng = np.random.default_rng(62)
+        names = []
+        cholesky = glm._cholesky
+        monkeypatch.setattr(
+            glm, "_cholesky", lambda m, name: names.append(name) or cholesky(m, name)
+        )
+        counts = []
+        for k in (2, 3):
+            root = tmp_path / f"ws{k}"
+            models = [
+                {"name": f"m{j}", "design": [f"X{j}_s{i}.csv" for i in range(1, s + 1)]}
+                for j in range(1, k + 1)
+            ]
+            extra = {"models": models, "precision": [f"P_s{i}.csv" for i in range(1, s + 1)]}
+            config_path = build_toy_workspace(
+                root, n=n, s=s, with_group=False, with_betas=False,
+                with_families=False, extra_config=extra,
+            )
+            for i in range(1, s + 1):
+                save_matrix(root / f"P_s{i}.csv", random_precision(rng, n, "full"))
+                x2 = load_matrix(root / f"X2_s{i}.csv").values
+                save_matrix(root / f"X3_s{i}.csv", np.hstack([x2, rng.normal(size=(n, 1))]))
+            names.clear()
+            manifest = run(config_path, tmp_path / f"out{k}", ["cvlme"])
+            assert manifest["stages"]["cvlme"]["status"] == "ok"
+            assert manifest["sizes"]["models"] == k
+            counts.append(names.count("precision"))
+        assert counts[0] == counts[1] <= (3 if single else 2 * s)
 
 
 @pytest.fixture(scope="module")
@@ -1133,10 +1169,11 @@ class TestCli:
         captured = capsys.readouterr()
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         status = manifest["stages"]["cvlme"]["status"]
+        # the precision was checked where it was read: a design fault names
+        # the design and the response alone
         named = f"model 'm2', session 2, design {(root / 'X2_s2.csv').resolve()}"
-        if with_precision:
-            named += f", precision {(root / 'P_s2.csv').resolve()}"
         assert status.startswith(f"failed: EstimationError: {named}: design matrix")
+        assert status.endswith(f"(response {(root / 'Y_s2.csv').resolve()})")
         assert status in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert code == 4
@@ -1218,13 +1255,24 @@ class TestCli:
         save_matrix(root / "P_s1.csv", 2.0 * np.eye(24))
         save_matrix(root / "P_s2.csv", np.diag([-1.0] + [1.0] * 23))
         status = self._failed_cvlme(config_path, tmp_path / "o", capsys)
-        named = (
-            f"model 'm1', session 2, design {(root / 'X1_s2.csv').resolve()}, "
-            f"precision {(root / 'P_s2.csv').resolve()}"
-        )
+        named = f"session 2, precision {(root / 'P_s2.csv').resolve()}"
         assert status.startswith(
             f"failed: DecompositionError: {named}: precision is not positive definite"
         )
+
+    def test_cross_half_asymmetric_precision_names_its_file(self, tmp_path, capsys):
+        # a single response's halves see only their diagonal blocks of the
+        # precision; the stage checks the whole file where it reads it
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(
+            root, n=60, s=1, extra_config={"precision": ["P_s1.csv"]}
+        )
+        precision = 2.0 * np.eye(60)
+        precision[0, 59] = 0.5
+        save_matrix(root / "P_s1.csv", precision)
+        status = self._failed_cvlme(config_path, tmp_path / "o", capsys)
+        named = f"session 1, precision {(root / 'P_s1.csv').resolve()}"
+        assert status.startswith(f"failed: DomainError: {named}: precision must be symmetric")
 
     def test_only_stage_failed_exit_code(self, tmp_path, capsys):
         root = tmp_path / "ws"

@@ -56,6 +56,15 @@ class TestEstimateRfx:
         shifted = estimate_rfx(stack(lme + shifts))
         np.testing.assert_allclose(shifted.alpha, base.alpha, atol=1e-10)
 
+    def test_memory_order_changes_no_bit(self):
+        # the stack is held C-ordered, so a Fortran-ordered array's VB loop
+        # adds each voxel's terms in the same order
+        rng = np.random.default_rng(3)
+        lme = rng.normal(size=(20, 3, 3001)) * 3 - 40
+        c, f = (estimate_rfx(stack(a)) for a in (lme, np.asfortranarray(lme)))
+        for name in ("alpha", "iterations", "converged"):
+            np.testing.assert_array_equal(getattr(f, name), getattr(c, name))
+
     def test_mass_conservation_every_iteration(self):
         # re-run the update by hand and check the mass after each step
         rng = np.random.default_rng(4)
