@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_columns, _integral
 
 __all__ = [
     "BetaStack",
@@ -36,17 +36,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BetaStack:
-    """Point estimates for one named regressor: (models x sessions x voxels)."""
+    """One regressor's estimates, (models x sessions x voxels) or one voxel's."""
 
     beta: np.ndarray
     regressor_name: str = "effect"
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        if beta.ndim == 2:
-            beta = beta[:, :, None]
-        if beta.ndim != 3:
-            raise DomainError("beta must be (models, sessions, voxels)")
+        beta = _as_columns(self.beta, 3, "beta must be (models, sessions, voxels)")
         if not np.all(np.isfinite(beta)):
             raise DomainError("parameter estimates must be finite")
         object.__setattr__(self, "beta", beta)
@@ -66,12 +62,12 @@ class BetaStack:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorProbs:
-    """Per-voxel posterior model probabilities (models x voxels)."""
+    """Posterior model probabilities, (models x voxels) or one voxel's."""
 
     pp: np.ndarray
 
     def __post_init__(self):
-        pp = np.atleast_2d(np.asarray(self.pp, dtype=float))
+        pp = _as_columns(self.pp, 2, "pp must be (models, voxels)")
         if np.any(pp < 0):
             raise DomainError("posterior probabilities must be non-negative")
         if np.max(np.abs(pp.sum(axis=0) - 1.0), initial=0.0) > 1e-10:
@@ -120,10 +116,10 @@ def _weighted_terms(lme: np.ndarray, w: np.ndarray) -> tuple:
 
 
 def posterior_probabilities(lme: np.ndarray, prior=None) -> PosteriorProbs:
-    """Posterior model probabilities from (models x voxels) log evidences
-    and a ``prior``, uniform by default: each column's weighted terms over
-    their sum. A model of zero prior gets zero, however far it leads."""
-    lme = np.atleast_2d(np.asarray(lme, dtype=float))
+    """Posterior model probabilities from log evidences, (models x voxels)
+    or one voxel's, and a ``prior``, uniform by default: each column's
+    weighted terms over their sum. A model of zero prior gets zero."""
+    lme = _as_columns(lme, 2, "lme must be (models, voxels)")
     terms, _ = _weighted_terms(lme, _prior_weights(prior, lme.shape[0], "model prior"))
     return PosteriorProbs(pp=terms / terms.sum(axis=0))
 
@@ -136,7 +132,7 @@ class FamilyPartition:
     ``weights`` holds one entry per family, ``None`` for uniform; after
     construction it always holds the vectors. A weight of exactly zero
     excludes that model from its family's evidence; weights must be
-    non-negative and sum to one per family.
+    non-negative and sum to one per family. Indices are integral, not bools.
     """
 
     n_models: int
@@ -153,11 +149,8 @@ class FamilyPartition:
         normalized = []
         for name, indices in self.families:
             indices = tuple(indices)
-            try:
-                idx = tuple(int(i) for i in indices)
-            except (OverflowError, ValueError):  # nan, inf
-                idx = None
-            if idx != indices or any(isinstance(i, bool) for i in indices):
+            idx = tuple(_integral(i) for i in indices)
+            if None in idx:
                 raise DomainError(f"family {name!r} has non-integral indices {indices!r}")
             if not idx:
                 raise DomainError(f"family {name!r} is empty")
@@ -196,13 +189,11 @@ class FamilyPartition:
 
 
 def log_family_evidence(lme: np.ndarray, partition: FamilyPartition) -> np.ndarray:
-    """Per-family, per-voxel log evidence from a (models x voxels) matrix:
-    the log of the weighted sum of the members' evidences, formed as the
-    shift plus the log of the sum of their terms. A member of zero weight
-    drops out of its family."""
-    lme = np.asarray(lme, dtype=float)
-    if lme.ndim == 1:
-        lme = lme[:, None]
+    """Per-family, per-voxel log evidence from a (models x voxels) matrix,
+    a vector one voxel: the log of the weighted sum of the members'
+    evidences, formed as the shift plus the log of the sum of their terms.
+    A member of zero weight drops out of its family."""
+    lme = _as_columns(lme, 2, "lme must be (models, voxels)")
     if lme.shape[0] != partition.n_models:
         raise DomainError(
             f"evidence matrix has {lme.shape[0]} rows but the partition "
@@ -216,16 +207,10 @@ def log_family_evidence(lme: np.ndarray, partition: FamilyPartition) -> np.ndarr
 
 
 def _check_axes(betas: BetaStack, probs: PosteriorProbs) -> None:
-    if betas.n_models != probs.n_models:
-        raise DomainError(
-            f"estimate stack has {betas.n_models} models, probabilities "
-            f"have {probs.n_models}"
-        )
-    if betas.n_voxels != probs.n_voxels:
-        raise DomainError(
-            f"estimate stack has {betas.n_voxels} voxels, probabilities "
-            f"have {probs.n_voxels}"
-        )
+    for axis in ("models", "voxels"):
+        est, pp = getattr(betas, f"n_{axis}"), getattr(probs, f"n_{axis}")
+        if est != pp:
+            raise DomainError(f"estimate stack has {est} {axis}, probabilities have {pp}")
 
 
 def cv_bma(betas: BetaStack, probs: PosteriorProbs) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, EvidencerError, LayoutError
+from .errors import DomainError, EstimationError, EvidencerError, LayoutError, _integral
 from .glm import (
     GlmSpec,
     NgParams,
@@ -107,11 +107,8 @@ class SessionLayout:
 
 
 def _scan_count(value) -> int:
-    try:
-        count = int(value)
-    except (OverflowError, ValueError):  # nan, inf
-        count = None
-    if count != value or isinstance(value, bool):
+    count = _integral(value)
+    if count is None:
         raise LayoutError(f"scan counts must be integers, got {value!r}")
     return count
 

@@ -866,9 +866,10 @@ def load_config(path) -> ModelSpaceConfig:
             "betas.files needs one row per model",
         )
         betas = {**betas, "regressor": betas.get("regressor", "effect")}
+        name = betas["regressor"]  # the result file is BMA_<name>.csv
         _require(
-            isinstance(betas["regressor"], str),
-            f"betas.regressor must be a string, got {betas['regressor']!r}",
+            isinstance(name, str) and name and not set("/\\\0") & set(name),
+            f"betas.regressor must be non-empty, without '/', '\\' or NUL, got {name!r}",
         )
         for row in betas["files"]:
             _require(

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rules for arrays and counts."""
+
+import numpy as np
 
 __all__ = [
     "EvidencerError",
@@ -54,3 +56,26 @@ class NumericalError(EvidencerError):
 
 class ConfigError(EvidencerError, ValueError):
     """An analysis configuration is invalid or inconsistent."""
+
+
+def _as_columns(a, ndim: int, error: str) -> np.ndarray:
+    """``a`` as ``ndim``-D floats; one dimension short, it gains a trailing
+    axis (one voxel, or one design column). Any other dimension count is a
+    :class:`DomainError` with ``error``, its ``{shape}`` filled in."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == ndim - 1:
+        a = a[..., None]
+    if a.ndim != ndim:
+        raise DomainError(error.format(shape=a.shape))
+    return a
+
+
+def _integral(value) -> int | None:
+    """``value`` as an int if it is integral and not a Python or numpy bool, else None."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        count = int(value)
+    except (OverflowError, TypeError, ValueError):  # inf, None, nan
+        return None
+    return count if count == value else None

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DecompositionError, DomainError, EstimationError
+from .errors import DecompositionError, DomainError, EstimationError, _as_columns
 from .special import digamma, log_gamma
 
 __all__ = [
@@ -201,18 +201,11 @@ class NgParams:
             )
 
 
-def _as_columns(a, name: str) -> np.ndarray:
-    """``a`` as a 2-D float array, a vector as one column."""
-    a = np.asarray(a, dtype=float)
-    a = a[:, None] if a.ndim == 1 else a
-    if a.ndim != 2:
-        raise DomainError(f"{name} must be a vector or a 2-D array")
-    return a
-
-
-def _check_design(x: np.ndarray, n: int, name: str) -> None:
-    """:class:`DomainError` naming ``name`` unless ``x`` is a finite design of
-    ``n`` rows and ``p`` columns, ``1 <= p <= n - 1``."""
+def _as_design(x, n: int, name: str) -> np.ndarray:
+    """``x`` as a 2-D float array, a vector one column, if it is a finite
+    design of ``n`` rows and ``p`` columns, ``1 <= p <= n - 1``; else
+    :class:`DomainError` naming ``name``."""
+    x = _as_columns(x, 2, f"{name} must be a vector or a 2-D array")
     if x.shape[0] != n:
         raise DomainError(f"Y has {n} scans but {name} has {x.shape[0]}")
     if not np.all(np.isfinite(x)):
@@ -222,6 +215,7 @@ def _check_design(x: np.ndarray, n: int, name: str) -> None:
         raise DomainError(f"{name} has no columns")
     if n < p + 1:
         raise DomainError(f"{name} needs n >= p + 1 scans, got n={n}, p={p}")
+    return x
 
 
 @dataclass(eq=False)
@@ -240,9 +234,8 @@ class GlmSpec:
     precision: np.ndarray | None = None
 
     def __post_init__(self):
-        self.Y = _as_columns(self.Y, "Y")
-        self.X = _as_columns(self.X, "X")
-        _check_design(self.X, self.Y.shape[0], "X")
+        self.Y = _as_columns(self.Y, 2, "Y must be a vector or a 2-D array")
+        self.X = _as_design(self.X, self.Y.shape[0], "X")
         sv = np.linalg.svd(self.X, compute_uv=False)
         if sv[-1] <= _RANK_RTOL * sv[0]:
             raise EstimationError(
@@ -343,11 +336,9 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> list:
     but its rank test, a rejected design named by its position from 1, and
     the precision is checked here, by the rule that forms ``log|P|``.
     """
-    Y = _as_columns(Y, "Y")
+    Y = _as_columns(Y, 2, "Y must be a vector or a 2-D array")
     n, v = Y.shape
-    designs = [_as_columns(x, f"design {i}") for i, x in enumerate(designs, 1)]
-    for i, x in enumerate(designs, 1):
-        _check_design(x, n, f"design {i}")
+    designs = [_as_design(x, n, f"design {i}") for i, x in enumerate(designs, 1)]
     precision, logdet = _precision_logdet(precision, n)
     distinct = {}
     rows = [

@@ -50,7 +50,7 @@ from .crossval import CvResult, _cv_folds, _fold_stats, _slice_spec, split_singl
 from .dataio import ModelSpaceConfig, ResultTable, load_matrix
 from .errors import (
     ConfigError, DomainError, EstimationError, EvidencerError, LayoutError, NumericalError,
-    ParseError,
+    ParseError, _integral,
 )
 from .glm import GlmSpec, _precision_logdet
 from .rfx import (
@@ -76,8 +76,10 @@ class RunOptions:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
+        threads = _integral(self.threads)
+        if threads is None or threads < 1:
+            raise ConfigError(f"threads must be an integer >= 1, got {self.threads!r}")
+        self.threads = threads
 
 
 def _missing_block(config: ModelSpaceConfig, stage: str):
@@ -299,8 +301,7 @@ def _load_estimates(config: ModelSpaceConfig, products, declined: list) -> tuple
                 )
             per_session.append(mat[0])
         stacks.append(per_session)
-    regressor = config.betas["regressor"]
-    return cv_result, BetaStack(beta=np.asarray(stacks), regressor_name=regressor)
+    return cv_result, BetaStack(beta=stacks, regressor_name=config.betas["regressor"])
 
 
 def _cv_tables(result: CvResult, *terms) -> dict:

@@ -22,12 +22,11 @@ its call, so chunking and thread count leave the output bytes unchanged.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _as_columns, _integral
 from .special import digamma, gamma_tail_quantiles, log_gamma, reg_lower_incomplete_gamma
 
 __all__ = [
@@ -57,17 +56,14 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True, eq=False)
 class GroupLmeStack:
-    """Per-subject evidences: a C-ordered (subjects x models x voxels) array."""
+    """Evidences, C-ordered (subjects x models x voxels) or one voxel's."""
 
     lme: np.ndarray
     subject_ids: tuple
 
     def __post_init__(self):
-        lme = np.ascontiguousarray(self.lme, dtype=float)
-        if lme.ndim == 2:
-            lme = lme[:, :, None]
-        if lme.ndim != 3:
-            raise DomainError("lme must be (subjects, models, voxels)")
+        lme = _as_columns(self.lme, 3, "lme must be (subjects, models, voxels)")
+        lme = np.ascontiguousarray(lme)
         if lme.shape[0] < 2:
             raise DomainError("group analysis needs at least two subjects")
         if lme.shape[1] < 2:
@@ -92,15 +88,20 @@ class GroupLmeStack:
         return self.lme.shape[2]
 
 
+def _check_concentrations(alpha: np.ndarray) -> None:
+    if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
+        raise DomainError("concentrations must be finite and positive")
+
+
 @dataclass(eq=False)
 class DirichletPosterior:
     """Voxel-wise Dirichlet posterior over model frequencies.
 
-    ``alpha`` is (models x voxels); per voxel the concentrations sum to
-    ``models * alpha0 + n_subjects`` (the variational fixed point conserves
-    the subject count). ``converged`` and ``iterations`` record per-voxel
-    fixed-point behavior, and ``log_space_steps`` counts the voxel-steps
-    that took the log-space step.
+    ``alpha`` is (models x voxels), a vector one voxel; per voxel the
+    concentrations sum to ``models * alpha0 + n_subjects`` (the variational
+    fixed point conserves the subject count). ``converged`` and
+    ``iterations`` record per-voxel fixed-point behavior, and
+    ``log_space_steps`` counts the voxel-steps that took the log-space step.
     """
 
     alpha: np.ndarray
@@ -111,9 +112,8 @@ class DirichletPosterior:
     log_space_steps: int = 0
 
     def __post_init__(self):
-        self.alpha = np.atleast_2d(np.asarray(self.alpha, dtype=float))
-        if np.any(self.alpha <= 0) or not np.all(np.isfinite(self.alpha)):
-            raise DomainError("concentrations must be finite and positive")
+        self.alpha = _as_columns(self.alpha, 2, "alpha must be (models, voxels)")
+        _check_concentrations(self.alpha)
         self.alpha0 = float(self.alpha0)
         if self.alpha0 <= 0:
             raise DomainError("alpha0 must be positive")
@@ -214,7 +214,7 @@ def estimate_rfx(
     slots and chunking leave results unchanged to the bit. ``alpha0`` must
     be a normal double (subnormals overflow digamma) that keeps the
     concentration mass ``k * alpha0 + subjects`` finite, ``tol`` finite and
-    positive, and ``max_iter`` an integer, not a bool, from 1 to 2**63 - 1.
+    positive, and ``max_iter`` integral, not a bool, from 1 to 2**63 - 1.
     """
     lme = group.lme
     n, k, v = lme.shape
@@ -225,14 +225,14 @@ def estimate_rfx(
         )
     if not (np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    integral = isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool)
-    if not integral or not 1 <= max_iter < 2**63:
+    steps = _integral(max_iter)
+    if steps is None or not 1 <= steps < 2**63:
         raise DomainError(
             f"max_iter must be an integer from 1 to 2**63 - 1, got {max_iter!r}"
         )
     alpha = np.empty((k, v))
     converged = np.zeros(v, dtype=bool)
-    iterations = np.full(v, max_iter, dtype=np.int64)
+    iterations = np.full(v, steps, dtype=np.int64)
     log_space_steps = 0
     width = max(1, _VB_BLOCK_BYTES // (8 * n * k))
 
@@ -242,7 +242,7 @@ def estimate_rfx(
         np.exp(e, out=e)
         active = np.arange(lo, lo + e.shape[2])
         current = np.full((k, e.shape[2]), alpha0)
-        for step in range(1, max_iter + 1):
+        for step in range(1, steps + 1):
             new_alpha, logged = _vb_step(current, e, lme, active, alpha0)
             log_space_steps += logged
             done = np.max(np.abs(new_alpha - current), axis=0) < tol
@@ -335,12 +335,11 @@ def ep_integration_stack(alpha: np.ndarray) -> tuple:
     Returns the raw (not renormalized) EPs and the diagnostics
     ``max_sum_deviation``, ``distinct_columns`` and ``max_nodes``.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    alpha = alpha[:, None] if alpha.ndim == 1 else alpha  # one voxel
-    if alpha.ndim != 2 or alpha.shape[0] < 2:
-        raise DomainError(f"need (models x voxels), 2+ models, got shape {alpha.shape}")
-    if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
-        raise DomainError("concentrations must be finite and positive")
+    shape_error = "need (models x voxels), 2+ models, got shape {shape}"
+    alpha = _as_columns(alpha, 2, shape_error)
+    if alpha.shape[0] < 2:
+        raise DomainError(shape_error.format(shape=alpha.shape))
+    _check_concentrations(alpha)
     # concentrations are finite and positive, so equal values are equal
     # bytes; the inverse is flattened because its shape under ``axis`` has
     # changed across numpy 2.x releases

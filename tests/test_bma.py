@@ -199,6 +199,76 @@ class TestOosBma:
             oos_bma(betas, [pp, pp])
 
 
+class TestEntryChecks:
+    def test_beta_matrix_is_one_voxel(self):
+        beta = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])  # models x sessions
+        stack = BetaStack(beta=beta)
+        assert stack.beta.shape == (3, 2, 1)
+        np.testing.assert_array_equal(stack.beta[:, :, 0], beta)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1, 1)])
+    def test_beta_rejects_other_dimension_counts(self, shape):
+        named = r"^beta must be \(models, sessions, voxels\)$"
+        with pytest.raises(DomainError, match=named):
+            BetaStack(beta=np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_beta_rejects_non_finite_estimates(self, value):
+        beta = np.zeros((2, 2, 3))
+        beta[1, 0, 2] = value
+        with pytest.raises(DomainError, match="^parameter estimates must be finite$"):
+            BetaStack(beta=beta)
+
+    def test_probabilities_must_be_non_negative(self):
+        with pytest.raises(DomainError, match="must be non-negative$"):
+            PosteriorProbs(pp=np.array([[1.5, 0.5], [-0.5, 0.5]]))
+
+    def test_probabilities_must_sum_to_one_per_voxel(self):
+        with pytest.raises(DomainError, match="must sum to 1 per voxel$"):
+            PosteriorProbs(pp=np.array([[0.5, 0.5], [0.5, 0.4]]))
+
+    def test_family_evidence_reads_a_vector_as_one_voxel(self):
+        partition = FamilyPartition.from_mapping(3, {"a": (0, 1), "b": (2,)})
+        lme = np.array([-1.0, -3.0, -2.0])
+        np.testing.assert_array_equal(
+            log_family_evidence(lme, partition), log_family_evidence(lme[:, None], partition)
+        )
+
+    def test_family_evidence_needs_one_row_per_model(self):
+        partition = FamilyPartition.from_mapping(3, {"a": (0, 1), "b": (2,)})
+        named = "^evidence matrix has 2 rows but the partition covers 3 models$"
+        with pytest.raises(DomainError, match=named):
+            log_family_evidence(np.zeros((2, 4)), partition)
+
+    def test_vector_is_one_voxel(self):
+        lme = np.array([-1.0, -3.0, -2.0])
+        column = posterior_probabilities(lme[:, None]).pp
+        assert column.shape == (3, 1)
+        np.testing.assert_array_equal(posterior_probabilities(lme).pp, column)
+        np.testing.assert_array_equal(PosteriorProbs(pp=column[:, 0]).pp, column)
+
+    def test_one_voxel_averages_from_its_evidence_vector(self):
+        lme = np.array([-1.0, -3.0])
+        beta = np.array([[1.0, 2.0], [3.0, 5.0]])  # models x sessions
+        averaged = cv_bma(BetaStack(beta=beta), posterior_probabilities(lme))
+        reference = cv_bma(
+            BetaStack(beta=beta[:, :, None]), posterior_probabilities(lme[:, None])
+        )
+        np.testing.assert_array_equal(averaged, reference)
+        pp = np.exp(2.0) / (np.exp(2.0) + 1.0)
+        np.testing.assert_allclose(averaged, [1.5 * pp + 4.0 * (1.0 - pp)], rtol=1e-14)
+
+    def test_three_dimensional_evidences_are_rejected(self):
+        lme = np.zeros((2, 3, 1))
+        named = r"^lme must be \(models, voxels\)$"
+        with pytest.raises(DomainError, match=named):
+            posterior_probabilities(lme)
+        with pytest.raises(DomainError, match=named):
+            log_family_evidence(lme, FamilyPartition.from_mapping(2, {"a": (0,), "b": (1,)}))
+        with pytest.raises(DomainError, match=r"^pp must be \(models, voxels\)$"):
+            PosteriorProbs(pp=np.full((2, 1, 1), 0.5))
+
+
 def _no_voxel_cv_lme():
     x = np.random.default_rng(3).normal(size=(20, 2))
     specs = [GlmSpec(Y=np.empty((10, 0)), X=x[:10]), GlmSpec(Y=np.empty((10, 0)), X=x[10:])]

@@ -129,6 +129,21 @@ class TestSessionLayout:
         with pytest.raises(LayoutError, match="must be integers, got True"):
             SessionLayout.from_counts([True, 10])
 
+    def test_from_counts_rejects_zero_scan_count(self):
+        with pytest.raises(LayoutError, match="^every session needs at least one scan$"):
+            SessionLayout.from_counts([0, 10])
+
+    @pytest.mark.parametrize("value", [np.True_, np.False_])
+    def test_rejects_numpy_boolean_scan_count(self, value):
+        with pytest.raises(LayoutError, match=f"must be integers, got {value!r}"):
+            SessionLayout.from_counts([value, 40])
+        with pytest.raises(LayoutError, match=f"must be integers, got {value!r}"):
+            split_single_session(value)
+
+    def test_none_scan_count_is_named(self):
+        with pytest.raises(LayoutError, match="must be integers, got None"):
+            SessionLayout.from_counts([None, 40])
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_split_rejects_non_finite_scan_count(self, value):
         with pytest.raises(LayoutError, match=f"must be integers, got {value!r}"):

@@ -42,6 +42,12 @@ class TestFamilyPartition:
         with pytest.raises(DomainError, match=r"non-integral indices \(True,\)"):
             FamilyPartition.from_mapping(2, {"a": (True,), "b": (1,)})
 
+    @pytest.mark.parametrize("value", [np.False_, np.True_])
+    def test_rejects_numpy_boolean_index(self, value):
+        families = {"a": (value,), "b": (1 - int(value),)}
+        with pytest.raises(DomainError, match=f"non-integral indices \\({value!r},\\)"):
+            FamilyPartition.from_mapping(2, families)
+
     def test_rejects_empty_family(self):
         with pytest.raises(DomainError):
             uniform_partition(2, [(0, 1), ()])

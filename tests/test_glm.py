@@ -129,6 +129,13 @@ class TestGlmSpec:
         )
         assert set(vars(spec)) == {"Y", "X", "precision"}
 
+    @pytest.mark.parametrize("name", ["Y", "X"])
+    def test_rejects_a_third_dimension(self, name):
+        arrays = {"Y": np.zeros((5, 2)), "X": random_design(np.random.default_rng(5), 5, 2)}
+        arrays[name] = arrays[name][:, :, None]
+        with pytest.raises(DomainError, match=f"^{name} must be a vector or a 2-D array$"):
+            GlmSpec(**arrays)
+
 
 class TestResponseStats:
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])

@@ -52,6 +52,9 @@ _FUZZ_VALUES = (
     True, "7", -1, 2.5, [], {}, None, "nan", [[1.0, 2.0], [3.0]], 10**30, 1e-310,
 )
 
+# the estimate files of the toy workspace, two models by two sessions
+_BETA_FILES = [[f"beta_{m}_s{i}.csv" for i in (1, 2)] for m in ("m1", "m2")]
+
 
 @pytest.fixture(scope="module")
 def fuzz_workspace(tmp_path_factory):
@@ -911,6 +914,11 @@ class TestCli:
                 "subject names must be unique",
             ),
             ({"alpha0": 1e-310}, "alpha0 must be a finite positive number >= 2.2"),
+            # the regressor names a result file, BMA_<regressor>.csv
+            *(
+                ({"betas": {"regressor": name, "files": _BETA_FILES}}, "betas.regressor")
+                for name in ("", "a/b", "a\\b", "a\0b")
+            ),
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, patch, named):
@@ -1380,6 +1388,38 @@ class TestCli:
         )
         assert code in (3, 4)
 
+    @pytest.mark.parametrize(
+        "stages, named",
+        [
+            ("foo", "unknown stage 'foo'"),
+            ("cvlme,foo", "unknown stage 'foo'"),
+            (",", "--stages must name at least one stage"),
+        ],
+    )
+    def test_bad_stage_list_exits_2(self, workspace, tmp_path, capsys, stages, named):
+        out = tmp_path / "o"
+        code = main(
+            ["pipeline", "--config", str(workspace), "--stages", stages, "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
+    def test_estimate_file_of_the_wrong_width_fails_bma_naming_it(self, tmp_path, capsys):
+        root = tmp_path / "ws"
+        config_path = build_toy_workspace(root, with_group=False)
+        save_matrix(root / "beta_m2_s1.csv", load_matrix(root / "beta_m2_s1.csv").values[:, :-1])
+        argv = ["pipeline", "--config", str(config_path), "--stages", "cvlme,bma"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 4
+        captured = capsys.readouterr()
+        stages = json.loads((tmp_path / "o" / "manifest.json").read_text())["stages"]
+        assert stages["cvlme"]["status"] == "ok"
+        assert stages["bma"]["status"].startswith("failed")
+        assert "'beta_m2_s1.csv' does not hold one value per voxel" in stages["bma"]["status"]
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize("value", ["0", "-1", "auto", "1.5"])
     def test_threads_must_be_positive_integer(self, workspace, tmp_path, value):
         argv = ["cvlme", "--config", str(workspace), "--out", str(tmp_path / "o")]
@@ -1388,6 +1428,15 @@ class TestCli:
         except SystemExit as exc:  # argparse rejects a non-integer
             code = exc.code
         assert code == 2
+
+    @pytest.mark.parametrize("threads", [2.5, True, np.True_, 0, "2", None])
+    def test_run_options_take_an_integral_thread_count(self, tmp_path, threads):
+        with pytest.raises(ConfigError, match="^threads must be an integer >= 1, got"):
+            RunOptions(out_dir=tmp_path, threads=threads)
+
+    @pytest.mark.parametrize("threads", [2, 2.0, np.int64(2)])
+    def test_run_options_hold_the_thread_count_as_an_int(self, tmp_path, threads):
+        assert type(RunOptions(out_dir=tmp_path, threads=threads).threads) is int
 
     def test_group_subcommand(self, workspace, tmp_path):
         code = main(

@@ -104,6 +104,17 @@ class TestEstimateRfx:
         assert not post.converged.any()
         assert post.iterations.max() == 2
 
+    def test_integral_float_max_iter_is_that_count(self):
+        group = slot_case()
+        post = estimate_rfx(group, max_iter=5.0)
+        assert post.iterations.max() == 5
+        assert_same_bits(post, estimate_rfx(group, max_iter=5))
+
+    @pytest.mark.parametrize("value", [np.True_, np.int64(0), np.float64(2.5)])
+    def test_numpy_scalar_max_iter_keeps_the_rule(self, value):
+        with pytest.raises(DomainError, match="^max_iter must be"):
+            estimate_rfx(stack(np.zeros((3, 2, 1))), max_iter=value)
+
     @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(2, 8),
@@ -384,6 +395,43 @@ class TestDirichletPosterior:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
             DirichletPosterior(alpha=np.array([[0.0], [1.0]]), alpha0=1.0)
+
+    @pytest.mark.parametrize("alpha0", [0.0, -1.0])
+    def test_rejects_nonpositive_alpha0(self, alpha0):
+        with pytest.raises(DomainError, match="^alpha0 must be positive$"):
+            DirichletPosterior(alpha=np.array([[2.0], [6.0]]), alpha0=alpha0)
+
+    def test_vector_is_one_voxel(self):
+        post = DirichletPosterior(alpha=np.array([2.0, 6.0]), alpha0=1.0, n_subjects=6)
+        assert post.alpha.shape == (2, 1)
+        np.testing.assert_array_equal(post.expected_freq[:, 0], [0.25, 0.75])
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 1)])
+    def test_rejects_other_dimension_counts(self, shape):
+        with pytest.raises(DomainError, match=r"^alpha must be \(models, voxels\)$"):
+            DirichletPosterior(alpha=np.ones(shape), alpha0=1.0)
+
+
+class TestGroupLmeStack:
+    def test_matrix_is_one_voxel(self):
+        lme = np.array([[-1.0, -2.0], [-3.0, -1.5], [-2.0, -2.5]])
+        group = stack(lme)
+        assert group.lme.shape == (3, 2, 1)
+        np.testing.assert_array_equal(group.lme[:, :, 0], lme)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1, 1)])
+    def test_rejects_other_dimension_counts(self, shape):
+        named = r"^lme must be \(subjects, models, voxels\)$"
+        with pytest.raises(DomainError, match=named):
+            GroupLmeStack(lme=np.zeros(shape), subject_ids=("a", "b", "c"))
+
+    def test_needs_two_models(self):
+        with pytest.raises(DomainError, match="^group analysis needs at least two models$"):
+            stack(np.zeros((3, 1, 2)))
+
+    def test_needs_one_id_per_subject(self):
+        with pytest.raises(DomainError, match="^one subject id per evidence slab required$"):
+            GroupLmeStack(lme=np.zeros((3, 2, 2)), subject_ids=("a", "b"))
 
 
 class TestEpBetaClosedForm:
