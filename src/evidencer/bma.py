@@ -36,13 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BetaStack:
-    """One regressor's estimates, (models x sessions x voxels) or one voxel's."""
+    """One regressor's estimates, C-ordered (models x sessions x voxels) or one voxel's."""
 
     beta: np.ndarray
     regressor_name: str = "effect"
 
     def __post_init__(self):
         beta = _as_columns(self.beta, 3, "beta must be (models, sessions, voxels)")
+        beta = np.ascontiguousarray(beta)
         if not np.all(np.isfinite(beta)):
             raise DomainError("parameter estimates must be finite")
         object.__setattr__(self, "beta", beta)
@@ -62,12 +63,12 @@ class BetaStack:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorProbs:
-    """Posterior model probabilities, (models x voxels) or one voxel's."""
+    """Posterior model probabilities, C-ordered (models x voxels) or one voxel's."""
 
     pp: np.ndarray
 
     def __post_init__(self):
-        pp = _as_columns(self.pp, 2, "pp must be (models, voxels)")
+        pp = np.ascontiguousarray(_as_columns(self.pp, 2, "pp must be (models, voxels)"))
         if np.any(pp < 0):
             raise DomainError("posterior probabilities must be non-negative")
         if np.max(np.abs(pp.sum(axis=0) - 1.0), initial=0.0) > 1e-10:
@@ -132,7 +133,7 @@ class FamilyPartition:
     ``weights`` holds one entry per family, ``None`` for uniform; after
     construction it always holds the vectors. A weight of exactly zero
     excludes that model from its family's evidence; weights must be
-    non-negative and sum to one per family. Indices are integral, not bools.
+    non-negative and sum to one per family. ``n_models`` and indices are integral.
     """
 
     n_models: int
@@ -140,8 +141,12 @@ class FamilyPartition:
     weights: tuple | None = None
 
     def __post_init__(self):
-        if self.n_models < 1:
-            raise DomainError("partition needs a positive model count")
+        n_models = _integral(self.n_models)
+        if n_models is None or n_models < 1:
+            raise DomainError(
+                f"partition needs a positive integral model count, got {self.n_models!r}"
+            )
+        object.__setattr__(self, "n_models", n_models)
         names = [name for name, _ in self.families]
         if len(set(names)) != len(names):
             raise DomainError("family names must be unique")
@@ -158,7 +163,7 @@ class FamilyPartition:
                 raise DomainError(f"family {name!r} has out-of-range indices")
             seen.extend(idx)
             normalized.append((str(name), idx))
-        if sorted(seen) != list(range(self.n_models)):
+        if len(seen) != self.n_models or sorted(seen) != list(range(self.n_models)):
             raise DomainError(
                 "families must partition the model space: every model in "
                 "exactly one family"

@@ -66,7 +66,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -77,7 +76,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bma import FamilyPartition, _prior_weights
-from .errors import ConfigError, DomainError, EvidencerError, ParseError
+from .errors import ConfigError, DomainError, EvidencerError, ParseError, _is_real
+from .rfx import _vb_settings
 
 __all__ = [
     "LabeledMatrix",
@@ -713,33 +713,6 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _positive(raw: dict, key: str, default, kind=float):
-    """``raw[key]`` (or ``default``) as a positive ``kind``: a finite JSON
-    number no smaller than the smallest normal double for ``float``, a JSON
-    integer below 2**63 for ``int``; anything else, booleans and numeric
-    strings included, raises :class:`ConfigError` naming the key."""
-    value = raw.get(key, default)
-    what = "integer below 2**63" if kind is int else f"number >= {sys.float_info.min!r}"
-    _require(
-        _is_real(value)
-        and (kind is float or isinstance(value, int) and value < 2**63)
-        and value >= sys.float_info.min,
-        f"{key} must be a finite positive {what}, got {value!r}",
-    )
-    return kind(value)
-
-
-def _is_real(value) -> bool:
-    """Whether a JSON value is a number that is a finite double (booleans
-    are not numbers here)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the double range
-        return False
-
-
 def _weights(value, n: int, what: str, unit: str) -> tuple:
     """``value`` as floats if it is ``n`` JSON numbers, one per ``unit``,
     that meet the prior-weight rule of :func:`~evidencer.bma._prior_weights`;
@@ -899,6 +872,14 @@ def load_config(path) -> ModelSpaceConfig:
             "subject names must be unique",
         )
 
+    try:  # no mass check: the bms stage learns the model count from its files
+        alpha0, vb_tol, vb_max_iter = _vb_settings(
+            raw.get("alpha0", 1.0), raw.get("vb_tol", 1e-4), raw.get("vb_max_iter", 200),
+            prefix="vb_",
+        )
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+
     return ModelSpaceConfig(
         models=models,
         data=data,
@@ -907,9 +888,7 @@ def load_config(path) -> ModelSpaceConfig:
         model_prior=model_prior,
         betas=betas,
         subjects=subjects,
-        alpha0=_positive(raw, "alpha0", 1.0),
-        vb_tol=_positive(raw, "vb_tol", 1e-4),
-        vb_max_iter=_positive(raw, "vb_max_iter", 200, int),
+        alpha0=alpha0, vb_tol=vb_tol, vb_max_iter=vb_max_iter,
         base_dir=path.parent,
         raw=raw,
     )

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the rules for arrays and counts."""
+"""Exception types shared across the package, and the rules for arrays, counts and reals."""
+
+import numbers
 
 import numpy as np
 
@@ -79,3 +81,13 @@ def _integral(value) -> int | None:
     except (OverflowError, TypeError, ValueError):  # inf, None, nan
         return None
     return count if count == value else None
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that is a finite double."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return bool(np.isfinite(float(value)))
+    except OverflowError:  # an integer beyond the double range
+        return False

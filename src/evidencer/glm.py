@@ -202,10 +202,10 @@ class NgParams:
 
 
 def _as_design(x, n: int, name: str) -> np.ndarray:
-    """``x`` as a 2-D float array, a vector one column, if it is a finite
-    design of ``n`` rows and ``p`` columns, ``1 <= p <= n - 1``; else
-    :class:`DomainError` naming ``name``."""
-    x = _as_columns(x, 2, f"{name} must be a vector or a 2-D array")
+    """``x`` as a C-ordered 2-D float array, a vector one column, if it is a
+    finite design of ``n`` rows and ``p`` columns, ``1 <= p <= n - 1``;
+    else :class:`DomainError` naming ``name``."""
+    x = np.ascontiguousarray(_as_columns(x, 2, f"{name} must be a vector or a 2-D array"))
     if x.shape[0] != n:
         raise DomainError(f"Y has {n} scans but {name} has {x.shape[0]}")
     if not np.all(np.isfinite(x)):
@@ -281,13 +281,13 @@ class SessionStats(NamedTuple):
 
 
 def _precision_logdet(precision, n: int) -> tuple:
-    """A precision over ``n`` scans as floats, and its log|P|: ``None``
+    """A precision over ``n`` scans as C-ordered floats, and its log|P|: ``None``
     (identity), a finite length-n vector of positive entries, or a finite
     symmetric (n, n) matrix with a Cholesky factor; else :class:`DomainError`,
     or :class:`DecompositionError` where not positive definite."""
     if precision is None:
         return None, 0.0
-    precision = np.asarray(precision, dtype=float)
+    precision = np.asarray(precision, dtype=float, order="C")
     if not np.all(np.isfinite(precision)):
         raise DomainError("precision must be finite")
     if precision.ndim == 1:
@@ -330,13 +330,14 @@ def response_stats(Y: np.ndarray, designs, precision=None) -> list:
     kernels for different shapes round differently. A design's statistics
     are thus bit-identical whether it is alone or shares the pass, and a
     voxel's whatever the voxel count or however the voxels are split over
-    calls. A non-finite ``y'Py`` (a non-finite cell, or an overflow) raises
+    calls, or on the inputs' memory order: the pass reads them C-ordered. A
+    non-finite ``y'Py`` (a non-finite cell, or an overflow) raises
     :class:`DomainError` naming the voxels, and a block that holds one skips
     the product. ``Y`` and the designs must meet :class:`GlmSpec`'s rules
     but its rank test, a rejected design named by its position from 1, and
     the precision is checked here, by the rule that forms ``log|P|``.
     """
-    Y = _as_columns(Y, 2, "Y must be a vector or a 2-D array")
+    Y = np.ascontiguousarray(_as_columns(Y, 2, "Y must be a vector or a 2-D array"))
     n, v = Y.shape
     designs = [_as_design(x, n, f"design {i}") for i, x in enumerate(designs, 1)]
     precision, logdet = _precision_logdet(precision, n)

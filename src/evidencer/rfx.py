@@ -22,11 +22,12 @@ its call, so chunking and thread count leave the output bytes unchanged.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, _as_columns, _integral
+from .errors import DomainError, NumericalError, _as_columns, _integral, _is_real
 from .special import digamma, gamma_tail_quantiles, log_gamma, reg_lower_incomplete_gamma
 
 __all__ = [
@@ -114,12 +115,15 @@ class DirichletPosterior:
     def __post_init__(self):
         self.alpha = _as_columns(self.alpha, 2, "alpha must be (models, voxels)")
         _check_concentrations(self.alpha)
-        self.alpha0 = float(self.alpha0)
-        if self.alpha0 <= 0:
-            raise DomainError("alpha0 must be positive")
+        n = 0 if self.n_subjects is None else _integral(self.n_subjects)
+        if n is None or not 0 <= n < 2**63:
+            raise DomainError(
+                f"n_subjects must be None or a count below 2**63, got {self.n_subjects!r}"
+            )
+        k = self.alpha.shape[0]
+        self.alpha0 = _vb_settings(self.alpha0, models=k, subjects=n)[0]
         if self.n_subjects is not None:
-            k = self.alpha.shape[0]
-            target = k * self.alpha0 + self.n_subjects
+            self.n_subjects, target = n, k * self.alpha0 + n
             if np.max(np.abs(self.alpha.sum(axis=0) - target), initial=0.0) > 1e-8 * target:
                 raise DomainError(
                     "concentration mass is inconsistent with the subject count"
@@ -187,6 +191,32 @@ def _vb_step(alpha, e, lme, voxels, alpha0: float) -> tuple:
     return new_alpha, bad.size
 
 
+def _vb_settings(alpha0, tol=1e-4, max_iter=200, models=0, subjects=0, prefix="") -> tuple:
+    """``alpha0``, ``tol`` and ``max_iter`` as a float, a float and an int, or a
+    :class:`DomainError` naming the first that breaks its rule (``tol`` and
+    ``max_iter`` under ``prefix``): ``alpha0`` and ``tol`` are real numbers,
+    not bools, finite and at least the smallest normal double (a subnormal
+    ``alpha0`` overflows digamma), ``alpha0`` keeps ``models * alpha0 +
+    subjects`` finite, and ``max_iter`` is an integral count from 1 to 2**63 - 1."""
+    for name, value in (("alpha0", alpha0), (prefix + "tol", tol)):
+        if not (_is_real(value) and value >= sys.float_info.min):
+            raise DomainError(
+                f"{name} must be a finite positive number >= "
+                f"{sys.float_info.min!r}, got {value!r}"
+            )
+    if not np.isfinite(models * float(alpha0) + subjects):
+        raise DomainError(
+            f"alpha0 must be small enough that models * alpha0 + subjects is "
+            f"finite ({models} models, {subjects} subjects), got {alpha0!r}"
+        )
+    steps = _integral(max_iter)
+    if steps is None or not 1 <= steps < 2**63:
+        raise DomainError(
+            f"{prefix}max_iter must be an integer from 1 to 2**63 - 1, got {max_iter!r}"
+        )
+    return float(alpha0), float(tol), steps
+
+
 def estimate_rfx(
     group: GroupLmeStack,
     alpha0: float = 1.0,
@@ -211,25 +241,12 @@ def estimate_rfx(
     the stopped slots below it, and the arrays become their first ``left``
     slots, so only the refilling voxels' slabs are copied. Every voxel's
     arithmetic is independent of the others and of its slot, so blocks,
-    slots and chunking leave results unchanged to the bit. ``alpha0`` must
-    be a normal double (subnormals overflow digamma) that keeps the
-    concentration mass ``k * alpha0 + subjects`` finite, ``tol`` finite and
-    positive, and ``max_iter`` integral, not a bool, from 1 to 2**63 - 1.
+    slots and chunking leave results unchanged to the bit. The settings
+    must meet :func:`_vb_settings`.
     """
     lme = group.lme
     n, k, v = lme.shape
-    if not (alpha0 >= np.finfo(float).tiny and np.isfinite(k * float(alpha0) + n)):
-        raise DomainError(
-            f"alpha0 must be a positive normal double with k * alpha0 + subjects "
-            f"finite ({k} models, {n} subjects), got {alpha0!r}"
-        )
-    if not (np.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    steps = _integral(max_iter)
-    if steps is None or not 1 <= steps < 2**63:
-        raise DomainError(
-            f"max_iter must be an integer from 1 to 2**63 - 1, got {max_iter!r}"
-        )
+    alpha0, tol, steps = _vb_settings(alpha0, tol, max_iter, models=k, subjects=n)
     alpha = np.empty((k, v))
     converged = np.zeros(v, dtype=bool)
     iterations = np.full(v, steps, dtype=np.int64)

@@ -158,6 +158,18 @@ class TestCvBma:
         assert np.all(out <= means.max(axis=0) + 1e-12)
         assert np.all(out >= means.min(axis=0) - 1e-12)
 
+    def test_memory_order_changes_no_bit(self):
+        # the stacks hold C-ordered arrays, so the session mean and the sum
+        # over models add in one order whatever the caller's layout
+        rng = np.random.default_rng(30)
+        beta = rng.normal(size=(3, 4, 1000))
+        pp = rng.dirichlet(np.ones(3), size=1000).T
+        base = cv_bma(BetaStack(beta=beta), PosteriorProbs(pp=pp))
+        ours = cv_bma(
+            BetaStack(beta=np.asfortranarray(beta)), PosteriorProbs(pp=np.asfortranarray(pp))
+        )
+        np.testing.assert_array_equal(ours, base)
+
     def test_axis_mismatch(self):
         betas = BetaStack(beta=np.zeros((2, 2, 3)))
         pp = PosteriorProbs(pp=np.full((3, 3), 1 / 3))

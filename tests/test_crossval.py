@@ -301,16 +301,33 @@ class TestCvLme:
             result.cv_acc - result.cv_com, result.cv_lme, atol=1e-8
         )
 
-    def test_voxel_permutation_invariance(self):
-        rng = np.random.default_rng(22)
-        specs, layout = make_sessions(rng, s=2, v=6)
-        perm = rng.permutation(6)
-        # a C-ordered copy: Y[:, perm] alone is Fortran-ordered, and adds
-        # each voxel's terms in another order
-        permuted = [
-            GlmSpec(Y=np.ascontiguousarray(s.Y[:, perm]), X=s.X, precision=s.precision)
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_memory_order_changes_no_bit(self, precision_kind):
+        # a spec keeps its caller's arrays, and the statistics pass reads
+        # them C-ordered, so Fortran-ordered inputs give every cvLME bit
+        rng = np.random.default_rng(23)
+        specs, layout = make_sessions(rng, s=4, n=200, p=3, v=1000,
+                                      precision_kind=precision_kind)
+        fortran = [
+            GlmSpec(
+                Y=np.asfortranarray(s.Y),
+                X=np.asfortranarray(s.X),
+                precision=None if s.precision is None else np.asfortranarray(s.precision),
+            )
             for s in specs
         ]
+        base = cv_lme_models({"m": specs}, layout)
+        ours = cv_lme_models({"m": fortran}, layout)
+        for term in ("cv_lme", "cv_acc", "cv_com", "oos_lme", "oos_acc", "oos_com"):
+            np.testing.assert_array_equal(getattr(ours, term), getattr(base, term))
+
+    def test_voxel_permutation_invariance(self):
+        rng = np.random.default_rng(22)
+        specs, layout = make_sessions(rng, s=2, v=300)
+        perm = rng.permutation(300)
+        # Y[:, perm] is Fortran-ordered, and so is a full 256-voxel block of
+        # it; the statistics pass reads it C-ordered
+        permuted = [GlmSpec(Y=s.Y[:, perm], X=s.X, precision=s.precision) for s in specs]
         base = cv_lme_models({"m": specs}, layout)
         shuffled = cv_lme_models({"m": permuted}, layout)
         for term in ("cv_lme", "cv_acc", "cv_com"):

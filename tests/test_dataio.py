@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from evidencer import dataio
 from evidencer.dataio import ResultTable, load_config, load_matrix, save_matrix
-from evidencer.errors import ConfigError, ParseError
+from evidencer.errors import ConfigError, DomainError, ParseError
 from evidencer.pipeline import STAGE_NAMES, RunOptions, run_pipeline
+from evidencer.rfx import GroupLmeStack, estimate_rfx
 
 from helpers import build_toy_workspace, load_matrix_by_cells, save_matrix_by_cells
 
@@ -864,6 +865,48 @@ class TestLoadConfig:
             ).replace("Infinity", "1e999")
         )
         with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_integral_float_max_iter_is_that_count(self, tmp_path):
+        config = load_config(
+            self._write(
+                tmp_path,
+                {
+                    "models": [{"name": "m", "design": ["x1.csv", "x2.csv"]}],
+                    "data": ["y1.csv", "y2.csv"],
+                    "vb_max_iter": 200.0,
+                },
+            )
+        )
+        assert config.vb_max_iter == 200 and type(config.vb_max_iter) is int
+
+    @pytest.mark.parametrize(
+        "value", [1, 2.5, 200.0, 10**30, 1e300, True, "1", 0, -1.0, 1e-310, 5e-324,
+                  float("nan"), [1]],
+        ids=repr,
+    )
+    @pytest.mark.parametrize(
+        "key, argument", [("alpha0", "alpha0"), ("vb_tol", "tol"), ("vb_max_iter", "max_iter")]
+    )
+    def test_settings_follow_the_library_rule(self, tmp_path, key, argument, value):
+        # load_config and estimate_rfx accept the same values, and reject
+        # the others with one message under the name each caller uses
+        path = self._write(
+            tmp_path,
+            {
+                "models": [{"name": "m", "design": ["x1.csv", "x2.csv"]}],
+                "data": ["y1.csv", "y2.csv"],
+                key: value,
+            },
+        )
+        group = GroupLmeStack(lme=np.zeros((3, 2, 1)), subject_ids=("a", "b", "c"))
+        try:
+            estimate_rfx(group, **{argument: value})
+        except DomainError as exc:
+            with pytest.raises(ConfigError) as raised:
+                load_config(path)
+            assert str(raised.value) == key[: len(key) - len(argument)] + str(exc)
+        else:
             load_config(path)
 
     @pytest.mark.parametrize(

@@ -28,6 +28,19 @@ class TestFamilyPartition:
         with pytest.raises(DomainError):
             uniform_partition(3, [(0,), (1,)])
 
+    def test_integral_float_model_count_is_that_count(self):
+        part = FamilyPartition(2.0, (("a", (0, 1)),))
+        assert part.n_models == 2 and type(part.n_models) is int
+
+    @pytest.mark.parametrize("value", [1.5, True, np.True_, None, float("nan"), 0])
+    def test_rejects_non_integral_model_count(self, value):
+        with pytest.raises(DomainError, match="^partition needs a positive integral model count"):
+            FamilyPartition(value, (("a", (0,)),))
+
+    def test_model_count_past_the_indices_fails_before_listing_it(self):
+        with pytest.raises(DomainError, match="^families must partition the model space"):
+            FamilyPartition(10**18, (("a", (0,)),))
+
     def test_rejects_non_integral_index(self):
         with pytest.raises(DomainError, match="1.7"):
             FamilyPartition.from_mapping(2, {"a": (0,), "b": (1.7,)})

@@ -139,6 +139,26 @@ class TestGlmSpec:
 
 class TestResponseStats:
     @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
+    def test_memory_order_changes_no_bit(self, precision_kind):
+        # Fortran-ordered arrays, as scipy.io.loadmat returns them, give the
+        # statistics of the same values C-ordered: einsum and BLAS add in
+        # another order along another layout, so the pass reads C order
+        rng = np.random.default_rng(61)
+        n, v = 200, 1000
+        y = rng.normal(size=(n, v)) + 5.0
+        designs = [random_design(rng, n, 3), random_design(rng, n, 2)]
+        precision = random_precision(rng, n, precision_kind)
+        c = response_stats(y, designs, precision)
+        f = response_stats(
+            np.asfortranarray(y),
+            [np.asfortranarray(x) for x in designs],
+            None if precision is None else np.asfortranarray(precision),
+        )
+        for ours, theirs in zip(f, c):
+            for name in SessionStats._fields:
+                np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name))
+
+    @pytest.mark.parametrize("precision_kind", ["identity", "diagonal", "full"])
     def test_rows_do_not_depend_on_the_other_designs(self, precision_kind):
         # nested designs share columns, and together have more distinct
         # columns than one product stack holds; each design's statistics,
@@ -157,6 +177,7 @@ class TestResponseStats:
             (alone,) = response_stats(y, [x], precision)
             for name in SessionStats._fields:
                 np.testing.assert_array_equal(getattr(stats, name), getattr(alone, name))
+            x = np.ascontiguousarray(x)  # the pass reads a design C-ordered
             np.testing.assert_array_equal(stats.xtpx, x.T @ times_precision(precision, x))
             np.testing.assert_allclose(stats.xtpy, x.T @ py, rtol=1e-12, atol=1e-12)
             ytpy = np.einsum("nv,nv->v", y, py)
@@ -452,17 +473,17 @@ class TestPosteriorUpdate:
         assert stats.xtpy.tobytes() == xtpy.tobytes()
 
     def test_voxel_permutation_equivariance(self):
-        # bit-equivariant on a C-ordered permuted copy (Y[:, perm] alone is
-        # Fortran-ordered, and adds each voxel's terms in another order)
+        # bit-equivariant, although Y[:, perm] is Fortran-ordered, and so is
+        # a full 256-voxel block of it: the statistics pass reads it C-ordered
         rng = np.random.default_rng(9)
-        spec, prior = random_proper_instance(rng, v=8)
-        perm = rng.permutation(8)
-        y = np.ascontiguousarray(spec.Y[:, perm])
-        permuted_spec = GlmSpec(Y=y, X=spec.X, precision=spec.precision)
-        post = posterior_update(stats_of(spec), prior)
-        post_perm = posterior_update(stats_of(permuted_spec), prior)
-        np.testing.assert_array_equal(post_perm.mu, post.mu[:, perm])
-        np.testing.assert_array_equal(post_perm.b, post.b[perm])
+        for kind in ("identity", "diagonal", "full"):
+            spec, prior = random_proper_instance(rng, v=300, precision_kind=kind)
+            perm = rng.permutation(300)
+            permuted_spec = GlmSpec(Y=spec.Y[:, perm], X=spec.X, precision=spec.precision)
+            post = posterior_update(stats_of(spec), prior)
+            post_perm = posterior_update(stats_of(permuted_spec), prior)
+            np.testing.assert_array_equal(post_perm.mu, post.mu[:, perm])
+            np.testing.assert_array_equal(post_perm.b, post.b[perm])
 
 
 class TestEvidenceQuantities:

@@ -642,6 +642,27 @@ class TestFailureHandling:
         assert manifest["subject_names"] == ["me", "sub0", "sub1"]
 
 
+@pytest.fixture(scope="module", params=[12, 9000], ids=lambda v: f"{v}voxels")
+def voxel_workspace(request, tmp_path_factory):
+    """The toy workspace at 12 voxels, and at 9,000, which is three bms and
+    ep chunks."""
+    return build_toy_workspace(tmp_path_factory.mktemp("voxels"), v=request.param)
+
+
+def _cli_run(config_path, out, threads=1) -> tuple:
+    """Run every stage through the command line; the result files' bytes
+    by name, the manifest's parsed."""
+    args = ["pipeline", "--config", str(config_path), "--out", str(out)]
+    assert main([*args, "--threads", str(threads)]) == 0
+    files = {p.name: p.read_bytes() for p in out.glob("*.csv") if p.name != "timings.csv"}
+    return files, json.loads((out / "manifest.json").read_text())
+
+
+def _rows(text: bytes) -> tuple:
+    header, *rows = text.splitlines()
+    return header, [row.split(b",") for row in rows]
+
+
 class TestDeterminism:
     def test_reruns_byte_identical_across_threads(self, workspace, tmp_path):
         outputs = []
@@ -656,6 +677,70 @@ class TestDeterminism:
             reference = (outputs[0] / name).read_bytes()
             assert (outputs[1] / name).read_bytes() == reference
             assert (outputs[2] / name).read_bytes() == reference
+
+    def test_voxel_permutation_permutes_every_result_cell(self, voxel_workspace, tmp_path):
+        # permuting the voxel columns of every response, estimate and
+        # subject file permutes the cells of every result file, byte for
+        # byte, under the same header, at any --threads count
+        base, manifest = _cli_run(voxel_workspace, tmp_path / "base")
+        config = json.loads(voxel_workspace.read_text())
+        root = tmp_path / "permuted"
+        shutil.copytree(voxel_workspace.parent, root)
+        voxel_files = [
+            *config["data"],
+            *(f for row in config["betas"]["files"] for f in row),
+            *(s["cvlme"] for s in config["subjects"]),
+        ]
+        voxels = load_matrix(root / config["data"][0]).values.shape[1]
+        perm = np.random.default_rng(5).permutation(voxels)
+        for name in voxel_files:
+            save_matrix(root / name, load_matrix(root / name).values[:, perm])
+        assert len(base) == 15
+        for threads in (1, 2):
+            found, found_manifest = _cli_run(
+                root / "config.json", tmp_path / f"t{threads}", threads
+            )
+            assert found_manifest == manifest
+            assert found.keys() == base.keys()
+            for name, text in base.items():
+                header, rows = _rows(text)
+                permuted = [[row[i] for i in perm] for row in rows]
+                assert _rows(found[name]) == (header, permuted), name
+
+    def test_model_order_reverses_first_level_rows(self, voxel_workspace, tmp_path):
+        # reversing the config's two models and its estimate rows reverses
+        # the rows of every first-level result file, byte for byte; LFE's
+        # rows are families, which keep their order
+        base, manifest = _cli_run(voxel_workspace, tmp_path / "base")
+        config = json.loads(voxel_workspace.read_text())
+        config["models"].reverse()
+        config["betas"]["files"].reverse()
+        reversed_path = voxel_workspace.parent / f"reversed_{tmp_path.name}.json"
+        reversed_path.write_text(json.dumps(config))
+        found, _ = _cli_run(reversed_path, tmp_path / "reversed")
+        first_level = [
+            name
+            for stage in ("cvlme", "anc", "lfe", "bma")
+            for name in manifest["stages"][stage]["outputs"]
+        ]
+        assert len(first_level) == 12
+        for name in first_level:
+            header, rows = _rows(base[name])
+            if manifest["tables"][name]["rows"] == ["m1", "m2"]:
+                rows.reverse()
+            assert _rows(found[name]) == (header, rows), name
+
+    def test_integral_float_max_iter_gives_the_integer_bytes(self, workspace, tmp_path):
+        runs = []
+        for value in (200, 200.0):
+            config = {**json.loads(workspace.read_text()), "vb_max_iter": value}
+            path = workspace.parent / f"max_iter_{value!r}_{tmp_path.name}.json"
+            path.write_text(json.dumps(config))
+            files, manifest = _cli_run(path, tmp_path / repr(value))
+            del manifest["config_sha256"]
+            runs.append((files, manifest))
+        assert runs[1] == runs[0]
+        assert runs[0][1]["options"]["vb_max_iter"] == 200
 
     @pytest.mark.parametrize(
         "s, n, block",

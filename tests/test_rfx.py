@@ -170,6 +170,9 @@ class TestEstimateRfx:
             ("alpha0", float("inf")),
             ("alpha0", 1e-310),
             ("alpha0", 1e308),
+            ("alpha0", True),
+            ("alpha0", "1"),
+            ("tol", 5e-324),
         ],
     )
     def test_bad_argument_is_named(self, argument, value):
@@ -396,10 +399,23 @@ class TestDirichletPosterior:
         with pytest.raises(DomainError):
             DirichletPosterior(alpha=np.array([[0.0], [1.0]]), alpha0=1.0)
 
-    @pytest.mark.parametrize("alpha0", [0.0, -1.0])
+    @pytest.mark.parametrize("alpha0", [0.0, -1.0, float("nan"), float("inf"), 1e-310, "1"])
     def test_rejects_nonpositive_alpha0(self, alpha0):
-        with pytest.raises(DomainError, match="^alpha0 must be positive$"):
-            DirichletPosterior(alpha=np.array([[2.0], [6.0]]), alpha0=alpha0)
+        with pytest.raises(DomainError, match="^alpha0 must be a finite positive number >= "):
+            DirichletPosterior(alpha=np.array([[2.0], [6.0]]), alpha0=alpha0, n_subjects=6)
+
+    def test_alpha0_keeps_the_mass_finite(self):
+        with pytest.raises(DomainError, match=r"^alpha0 must be small enough .* \(2 models, 0 "):
+            DirichletPosterior(alpha=[[1.0], [2.0]], alpha0=1e308)
+
+    @pytest.mark.parametrize("n_subjects", [float("nan"), 2.5, True, -1, 2**63])
+    def test_rejects_non_integral_subject_count(self, n_subjects):
+        with pytest.raises(DomainError, match="^n_subjects must be None or a count below 2"):
+            DirichletPosterior(alpha=[[1.0], [2.0]], alpha0=1.0, n_subjects=n_subjects)
+
+    def test_integral_float_subject_count_is_that_count(self):
+        post = DirichletPosterior(alpha=[[4.0], [4.0]], alpha0=1.0, n_subjects=6.0)
+        assert post.n_subjects == 6 and type(post.n_subjects) is int
 
     def test_vector_is_one_voxel(self):
         post = DirichletPosterior(alpha=np.array([2.0, 6.0]), alpha0=1.0, n_subjects=6)
